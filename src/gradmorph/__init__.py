@@ -17,8 +17,8 @@ from .mcm import EdgeClassification, classify, plan_mcm, MCM_PHASE_BUDGET
 from .mwm import (AlternatingComponent, decompose, mwm_phase_budget,
                   order_components, plan_mwm, plan_mwm_auto,
                   prefix_min_index, replace_blue_red)
-from .msf import (CrossEdgeHeap, TreeTransformState, min_weight_cross_edge,
-                  plan_msf, plan_tree, MSF_PHASE_BUDGET)
+from .msf import (CrossEdgeHeap, TreeTransformState, plan_msf, plan_tree,
+                  MSF_PHASE_BUDGET)
 from .dynforest import (HAVE_COMPILED_CORE, LinkCutForestIndex,
                         NaiveForestIndex, make_index)
 from .oracles import (OracleBudget, exhaustive_transform_search,
@@ -40,8 +40,8 @@ __all__ = [
     "EdgeClassification", "classify", "plan_mcm", "MCM_PHASE_BUDGET",
     "AlternatingComponent", "decompose", "mwm_phase_budget",
     "order_components", "plan_mwm", "plan_mwm_auto", "prefix_min_index",
-    "replace_blue_red", "CrossEdgeHeap", "TreeTransformState",
-    "min_weight_cross_edge", "plan_msf", "plan_tree", "MSF_PHASE_BUDGET",
+    "replace_blue_red", "CrossEdgeHeap", "TreeTransformState", "plan_msf",
+    "plan_tree", "MSF_PHASE_BUDGET",
     "HAVE_COMPILED_CORE", "LinkCutForestIndex", "NaiveForestIndex",
     "make_index", "OracleBudget", "exhaustive_transform_search",
     "has_augmenting_path", "max_matching_exact", "max_weight_matching_exact",

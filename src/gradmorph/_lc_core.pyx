@@ -201,9 +201,6 @@ cdef class LinkCutCore:
         self.val[x] = value
         self._pull(x)
 
-    def get_val(self, int x) -> int:
-        return self.val[x]
-
     def path_max(self, int u, int v):
         cdef int m, x, l
         self.evert(u)

@@ -155,9 +155,6 @@ class LinkCutCore:
         self.val[x] = val
         self._pull(x)
 
-    def get_val(self, x: int) -> int:
-        return self.val[x]
-
     def path_max(self, u: int, v: int) -> tuple[int, int]:
         """(node, value) of the leftmost maximum-value node on the u..v
         path, left meaning nearest to u."""

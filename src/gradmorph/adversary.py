@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import ContractError, DataError, DeltaReport, Graph, UpdateEvent
+from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
+                    UpdateEvent)
 from .wrapper import InnerAlgorithm, OutputDelta
 
 PATH_SCALE = 0.25     # l = max(1, floor(PATH_SCALE / eps))
@@ -75,20 +76,17 @@ class ExactPathMaintainer(InnerAlgorithm):
 
     def __init__(self, g: Graph) -> None:
         self.g = g
-        self._matching: set[int] = set()
+        self.matching = Matching(g)
 
     def matching_ids(self) -> list[int]:
-        return sorted(self._matching)
-
-    def current_weight(self) -> float:
-        return sum(self.g.weight(e) for e in self._matching)
+        # sorted, so emit_edges truncates to the smallest ids
+        return sorted(self.matching.edges)
 
     def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:
         out = OutputDelta()
         touched: set[int] = set()
         for eid, u, v, _ in delta.removed:
-            if eid in self._matching:
-                self._matching.discard(eid)
+            if self.matching.discard_dead(eid, (u, v)):
                 out.removed.append(eid)
             touched.update((u, v))
         for eid, u, v, _ in delta.added:
@@ -102,12 +100,12 @@ class ExactPathMaintainer(InnerAlgorithm):
             for e, a, b in [(e, *self.g.endpoints(e)) for e in path]:
                 done.update((a, b))
             want = canonical_path_matching(path)
-            have = {e for e in path if e in self._matching}
+            have = {e for e in path if e in self.matching}
             for e in sorted(have - want):
-                self._matching.discard(e)
+                self.matching.remove(e)
                 out.removed.append(e)
             for e in sorted(want - have):
-                self._matching.add(e)
+                self.matching.add(e)
                 out.added.append(e)
         return out
 
@@ -148,11 +146,10 @@ class StaticSubject(InnerAlgorithm):
 
     def __init__(self, g: Graph) -> None:
         self.g = g
-
-    def matching_ids(self) -> list[int]:
-        return []
+        self.matching = Matching(g)
 
     def current_weight(self) -> float:
+        # the base sum over an empty matching is int 0; traces print 0.0
         return 0.0
 
     def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:

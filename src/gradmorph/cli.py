@@ -16,8 +16,8 @@ from . import adversary as adv
 from .bench import (available_index_kinds, index_benchmark,
                     matching_planner_scaling, msf_planner_scaling)
 from .gen import DEFAULT_SEED, random_update_stream
-from .graph import (BudgetError, ContractError, DataError, Graph,
-                    solution_stats)
+from .graph import (DEFAULT_TOLERANCE, BudgetError, ContractError, DataError,
+                    Graph, solution_stats)
 from .io import (RunManifest, emit_edge_set, parse_forest, parse_graph,
                  parse_matching, parse_updates, emit_updates)
 from .mcm import plan_mcm
@@ -29,7 +29,9 @@ from .oracles import (OracleBudget, exhaustive_transform_search,
 from .script import TransformationScript, check_guarantee, replay, \
     report_to_csv_rows
 from .sim import make_inner, run_simulation, trace_csv_rows
-from .wrapper import WrappedMatching
+from .wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
+                      WINDOW_RATIO_FACTOR, GreedyMaximalMatching,
+                      WrappedMatching)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_CONTRACT = 0, 1, 2, 3
 
@@ -143,8 +145,9 @@ def _cmd_simulate(args) -> int:
         "weighted": args.weighted, "psi": args.psi, "seed": args.seed,
         "oracle_check": args.oracle_check, "n": args.n,
         "random_updates": args.random_updates, "tolerance": args.tolerance,
-        "constants": {"recourse_factor": 16, "sim_factor": 15,
-                      "small_factor": 12, "window_ratio_factor": 1.25},
+        "constants": {"recourse_factor": RECOURSE_FACTOR,
+                      "sim_factor": SIM_FACTOR, "small_factor": SMALL_FACTOR,
+                      "window_ratio_factor": WINDOW_RATIO_FACTOR},
     })
     if args.updates:
         events = parse_updates(_read(args.updates, "updates", manifest))
@@ -180,7 +183,6 @@ def _subject_factory(name: str, eps: float):
     if name == "exact":
         return lambda g: adv.ExactPathMaintainer(g)
     if name == "greedy":
-        from .wrapper import GreedyMaximalMatching
         return lambda g: GreedyMaximalMatching(g)
     if name == "static":
         return lambda g: adv.StaticSubject(g)
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                 description="gradual transformation planners, verifier, "
                             "recourse wrapper, and adversary harness")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--manifest-out", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 

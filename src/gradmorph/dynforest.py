@@ -26,32 +26,7 @@ from ._lc_pure import LinkCutCore as _PureCore
 ActiveCore: Callable = _CompiledCore if HAVE_COMPILED_CORE else _PureCore
 
 
-class ForestIndex:
-    """Interface shared by both implementations."""
-
-    def link(self, eid: int, u: int, v: int, dummy: int) -> None:
-        raise NotImplementedError
-
-    def cut(self, eid: int) -> None:
-        raise NotImplementedError
-
-    def set_dummy(self, eid: int, dummy: int) -> None:
-        raise NotImplementedError
-
-    def dummy(self, eid: int) -> int:
-        raise NotImplementedError
-
-    def connected(self, u: int, v: int) -> bool:
-        raise NotImplementedError
-
-    def path_edges(self, u: int, v: int) -> list[int]:
-        raise NotImplementedError
-
-    def path_edge_outside(self, u: int, v: int) -> int:
-        raise NotImplementedError
-
-
-class NaiveForestIndex(ForestIndex):
+class NaiveForestIndex:
     """Adjacency dict plus breadth-first path walks."""
 
     def __init__(self) -> None:
@@ -121,7 +96,7 @@ class NaiveForestIndex(ForestIndex):
         raise ContractError(f"no dummy-2 edge on path {u}..{v}")
 
 
-class LinkCutForestIndex(ForestIndex):
+class LinkCutForestIndex:
     """Link-cut trees with path-max aggregation over dummy weights.
 
     Edges are their own nodes (value = dummy weight); vertex nodes carry
@@ -172,19 +147,10 @@ class LinkCutForestIndex(ForestIndex):
         en, _, _ = self._enode[eid]
         self._core.set_val(en, dummy)
 
-    def dummy(self, eid: int) -> int:
-        en, _, _ = self._enode[eid]
-        return self._core.get_val(en)
-
     def connected(self, u: int, v: int) -> bool:
         if u not in self._vnode or v not in self._vnode:
             return u == v
         return self._core.connected(self._vnode[u], self._vnode[v])
-
-    def path_edges(self, u: int, v: int) -> list[int]:
-        # debugging helper: O(path) via repeated leftmost extraction is
-        # awkward on an LCT, so reconstruct from the naive neighbor map
-        raise NotImplementedError("link-cut index does not enumerate paths")
 
     def path_edge_outside(self, u: int, v: int) -> int:
         if u not in self._vnode or v not in self._vnode:
@@ -198,7 +164,7 @@ class LinkCutForestIndex(ForestIndex):
         return self._node_edge[node]
 
 
-def make_index(kind: str) -> ForestIndex:
+def make_index(kind: str) -> NaiveForestIndex | LinkCutForestIndex:
     if kind == "naive":
         return NaiveForestIndex()
     if kind == "linkcut":

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Protocol
 
 from .graph import (DEFAULT_TOLERANCE, ContractError, DataError, Graph,
                     SpanningForest, validate_forest)
-from .dynforest import ForestIndex, make_index
+from .dynforest import make_index
 from .script import ChangeOp, Phase, TransformationScript
 
 MSF_PHASE_BUDGET = 2
@@ -52,9 +52,16 @@ class CrossEdgeHeap:
         return self._heap[0][1]
 
 
-def min_weight_cross_edge(heap: CrossEdgeHeap) -> int:
-    """Minimum true-weight edge of the cross set; ties break by edge id."""
-    return heap.peek_min()
+class ForestIndex(Protocol):
+    """The index calls the exchange procedure makes (see dynforest)."""
+
+    def link(self, eid: int, u: int, v: int, dummy: int) -> None: ...
+
+    def cut(self, eid: int) -> None: ...
+
+    def set_dummy(self, eid: int, dummy: int) -> None: ...
+
+    def path_edge_outside(self, u: int, v: int) -> int: ...
 
 
 @dataclass
@@ -142,8 +149,7 @@ def plan_tree(g: Graph, tree_src: Iterable[int], tree_tgt: Iterable[int],
     steps = 0
     expected_steps = len(state.work_src ^ state.work_tgt) // 2
     while len(state.heap):
-        e_prime = min_weight_cross_edge(state.heap)
-        state.local_trans(e_prime)
+        state.local_trans(state.heap.peek_min())
         steps += 1
         if steps > expected_steps:
             raise ContractError("exchange count exceeds |src xor tgt| / 2")

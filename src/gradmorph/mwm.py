@@ -188,16 +188,16 @@ def prefix_sums(g: Graph, comp: AlternatingComponent) -> list[float]:
     return sums
 
 
-def prefix_min_index(g: Graph, comp: AlternatingComponent, credit: float = 0.0) -> int:
-    """Smallest index minimizing credit + c(i) over i in 0..k.
+def prefix_min_index(g: Graph, comp: AlternatingComponent) -> int:
+    """Smallest index minimizing c(i) over i in 0..k, compared exactly.
 
-    The argmin is invariant under the credit shift; the credit matters for
-    the caller's case selection via the credited minimum value.
+    Rounded addition is monotone, so the same index also minimizes the
+    credited value surplus + c(i) that the caller tests.
     """
     sums = prefix_sums(g, comp)
     best = 0
     for i, s in enumerate(sums):
-        if credit + s < credit + sums[best] - 1e-15:
+        if s < sums[best]:
             best = i
     return best
 
@@ -428,13 +428,13 @@ def plan_mwm(
             # caller needs an exact final state for script reversal
             isolated_blues.append(comp.pairs[0][0])
             continue
-        i_min = prefix_min_index(g, comp, surplus)
+        i_min = prefix_min_index(g, comp)
         sums = prefix_sums(g, comp)
         if comp.kind == "cycle":
             if i_min > 0:
                 comp = _rotated(comp, i_min)
                 sums = prefix_sums(g, comp)
-                i_min = prefix_min_index(g, comp, surplus)
+                i_min = prefix_min_index(g, comp)
             if surplus + sums[i_min] < -max(tolerance, tolerance * abs(w_source)):
                 raise ContractError(
                     "rotated cycle still has negative credited minimum")

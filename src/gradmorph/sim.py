@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .graph import BudgetError, DataError, Graph, UpdateEvent
 from .oracles import OracleBudget, max_matching_exact
@@ -54,7 +54,6 @@ def run_simulation(
     events: Iterable[UpdateEvent],
     oracle_check: bool = False,
     oracle_budget: OracleBudget = OracleBudget(),
-    inner_of: Optional[Callable[[], int]] = None,
 ) -> SimulationResult:
     """Apply events to g, feed them to algo, and record per-step traces.
 

@@ -2,11 +2,12 @@
 
 The wrapper re-uses its output matching across a window of updates while a
 snapshot of the inner algorithm's matching is gradually transformed in: the
-first half of the window pays for snapshot and classification, the second
-half plays transformation ops against the output under a fixed per-step
-budget. Adversarial deletions propagate into every held matching through
-O(1) tombstones. Tiny instances skip the window and resync instantly,
-which already meets the trivial recourse budget.
+first half of the window makes no output changes, and the second half
+plans the transformation at its first step and then plays its ops against
+the output under a fixed per-step budget. Adversarial deletions propagate
+into every held matching through O(1) tombstones. Tiny instances skip the
+window and resync instantly, which already meets the trivial recourse
+budget.
 """
 
 from __future__ import annotations
@@ -53,24 +54,27 @@ class TraceRow:
 class InnerAlgorithm:
     """Contract for wrapped dynamic matching algorithms.
 
-    handle_update runs after the shared graph has been mutated and returns
-    the change to the algorithm's own matching. emit_edges(l) returns up to
-    l edge ids of the current matching in O(l)-ish time.
+    handle_update runs after the shared graph g has been mutated and
+    returns the change to the algorithm's own matching, held in
+    self.matching. emit_edges(l) returns up to l edge ids of the current
+    matching.
     """
 
     beta: float = 1.0
+    g: Graph
+    matching: Matching
 
     def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:
         raise NotImplementedError
 
     def matching_ids(self) -> list[int]:
-        raise NotImplementedError
+        return self.matching.edge_ids()
 
     def current_size(self) -> int:
-        return len(self.matching_ids())
+        return len(self.matching)
 
     def current_weight(self) -> float:
-        raise NotImplementedError
+        return sum(self.g.weight(e) for e in self.matching.edges)
 
     def emit_edges(self, count: int) -> list[int]:
         ids = self.matching_ids()
@@ -85,12 +89,6 @@ class GreedyMaximalMatching(InnerAlgorithm):
     def __init__(self, g: Graph) -> None:
         self.g = g
         self.matching = Matching(g)
-
-    def matching_ids(self) -> list[int]:
-        return self.matching.edge_ids()
-
-    def current_weight(self) -> float:
-        return sum(self.g.weight(e) for e in self.matching.edges)
 
     def _try_match(self, v: int, out: OutputDelta) -> None:
         if not self.g.has_vertex(v) or self.matching.matched_edge(v) is not None:
@@ -141,12 +139,6 @@ class BatchRecompute(InnerAlgorithm):
         self.max_free_steps = math.ceil(4.0 / eps_in)
         self.matching = Matching(g)
         self._steps_until_recompute = 1
-
-    def matching_ids(self) -> list[int]:
-        return self.matching.edge_ids()
-
-    def current_weight(self) -> float:
-        return sum(self.g.weight(e) for e in self.matching.edges)
 
     def _find_augmenting_path(self, root: int) -> Optional[list[int]]:
         """Exhaustive DFS over simple alternating paths from a free vertex.
@@ -241,12 +233,8 @@ class BatchRecompute(InnerAlgorithm):
 
 @dataclass
 class WindowState:
-    start_step: int
     length: int
     first_half: int
-    second_half: int
-    sim_budget: int
-    classify_remaining: int
     frozen_source: Matching          # snapshot of the output at window start
     frozen_target: Matching          # truncated inner snapshot
     groups: Optional[list[list[tuple[str, int]]]] = None   # phase-atomic ops
@@ -321,14 +309,9 @@ class WrappedMatching:
             return
         length = max(2, math.floor(
             self.window_ratio * min(len(src), len(tgt)) / self.psi_eff))
-        first = length // 2
         self.window = WindowState(
-            start_step=self.step_count,
             length=length,
-            first_half=first,
-            second_half=length - first,
-            sim_budget=self.sim_budget,
-            classify_remaining=size_sum,
+            first_half=length // 2,
             frozen_source=src,
             frozen_target=tgt,
         )
@@ -351,7 +334,6 @@ class WrappedMatching:
         if win is None:
             return
         if win.elapsed < win.first_half:
-            win.classify_remaining = max(0, win.classify_remaining - win.sim_budget)
             self.last_window_phase = "first"
         else:
             if win.groups is None:
@@ -359,7 +341,7 @@ class WrappedMatching:
             spent = 0
             while win.group_cursor < len(win.groups):
                 group = win.groups[win.group_cursor]
-                if spent > 0 and spent + len(group) > win.sim_budget:
+                if spent > 0 and spent + len(group) > self.sim_budget:
                     break  # group stays atomic; finish it next step
                 win.group_cursor += 1
                 # removals first: the group's adds then land on free vertices

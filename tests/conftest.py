@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from gradmorph.graph import Graph, Matching
+
+# Derandomized and without an example database, so a red run reproduces
+# anywhere; pytest --hypothesis-profile can still pick another profile.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

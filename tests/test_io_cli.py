@@ -5,10 +5,12 @@ import pytest
 from gradmorph.cli import main
 from gradmorph.gen import (random_graph, random_matching,
                            random_spanning_forest, random_update_stream)
-from gradmorph.graph import DataError, Graph
+from gradmorph.graph import DEFAULT_TOLERANCE, DataError, Graph
 from gradmorph.io import (canonical_digest, emit_edge_set, emit_graph,
                           emit_updates, parse_edge_set, parse_graph,
                           parse_updates)
+from gradmorph.wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
+                               WINDOW_RATIO_FACTOR)
 
 
 def test_graph_round_trip(rng):
@@ -249,3 +251,17 @@ def test_cli_manifest_out(tmp_path, workdir):
     assert set(manifest["inputs"]) == {"graph", "from", "to"}
     embedded = json.loads((tmp_path / "s.json").read_text())["manifest"]
     assert embedded == manifest
+
+
+def test_cli_simulate_manifest_records_constants_used(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    rc = main(["--manifest-out", str(mpath),
+               "simulate", "--inner", "greedy", "--epsilon", "0.1",
+               "--n", "30", "--random-updates", "200"])
+    assert rc == 0
+    capsys.readouterr()
+    params = json.loads(mpath.read_text())["parameters"]
+    assert params["constants"] == {
+        "recourse_factor": RECOURSE_FACTOR, "sim_factor": SIM_FACTOR,
+        "small_factor": SMALL_FACTOR, "window_ratio_factor": WINDOW_RATIO_FACTOR}
+    assert params["tolerance"] == DEFAULT_TOLERANCE

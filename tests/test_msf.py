@@ -4,8 +4,7 @@ from gradmorph.dynforest import HAVE_COMPILED_CORE
 from gradmorph.gen import random_graph, random_spanning_forest
 from gradmorph.graph import (DataError, Graph, SpanningForest,
                              solution_stats, validate_forest)
-from gradmorph.msf import (CrossEdgeHeap, TreeTransformState,
-                           min_weight_cross_edge, plan_msf, plan_tree)
+from gradmorph.msf import CrossEdgeHeap, TreeTransformState, plan_msf, plan_tree
 from gradmorph.oracles import msf_exact
 from gradmorph.script import check_guarantee, replay
 
@@ -22,14 +21,14 @@ def test_heap_min_and_ties():
     g = Graph()
     ids = [g.add_edge(10 + i, 20 + i, w) for i, w in enumerate((4.0, 2.0, 7.0))]
     heap = CrossEdgeHeap(g, ids)
-    assert min_weight_cross_edge(heap) == ids[1]
+    assert heap.peek_min() == ids[1]
     g2 = Graph()
     a = g2.add_edge(0, 1, 2.0)
     b = g2.add_edge(2, 3, 2.0)
     heap = CrossEdgeHeap(g2, [b, a])
-    assert min_weight_cross_edge(heap) == min(a, b)  # tie -> smaller id
+    assert heap.peek_min() == min(a, b)  # tie -> smaller id
     heap.discard(min(a, b))
-    assert min_weight_cross_edge(heap) == max(a, b)
+    assert heap.peek_min() == max(a, b)
     heap.discard(max(a, b))
     with pytest.raises(DataError):
         heap.peek_min()
@@ -67,7 +66,7 @@ def test_symmetric_difference_shrinks_by_two(rng):
         state = TreeTransformState.create(g, t1, t2, "naive")
         while len(state.heap):
             before = len(state.work_src ^ state.work_tgt)
-            case, _ = state.local_trans(min_weight_cross_edge(state.heap))
+            case, _ = state.local_trans(state.heap.peek_min())
             after = len(state.work_src ^ state.work_tgt)
             assert after == before - 2
             # both work trees stay spanning trees

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from gradmorph.adversary import (ExactPathMaintainer, StaticSubject,
+                                 gen_fully_dynamic)
 from gradmorph.gen import random_update_stream
 from gradmorph.graph import (ContractError, DataError, Graph, Matching,
                              UpdateEvent, validate_matching)
@@ -21,6 +23,30 @@ def _drive(g, algo, events, validate_every=1):
         if i % validate_every == 0:
             assert validate_matching(g, algo.matching_ids()).ok
     return deltas
+
+
+@pytest.mark.parametrize("name", ["greedy", "batch:2.0", "exact", "static"])
+def test_inner_queries_describe_one_matching(name, rng):
+    """Size, weight and ids of every inner algorithm agree at every step."""
+    g = Graph()
+    if name in ("exact", "static"):
+        events = gen_fully_dynamic(0.1, rounds=2, n=60)
+        inner = (ExactPathMaintainer if name == "exact" else StaticSubject)(g)
+    else:
+        for v in range(40):
+            g.ensure_vertex(v)
+        events = random_update_stream(rng, 40, 600, w_lo=1.0, w_hi=9.0,
+                                      vertex_ops=True)
+        inner = make_inner(name, g)
+    largest = 0
+    for ev in events:
+        inner.handle_update(ev, g.apply_update(ev))
+        ids = inner.matching_ids()
+        assert inner.current_size() == len(ids)
+        assert inner.current_weight() == sum(g.weight(e) for e in ids)
+        assert validate_matching(g, ids).ok
+        largest = max(largest, len(ids))
+    assert (largest == 0) == (name == "static")
 
 
 def test_greedy_on_incremental_star():
