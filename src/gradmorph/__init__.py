@@ -25,7 +25,7 @@ from .oracles import (OracleBudget, exhaustive_transform_search,
                       has_augmenting_path, max_matching_exact,
                       max_weight_matching_exact, msf_exact)
 from .wrapper import (BatchRecompute, GreedyMaximalMatching, InnerAlgorithm,
-                      OutputDelta, WrappedMatching, wrap)
+                      OutputDelta, WrappedMatching)
 from .adversary import (gen_fully_dynamic, run_decremental_mirror,
                         run_incremental_adversary)
 
@@ -46,6 +46,6 @@ __all__ = [
     "make_index", "OracleBudget", "exhaustive_transform_search",
     "has_augmenting_path", "max_matching_exact", "max_weight_matching_exact",
     "msf_exact", "BatchRecompute", "GreedyMaximalMatching", "InnerAlgorithm",
-    "OutputDelta", "WrappedMatching", "wrap", "gen_fully_dynamic",
+    "OutputDelta", "WrappedMatching", "gen_fully_dynamic",
     "run_decremental_mirror", "run_incremental_adversary", "__version__",
 ]

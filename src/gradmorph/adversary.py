@@ -148,10 +148,6 @@ class StaticSubject(InnerAlgorithm):
         self.g = g
         self.matching = Matching(g)
 
-    def current_weight(self) -> float:
-        # the base sum over an empty matching is int 0; traces print 0.0
-        return 0.0
-
     def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:
         return OutputDelta()
 
@@ -176,7 +172,6 @@ class AdversaryRun:
     copies: list[CopyState]
     total_updates: int = 0
     total_recourse: int = 0
-    resumed: int = 0
 
     def amortized_recourse(self) -> float:
         return self.total_recourse / self.total_updates if self.total_updates else 0.0
@@ -289,7 +284,6 @@ class IncrementalAdversary:
                 if current is not None and current.status == "growing":
                     current.status = "suspended"
                     self._stack.append(current.index)
-                    self.run.resumed += 1
                 current = resumable
                 current.status = "growing"
             if current is None or current.status != "growing":

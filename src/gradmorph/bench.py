@@ -1,4 +1,4 @@
-"""Timing harness: planner scaling fits and forest-index comparisons.
+"""Timing harness: planner scaling fits.
 
 The scaling checks time the planners across a size ladder and report the
 spread of time / (n log n) (or time / n) ratios; the advertised runtime
@@ -12,9 +12,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .dynforest import HAVE_COMPILED_CORE, make_index
 from .gen import random_graph, random_spanning_forest
-from .graph import Graph, Matching, SpanningForest, UnionFind
+from .graph import Graph, Matching, SpanningForest
 from .mcm import plan_mcm
 from .msf import plan_msf
 from .mwm import plan_mwm_auto
@@ -67,8 +66,7 @@ def matching_planner_scaling(problem: str, sizes: list[int],
     return ScalingResult(sizes, secs, ratios, max(ratios) / min(ratios))
 
 
-def msf_planner_scaling(sizes: list[int], seed: int = 7,
-                        index_kind: str = "linkcut") -> ScalingResult:
+def msf_planner_scaling(sizes: list[int], seed: int = 7) -> ScalingResult:
     rng = random.Random(seed)
     secs = []
     for n in sizes:
@@ -76,69 +74,6 @@ def msf_planner_scaling(sizes: list[int], seed: int = 7,
         src = SpanningForest(g, msf_exact(g))
         target = random_spanning_forest(rng, g)
         secs.append(_best_of(
-            lambda: plan_msf(g, src, target, index_kind), repeats=1))
+            lambda: plan_msf(g, src, target), repeats=1))
     ratios = [t / (n * math.log(n)) for t, n in zip(secs, sizes)]
     return ScalingResult(sizes, secs, ratios, max(ratios) / min(ratios))
-
-
-@dataclass
-class IndexBenchRow:
-    kind: str
-    n: int
-    ops: int
-    seconds: float
-
-
-def index_benchmark(kinds: list[str], n: int = 2000, ops: int = 20000,
-                    seed: int = 7) -> list[IndexBenchRow]:
-    """Random link/cut/path-query mix, identical across index kinds."""
-    rng = random.Random(seed)
-    script: list[tuple] = []
-    edges: dict[int, tuple[int, int]] = {}
-    uf = UnionFind(range(n))
-    next_eid = 0
-    comp_edges: list[int] = []
-    for _ in range(ops):
-        roll = rng.random()
-        if roll < 0.45 or not comp_edges:
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v and uf.find(u) != uf.find(v):
-                uf.union(u, v)
-                script.append(("link", next_eid, u, v, rng.choice((1, 2))))
-                edges[next_eid] = (u, v)
-                comp_edges.append(next_eid)
-                next_eid += 1
-        elif roll < 0.65:
-            eid = comp_edges[rng.randrange(len(comp_edges))]
-            script.append(("setdummy", eid, rng.choice((1, 2))))
-        else:
-            eid = comp_edges[rng.randrange(len(comp_edges))]
-            u, v = edges[eid]
-            script.append(("setdummy", eid, 2))
-            script.append(("query", u, v))
-    # cut everything at the end
-    for eid in comp_edges:
-        script.append(("cut", eid))
-
-    rows = []
-    for kind in kinds:
-        idx = make_index(kind)
-        t0 = time.perf_counter()
-        for cmd in script:
-            if cmd[0] == "link":
-                idx.link(cmd[1], cmd[2], cmd[3], cmd[4])
-            elif cmd[0] == "setdummy":
-                idx.set_dummy(cmd[1], cmd[2])
-            elif cmd[0] == "query":
-                idx.path_edge_outside(cmd[1], cmd[2])
-            else:
-                idx.cut(cmd[1])
-        rows.append(IndexBenchRow(kind, n, len(script), time.perf_counter() - t0))
-    return rows
-
-
-def available_index_kinds() -> list[str]:
-    kinds = ["naive", "linkcut-pure"]
-    if HAVE_COMPILED_CORE:
-        kinds.append("linkcut-compiled")
-    return kinds

@@ -13,15 +13,14 @@ from pathlib import Path
 from typing import Optional
 
 from . import adversary as adv
-from .bench import (available_index_kinds, index_benchmark,
-                    matching_planner_scaling, msf_planner_scaling)
+from .bench import matching_planner_scaling, msf_planner_scaling
 from .gen import DEFAULT_SEED, random_update_stream
 from .graph import (DEFAULT_TOLERANCE, BudgetError, ContractError, DataError,
                     Graph, solution_stats)
 from .io import (RunManifest, emit_edge_set, parse_forest, parse_graph,
                  parse_matching, parse_updates, emit_updates)
 from .mcm import plan_mcm
-from .msf import plan_msf
+from .msf import INDEX_KIND, plan_msf
 from .mwm import plan_mwm_auto
 from .oracles import (OracleBudget, exhaustive_transform_search,
                       max_matching_exact, max_weight_matching_exact,
@@ -67,8 +66,8 @@ def _finish_manifest(manifest: RunManifest, args) -> None:
 def _cmd_transform(args) -> int:
     manifest = RunManifest("transform", {
         "problem": args.problem, "epsilon": args.epsilon,
-        "index": args.index, "prepass": not args.no_prepass,
-        "seed": args.seed, "tolerance": args.tolerance,
+        "index": INDEX_KIND, "prepass": not args.no_prepass,
+        "seed": args.seed, "tolerance": DEFAULT_TOLERANCE,
     })
     g = parse_graph(_read(args.graph, "graph", manifest))
     t0 = time.perf_counter()
@@ -82,16 +81,14 @@ def _cmd_transform(args) -> int:
         src = parse_matching(_read(args.source, "from", manifest), g)
         tgt = parse_matching(_read(args.target, "to", manifest), g)
         script = plan_mwm_auto(g, src, tgt, args.epsilon,
-                               good_edge_prepass=not args.no_prepass,
-                               tolerance=args.tolerance)
+                               good_edge_prepass=not args.no_prepass)
     else:
         src = parse_forest(_read(args.source, "from", manifest), g)
         tgt = parse_forest(_read(args.target, "to", manifest), g)
-        script = plan_msf(g, src, tgt, args.index, args.tolerance)
+        script = plan_msf(g, src, tgt)
     wall = time.perf_counter() - t0
     report = replay(g, src.edge_ids(), script,
-                    "per-op" if args.problem == "mwm" else "per-phase",
-                    args.tolerance)
+                    "per-op" if args.problem == "mwm" else "per-phase")
     obj = script.to_json_obj()
     obj["manifest"] = json.loads(manifest.to_json())
     Path(args.out).write_text(json.dumps(obj, indent=1) + "\n")
@@ -105,7 +102,7 @@ def _cmd_transform(args) -> int:
 def _cmd_replay(args) -> int:
     manifest = RunManifest("replay", {
         "problem": args.problem, "epsilon": args.epsilon,
-        "granularity": args.granularity, "tolerance": args.tolerance,
+        "granularity": args.granularity, "tolerance": DEFAULT_TOLERANCE,
     })
     g = parse_graph(_read(args.graph, "graph", manifest))
     script = TransformationScript.from_json(_read(args.script, "script", manifest))
@@ -120,11 +117,10 @@ def _cmd_replay(args) -> int:
     granularity = args.granularity
     if granularity is None:
         granularity = "per-op" if script.problem == "mwm" else "per-phase"
-    report = replay(g, src.edge_ids(), script, granularity, args.tolerance)
+    report = replay(g, src.edge_ids(), script, granularity)
     eps = args.epsilon if args.epsilon is not None else script.epsilon
     result = check_guarantee(report, solution_stats(g, src),
-                             solution_stats(g, tgt), script.problem, eps,
-                             args.tolerance)
+                             solution_stats(g, tgt), script.problem, eps)
     if args.csv:
         _write_csv(args.csv, report_to_csv_rows(report), manifest)
     _finish_manifest(manifest, args)
@@ -144,7 +140,7 @@ def _cmd_simulate(args) -> int:
         "inner": args.inner, "epsilon": args.epsilon, "wrap": not args.no_wrap,
         "weighted": args.weighted, "psi": args.psi, "seed": args.seed,
         "oracle_check": args.oracle_check, "n": args.n,
-        "random_updates": args.random_updates, "tolerance": args.tolerance,
+        "random_updates": args.random_updates, "tolerance": DEFAULT_TOLERANCE,
         "constants": {"recourse_factor": RECOURSE_FACTOR,
                       "sim_factor": SIM_FACTOR, "small_factor": SMALL_FACTOR,
                       "window_ratio_factor": WINDOW_RATIO_FACTOR},
@@ -260,30 +256,19 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
-    if args.what == "index":
-        kinds = available_index_kinds()
-        rows = index_benchmark(kinds, n=args.n, ops=args.ops, seed=args.seed)
-        for row in rows:
-            print(f"{row.kind:18s} n={row.n} ops={row.ops} "
-                  f"seconds={row.seconds:.4f}")
-        return EXIT_OK
-    if args.what == "planner":
-        if args.problem == "msf":
-            res = msf_planner_scaling(sizes or [1000, 10_000, 100_000],
-                                      seed=args.seed, index_kind=args.index)
-            model = "n*log(n)"
-        else:
-            res = matching_planner_scaling(args.problem,
-                                           sizes or [1000, 10_000, 100_000],
-                                           seed=args.seed)
-            model = "n"
-        for n, t, r in zip(res.sizes, res.seconds, res.ratios):
-            print(f"n={n:>8} seconds={t:.4f} seconds/{model}={r:.3e}")
-        print(f"ratio_spread={res.spread:.3f} (factor-3 fit: "
-              f"{'yes' if res.fits_within(3.0) else 'NO'})")
-        return EXIT_OK
-    raise DataError(f"unknown bench target {args.what!r}")
+    sizes = ([int(s) for s in args.sizes.split(",")] if args.sizes
+             else [1000, 10_000, 100_000])
+    if args.problem == "msf":
+        res = msf_planner_scaling(sizes, seed=args.seed)
+        model = "n*log(n)"
+    else:
+        res = matching_planner_scaling(args.problem, sizes, seed=args.seed)
+        model = "n"
+    for n, t, r in zip(res.sizes, res.seconds, res.ratios):
+        print(f"n={n:>8} seconds={t:.4f} seconds/{model}={r:.3e}")
+    print(f"ratio_spread={res.spread:.3f} (factor-3 fit: "
+          f"{'yes' if res.fits_within(3.0) else 'NO'})")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                 description="gradual transformation planners, verifier, "
                             "recourse wrapper, and adversary harness")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--manifest-out", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -302,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--to", dest="target", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--epsilon", type=float, default=None)
-    t.add_argument("--index", default="linkcut",
-                   choices=("naive", "linkcut", "linkcut-pure", "linkcut-compiled"))
     t.add_argument("--no-prepass", action="store_true")
     t.set_defaults(fn=_cmd_transform)
 
@@ -353,13 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--out", default=None)
     o.set_defaults(fn=_cmd_oracle)
 
-    b = sub.add_parser("bench", help="timing comparisons and scaling fits")
-    b.add_argument("--what", required=True, choices=("index", "planner"))
+    b = sub.add_parser("bench", help="planner scaling fits")
     b.add_argument("--problem", default="msf", choices=("mcm", "mwm", "msf"))
     b.add_argument("--sizes", default=None)
-    b.add_argument("--index", default="linkcut")
-    b.add_argument("--n", type=int, default=2000)
-    b.add_argument("--ops", type=int, default=20000)
     b.set_defaults(fn=_cmd_bench)
     return p
 

@@ -4,7 +4,9 @@ Both implementations maintain a forest under link/cut with a dummy weight
 per edge (1 = shared with the counterpart work tree, 2 = exclusive) and
 answer path_edge_outside(u, v): some dummy-2 edge on the u-v path, the one
 nearest to u. The naive index walks paths in O(n); the link-cut index runs
-in O(log n) amortized, with a compiled splay core when available.
+in O(log n) amortized, with a compiled splay core when available. The
+planner always uses the link-cut index; the naive one is the reference
+that tests check it against.
 """
 
 from __future__ import annotations

@@ -13,6 +13,13 @@ from typing import Iterable, Iterator, Optional
 DEFAULT_TOLERANCE = 1e-9
 
 
+def slack(scale: float = 1.0) -> float:
+    """The one tolerance rule: how far two floats of magnitude scale may
+    differ and still compare equal. Absolute (DEFAULT_TOLERANCE) while
+    |scale| <= 1, relative (DEFAULT_TOLERANCE * |scale|) beyond."""
+    return DEFAULT_TOLERANCE * max(1.0, abs(scale))
+
+
 class Error(Exception):
     """Base error for the package."""
 
@@ -383,14 +390,6 @@ class SpanningForest:
 
     def edge_ids(self) -> list[int]:
         return list(self.edges)
-
-    def component_labels(self) -> dict[int, int]:
-        """Vertex -> forest-component label (smallest member id)."""
-        uf = UnionFind(self.g.vertices)
-        for eid in self.edges:
-            u, v, _ = self.g.edge(eid)
-            uf.union(u, v)
-        return uf.labels()
 
 
 class UnionFind:

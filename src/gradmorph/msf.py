@@ -15,12 +15,13 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
-from .graph import (DEFAULT_TOLERANCE, ContractError, DataError, Graph,
-                    SpanningForest, validate_forest)
+from .graph import (ContractError, DataError, Graph, SpanningForest, slack,
+                    validate_forest)
 from .dynforest import make_index
 from .script import ChangeOp, Phase, TransformationScript
 
 MSF_PHASE_BUDGET = 2
+INDEX_KIND = "linkcut"   # compiled link-cut core when built, else pure Python
 
 
 class CrossEdgeHeap:
@@ -78,11 +79,11 @@ class TreeTransformState:
     backward: list[Phase] = field(default_factory=list)
 
     @staticmethod
-    def create(g: Graph, tree_src: Iterable[int], tree_tgt: Iterable[int],
-               index_kind: str = "linkcut") -> "TreeTransformState":
+    def create(g: Graph, tree_src: Iterable[int],
+               tree_tgt: Iterable[int]) -> "TreeTransformState":
         src, tgt = set(tree_src), set(tree_tgt)
-        index_src = make_index(index_kind)
-        index_tgt = make_index(index_kind)
+        index_src = make_index(INDEX_KIND)
+        index_tgt = make_index(INDEX_KIND)
         for eid in sorted(src):
             u, v, _ = g.edge(eid)
             index_src.link(eid, u, v, 1 if eid in tgt else 2)
@@ -138,14 +139,14 @@ class TreeTransformState:
         return 2, ops
 
 
-def plan_tree(g: Graph, tree_src: Iterable[int], tree_tgt: Iterable[int],
-              index_kind: str = "linkcut") -> list[Phase]:
+def plan_tree(g: Graph, tree_src: Iterable[int],
+              tree_tgt: Iterable[int]) -> list[Phase]:
     """Complete fragment transforming one spanning tree into another.
 
     Forward stream first, then the backward stream reversed with each
     2-op exchange inverted ([remove x, add y] -> [remove y, add x]).
     """
-    state = TreeTransformState.create(g, tree_src, tree_tgt, index_kind)
+    state = TreeTransformState.create(g, tree_src, tree_tgt)
     steps = 0
     expected_steps = len(state.work_src ^ state.work_tgt) // 2
     while len(state.heap):
@@ -162,9 +163,8 @@ def plan_tree(g: Graph, tree_src: Iterable[int], tree_tgt: Iterable[int],
     return phases
 
 
-def plan_msf(g: Graph, source: SpanningForest, target: SpanningForest,
-             index_kind: str = "linkcut",
-             tolerance: float = DEFAULT_TOLERANCE) -> TransformationScript:
+def plan_msf(g: Graph, source: SpanningForest,
+             target: SpanningForest) -> TransformationScript:
     """Plan 2-op phases transforming forest source into forest target.
 
     Components whose tree weight decreases (or is unchanged) are handled
@@ -196,13 +196,14 @@ def plan_msf(g: Graph, source: SpanningForest, target: SpanningForest,
         entries.append((c, src_ids, tgt_ids, colored))
     # weight-decreasing components first: the banked decrease keeps the
     # running total under max(w(F), w(F')) while later components climb
-    entries.sort(key=lambda t: 1 if t[3] > tolerance else 0)
+    tol = slack()
+    entries.sort(key=lambda t: 1 if t[3] > tol else 0)
 
     phases: list[Phase] = []
     for _, src_ids, tgt_ids, _ in entries:
         if set(src_ids) == set(tgt_ids):
             continue
-        phases.extend(plan_tree(g, src_ids, tgt_ids, index_kind))
+        phases.extend(plan_tree(g, src_ids, tgt_ids))
     script = TransformationScript("msf", MSF_PHASE_BUDGET, None, phases)
     script.validate()
     return script

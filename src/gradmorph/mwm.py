@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import (DEFAULT_TOLERANCE, ContractError, DataError, Graph,
-                    Matching, validate_matching)
+from .graph import (ContractError, DataError, Graph, Matching, slack,
+                    validate_matching)
 from .mcm import _LinkedList
 from .script import ChangeOp, Phase, TransformationScript
 
@@ -153,7 +153,6 @@ def decompose(g: Graph, source: Matching, target: Matching) -> list[AlternatingC
 
 def order_components(
     comps: Iterable[AlternatingComponent],
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[AlternatingComponent]:
     """Positive colored weight first, then negative, then exactly-zero;
     first-seen order within each class. When the total colored weight is
@@ -169,11 +168,12 @@ def order_components(
 
     ordered = sorted(comps, key=rank)
     total = sum(c.colored_weight for c in comps)
-    if total > tolerance:
+    tol = slack()
+    if total > tol:
         running = 0.0
         for c in ordered:
             running += c.colored_weight
-            if running <= -abs(tolerance):
+            if running <= -tol:
                 raise ContractError(f"non-positive colored-weight prefix {running}")
     return ordered
 
@@ -188,13 +188,13 @@ def prefix_sums(g: Graph, comp: AlternatingComponent) -> list[float]:
     return sums
 
 
-def prefix_min_index(g: Graph, comp: AlternatingComponent) -> int:
-    """Smallest index minimizing c(i) over i in 0..k, compared exactly.
+def prefix_min_index(sums: list[float]) -> int:
+    """Smallest index minimizing sums[i] (the prefix_sums of a component),
+    compared exactly.
 
     Rounded addition is monotone, so the same index also minimizes the
     credited value surplus + c(i) that the caller tests.
     """
-    sums = prefix_sums(g, comp)
     best = 0
     for i, s in enumerate(sums):
         if s < sums[best]:
@@ -367,7 +367,6 @@ def plan_mwm(
     target: Matching,
     eps: float,
     good_edge_prepass: bool = True,
-    tolerance: float = DEFAULT_TOLERANCE,
     _allow_nonincreasing: bool = False,
     _strip_isolated_blues: bool = False,
 ) -> TransformationScript:
@@ -399,14 +398,15 @@ def plan_mwm(
 
     max_src_weight = max((g.weight(eid) for eid in source.edges), default=0.0)
     light_threshold = eps * w_source
-    op_floor = w_source - max_src_weight - max(tolerance, tolerance * abs(w_source))
+    tol = slack(w_source)
+    op_floor = w_source - max_src_weight - tol
     builder = _PhaseBuilder(light_threshold, budget)
     work = source.copy()
 
     if good_edge_prepass:
         _prepass_good_edges(g, work, target, builder)
 
-    comps = order_components(decompose(g, work, target), tolerance)
+    comps = order_components(decompose(g, work, target))
     surplus = sum(g.weight(eid) for eid in work.edges) - w_source  # pre-pass gain
 
     current = w_source + surplus
@@ -428,14 +428,14 @@ def plan_mwm(
             # caller needs an exact final state for script reversal
             isolated_blues.append(comp.pairs[0][0])
             continue
-        i_min = prefix_min_index(g, comp)
         sums = prefix_sums(g, comp)
+        i_min = prefix_min_index(sums)
         if comp.kind == "cycle":
             if i_min > 0:
                 comp = _rotated(comp, i_min)
                 sums = prefix_sums(g, comp)
-                i_min = prefix_min_index(g, comp)
-            if surplus + sums[i_min] < -max(tolerance, tolerance * abs(w_source)):
+                i_min = prefix_min_index(sums)
+            if surplus + sums[i_min] < -tol:
                 raise ContractError(
                     "rotated cycle still has negative credited minimum")
             feed_checked(_units_for_range(g, comp, 1, comp.k()))
@@ -448,7 +448,7 @@ def plan_mwm(
             feed_checked(_units_for_range(g, comp, 1, i_min))
         builder.close()
         surplus += comp.colored_weight
-        if surplus < -max(tolerance, tolerance * abs(w_source)):
+        if surplus < -tol:
             raise ContractError(f"negative running surplus {surplus}")
 
     if _strip_isolated_blues:
@@ -473,7 +473,6 @@ def plan_mwm_auto(
     target: Matching,
     eps: float,
     good_edge_prepass: bool = True,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> TransformationScript:
     """plan_mwm for either direction.
 
@@ -486,8 +485,8 @@ def plan_mwm_auto(
     if set(source.edges) == set(target.edges):
         return TransformationScript("mwm", mwm_phase_budget(eps), eps, [])
     if w_target > w_source:
-        return plan_mwm(g, source, target, eps, good_edge_prepass, tolerance)
-    script = plan_mwm(g, target, source, eps, good_edge_prepass, tolerance,
+        return plan_mwm(g, source, target, eps, good_edge_prepass)
+    script = plan_mwm(g, target, source, eps, good_edge_prepass,
                       _allow_nonincreasing=(w_target == w_source),
                       _strip_isolated_blues=True)
     return script.reversed_script()

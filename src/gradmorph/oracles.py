@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import BudgetError, DataError, Graph, UnionFind
+from .graph import BudgetError, DataError, Graph, UnionFind, slack
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ DEFAULT_BUDGET = OracleBudget()
 def _matching_dp(g: Graph, weighted: bool, budget: OracleBudget) -> list[int]:
     """Optimal matching via DP over vertex subsets.
 
-    Returns edge ids; ties broken by lexicographically smallest sorted
-    edge-id tuple among the optima.
+    Returns edge ids; values within slack of the best so far tie, and ties
+    are broken by the lexicographically smallest sorted edge-id tuple.
     """
     verts = sorted(g.vertices)
     n = len(verts)
@@ -59,8 +59,9 @@ def _matching_dp(g: Graph, weighted: bool, budget: OracleBudget) -> list[int]:
                 val, ids = best(rest & ~(1 << j))
                 gain = w if weighted else 1.0
                 cand = (val + gain, tuple(sorted(ids + (eid,))))
-                if cand[0] > result[0] + 1e-12 or (
-                        abs(cand[0] - result[0]) <= 1e-12 and cand[1] < result[1]):
+                tol = slack(result[0])
+                if cand[0] > result[0] + tol or (
+                        abs(cand[0] - result[0]) <= tol and cand[1] < result[1]):
                     result = cand
         memo[mask] = result
         return result

@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graph import (DEFAULT_TOLERANCE, ContractError, DataError, Graph,
-                    UnionFind, SolutionStats)
+from .graph import (ContractError, DataError, Graph, SolutionStats, slack,
+                    validate_forest)
 
 PROBLEMS = ("mcm", "mwm", "msf")
 
@@ -144,23 +144,11 @@ def _matching_valid(g: Graph, state: set[int], exempt: set[int]) -> bool:
     return True
 
 
-def _forest_valid(g: Graph, state: set[int]) -> bool:
-    uf = UnionFind(g.vertices)
-    for eid in state:
-        u, v, _ = g.edge(eid)
-        if not uf.union(u, v):
-            return False
-    graph_labels = g.components()
-    forest_labels = uf.labels()
-    return all(graph_labels[v] == forest_labels[v] for v in g.vertices)
-
-
 def replay(
     g: Graph,
     source: Iterable[int],
     script: TransformationScript,
     granularity: str = "per-phase",
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> ReplayReport:
     """Deterministically apply the script to the source edge set.
 
@@ -180,7 +168,7 @@ def replay(
         if script.problem in ("mcm", "mwm"):
             valid = _matching_valid(g, state, exempt)
         else:
-            valid = _forest_valid(g, state)
+            valid = validate_forest(g, state).ok
         boundaries.append(Boundary(len(boundaries), phase, op, valid, len(state), weight))
 
     snapshot(-1, None, set())
@@ -192,7 +180,7 @@ def replay(
                 raise DataError(f"phase {pi} op {oi}: edge ({op.u},{op.v}) not in graph")
             eid = g.edge_id(op.u, op.v)
             gw = g.weight(eid)
-            if abs(gw - op.w) > max(tolerance, tolerance * abs(gw)):
+            if abs(gw - op.w) > slack(gw):
                 raise DataError(f"phase {pi} op {oi}: recorded weight {op.w} "
                                 f"!= graph weight {gw}")
             resolved.append((op, eid))
@@ -248,7 +236,6 @@ def check_guarantee(
     target_stats: SolutionStats,
     problem: str,
     epsilon: Optional[float] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> GuaranteeResult:
     """Check the per-problem quality floor at every boundary of the report.
 
@@ -279,7 +266,7 @@ def check_guarantee(
             else target_stats
         base = anchor.total_weight
         big_w = anchor.max_edge_weight
-        tol = max(tolerance, tolerance * abs(base))
+        tol = slack(base)
         op_floor = base - big_w - tol
         phase_floor = max(base - big_w, (1.0 - epsilon) * base) - tol
         if report.granularity == "per-op":
@@ -297,8 +284,7 @@ def check_guarantee(
 
     if problem == "msf":
         ceiling = max(source_stats.total_weight, target_stats.total_weight)
-        scale = max(1.0, abs(ceiling))
-        tol = max(tolerance, tolerance * scale)
+        tol = slack(ceiling)
         for i, count in enumerate(report.phase_op_counts):
             if count > 2:
                 return GuaranteeResult(False, f"phase {i} has {count} ops > 2", None)

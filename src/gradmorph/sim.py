@@ -39,14 +39,6 @@ class SimulationResult:
     mean_recourse: float
     worst_ratio: Optional[float]     # OPT / output, when oracle checking
 
-    def header_fields(self) -> dict:
-        return {
-            "max_recourse": self.max_recourse,
-            "mean_recourse": round(self.mean_recourse, 6),
-            "worst_ratio": None if self.worst_ratio is None
-            else round(self.worst_ratio, 6),
-        }
-
 
 def run_simulation(
     g: Graph,

@@ -74,7 +74,7 @@ class InnerAlgorithm:
         return len(self.matching)
 
     def current_weight(self) -> float:
-        return sum(self.g.weight(e) for e in self.matching.edges)
+        return sum((self.g.weight(e) for e in self.matching.edges), 0.0)
 
     def emit_edges(self, count: int) -> list[int]:
         ids = self.matching_ids()
@@ -254,20 +254,12 @@ def snapshot_truncated(g: Graph, inner: InnerAlgorithm, cap: int) -> Matching:
     return Matching(g, ids)
 
 
-def wrap(g: Graph, inner: "InnerAlgorithm", eps: float,
-         weighted: bool = False, psi: float = 1.0) -> "WrappedMatching":
-    """Convert a dynamic matching algorithm into one with bounded
-    worst-case recourse; see WrappedMatching."""
-    return WrappedMatching(g, inner, eps, weighted=weighted, psi=psi)
-
-
 class WrappedMatching:
     """Bounds the per-step output recourse of any inner matching algorithm
     to RECOURSE_FACTOR * ceil(psi_eff / eps) changes."""
 
     def __init__(self, g: Graph, inner: InnerAlgorithm, eps: float,
-                 weighted: bool = False, psi: float = 1.0,
-                 check_recourse: bool = True) -> None:
+                 weighted: bool = False, psi: float = 1.0) -> None:
         if not (0 < eps <= EPS_MAX):
             raise DataError(f"epsilon {eps} outside (0, {EPS_MAX}]")
         if weighted and psi < 1.0:
@@ -281,7 +273,6 @@ class WrappedMatching:
         self.recourse_budget = RECOURSE_FACTOR * math.ceil(self.psi_eff / eps)
         self.sim_budget = SIM_FACTOR * math.ceil(self.psi_eff / eps)
         self.small_threshold = SMALL_FACTOR * math.ceil(self.psi_eff / eps)
-        self.check_recourse = check_recourse
         self.declared_beta = inner.beta * (1.0 + 2.0 * self.window_ratio) ** 2
         self.output = Matching(g)
         self.window: Optional[WindowState] = None
@@ -395,7 +386,7 @@ class WrappedMatching:
             self._open_window(out)
         else:
             self._window_step(out)
-        if self.check_recourse and out.recourse() > self.recourse_budget:
+        if out.recourse() > self.recourse_budget:
             raise ContractError(
                 f"recourse {out.recourse()} exceeds budget {self.recourse_budget} "
                 f"at step {self.step_count}")
@@ -410,4 +401,4 @@ class WrappedMatching:
         return len(self.output)
 
     def current_weight(self) -> float:
-        return sum(self.g.weight(e) for e in self.output.edges)
+        return sum((self.g.weight(e) for e in self.output.edges), 0.0)

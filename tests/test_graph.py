@@ -2,11 +2,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradmorph.graph import (DataError, Graph, Matching, SpanningForest,
-                             UnionFind, UpdateEvent, solution_stats,
-                             validate_forest, validate_matching)
+from gradmorph.graph import (DEFAULT_TOLERANCE, DataError, Graph, Matching,
+                             SpanningForest, UnionFind, UpdateEvent, slack,
+                             solution_stats, validate_forest,
+                             validate_matching)
 
 from conftest import path_graph
+
+
+@pytest.mark.parametrize("scale, expected", [
+    (0.5, DEFAULT_TOLERANCE),          # absolute below magnitude 1
+    (1.0, DEFAULT_TOLERANCE),          # the switch point
+    (1e6, DEFAULT_TOLERANCE * 1e6),    # relative above it
+    (-1e6, DEFAULT_TOLERANCE * 1e6),
+])
+def test_slack_is_absolute_to_one_then_relative(scale, expected):
+    assert slack(scale) == expected
+
+
+def test_slack_defaults_to_scale_one():
+    assert slack() == slack(1.0) == DEFAULT_TOLERANCE
 
 
 def test_add_edge_rejects_self_loops_and_duplicates():

@@ -1,6 +1,7 @@
 import pytest
 
-from gradmorph.dynforest import HAVE_COMPILED_CORE
+import gradmorph.msf
+from gradmorph.dynforest import HAVE_COMPILED_CORE, make_index
 from gradmorph.gen import random_graph, random_spanning_forest
 from gradmorph.graph import (DataError, Graph, SpanningForest,
                              solution_stats, validate_forest)
@@ -36,7 +37,7 @@ def test_heap_min_and_ties():
 
 def test_local_trans_case1():
     g, e1, e2, e3 = _triangle(1.0, 3.0, 2.0)
-    state = TreeTransformState.create(g, [e1, e2], [e1, e3], "naive")
+    state = TreeTransformState.create(g, [e1, e2], [e1, e3])
     case, ops = state.local_trans(e3)
     assert case == 1
     assert state.work_src == {e1, e3} == state.work_tgt
@@ -45,7 +46,7 @@ def test_local_trans_case1():
 
 def test_local_trans_case2():
     g, e1, e2, e3 = _triangle(5.0, 1.0, 2.0)
-    state = TreeTransformState.create(g, [e1, e2], [e1, e3], "naive")
+    state = TreeTransformState.create(g, [e1, e2], [e1, e3])
     case, ops = state.local_trans(e3)
     assert case == 2
     assert state.work_tgt == {e1, e2} == state.work_src
@@ -53,7 +54,7 @@ def test_local_trans_case2():
 
 def test_local_trans_rejects_non_cross_edges():
     g, e1, e2, e3 = _triangle(1.0, 3.0, 2.0)
-    state = TreeTransformState.create(g, [e1, e2], [e1, e3], "naive")
+    state = TreeTransformState.create(g, [e1, e2], [e1, e3])
     with pytest.raises(DataError):
         state.local_trans(e1)
 
@@ -63,7 +64,7 @@ def test_symmetric_difference_shrinks_by_two(rng):
         g = random_graph(rng, rng.randint(3, 24), 60, 1.0, 50.0, connected=True)
         t1 = random_spanning_forest(rng, g).edge_ids()
         t2 = random_spanning_forest(rng, g).edge_ids()
-        state = TreeTransformState.create(g, t1, t2, "naive")
+        state = TreeTransformState.create(g, t1, t2)
         while len(state.heap):
             before = len(state.work_src ^ state.work_tgt)
             case, _ = state.local_trans(state.heap.peek_min())
@@ -76,8 +77,8 @@ def test_symmetric_difference_shrinks_by_two(rng):
 
 def test_plan_tree_examples():
     g, e1, e2, e3 = _triangle(1.0, 3.0, 2.0)
-    assert plan_tree(g, [e1, e2], [e1, e2], "naive") == []
-    phases = plan_tree(g, [e1, e2], [e1, e3], "naive")
+    assert plan_tree(g, [e1, e2], [e1, e2]) == []
+    phases = plan_tree(g, [e1, e2], [e1, e3])
     assert len(phases) == 1 and len(phases[0].ops) == 2
 
 
@@ -89,7 +90,7 @@ def test_plan_tree_case2_reverse_stitch():
     e_ac = g.add_edge(0, 2, 5.0)
     src = [e_ab, e_bc]
     tgt = [e_ab, e_ac]
-    phases = plan_tree(g, src, tgt, "naive")
+    phases = plan_tree(g, src, tgt)
     report = replay(g, src, _wrap(phases), "per-phase")
     assert report.final_edges == frozenset(tgt)
     ceiling = max(sum(g.weight(e) for e in src), sum(g.weight(e) for e in tgt))
@@ -101,8 +102,8 @@ def _wrap(phases):
     return TransformationScript("msf", 2, None, phases)
 
 
-def _master_check(g, src, tgt, index_kind="naive"):
-    script = plan_msf(g, src, tgt, index_kind)
+def _master_check(g, src, tgt):
+    script = plan_msf(g, src, tgt)
     assert all(len(p.ops) == 2 for p in script.phases)
     report = replay(g, src.edge_ids(), script, "per-phase")
     res = check_guarantee(report, solution_stats(g, src),
@@ -115,10 +116,10 @@ def _master_check(g, src, tgt, index_kind="naive"):
 def test_plan_msf_identity_and_errors(rng):
     g = random_graph(rng, 10, 20, 1.0, 9.0, connected=True)
     f = SpanningForest(g, msf_exact(g))
-    assert plan_msf(g, f, f, "naive").phases == []
+    assert plan_msf(g, f, f).phases == []
     broken = SpanningForest(g, list(f.edges)[:-1])
     with pytest.raises(DataError):
-        plan_msf(g, broken, f, "naive")
+        plan_msf(g, broken, f)
 
 
 def test_plan_msf_disconnected_components_ordering(rng):
@@ -138,21 +139,31 @@ def test_plan_msf_disconnected_components_ordering(rng):
     _master_check(g, tgt, src)
 
 
-def test_plan_msf_random_sweep(rng):
+def test_plan_msf_random_sweep(rng, monkeypatch):
     kinds = ["naive", "linkcut-pure"]
     if HAVE_COMPILED_CORE:
         kinds.append("linkcut-compiled")
-    scripts = []
+
+    def check_with_index(kind, g, src, tgt):
+        # the planner always asks for msf.INDEX_KIND; swap in another index
+        made = []
+        with monkeypatch.context() as m:
+            m.setattr(gradmorph.msf, "make_index",
+                      lambda _: made.append(kind) or make_index(kind))
+            script = _master_check(g, src, tgt)[0]
+        assert made or not script.phases
+        return script
+
     for trial in range(40):
         n = rng.randint(2, 40)
         connected = trial % 2 == 0
         g = random_graph(rng, n, int(1.5 * n), 1.0, 60.0, connected=connected)
         src = SpanningForest(g, msf_exact(g))
         tgt = random_spanning_forest(rng, g)
-        per_kind = [_master_check(g, src, tgt, k)[0] for k in kinds]
+        script = _master_check(g, src, tgt)[0]
         # identical scripts regardless of index implementation
-        assert all(s == per_kind[0] for s in per_kind[1:])
-        _master_check(g, tgt, src, "naive")
+        assert all(check_with_index(k, g, src, tgt) == script for k in kinds)
+        check_with_index("naive", g, tgt, src)
 
 
 def test_kruskal_source_weight_ceiling(rng):

@@ -99,11 +99,11 @@ def test_order_components_rule():
 def test_prefix_min_index_examples():
     g, src, tgt = _pair_path([1.0, 2.0, 1.0, 2.0])  # all r >= b
     comp = decompose(g, src, tgt)[0]
-    assert prefix_min_index(g, comp) == 0
+    assert prefix_min_index(prefix_sums(g, comp)) == 0
     g, src, tgt = _pair_path([5.0, 1.0, 1.0, 7.0])
     comp = decompose(g, src, tgt)[0]
     assert prefix_sums(g, comp) == [0.0, -4.0, 2.0]
-    assert prefix_min_index(g, comp) == 1
+    assert prefix_min_index(prefix_sums(g, comp)) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -115,7 +115,7 @@ def test_prefix_min_is_exhaustive_argmin(pairs):
     g, src, tgt = _pair_path(weights)
     comp = decompose(g, src, tgt)[0]
     sums = prefix_sums(g, comp)
-    idx = prefix_min_index(g, comp)
+    idx = prefix_min_index(sums)
     best = min(range(len(sums)), key=lambda i: (sums[i], i))
     assert idx == best
 

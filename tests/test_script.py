@@ -1,6 +1,7 @@
 import pytest
 
-from gradmorph.graph import DataError, Graph, Matching, solution_stats
+from gradmorph.graph import (DEFAULT_TOLERANCE, DataError, Graph, Matching,
+                             solution_stats)
 from gradmorph.script import (ChangeOp, Phase, TransformationScript,
                               check_guarantee, replay, report_to_csv_rows)
 
@@ -11,6 +12,21 @@ def _script(problem, budget, phase_ops, eps=None):
     return TransformationScript(
         problem, budget, eps,
         [Phase([ChangeOp(*op) for op in ops]) for ops in phase_ops])
+
+
+@pytest.mark.parametrize("offset, accepted", [(0.5, True), (-0.5, True),
+                                              (2.0, False), (-2.0, False)])
+def test_recorded_weight_checked_with_relative_slack(offset, accepted):
+    g = Graph()
+    w = 1e6
+    g.add_edge(0, 1, w)
+    recorded = w + offset * DEFAULT_TOLERANCE * w   # slack is relative here
+    script = _script("mcm", 3, [[("add", 0, 1, recorded)]])
+    if accepted:
+        assert replay(g, [], script).final_edges == {g.edge_id(0, 1)}
+    else:
+        with pytest.raises(DataError, match="recorded weight"):
+            replay(g, [], script)
 
 
 def test_empty_script_single_snapshot():

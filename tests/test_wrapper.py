@@ -38,12 +38,17 @@ def test_inner_queries_describe_one_matching(name, rng):
         events = random_update_stream(rng, 40, 600, w_lo=1.0, w_hi=9.0,
                                       vertex_ops=True)
         inner = make_inner(name, g)
+    # an empty matching weighs the float 0.0, as trace rows print it
+    assert inner.current_weight() == 0.0
+    assert isinstance(inner.current_weight(), float)
+    assert isinstance(WrappedMatching(g, inner, 0.1).current_weight(), float)
     largest = 0
     for ev in events:
         inner.handle_update(ev, g.apply_update(ev))
         ids = inner.matching_ids()
         assert inner.current_size() == len(ids)
         assert inner.current_weight() == sum(g.weight(e) for e in ids)
+        assert isinstance(inner.current_weight(), float)
         assert validate_matching(g, ids).ok
         largest = max(largest, len(ids))
     assert (largest == 0) == (name == "static")
