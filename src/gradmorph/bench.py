@@ -2,7 +2,9 @@
 
 The scaling checks time the planners across a size ladder and report the
 spread of time / (n log n) (or time / n) ratios; the advertised runtime
-shapes hold when the spread stays within a small factor.
+shapes hold when the spread stays within a small factor. They also time
+the replay of each planned script, at the granularity `gradmorph
+transform` uses.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .mcm import plan_mcm
 from .msf import plan_msf
 from .mwm import plan_mwm_auto
 from .oracles import msf_exact
+from .script import replay, transform_granularity
 
 
 @dataclass
@@ -26,18 +29,20 @@ class ScalingResult:
     seconds: list[float]
     ratios: list[float]          # time / model(n)
     spread: float                # max ratio / min ratio
+    replay_seconds: list[float]  # replay of each planned script
 
     def fits_within(self, factor: float) -> bool:
         return self.spread <= factor
 
 
-def _best_of(fn, repeats: int = 3) -> float:
+def _best_of(fn, repeats: int = 3):
+    """(fastest wall time of fn over repeats, fn's last result)."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
+        result = fn()
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, result
 
 
 def _path_heavy_matching_pair(rng: random.Random, n: int) -> tuple[Graph, Matching, Matching]:
@@ -55,25 +60,33 @@ def _path_heavy_matching_pair(rng: random.Random, n: int) -> tuple[Graph, Matchi
 def matching_planner_scaling(problem: str, sizes: list[int],
                              seed: int = 7, eps: float = 0.1) -> ScalingResult:
     rng = random.Random(seed)
-    secs = []
+    granularity = transform_granularity(problem)
+    secs, replay_secs = [], []
     for n in sizes:
         g, src, tgt = _path_heavy_matching_pair(rng, n)
         if problem == "mcm":
-            secs.append(_best_of(lambda: plan_mcm(g, src, tgt)))
+            t, script = _best_of(lambda: plan_mcm(g, src, tgt))
         else:
-            secs.append(_best_of(lambda: plan_mwm_auto(g, src, tgt, eps)))
+            t, script = _best_of(lambda: plan_mwm_auto(g, src, tgt, eps))
+        secs.append(t)
+        replay_secs.append(_best_of(
+            lambda: replay(g, src.edge_ids(), script, granularity))[0])
     ratios = [t / n for t, n in zip(secs, sizes)]
-    return ScalingResult(sizes, secs, ratios, max(ratios) / min(ratios))
+    return ScalingResult(sizes, secs, ratios, max(ratios) / min(ratios),
+                         replay_secs)
 
 
 def msf_planner_scaling(sizes: list[int], seed: int = 7) -> ScalingResult:
     rng = random.Random(seed)
-    secs = []
+    secs, replay_secs = [], []
     for n in sizes:
         g = random_graph(rng, n, int(1.4 * n), 1.0, 100.0, connected=True)
         src = SpanningForest(g, msf_exact(g))
         target = random_spanning_forest(rng, g)
-        secs.append(_best_of(
-            lambda: plan_msf(g, src, target), repeats=1))
+        t, script = _best_of(lambda: plan_msf(g, src, target), repeats=1)
+        secs.append(t)
+        replay_secs.append(_best_of(
+            lambda: replay(g, src.edge_ids(), script), repeats=1)[0])
     ratios = [t / (n * math.log(n)) for t, n in zip(secs, sizes)]
-    return ScalingResult(sizes, secs, ratios, max(ratios) / min(ratios))
+    return ScalingResult(sizes, secs, ratios, max(ratios) / min(ratios),
+                         replay_secs)

@@ -5,6 +5,7 @@ reproducible from a single seed."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 from .graph import Graph, Matching, SpanningForest, UnionFind, UpdateEvent
 
@@ -69,39 +70,41 @@ def random_update_stream(rng: random.Random, n: int, steps: int,
                          w_lo: float = 1.0, w_hi: float = 1.0,
                          vertex_ops: bool = False) -> list[UpdateEvent]:
     """Mixed insert/delete stream over vertex ids 0..n-1, valid against an
-    initially empty graph."""
-    present: dict[tuple[int, int], float] = {}
-    vertices = set(range(n))
+    initially empty graph.
+
+    Present edges and vertices are kept as sorted lists, updated with
+    bisect, so each draw picks from the sorted sequence without sorting it.
+    """
+    present: list[tuple[int, int]] = []   # sorted
+    vertices = list(range(n))             # sorted
     events: list[UpdateEvent] = []
     for _ in range(steps):
         roll = rng.random()
         if vertex_ops and roll < 0.02 and len(vertices) > 4:
-            v = rng.choice(sorted(vertices))
-            vertices.discard(v)
-            for key in [k for k in present if v in k]:
-                del present[key]
+            v = rng.choice(vertices)
+            del vertices[bisect_left(vertices, v)]
+            present = [k for k in present if v not in k]
             events.append(UpdateEvent.vertex_delete(v))
             continue
         if vertex_ops and roll < 0.04:
-            fresh = max(vertices, default=-1) + 1 + rng.randrange(3)
-            if fresh not in vertices:
-                vertices.add(fresh)
-                events.append(UpdateEvent.vertex_insert(fresh, ()))
-                continue
+            fresh = (vertices[-1] if vertices else -1) + 1 + rng.randrange(3)
+            vertices.append(fresh)   # above every id, so the list stays sorted
+            events.append(UpdateEvent.vertex_insert(fresh, ()))
+            continue
         if present and roll < delete_prob:
-            u, v = rng.choice(sorted(present))
-            del present[(u, v)]
+            u, v = rng.choice(present)
+            del present[bisect_left(present, (u, v))]
             events.append(UpdateEvent.edge_delete(u, v))
         else:
-            vs = sorted(vertices)
-            if len(vs) < 2:
+            if len(vertices) < 2:
                 continue
-            u, v = rng.sample(vs, 2)
+            u, v = rng.sample(vertices, 2)
             u, v = min(u, v), max(u, v)
-            if (u, v) in present:
+            i = bisect_left(present, (u, v))
+            if i < len(present) and present[i] == (u, v):
                 continue
             w = w_lo if w_lo == w_hi else rng.uniform(w_lo, w_hi)
-            present[(u, v)] = w
+            present.insert(i, (u, v))
             events.append(UpdateEvent.edge_insert(u, v, w))
     return events
 

@@ -2,15 +2,18 @@
 
 Deliberately independent of the planners: bitmask DP for exact matchings,
 Kruskal for forests, breadth-first state search for transformation
-reachability. Budgets refuse oversized inputs instead of degrading.
+reachability, and a replay that rescans the whole state at every boundary.
+Budgets refuse oversized inputs instead of degrading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from .graph import BudgetError, DataError, Graph, UnionFind, slack
+from .graph import (BudgetError, DataError, Graph, UnionFind, slack,
+                    validate_forest)
+from .script import Boundary, ChangeOp, ReplayReport, TransformationScript
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,91 @@ def msf_exact(g: Graph) -> list[int]:
         if uf.union(u, v):
             out.append(eid)
     return out
+
+
+def _matching_valid(g: Graph, state: set[int], exempt: set[int]) -> bool:
+    """Matching check with the phase-atomicity convention: edges scheduled
+    for removal later in the current phase are ignored."""
+    seen: set[int] = set()
+    for eid in state:
+        if eid in exempt:
+            continue
+        u, v, _ = g.edge(eid)
+        if u in seen or v in seen:
+            return False
+        seen.add(u)
+        seen.add(v)
+    return True
+
+
+def replay_reference(
+    g: Graph,
+    source: Iterable[int],
+    script: TransformationScript,
+    granularity: str = "per-phase",
+) -> ReplayReport:
+    """Reference for `script.replay`: the same report and the same errors,
+    with validity checked from scratch at every boundary (a full matching
+    scan, or `validate_forest`)."""
+    if granularity not in ("per-phase", "per-op"):
+        raise DataError(f"unknown granularity {granularity!r}")
+    script.validate()
+    state: set[int] = set(source)
+    weight = sum(g.weight(eid) for eid in state)
+    boundaries: list[Boundary] = []
+    per_op = granularity == "per-op"
+
+    def snapshot(phase: int, op: Optional[int], exempt: set[int]) -> None:
+        if script.problem in ("mcm", "mwm"):
+            valid = _matching_valid(g, state, exempt)
+        else:
+            valid = validate_forest(g, state).ok
+        boundaries.append(Boundary(len(boundaries), phase, op, valid, len(state), weight))
+
+    snapshot(-1, None, set())
+    for pi, phase in enumerate(script.phases):
+        resolved: list[tuple[ChangeOp, int]] = []
+        for oi, op in enumerate(phase.ops):
+            if not g.has_edge(op.u, op.v):
+                raise DataError(f"phase {pi} op {oi}: edge ({op.u},{op.v}) not in graph")
+            eid = g.edge_id(op.u, op.v)
+            gw = g.weight(eid)
+            if abs(gw - op.w) > slack(gw):
+                raise DataError(f"phase {pi} op {oi}: recorded weight {op.w} "
+                                f"!= graph weight {gw}")
+            resolved.append((op, eid))
+        pending_removals = {eid for op, eid in resolved if op.kind == "remove"}
+        for oi, (op, eid) in enumerate(resolved):
+            if op.kind == "add":
+                if eid in state:
+                    raise DataError(f"phase {pi} op {oi}: adding present edge "
+                                    f"({op.u},{op.v})")
+                state.add(eid)
+                weight += g.weight(eid)
+            elif op.kind == "remove":
+                if eid not in state:
+                    raise DataError(f"phase {pi} op {oi}: removing absent edge "
+                                    f"({op.u},{op.v})")
+                state.remove(eid)
+                weight -= g.weight(eid)
+                pending_removals.discard(eid)
+            else:
+                raise DataError(f"phase {pi} op {oi}: unknown op kind {op.kind!r}")
+            if per_op and oi < len(resolved) - 1:
+                snapshot(pi, oi, pending_removals & state)
+        snapshot(pi, None, set())
+
+    counts = [len(p.ops) for p in script.phases]
+    return ReplayReport(
+        problem=script.problem,
+        granularity=granularity,
+        boundaries=boundaries,
+        final_edges=frozenset(state),
+        worst_size=min(b.size for b in boundaries),
+        worst_weight=min(b.weight for b in boundaries),
+        max_phase_ops=max(counts, default=0),
+        phase_op_counts=counts,
+    )
 
 
 @dataclass

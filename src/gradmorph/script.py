@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graph import (ContractError, DataError, Graph, SolutionStats, slack,
-                    validate_forest)
+from .dynforest import LinkCutForestIndex
+from .graph import ContractError, DataError, Graph, SolutionStats, slack
 
 PROBLEMS = ("mcm", "mwm", "msf")
 
@@ -129,19 +129,91 @@ class ReplayReport:
         return [b for b in self.boundaries if b.op is None and b.phase >= 0]
 
 
-def _matching_valid(g: Graph, state: set[int], exempt: set[int]) -> bool:
-    """Matching check with the phase-atomicity convention: edges scheduled
-    for removal later in the current phase are ignored."""
-    seen: set[int] = set()
-    for eid in state:
-        if eid in exempt:
-            continue
-        u, v, _ = g.edge(eid)
-        if u in seen or v in seen:
+# Replay's validity checks: told of each edge that enters (add) or leaves
+# (remove) the checked set, they answer valid(size of the state) at each
+# boundary.
+
+
+class _MatchingCheck:
+    """Matching validity from per-vertex occupancy counts: the counted edges
+    form a matching iff no vertex is covered twice."""
+
+    def __init__(self, g: Graph, state: set[int]) -> None:
+        self._g = g
+        self._occupancy: dict[int, int] = {}
+        self._overfull = 0
+        for eid in state:
+            self.add(eid)
+
+    def add(self, eid: int) -> None:
+        occupancy = self._occupancy
+        for x in self._g.endpoints(eid):
+            c = occupancy.get(x, 0) + 1
+            occupancy[x] = c
+            if c == 2:
+                self._overfull += 1
+
+    def remove(self, eid: int) -> None:
+        occupancy = self._occupancy
+        for x in self._g.endpoints(eid):
+            c = occupancy[x]
+            occupancy[x] = c - 1
+            if c == 2:
+                self._overfull -= 1
+
+    def valid(self, size: int) -> bool:
+        return self._overfull == 0
+
+
+class _ForestCheck:
+    """Spanning-forest validity over pending deltas.
+
+    With c(G) components, an edge subset of G spans iff it is acyclic and
+    has |V| - c(G) edges. The index always holds an acyclic subset of the
+    state; ops only record which edges still need a link or a cut, and a
+    boundary whose size is right applies them, cuts first. A link whose
+    endpoints are already connected closes a cycle in the state, so the
+    state is invalid and the edge stays pending.
+    """
+
+    def __init__(self, g: Graph, state: set[int]) -> None:
+        self._g = g
+        self._need = g.num_vertices() - len(set(g.components().values()))
+        self._index = LinkCutForestIndex()
+        self._links: dict[int, None] = dict.fromkeys(state)
+        self._cuts: dict[int, None] = {}
+
+    def add(self, eid: int) -> None:
+        if eid in self._cuts:
+            del self._cuts[eid]
+        else:
+            self._links[eid] = None
+
+    def remove(self, eid: int) -> None:
+        if eid in self._links:
+            del self._links[eid]
+        else:
+            self._cuts[eid] = None
+
+    def valid(self, size: int) -> bool:
+        if size != self._need:
             return False
-        seen.add(u)
-        seen.add(v)
-    return True
+        index = self._index
+        for eid in self._cuts:
+            index.cut(eid)
+        self._cuts.clear()
+        for eid in list(self._links):
+            u, v = self._g.endpoints(eid)
+            if index.connected(u, v):
+                return False
+            index.link(eid, u, v, 1)
+            del self._links[eid]
+        return True
+
+
+def transform_granularity(problem: str) -> str:
+    """The granularity `transform` replays at: mwm per op, others per phase."""
+    return "per-op" if problem == "mwm" else "per-phase"
 
 
 def replay(
@@ -155,6 +227,13 @@ def replay(
     Structural op failures (adding a present edge, removing an absent one,
     referencing an edge missing from g) raise DataError naming the phase
     and op; validity problems are recorded as data in the report.
+
+    Validity is kept incrementally, so a boundary costs time proportional
+    to the ops since the previous one (plus link-cut index time for
+    forests). A matching's edges that are removed later in the current
+    phase are exempt from the check at its op boundaries (phase
+    atomicity). `oracles.replay_reference` rescans the whole state at every
+    boundary and is the reference this function is tested against.
     """
     if granularity not in ("per-phase", "per-op"):
         raise DataError(f"unknown granularity {granularity!r}")
@@ -163,15 +242,14 @@ def replay(
     weight = sum(g.weight(eid) for eid in state)
     boundaries: list[Boundary] = []
     per_op = granularity == "per-op"
+    matching = script.problem in ("mcm", "mwm")
+    check = (_MatchingCheck if matching else _ForestCheck)(g, state)
 
-    def snapshot(phase: int, op: Optional[int], exempt: set[int]) -> None:
-        if script.problem in ("mcm", "mwm"):
-            valid = _matching_valid(g, state, exempt)
-        else:
-            valid = validate_forest(g, state).ok
+    def snapshot(phase: int, op: Optional[int]) -> None:
+        valid = check.valid(len(state))
         boundaries.append(Boundary(len(boundaries), phase, op, valid, len(state), weight))
 
-    snapshot(-1, None, set())
+    snapshot(-1, None)
     for pi, phase in enumerate(script.phases):
         # resolve ops against g up front so errors name their location
         resolved: list[tuple[ChangeOp, int]] = []
@@ -184,7 +262,14 @@ def replay(
                 raise DataError(f"phase {pi} op {oi}: recorded weight {op.w} "
                                 f"!= graph weight {gw}")
             resolved.append((op, eid))
+        # At a matching's op boundaries an edge is checked iff it is in the
+        # state and not pending removal. Every pending removal runs before
+        # the phase ends, so all edges are checked again there.
+        exempt = matching and per_op
         pending_removals = {eid for op, eid in resolved if op.kind == "remove"}
+        if exempt:
+            for eid in pending_removals & state:
+                check.remove(eid)
         for oi, (op, eid) in enumerate(resolved):
             if op.kind == "add":
                 if eid in state:
@@ -192,18 +277,22 @@ def replay(
                                     f"({op.u},{op.v})")
                 state.add(eid)
                 weight += g.weight(eid)
+                if not (exempt and eid in pending_removals):
+                    check.add(eid)
             elif op.kind == "remove":
                 if eid not in state:
                     raise DataError(f"phase {pi} op {oi}: removing absent edge "
                                     f"({op.u},{op.v})")
                 state.remove(eid)
                 weight -= g.weight(eid)
+                if not (exempt and eid in pending_removals):
+                    check.remove(eid)
                 pending_removals.discard(eid)
             else:
                 raise DataError(f"phase {pi} op {oi}: unknown op kind {op.kind!r}")
             if per_op and oi < len(resolved) - 1:
-                snapshot(pi, oi, pending_removals & state)
-        snapshot(pi, None, set())
+                snapshot(pi, oi)
+        snapshot(pi, None)
 
     worst_size = min(b.size for b in boundaries)
     worst_weight = min(b.weight for b in boundaries)

@@ -35,6 +35,11 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} failed: {detail}"
 
 
+def _replay_to_plan_at_largest(scaling) -> float:
+    """Replay time over plan time at the ladder's largest size."""
+    return scaling.replay_seconds[-1] / scaling.seconds[-1]
+
+
 def test_criterion_01_mcm_suite():
     rng = random.Random(101)
     worst_margin = None
@@ -95,9 +100,12 @@ def test_criterion_03_msf_suite():
             assert res.ok, res.reason
             assert report.final_edges == frozenset(b.edge_ids())
     scaling = msf_planner_scaling([1000, 10_000, 100_000], seed=31)
-    _report(3, "msf transformation suite", scaling.fits_within(3.0),
+    replay_to_plan = _replay_to_plan_at_largest(scaling)
+    _report(3, "msf transformation suite",
+            scaling.fits_within(3.0) and replay_to_plan <= 2.0,
             f"500 instances x 2 directions; n log n ratio spread "
-            f"{scaling.spread:.2f} over {scaling.sizes}")
+            f"{scaling.spread:.2f} over {scaling.sizes}; replay/plan "
+            f"{replay_to_plan:.2f} at n={scaling.sizes[-1]}")
 
 
 def test_criterion_04_index_differential():
@@ -320,7 +328,10 @@ def test_criterion_09_remark_fixtures():
 def test_criterion_10_planner_runtime_shape():
     mcm = matching_planner_scaling("mcm", [1000, 10_000, 100_000], seed=41)
     mwm = matching_planner_scaling("mwm", [1000, 10_000, 100_000], seed=42)
-    ok = mcm.fits_within(3.0) and mwm.fits_within(3.0)
+    mcm_rp, mwm_rp = _replay_to_plan_at_largest(mcm), _replay_to_plan_at_largest(mwm)
+    ok = (mcm.fits_within(3.0) and mwm.fits_within(3.0)
+          and mcm_rp <= 2.0 and mwm_rp <= 2.0)
     _report(10, "planner runtime shape", ok,
             f"time/n spread: mcm {mcm.spread:.2f}, mwm {mwm.spread:.2f} "
-            f"across {mcm.sizes}")
+            f"across {mcm.sizes}; replay/plan at n={mcm.sizes[-1]}: "
+            f"mcm {mcm_rp:.2f}, mwm {mwm_rp:.2f}")

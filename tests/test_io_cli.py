@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -72,7 +73,12 @@ def test_cli_transform_replay_mcm(workdir, capsys):
                "--to", str(workdir / "to.txt"),
                "--out", str(out)])
     assert rc == 0
-    assert "phases=" in capsys.readouterr().out
+    summary = capsys.readouterr().out
+    assert "phases=" in summary
+    # where the time went: planning, then the replay that verified the plan
+    fields = dict(f.split("=") for f in summary.split())
+    assert float(fields["wall_seconds"]) >= 0
+    assert float(fields["replay_seconds"]) >= 0
     rc = main(["replay", "--graph", str(workdir / "g.txt"),
                "--from", str(workdir / "from.txt"),
                "--to", str(workdir / "to.txt"),
@@ -214,7 +220,19 @@ def test_cli_simulate_no_wrap_control_and_decr(tmp_path, capsys):
 def test_cli_bench(capsys):
     rc = main(["bench", "--problem", "mcm", "--sizes", "1000,4000"])
     assert rc == 0
-    assert "ratio_spread=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "ratio_spread=" in out
+    rows = [dict(re.findall(r"(\S+)=\s*(\S+)", line))
+            for line in out.splitlines() if line.startswith("n=")]
+    assert [int(r["n"]) for r in rows] == [1000, 4000]
+    # replay/plan is taken before rounding: the unrounded seconds lie within
+    # half a unit of their 4-decimal print, the ratio within half of its 2
+    half = 5e-5
+    for r in rows:
+        plan, rep = float(r["seconds"]), float(r["replay_seconds"])
+        assert plan > half and rep > 0
+        lo, hi = (rep - half) / (plan + half), (rep + half) / (plan - half)
+        assert lo - 0.005 <= float(r["replay/plan"]) <= hi + 0.005
 
 
 def test_cli_oracle_and_search(tmp_path, capsys):

@@ -1,0 +1,222 @@
+"""Differential tests: the incremental `script.replay` against the
+full-rescan `oracles.replay_reference`, on planned, corrupted and random
+scripts, including the errors both raise."""
+
+import random
+
+import pytest
+
+from gradmorph.gen import random_graph, random_matching, random_spanning_forest
+from gradmorph.graph import ContractError, DataError, Graph, SpanningForest
+from gradmorph.mcm import plan_mcm
+from gradmorph.msf import plan_msf
+from gradmorph.mwm import plan_mwm_auto
+from gradmorph.oracles import msf_exact, replay_reference
+from gradmorph.script import ChangeOp, Phase, TransformationScript, replay
+
+from conftest import path_graph
+
+GRANULARITIES = ("per-phase", "per-op")
+
+
+def _script(problem, budget, phase_ops, eps=None):
+    return TransformationScript(
+        problem, budget, eps,
+        [Phase([ChangeOp(*op) for op in ops]) for ops in phase_ops])
+
+
+def _same(g, source, script, granularity):
+    fast = replay(g, source, script, granularity)
+    assert fast == replay_reference(g, source, script, granularity)
+    return fast
+
+
+def _valid_flags(report):
+    return [b.valid for b in report.boundaries]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planned_matching_scripts_agree(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, 80, 240, 1.0, 100.0)
+    a, b = random_matching(rng, g), random_matching(rng, g)
+    for script in (plan_mcm(g, a, b), plan_mwm_auto(g, a, b, 0.1)):
+        assert script.phases
+        for granularity in GRANULARITIES:
+            report = _same(g, a.edge_ids(), script, granularity)
+            _same(g, report.final_edges, script.reversed_script(), granularity)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planned_forest_scripts_agree(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, 60, 84, 1.0, 100.0, connected=seed % 2 == 0)
+    lightest = SpanningForest(g, msf_exact(g))
+    other = random_spanning_forest(rng, g)
+    for src, tgt in ((lightest, other), (other, lightest)):
+        script = plan_msf(g, src, tgt)
+        for granularity in GRANULARITIES:
+            report = _same(g, src.edge_ids(), script, granularity)
+            assert all(b.valid for b in report.phase_ends())
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_conflicting_add_in_planned_script(granularity):
+    rng = random.Random(3)
+    g = random_graph(rng, 40, 120, 1.0, 9.0)
+    a, b = random_matching(rng, g), random_matching(rng, g)
+    script = plan_mcm(g, a, b)
+    covered = {x for eid in a.edge_ids() for x in g.endpoints(eid)}
+    conflict = next(eid for eid in sorted(g.edge_ids())
+                    if eid not in a and covered & set(g.endpoints(eid)))
+    u, v, w = g.edge(conflict)
+    script.phases.insert(0, Phase([ChangeOp("add", u, v, w)]))
+    script.phases.append(Phase([ChangeOp("remove", u, v, w)]))
+    report = _same(g, a.edge_ids(), script, granularity)
+    assert not report.phase_ends()[0].valid
+
+
+@pytest.mark.parametrize("start_present", [True, False])
+def test_edge_removed_readded_and_removed_in_one_phase(start_present):
+    # The exemption of (0,1) ends at its first removal, so once re-added it
+    # conflicts with (1,2) at op boundaries even though it leaves again.
+    g = path_graph(4)
+    ops = [("remove", 0, 1, 1.0), ("add", 0, 1, 1.0),
+           ("add", 1, 2, 1.0), ("remove", 0, 1, 1.0)]
+    if not start_present:
+        ops.insert(0, ("add", 0, 1, 1.0))
+    source = [g.edge_id(0, 1)] if start_present else []
+    script = _script("mcm", 5, [ops, [("remove", 1, 2, 1.0)]])
+    report = _same(g, source, script, "per-op")
+    flags = _valid_flags(report)
+    assert flags[-3:] == [False, True, True]   # op 2, phase 0 end, phase 1 end
+    _same(g, source, script, "per-phase")
+
+
+def test_pending_removal_is_exempt_at_op_boundaries():
+    g = path_graph(3)
+    script = _script("mcm", 3, [[("add", 1, 2, 1.0), ("remove", 0, 1, 1.0)]])
+    report = _same(g, [g.edge_id(0, 1)], script, "per-op")
+    assert _valid_flags(report) == [True, True, True]
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_forest_cycle_closed_then_broken(granularity):
+    # triangle 0-1-2 with a pendant 2-3; |V| - c(G) = 3 edges are needed
+    g = Graph()
+    e01, e12, e02, e23 = (g.add_edge(0, 1, 1.0), g.add_edge(1, 2, 2.0),
+                          g.add_edge(0, 2, 3.0), g.add_edge(2, 3, 4.0))
+    script = _script("msf", 2, [
+        [("remove", 2, 3, 4.0), ("add", 0, 2, 3.0)],   # closes the triangle
+        [("add", 2, 3, 4.0), ("remove", 0, 1, 1.0)],   # breaks it, spans again
+        [("remove", 1, 2, 2.0), ("add", 0, 1, 1.0)],
+    ])
+    report = _same(g, [e01, e12, e23], script, granularity)
+    assert [b.valid for b in report.phase_ends()] == [False, True, True]
+    assert report.final_edges == {e01, e02, e23}
+
+
+def test_forest_cycle_stays_until_broken():
+    # a cycle that survives several right-sized boundaries
+    g = Graph()
+    e01, e12, e02 = g.add_edge(0, 1, 1.0), g.add_edge(1, 2, 1.0), g.add_edge(0, 2, 1.0)
+    e34, e45, e35 = g.add_edge(3, 4, 1.0), g.add_edge(4, 5, 1.0), g.add_edge(3, 5, 1.0)
+    script = _script("msf", 2, [
+        [("remove", 3, 4, 1.0), ("add", 0, 2, 1.0)],
+        [("remove", 4, 5, 1.0), ("add", 3, 4, 1.0)],
+        [("remove", 3, 4, 1.0), ("add", 4, 5, 1.0)],
+        [("remove", 0, 1, 1.0), ("add", 3, 4, 1.0)],
+    ])
+    report = _same(g, [e01, e12, e34, e45], script, "per-phase")
+    assert _valid_flags(report) == [True, False, False, False, True]
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_invalid_sources(granularity):
+    g = path_graph(4)
+    two_at_1 = [g.edge_id(0, 1), g.edge_id(1, 2)]
+    script = _script("mcm", 3, [[("remove", 0, 1, 1.0)]])
+    report = _same(g, two_at_1, script, granularity)
+    assert _valid_flags(report) == [False, True]
+
+    tri = Graph()
+    e01, e12, e02 = tri.add_edge(0, 1, 1.0), tri.add_edge(1, 2, 1.0), tri.add_edge(0, 2, 1.0)
+    tri.ensure_vertex(3)
+    script = _script("msf", 2, [[("remove", 0, 2, 1.0)]])
+    report = _same(tri, [e01, e12, e02], script, granularity)
+    assert _valid_flags(report) == [False, True]
+    # too few edges to span, then right-sized but cyclic
+    report = _same(tri, [e01], _script("msf", 2, [[("add", 1, 2, 1.0)],
+                                                  [("add", 0, 2, 1.0)]]),
+                   granularity)
+    assert _valid_flags(report) == [False, True, False]
+
+
+def _error(fn, *args):
+    with pytest.raises((DataError, ContractError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+STRUCTURAL = {
+    "not in graph": ("mcm", [[("add", 0, 1, 1.0)], [("add", 2, 9, 1.0)]]),
+    "recorded weight": ("mcm", [[("add", 0, 1, 1.0)], [("add", 2, 3, 5.0)]]),
+    "adding present": ("mcm", [[("add", 0, 1, 1.0)],
+                               [("add", 2, 3, 1.0), ("add", 0, 1, 1.0)]]),
+    "removing absent": ("msf", [[("add", 0, 1, 1.0)],
+                                [("remove", 1, 2, 1.0)]]),
+    "unknown op kind": ("mwm", [[("add", 0, 1, 1.0), ("flip", 1, 2, 1.0)]]),
+    "unknown problem tag": ("mst", [[("add", 0, 1, 1.0)]]),
+    "is empty": ("mcm", [[("add", 0, 1, 1.0)], []]),
+    "declared budget": ("msf", [[("add", 0, 1, 1.0), ("add", 1, 2, 1.0),
+                                 ("add", 2, 3, 1.0)]]),
+}
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("expected", sorted(STRUCTURAL))
+def test_structural_errors_match(expected, granularity):
+    g = path_graph(5)
+    problem, phase_ops = STRUCTURAL[expected]
+    budget = 2 if problem == "msf" else 3
+    script = _script(problem, budget, phase_ops, eps=0.25)
+    fast = _error(replay, g, [], script, granularity)
+    assert fast == _error(replay_reference, g, [], script, granularity)
+    assert expected in fast[1]
+
+
+def test_unknown_granularity_matches():
+    g = path_graph(3)
+    script = _script("mcm", 3, [])
+    fast = _error(replay, g, [], script, "per-edge")
+    assert fast == _error(replay_reference, g, [], script, "per-edge")
+
+
+def _random_script(rng, g, problem, source):
+    """Structurally valid random ops: adds of absent edges and removals of
+    present ones, so states wander through conflicts and cycles."""
+    state = set(source)
+    eids = sorted(g.edge_ids())
+    phases = []
+    for _ in range(rng.randrange(1, 12)):
+        ops = []
+        for _ in range(rng.randrange(1, 5)):
+            eid = rng.choice(eids)
+            kind = "remove" if eid in state else "add"
+            (state.discard if kind == "remove" else state.add)(eid)
+            u, v, w = g.edge(eid)
+            ops.append(ChangeOp(kind, u, v, w))
+        phases.append(Phase(ops))
+    return TransformationScript(problem, 4, 0.25, phases)
+
+
+@pytest.mark.parametrize("problem", ["mcm", "msf"])
+def test_random_scripts_agree(problem):
+    rng = random.Random(17)
+    for trial in range(150):
+        g = random_graph(rng, rng.randrange(2, 9), rng.randrange(1, 14),
+                         1.0, 4.0, connected=trial % 3 == 0)
+        source = [e for e in sorted(g.edge_ids()) if rng.random() < 0.4]
+        script = _random_script(rng, g, problem, source)
+        for granularity in GRANULARITIES:
+            _same(g, source, script, granularity)
