@@ -2,15 +2,19 @@
 
 Edge identity is a stable integer id assigned at insertion; a deleted and
 re-inserted endpoint pair gets a fresh id. All weights are strictly
-positive 64-bit floats; unweighted problems use weight 1.
+positive, finite 64-bit floats; unweighted problems use weight 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 DEFAULT_TOLERANCE = 1e-9
+# Exact weight totals count units of 2**-1074, the smallest positive float,
+# so that every float weight is a whole number of units.
+_UNIT = 1 << 1074
 
 
 def slack(scale: float = 1.0) -> float:
@@ -34,6 +38,14 @@ class ContractError(Error):
 
 class BudgetError(DataError):
     """An oracle refused an input beyond its configured budget."""
+
+
+def checked_weight(w: float, u: int, v: int) -> float:
+    """w as a float, if it may weigh edge (u, v): positive and finite."""
+    if not (w > 0 and math.isfinite(w)):
+        raise DataError(f"weight {w} on edge ({u},{v}) rejected: "
+                        f"weights must be positive and finite")
+    return float(w)
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:
@@ -180,8 +192,7 @@ class Graph:
     def add_edge(self, u: int, v: int, w: float = 1.0) -> int:
         if u == v:
             raise DataError(f"self-loop at vertex {u} rejected")
-        if not (w > 0):
-            raise DataError(f"non-positive weight {w} on edge ({u},{v}) rejected")
+        w = checked_weight(w, u, v)
         key = _pair(u, v)
         if key in self._by_pair:
             raise DataError(f"duplicate edge ({u},{v})")
@@ -189,7 +200,7 @@ class Graph:
         self.ensure_vertex(v)
         eid = self._next_id
         self._next_id += 1
-        self._edges[eid] = (u, v, float(w))
+        self._edges[eid] = (u, v, w)
         self._by_pair[key] = eid
         self._adj[u].add(eid)
         self._adj[v].add(eid)
@@ -260,8 +271,8 @@ class Graph:
                 raise ContractError(f"self-loop {eid}")
             if u not in self._vertices or v not in self._vertices:
                 raise ContractError(f"edge {eid} has missing endpoint")
-            if not w > 0:
-                raise ContractError(f"edge {eid} has non-positive weight")
+            if not (w > 0 and math.isfinite(w)):
+                raise ContractError(f"edge {eid} has weight {w}, not positive and finite")
             if self._by_pair.get(_pair(u, v)) != eid:
                 raise ContractError(f"pair index out of sync for edge {eid}")
             if eid not in self._adj[u] or eid not in self._adj[v]:
@@ -311,13 +322,26 @@ class Graph:
         return label
 
 
+def _units(w: float) -> int:
+    """w as an exact whole number of 2**-1074 units."""
+    n, d = w.as_integer_ratio()   # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
+
+
 class Matching:
-    """Edge-id set with the matching invariant plus a vertex index."""
+    """Edge-id set with the matching invariant plus a vertex index.
+
+    weight() is the correctly rounded sum of the edge weights. It reads an
+    exact integer total that add, remove, discard_dead and copy keep from
+    the first weight() call on, so no call costs time in the matching's
+    size after the first.
+    """
 
     def __init__(self, g: Graph, edge_ids: Iterable[int] = ()) -> None:
         self.g = g
-        self.edges: dict[int, None] = {}   # insertion-ordered set
+        self.edges: dict[int, float] = {}   # eid -> weight, insertion-ordered
         self.vertex_index: dict[int, int] = {}
+        self._total: Optional[int] = None    # in _UNITs, once weight() is asked
         for eid in edge_ids:
             self.add(eid)
 
@@ -333,33 +357,45 @@ class Matching:
     def matched_edge(self, v: int) -> Optional[int]:
         return self.vertex_index.get(v)
 
+    def weight(self) -> float:
+        """Equal to math.fsum of the current edge weights; 0.0 when empty."""
+        if self._total is None:
+            self._total = sum(map(_units, self.edges.values()))
+        return self._total / _UNIT
+
     def add(self, eid: int) -> None:
-        u, v, _ = self.g.edge(eid)
+        u, v, w = self.g.edge(eid)
         if eid in self.edges:
             raise DataError(f"edge {eid} already in matching")
         for x in (u, v):
             if x in self.vertex_index:
                 raise DataError(f"vertex {x} already matched by edge {self.vertex_index[x]}")
-        self.edges[eid] = None
+        self.edges[eid] = w
         self.vertex_index[u] = eid
         self.vertex_index[v] = eid
+        if self._total is not None:
+            self._total += _units(w)
 
     def remove(self, eid: int) -> None:
         if eid not in self.edges:
             raise DataError(f"edge {eid} not in matching")
-        del self.edges[eid]
         u, v, _ = self.g.edge(eid)
+        w = self.edges.pop(eid)
         del self.vertex_index[u]
         del self.vertex_index[v]
+        if self._total is not None:
+            self._total -= _units(w)
 
     def discard_dead(self, eid: int, endpoints: tuple[int, int]) -> bool:
         """Drop an edge whose graph edge was already deleted. O(1)."""
-        if eid not in self.edges:
+        w = self.edges.pop(eid, None)
+        if w is None:
             return False
-        del self.edges[eid]
         for x in endpoints:
             if self.vertex_index.get(x) == eid:
                 del self.vertex_index[x]
+        if self._total is not None:
+            self._total -= _units(w)
         return True
 
     def copy(self) -> "Matching":
@@ -367,6 +403,7 @@ class Matching:
         m.g = self.g
         m.edges = dict(self.edges)
         m.vertex_index = dict(self.vertex_index)
+        m._total = self._total
         return m
 
 

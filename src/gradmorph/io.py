@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import DataError, Graph, Matching, SpanningForest, UpdateEvent
+from .graph import (DataError, Graph, Matching, SpanningForest, UpdateEvent,
+                    checked_weight)
 
 TOOL_VERSION = "gradmorph 0.1.0"
 
@@ -82,17 +83,20 @@ def parse_updates(text: str) -> list[UpdateEvent]:
         try:
             kind = toks[0]
             if kind == "+e":
-                w = float(toks[3]) if len(toks) > 3 else 1.0
-                events.append(UpdateEvent.edge_insert(int(toks[1]), int(toks[2]), w))
+                u, v = int(toks[1]), int(toks[2])
+                w = checked_weight(float(toks[3]), u, v) if len(toks) > 3 else 1.0
+                events.append(UpdateEvent.edge_insert(u, v, w))
             elif kind == "-e":
                 events.append(UpdateEvent.edge_delete(int(toks[1]), int(toks[2])))
             elif kind == "+v":
                 rest = toks[2:]
                 if len(rest) % 2:
                     raise DataError("odd neighbor/weight list")
-                incident = [(int(rest[i]), float(rest[i + 1]))
-                            for i in range(0, len(rest), 2)]
-                events.append(UpdateEvent.vertex_insert(int(toks[1]), incident))
+                vid = int(toks[1])
+                nbrs = [int(x) for x in rest[0::2]]
+                incident = [(nbr, checked_weight(float(w), vid, nbr))
+                            for nbr, w in zip(nbrs, rest[1::2])]
+                events.append(UpdateEvent.vertex_insert(vid, incident))
             elif kind == "-v":
                 events.append(UpdateEvent.vertex_delete(int(toks[1])))
             else:

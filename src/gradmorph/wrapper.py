@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
-                    UpdateEvent, validate_matching)
+                    UpdateEvent)
 from .mcm import plan_mcm
 from .mwm import plan_mwm_auto
 
@@ -74,7 +74,7 @@ class InnerAlgorithm:
         return len(self.matching)
 
     def current_weight(self) -> float:
-        return sum((self.g.weight(e) for e in self.matching.edges), 0.0)
+        return self.matching.weight()
 
     def emit_edges(self, count: int) -> list[int]:
         ids = self.matching_ids()
@@ -247,11 +247,10 @@ def snapshot_truncated(g: Graph, inner: InnerAlgorithm, cap: int) -> Matching:
     ids = inner.emit_edges(cap)
     if len(ids) > cap:
         raise ContractError(f"inner emitted {len(ids)} edges for cap {cap}")
-    report = validate_matching(g, ids)
-    if not report:
-        raise ContractError(f"inner emitted an invalid sub-matching: "
-                            f"{report.reason} (edge={report.edge})")
-    return Matching(g, ids)
+    try:
+        return Matching(g, ids)
+    except DataError as exc:
+        raise ContractError(f"inner emitted an invalid sub-matching: {exc}") from None
 
 
 class WrappedMatching:
@@ -401,4 +400,4 @@ class WrappedMatching:
         return len(self.output)
 
     def current_weight(self) -> float:
-        return sum((self.g.weight(e) for e in self.output.edges), 0.0)
+        return self.output.weight()

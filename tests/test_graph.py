@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,14 @@ def test_add_edge_rejects_self_loops_and_duplicates():
         g.add_edge(1, 3, 0.0)
     with pytest.raises(DataError):
         g.add_edge(1, 3, -2.0)
+
+
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+def test_add_edge_rejects_non_finite_weights(w):
+    g = Graph()
+    with pytest.raises(DataError, match="positive and finite"):
+        g.add_edge(1, 2, w)
+    assert g.num_edges() == 0
 
 
 def test_edge_ids_are_stable_and_fresh_after_reinsert():
@@ -186,3 +196,79 @@ def test_kcycle_stats_fixture():
     edges = [g.add_edge(2 * i, 2 * i + 1, a) for i in range(k)]
     s = solution_stats(g, Matching(g, edges))
     assert (s.size, s.total_weight, s.max_edge_weight) == (k, k * a, a)
+
+
+def test_matching_weight_is_exact_after_cancelling_updates():
+    g = Graph()
+    eids = [g.add_edge(2 * i, 2 * i + 1, w) for i, w in enumerate((0.1, 0.2, 0.3, 1e16))]
+    m = Matching(g, eids[:3])
+    # correctly rounded, unlike the left-to-right 0.1 + 0.2 + 0.3
+    assert m.weight() == math.fsum((0.1, 0.2, 0.3)) == 0.6 != 0.1 + 0.2 + 0.3
+    m.add(eids[3])
+    m.remove(eids[0])
+    assert m.weight() == math.fsum((0.2, 0.3, 1e16))
+    m.remove(eids[3])
+    g.remove_edge_id(eids[1])
+    assert m.discard_dead(eids[1], (2, 3))
+    m.remove(eids[2])
+    # a float running total would keep rounding residue here
+    assert m.weight() == 0.0 and len(m) == 0
+
+
+_WEIGHTS = st.one_of(st.floats(min_value=5e-324, max_value=1e300),
+                     st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.0 ** 53, 1e16]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matching_weight_equals_fsum_of_current_edges(data):
+    """After any mix of add, remove, discard_dead and copy, weight() is the
+    correctly rounded sum of the edges held, however and whenever the
+    running total started, and every copy keeps its own total."""
+    pairs = data.draw(st.integers(1, 6))
+    g = Graph()
+    weights: dict[int, float] = {}            # every eid ever inserted
+    live: list[int] = []                      # current eid of pair i
+    for i in range(pairs):
+        w = data.draw(_WEIGHTS)
+        live.append(g.add_edge(2 * i, 2 * i + 1, w))
+        weights[live[i]] = w
+    pair_of = {eid: i for i, eid in enumerate(live)}
+    held = [(Matching(g), {})]                # (matching, model eid -> weight)
+    steps = data.draw(st.integers(0, 30))
+    start = data.draw(st.integers(0, steps))  # step of the first weight()
+    for step in range(steps):
+        k = data.draw(st.integers(0, len(held) - 1))
+        m, model = held[k]
+        held_pairs = {pair_of[e] for e in model}
+        op = data.draw(st.sampled_from(["add", "remove", "dead", "copy"]))
+        if op == "add" and len(held_pairs) < pairs:
+            i = data.draw(st.sampled_from(sorted(set(range(pairs)) - held_pairs)))
+            m.add(live[i])
+            model[live[i]] = weights[live[i]]
+        elif op == "remove" and any(g.has_edge_id(e) for e in model):
+            eid = data.draw(st.sampled_from([e for e in model if g.has_edge_id(e)]))
+            m.remove(eid)
+            del model[eid]
+        elif op == "dead" and model:
+            eid = data.draw(st.sampled_from(list(model)))
+            i = pair_of[eid]
+            if g.has_edge_id(eid):
+                # delete from the graph, then reinsert the pair under a new id
+                g.remove_edge_id(eid)
+                w = data.draw(_WEIGHTS)
+                live[i] = g.add_edge(2 * i, 2 * i + 1, w)
+                weights[live[i]] = w
+                pair_of[live[i]] = i
+            assert m.discard_dead(eid, (2 * i, 2 * i + 1))
+            del model[eid]
+        elif op == "copy" and len(held) < 4:
+            held.append((m.copy(), dict(model)))
+        for other, other_model in held:
+            assert other.edges == other_model
+            if step >= start:
+                got = other.weight()
+                assert isinstance(got, float)
+                assert got == math.fsum(other_model.values())
+                if not other_model:
+                    assert got == 0.0

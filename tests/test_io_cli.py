@@ -50,6 +50,16 @@ def test_update_stream_round_trip(rng):
         parse_updates("+v 7 1\n")
 
 
+@pytest.mark.parametrize("w", ["inf", "-inf", "nan", "0"])
+def test_parse_rejects_non_finite_or_non_positive_weights(w):
+    with pytest.raises(DataError, match="line 1: weight"):
+        parse_graph(f"e 0 1 {w}\n")
+    with pytest.raises(DataError, match="line 1: weight"):
+        parse_updates(f"+e 0 1 {w}\n")
+    with pytest.raises(DataError, match="line 2: weight"):
+        parse_updates(f"+e 0 1\n+v 5 0 1.0 1 {w}\n")
+
+
 def test_canonical_digest_ignores_trailing_space():
     assert canonical_digest("a b \n") == canonical_digest("a b\n")
 

@@ -47,7 +47,7 @@ def test_inner_queries_describe_one_matching(name, rng):
         inner.handle_update(ev, g.apply_update(ev))
         ids = inner.matching_ids()
         assert inner.current_size() == len(ids)
-        assert inner.current_weight() == sum(g.weight(e) for e in ids)
+        assert inner.current_weight() == math.fsum(g.weight(e) for e in ids)
         assert isinstance(inner.current_weight(), float)
         assert validate_matching(g, ids).ok
         largest = max(largest, len(ids))
@@ -128,19 +128,24 @@ def test_contract_violation_surfaced():
     g = Graph()
     a = g.add_edge(0, 1, 1.0)
     b = g.add_edge(1, 2, 1.0)
+    dead = g.add_edge(5, 6, 1.0)
+    g.remove_edge_id(dead)
 
     class Broken(InnerAlgorithm):
-        def matching_ids(self):
-            return [a, b]  # shares vertex 1
+        def __init__(self, ids):
+            self.ids = ids
 
-        def current_weight(self):
-            return 2.0
+        def matching_ids(self):
+            return self.ids
 
         def handle_update(self, ev, delta):
             return OutputDelta()
 
-    with pytest.raises(ContractError, match="sub-matching"):
-        snapshot_truncated(g, Broken(), 5)
+    for ids, fault in (([a, b], "vertex 1 already matched"),
+                       ([a, dead], f"no edge with id {dead}"),
+                       ([b, b], f"edge {b} already in matching")):
+        with pytest.raises(ContractError, match=f"sub-matching: {fault}"):
+            snapshot_truncated(g, Broken(ids), 5)
 
 
 def test_wrap_parameter_errors():
