@@ -1,8 +1,9 @@
-"""Pure-Python link-cut tree core (splay trees with lazy reversal).
+"""Link-cut tree core (splay trees with lazy reversal), after Sleator and
+Tarjan 1983.
 
-Nodes are dense integer indices; each carries a value and a subtree max,
-so path-maximum queries return a witness node. The compiled twin in
-_lc_core.pyx implements the same interface.
+Nodes are dense integer indices into parallel lists; each carries a value
+and a subtree max, so path-maximum queries return a witness node.
+dynforest.LinkCutForestIndex builds its forest on one of these cores.
 """
 
 from __future__ import annotations

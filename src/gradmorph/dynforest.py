@@ -4,28 +4,18 @@ Both implementations maintain a forest under link/cut with a dummy weight
 per edge (1 = shared with the counterpart work tree, 2 = exclusive) and
 answer path_edge_outside(u, v): some dummy-2 edge on the u-v path, the one
 nearest to u. The naive index walks paths in O(n); the link-cut index runs
-in O(log n) amortized, with a compiled splay core when available. The
-planner always uses the link-cut index; the naive one is the reference
-that tests check it against.
+in O(log n) amortized on the splay core in _lc_pure. The planner always
+uses the link-cut index; the naive one is the reference that tests check
+it against.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
+from ._lc_pure import LinkCutCore
 from .graph import ContractError, DataError
-
-try:
-    from ._lc_core import LinkCutCore as _CompiledCore
-    HAVE_COMPILED_CORE = True
-except ImportError:  # pragma: no cover - build dependent
-    _CompiledCore = None
-    HAVE_COMPILED_CORE = False
-
-from ._lc_pure import LinkCutCore as _PureCore
-
-ActiveCore: Callable = _CompiledCore if HAVE_COMPILED_CORE else _PureCore
 
 
 class NaiveForestIndex:
@@ -105,8 +95,8 @@ class LinkCutForestIndex:
     value 0 so a path maximum below 2 proves the precondition violated.
     """
 
-    def __init__(self, core_factory: Callable = None) -> None:
-        self._core = (core_factory or ActiveCore)()
+    def __init__(self) -> None:
+        self._core = LinkCutCore()
         self._vnode: dict[int, int] = {}
         self._enode: dict[int, tuple[int, int, int]] = {}  # eid -> (node, u, v)
         self._node_edge: dict[int, int] = {}               # edge node -> eid
@@ -171,11 +161,4 @@ def make_index(kind: str) -> NaiveForestIndex | LinkCutForestIndex:
         return NaiveForestIndex()
     if kind == "linkcut":
         return LinkCutForestIndex()
-    if kind == "linkcut-pure":
-        return LinkCutForestIndex(_PureCore)
-    if kind == "linkcut-compiled":
-        if not HAVE_COMPILED_CORE:
-            raise DataError("compiled link-cut core is not built")
-        return LinkCutForestIndex(_CompiledCore)
-    raise DataError(f"unknown index kind {kind!r} "
-                    "(expected naive|linkcut|linkcut-pure|linkcut-compiled)")
+    raise DataError(f"unknown index kind {kind!r} (expected naive|linkcut)")

@@ -21,7 +21,7 @@ from .dynforest import make_index
 from .script import ChangeOp, Phase, TransformationScript
 
 MSF_PHASE_BUDGET = 2
-INDEX_KIND = "linkcut"   # compiled link-cut core when built, else pure Python
+INDEX_KIND = "linkcut"   # the index the planner builds; "naive" is the test reference
 
 
 class CrossEdgeHeap:

@@ -235,7 +235,6 @@ class BatchRecompute(InnerAlgorithm):
 class WindowState:
     length: int
     first_half: int
-    frozen_source: Matching          # snapshot of the output at window start
     frozen_target: Matching          # truncated inner snapshot
     groups: Optional[list[list[tuple[str, int]]]] = None   # phase-atomic ops
     group_cursor: int = 0
@@ -281,13 +280,13 @@ class WrappedMatching:
     # -- window machinery ----------------------------------------------
 
     def _open_window(self, out: OutputDelta) -> None:
-        src = self.output.copy()
-        cap = max(2 * len(src), BOOTSTRAP_CAP)
+        src_size = len(self.output)
+        cap = max(2 * src_size, BOOTSTRAP_CAP)
         tgt = snapshot_truncated(self.g, self.inner, cap)
-        size_sum = len(src) + len(tgt)
+        size_sum = src_size + len(tgt)
         if size_sum <= self.small_threshold:
             # instant switch: trivial recourse, no window
-            for eid in list(src.edges):
+            for eid in list(self.output.edges):
                 if eid not in tgt.edges:
                     self.output.remove(eid)
                     out.removed.append(eid)
@@ -298,11 +297,10 @@ class WrappedMatching:
             self.last_window_phase = "switch"
             return
         length = max(2, math.floor(
-            self.window_ratio * min(len(src), len(tgt)) / self.psi_eff))
+            self.window_ratio * min(src_size, len(tgt)) / self.psi_eff))
         self.window = WindowState(
             length=length,
             first_half=length // 2,
-            frozen_source=src,
             frozen_target=tgt,
         )
         self.last_window_phase = "first"
@@ -310,12 +308,15 @@ class WrappedMatching:
     def _plan_window_ops(self, win: WindowState) -> list[list[tuple[str, int]]]:
         """Phase-atomic op groups with edge ids resolved at plan time, so
         edges deleted (or deleted and reincarnated under the same endpoint
-        pair) later in the window are skipped rather than misapplied."""
+        pair) later in the window are skipped rather than misapplied.
+
+        Plans from the output itself: until this first playback step the
+        window has changed it only by tombstones."""
         if self.weighted:
-            script = plan_mwm_auto(self.g, win.frozen_source, win.frozen_target,
+            script = plan_mwm_auto(self.g, self.output, win.frozen_target,
                                    min(self.eps, 0.5))
         else:
-            script = plan_mcm(self.g, win.frozen_source, win.frozen_target)
+            script = plan_mcm(self.g, self.output, win.frozen_target)
         return [[(op.kind, self.g.edge_id(op.u, op.v)) for op in ph.ops]
                 for ph in script.phases]
 
@@ -377,7 +378,6 @@ class WrappedMatching:
             if self.output.discard_dead(eid, (u, v)):
                 out.removed.append(eid)
             if win is not None:
-                win.frozen_source.discard_dead(eid, (u, v))
                 win.frozen_target.discard_dead(eid, (u, v))
         if self.window is None:
             # snapshot-and-switch or open; never combined with playback, so

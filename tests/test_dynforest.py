@@ -1,20 +1,18 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from gradmorph.dynforest import HAVE_COMPILED_CORE, make_index
+import gradmorph
+from gradmorph.dynforest import make_index
 from gradmorph.graph import ContractError, DataError
 
 
-def all_kinds():
-    kinds = ["naive", "linkcut-pure"]
-    if HAVE_COMPILED_CORE:
-        kinds.append("linkcut-compiled")
-    return kinds
+KINDS = ("naive", "linkcut")
 
 
 def test_single_edge_path_query():
-    for kind in all_kinds():
+    for kind in KINDS:
         idx = make_index(kind)
         idx.link(0, 1, 2, 2)
         assert idx.path_edge_outside(1, 2) == 0
@@ -24,7 +22,7 @@ def test_single_edge_path_query():
 
 
 def test_path_dummies_third_edge():
-    for kind in all_kinds():
+    for kind in KINDS:
         idx = make_index(kind)
         dummies = [1, 1, 2, 1]
         for i, d in enumerate(dummies):
@@ -33,7 +31,7 @@ def test_path_dummies_third_edge():
 
 
 def test_link_cut_errors():
-    for kind in all_kinds():
+    for kind in KINDS:
         idx = make_index(kind)
         idx.link(0, 1, 2, 1)
         idx.link(1, 2, 3, 1)
@@ -109,14 +107,13 @@ def _drive(ops_count, seed, kinds, n=120):
 
 
 def test_differential_small():
-    queries = _drive(4000, seed=11, kinds=all_kinds())
+    queries = _drive(4000, seed=11, kinds=KINDS)
     assert queries > 200
 
 
 def test_connectivity_matches_naive():
     rng = random.Random(5)
-    kinds = all_kinds()
-    indexes = {kind: make_index(kind) for kind in kinds}
+    indexes = {kind: make_index(kind) for kind in KINDS}
     pairs = []
     next_eid = 0
     for _ in range(400):
@@ -129,5 +126,15 @@ def test_connectivity_matches_naive():
             pairs.append((u, v))
             next_eid += 1
         expected = indexes["naive"].connected(u, v)
-        for kind in kinds[1:]:
+        for kind in KINDS[1:]:
             assert indexes[kind].connected(u, v) == expected
+
+
+def test_package_is_pure_python():
+    # one link-cut core: no extension source may ship beside the .py files
+    package = Path(gradmorph.__file__).resolve().parent
+    others = [p.name for p in package.rglob("*")
+              if p.is_file() and "__pycache__" not in p.parts
+              and p.suffix != ".py"]
+    assert others == []
+

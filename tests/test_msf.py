@@ -1,7 +1,7 @@
 import pytest
 
 import gradmorph.msf
-from gradmorph.dynforest import HAVE_COMPILED_CORE, make_index
+from gradmorph.dynforest import make_index
 from gradmorph.gen import random_graph, random_spanning_forest
 from gradmorph.graph import (DataError, Graph, SpanningForest,
                              solution_stats, validate_forest)
@@ -140,10 +140,6 @@ def test_plan_msf_disconnected_components_ordering(rng):
 
 
 def test_plan_msf_random_sweep(rng, monkeypatch):
-    kinds = ["naive", "linkcut-pure"]
-    if HAVE_COMPILED_CORE:
-        kinds.append("linkcut-compiled")
-
     def check_with_index(kind, g, src, tgt):
         # the planner always asks for msf.INDEX_KIND; swap in another index
         made = []
@@ -162,7 +158,8 @@ def test_plan_msf_random_sweep(rng, monkeypatch):
         tgt = random_spanning_forest(rng, g)
         script = _master_check(g, src, tgt)[0]
         # identical scripts regardless of index implementation
-        assert all(check_with_index(k, g, src, tgt) == script for k in kinds)
+        assert all(check_with_index(k, g, src, tgt) == script
+                   for k in ("naive", "linkcut"))
         check_with_index("naive", g, tgt, src)
 
 
