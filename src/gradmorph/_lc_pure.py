@@ -8,6 +8,8 @@ dynforest.LinkCutForestIndex builds its forest on one of these cores.
 
 from __future__ import annotations
 
+from typing import Iterable, Optional
+
 NEG = -1
 
 
@@ -34,10 +36,6 @@ class LinkCutCore:
 
     # -- splay plumbing -------------------------------------------------
 
-    def _is_root(self, x: int) -> bool:
-        p = self.parent[x]
-        return p == NEG or (self.left[p] != x and self.right[p] != x)
-
     def _push(self, x: int) -> None:
         if self.flip[x]:
             self.flip[x] = False
@@ -58,59 +56,82 @@ class LinkCutCore:
         self.mx[x] = m
 
     def _rotate(self, x: int) -> None:
-        p = self.parent[x]
-        gp = self.parent[p]
-        p_was_root = self._is_root(p)
-        if self.left[p] == x:
-            self.left[p] = self.right[x]
-            if self.right[x] != NEG:
-                self.parent[self.right[x]] = p
-            self.right[x] = p
+        left, right, parent = self.left, self.right, self.parent
+        val, mx = self.val, self.mx
+        p = parent[x]
+        gp = parent[p]
+        if left[p] == x:
+            b = right[x]
+            left[p] = b
+            right[x] = p
         else:
-            self.right[p] = self.left[x]
-            if self.left[x] != NEG:
-                self.parent[self.left[x]] = p
-            self.left[x] = p
-        self.parent[p] = x
-        self.parent[x] = gp
-        if not p_was_root:
-            if self.left[gp] == p:
-                self.left[gp] = x
-            else:
-                self.right[gp] = x
-        self._pull(p)
-        self._pull(x)
+            b = left[x]
+            right[p] = b
+            left[x] = p
+        if b != NEG:
+            parent[b] = p
+        parent[p] = x
+        parent[x] = gp
+        if gp != NEG:   # a path-parent pointer stays as it is
+            if left[gp] == p:
+                left[gp] = x
+            elif right[gp] == p:
+                right[gp] = x
+        # x now roots the nodes p rooted, so it takes p's old max
+        m_old = mx[p]
+        m = val[p]
+        l, r = left[p], right[p]
+        if l != NEG and mx[l] > m:
+            m = mx[l]
+        if r != NEG and mx[r] > m:
+            m = mx[r]
+        mx[p] = m
+        mx[x] = m_old
 
     def _splay(self, x: int) -> None:
+        left, right, parent, flip = self.left, self.right, self.parent, self.flip
         # push pending flips from the splay root down to x
         stack = [x]
         y = x
-        while not self._is_root(y):
-            y = self.parent[y]
+        while True:
+            p = parent[y]
+            if p == NEG or (left[p] != y and right[p] != y):
+                break
+            y = p
             stack.append(y)
-        while stack:
-            self._push(stack.pop())
-        while not self._is_root(x):
-            p = self.parent[x]
-            if not self._is_root(p):
-                gp = self.parent[p]
-                if (self.left[gp] == p) == (self.left[p] == x):
-                    self._rotate(p)
-                else:
-                    self._rotate(x)
-            self._rotate(x)
+        for y in reversed(stack):
+            if flip[y]:
+                flip[y] = False
+                l, r = left[y], right[y]
+                left[y], right[y] = r, l
+                if l != NEG:
+                    flip[l] = not flip[l]
+                if r != NEG:
+                    flip[r] = not flip[r]
+        # x sits len(stack) - 1 levels deep: double steps, then one zig if odd
+        rotate = self._rotate
+        depth = len(stack) - 1
+        for _ in range(depth // 2):
+            p = parent[x]
+            gp = parent[p]
+            rotate(p if (left[gp] == p) == (left[p] == x) else x)
+            rotate(x)
+        if depth % 2:
+            rotate(x)
 
     def _access(self, x: int) -> None:
-        self._splay(x)
-        if self.right[x] != NEG:
-            self.right[x] = NEG  # detached child keeps x as path-parent
-            self._pull(x)
-        while self.parent[x] != NEG:
-            y = self.parent[x]
-            self._splay(y)
-            self.right[y] = x
+        """Make the root..x path preferred; x ends as the root of its
+        splay tree, with no right child and no path-parent."""
+        splay, right, parent = self._splay, self.right, self.parent
+        last = NEG
+        y = x
+        while y != NEG:
+            splay(y)
+            right[y] = last   # a detached child keeps y as path-parent
             self._pull(y)
-            self._splay(x)
+            last = y
+            y = parent[y]
+        splay(x)
 
     # -- public surface ---------------------------------------------------
 
@@ -119,58 +140,72 @@ class LinkCutCore:
         self.flip[x] = not self.flip[x]
         self._push(x)
 
-    def find_root(self, x: int) -> int:
-        self._access(x)
-        while True:
-            self._push(x)
-            if self.left[x] == NEG:
-                break
-            x = self.left[x]
-        self._splay(x)
-        return x
-
     def connected(self, x: int, y: int) -> bool:
-        if x == y:
-            return True
-        return self.find_root(x) == self.find_root(y)
-
-    def link(self, x: int, y: int) -> None:
-        """Attach x's tree under y; x becomes the root of its tree first."""
-        self.evert(x)
-        self.parent[x] = y
-
-    def cut_adjacent(self, x: int, y: int) -> None:
-        """Remove the tree edge between adjacent nodes x and y."""
+        """Whether x and y share a tree. Leaves x everted: it is the root of
+        its tree, and when the answer is False also of its splay tree."""
         self.evert(x)
         self._access(y)
-        # path is exactly [x, y]: y is splay root, x its left child
-        self._push(y)
-        if self.left[y] != x:
-            raise RuntimeError("cut_adjacent: nodes are not adjacent")
-        self.parent[x] = NEG
-        self.left[y] = NEG
-        self._pull(y)
+        # x was a splay root without path-parent; access(y) pulls it into
+        # y's splay tree exactly when the root..y path starts at x
+        return x == y or self.parent[x] != NEG
+
+    def link(self, x: int, m: int, y: int) -> bool:
+        """Join the trees of x and y through the one-node tree m, as the
+        path x - m - y, unless x and y are already connected. Returns
+        whether it joined them; on False nothing changed but the roots."""
+        if self.connected(x, y):
+            return False
+        # connected left x the root of its tree and of its splay tree
+        self.parent[x] = m
+        self.parent[m] = y
+        return True
+
+    def load(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Bulk link: for each (x, p), make p the tree parent of x. Every x
+        must be a one-node tree, and the pairs must orient a forest towards
+        its roots. Each x stays a one-node preferred path whose
+        path-parent is p, so no splay runs."""
+        parent = self.parent
+        for x, p in pairs:
+            parent[x] = p
+
+    def cut(self, x: int, m: int, y: int) -> None:
+        """Remove the path x - m - y, leaving m a one-node tree."""
+        left, right, parent = self.left, self.right, self.parent
+        self.evert(x)
+        self._access(y)
+        self._splay(m)
+        # the splay tree holds the path x, m, y in order, so m roots it
+        # with leaf children x and y
+        if not (left[m] == x and right[m] == y and left[x] == right[x] == NEG
+                and left[y] == right[y] == NEG):
+            raise RuntimeError("cut: x - m - y is not a path of the forest")
+        left[m] = right[m] = parent[x] = parent[y] = NEG
+        self.mx[m] = self.val[m]
 
     def set_val(self, x: int, val: int) -> None:
         self._splay(x)
         self.val[x] = val
         self._pull(x)
 
-    def path_max(self, u: int, v: int) -> tuple[int, int]:
+    def path_max(self, u: int, v: int) -> Optional[tuple[int, int]]:
         """(node, value) of the leftmost maximum-value node on the u..v
-        path, left meaning nearest to u."""
-        self.evert(u)
-        self._access(v)
-        m = self.mx[v]
+        path, left meaning nearest to u; None when u and v are in
+        different trees."""
+        if not self.connected(u, v):
+            return None
+        left, right, val, mx = self.left, self.right, self.val, self.mx
+        push = self._push
+        m = mx[v]
         x = v
         while True:
-            self._push(x)
-            l = self.left[x]
-            if l != NEG and self.mx[l] == m:
+            push(x)
+            l = left[x]
+            if l != NEG and mx[l] == m:
                 x = l
-            elif self.val[x] == m:
+            elif val[x] == m:
                 break
             else:
-                x = self.right[x]
+                x = right[x]
         self._splay(x)
         return x, m

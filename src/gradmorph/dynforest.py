@@ -3,16 +3,17 @@
 Both implementations maintain a forest under link/cut with a dummy weight
 per edge (1 = shared with the counterpart work tree, 2 = exclusive) and
 answer path_edge_outside(u, v): some dummy-2 edge on the u-v path, the one
-nearest to u. The naive index walks paths in O(n); the link-cut index runs
-in O(log n) amortized on the splay core in _lc_pure. The planner always
-uses the link-cut index; the naive one is the reference that tests check
-it against.
+nearest to u. load(edges) fills an empty index with a whole forest at once.
+The naive index walks paths in O(n); the link-cut index runs in O(log n)
+amortized on the splay core in _lc_pure and loads a forest in O(n). The
+planner always uses the link-cut index; the naive one is the reference
+that tests check it against.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional
 
 from ._lc_pure import LinkCutCore
 from .graph import ContractError, DataError
@@ -33,6 +34,19 @@ class NaiveForestIndex:
         self._edges[eid] = (u, v, dummy)
         self._adj.setdefault(u, {})[v] = eid
         self._adj.setdefault(v, {})[u] = eid
+
+    def load(self, edges: Iterable[tuple[int, int, int, int]]) -> None:
+        """Link each (eid, u, v, dummy) into an empty index; on a cycle the
+        index is emptied again before DataError propagates."""
+        if self._edges:
+            raise DataError("load needs an index without edges")
+        try:
+            for eid, u, v, dummy in edges:
+                self.link(eid, u, v, dummy)
+        except DataError:
+            self._adj.clear()
+            self._edges.clear()
+            raise
 
     def cut(self, eid: int) -> None:
         try:
@@ -109,29 +123,76 @@ class LinkCutForestIndex:
             self._vnode[v] = node
         return node
 
-    def link(self, eid: int, u: int, v: int, dummy: int) -> None:
-        if eid in self._enode:
-            raise DataError(f"edge {eid} already linked")
-        un, vn = self._vertex(u), self._vertex(v)
-        if self._core.connected(un, vn):
-            raise DataError(f"link({u},{v}) would close a cycle")
+    def _edge_node(self, dummy: int) -> int:
         if self._free_edge_nodes:
             en = self._free_edge_nodes.pop()
             self._core.set_val(en, dummy)
-        else:
-            en = self._core.new_node(dummy)
-        self._core.link(en, un)
-        self._core.link(vn, en)
+            return en
+        return self._core.new_node(dummy)
+
+    def _register(self, eid: int, en: int, u: int, v: int) -> None:
         self._enode[eid] = (en, u, v)
         self._node_edge[en] = eid
+
+    def link(self, eid: int, u: int, v: int, dummy: int) -> None:
+        if eid in self._enode:
+            raise DataError(f"edge {eid} already linked")
+        en = self._edge_node(dummy)
+        if not self._core.link(self._vertex(u), en, self._vertex(v)):
+            self._free_edge_nodes.append(en)
+            raise DataError(f"link({u},{v}) would close a cycle")
+        self._register(eid, en, u, v)
+
+    def load(self, edges: Iterable[tuple[int, int, int, int]]) -> None:
+        """Fill an index without edges with the forest of (eid, u, v, dummy)
+        in O(n): one depth-first pass orients it, then every node gets its
+        tree parent as path-parent, with no splay. A cycle or a repeated
+        eid raises DataError before anything changes."""
+        if self._enode:
+            raise DataError("load needs an index without edges")
+        edges = list(edges)
+        if len({e[0] for e in edges}) != len(edges):
+            raise DataError("load: repeated edge id")
+        adj: dict[int, list[tuple[int, int]]] = {}   # u -> [(edge position, v)]
+        for i, (eid, u, v, _) in enumerate(edges):
+            adj.setdefault(u, []).append((i, v))
+            adj.setdefault(v, []).append((i, u))
+        # a depth-first pass picks |component| - 1 tree edges per component,
+        # so the edges form a forest iff it picks all of them
+        below: list[tuple[int, int]] = []   # (edge position, child vertex)
+        seen: set[int] = set()
+        for root in adj:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for i, y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        below.append((i, y))
+                        stack.append(y)
+        if len(below) != len(edges):
+            tree = {i for i, _ in below}
+            i = next(i for i in range(len(edges)) if i not in tree)
+            eid, u, v, _ = edges[i]
+            raise DataError(f"load: edge {eid} ({u},{v}) closes a cycle")
+        pairs = []
+        for i, y in below:
+            eid, u, v, dummy = edges[i]
+            en = self._edge_node(dummy)
+            self._register(eid, en, u, v)
+            pairs.append((en, self._vertex(v if y == u else u)))
+            pairs.append((self._vertex(y), en))
+        self._core.load(pairs)
 
     def cut(self, eid: int) -> None:
         entry = self._enode.pop(eid, None)
         if entry is None:
             raise DataError(f"edge {eid} not in index")
         en, u, v = entry
-        self._core.cut_adjacent(self._vnode[u], en)
-        self._core.cut_adjacent(self._vnode[v], en)
+        self._core.cut(self._vnode[u], en, self._vnode[v])
         del self._node_edge[en]
         self._free_edge_nodes.append(en)
 
@@ -147,10 +208,10 @@ class LinkCutForestIndex:
     def path_edge_outside(self, u: int, v: int) -> int:
         if u not in self._vnode or v not in self._vnode:
             raise DataError(f"{u} and {v} are not both in the index")
-        un, vn = self._vnode[u], self._vnode[v]
-        if not self._core.connected(un, vn):
+        hit = self._core.path_max(self._vnode[u], self._vnode[v])
+        if hit is None:
             raise DataError(f"{u} and {v} are not connected in the index")
-        node, value = self._core.path_max(un, vn)
+        node, value = hit
         if value < 2:
             raise ContractError(f"no dummy-2 edge on path {u}..{v}")
         return self._node_edge[node]

@@ -361,14 +361,22 @@ def _prepass_good_edges(
         builder.add_phase(ops)
 
 
+def _validate_inputs(g: Graph, source: Matching, target: Matching,
+                     eps: float) -> None:
+    if not (0 < eps <= 0.5):
+        raise DataError(f"epsilon {eps} outside (0, 1/2]")
+    for name, m in (("source", source), ("target", target)):
+        report = validate_matching(g, m)
+        if not report:
+            raise DataError(f"{name} matching invalid: {report.reason}")
+
+
 def plan_mwm(
     g: Graph,
     source: Matching,
     target: Matching,
     eps: float,
     good_edge_prepass: bool = True,
-    _allow_nonincreasing: bool = False,
-    _strip_isolated_blues: bool = False,
 ) -> TransformationScript:
     """Plan phases transforming source into a superset of target.
 
@@ -379,23 +387,30 @@ def plan_mwm(
     (1 - eps) w(source)), phases of at most 3 ceil(1/eps) + 3 ops.
     Runs in O(|source| + |target|).
     """
-    if not (0 < eps <= 0.5):
-        raise DataError(f"epsilon {eps} outside (0, 1/2]")
-    for name, m in (("source", source), ("target", target)):
-        report = validate_matching(g, m)
-        if not report:
-            raise DataError(f"{name} matching invalid: {report.reason}")
-    budget = mwm_phase_budget(eps)
+    _validate_inputs(g, source, target, eps)
     if set(source.edges) == set(target.edges):
-        return TransformationScript("mwm", budget, eps, [])
+        return TransformationScript("mwm", mwm_phase_budget(eps), eps, [])
     w_source = sum(g.weight(eid) for eid in source.edges)
     w_target = sum(g.weight(eid) for eid in target.edges)
-    if w_target <= w_source and not _allow_nonincreasing:
+    if w_target <= w_source:
         raise DataError(
             f"w(target) = {w_target} <= w(source) = {w_source}; "
             "plan_mwm requires an improving target - use plan_mwm_auto, "
             "which plans the swapped direction and reverses the script")
+    return _plan_phases(g, source, target, eps, good_edge_prepass)[0]
 
+
+def _plan_phases(
+    g: Graph,
+    source: Matching,
+    target: Matching,
+    eps: float,
+    good_edge_prepass: bool,
+) -> tuple[TransformationScript, list[int]]:
+    """plan_mwm's script for valid, distinct matchings with w(target) >=
+    w(source), and the isolated source-only edges it keeps (ascending)."""
+    budget = mwm_phase_budget(eps)
+    w_source = sum(g.weight(eid) for eid in source.edges)
     max_src_weight = max((g.weight(eid) for eid in source.edges), default=0.0)
     light_threshold = eps * w_source
     tol = slack(w_source)
@@ -424,8 +439,8 @@ def plan_mwm(
     isolated_blues: list[int] = []
     for comp in comps:
         if comp.k() == 1 and comp.pairs[0][1] is None:
-            # isolated source-only edge: kept (superset semantics) unless the
-            # caller needs an exact final state for script reversal
+            # isolated source-only edge: kept (superset semantics);
+            # plan_mwm_auto strips it when it reverses the script
             isolated_blues.append(comp.pairs[0][0])
             continue
         sums = prefix_sums(g, comp)
@@ -451,20 +466,9 @@ def plan_mwm(
         if surplus < -tol:
             raise ContractError(f"negative running surplus {surplus}")
 
-    if _strip_isolated_blues:
-        # trailing 1-op phases; at this point the running weight is at least
-        # w(target) plus the stripped edges, so every floor holds
-        for eid in sorted(isolated_blues):
-            u, v, w = g.edge(eid)
-            current -= w
-            if current < op_floor:
-                raise ContractError(
-                    f"op-end weight {current} below floor {op_floor}")
-            builder.add_phase([ChangeOp("remove", u, v, w)])
-
     script = TransformationScript("mwm", budget, eps, builder.phases)
     script.validate()
-    return script
+    return script, sorted(isolated_blues)
 
 
 def plan_mwm_auto(
@@ -486,7 +490,19 @@ def plan_mwm_auto(
         return TransformationScript("mwm", mwm_phase_budget(eps), eps, [])
     if w_target > w_source:
         return plan_mwm(g, source, target, eps, good_edge_prepass)
-    script = plan_mwm(g, target, source, eps, good_edge_prepass,
-                      _allow_nonincreasing=(w_target == w_source),
-                      _strip_isolated_blues=True)
+    _validate_inputs(g, source, target, eps)
+    script, kept = _plan_phases(g, target, source, eps, good_edge_prepass)
+    # The reversed script must start from exactly `target`, so the kept
+    # target-only edges leave in trailing 1-op phases. The running weight
+    # then falls from w(source) + w(kept) to w(source) >= w(target), so it
+    # stays above the op floor of the target -> source plan.
+    max_weight = max((g.weight(eid) for eid in target.edges), default=0.0)
+    op_floor = w_target - max_weight - slack(w_target)
+    current = w_source + sum(g.weight(eid) for eid in kept)
+    for eid in kept:
+        u, v, w = g.edge(eid)
+        current -= w
+        if current < op_floor:
+            raise ContractError(f"op-end weight {current} below floor {op_floor}")
+        script.phases.append(Phase([ChangeOp("remove", u, v, w)]))
     return script.reversed_script()

@@ -171,15 +171,18 @@ class _ForestCheck:
     With c(G) components, an edge subset of G spans iff it is acyclic and
     has |V| - c(G) edges. The index always holds an acyclic subset of the
     state; ops only record which edges still need a link or a cut, and a
-    boundary whose size is right applies them, cuts first. A link whose
-    endpoints are already connected closes a cycle in the state, so the
-    state is invalid and the edge stays pending.
+    boundary whose size is right applies them, cuts first. The first such
+    boundary loads the whole state in one bulk load. A link (or that load)
+    that would close a cycle raises before it changes the index, so the
+    state is invalid and the edge stays pending; a source that fails the
+    load is linked one edge at a time instead.
     """
 
     def __init__(self, g: Graph, state: set[int]) -> None:
         self._g = g
         self._need = g.num_vertices() - len(set(g.components().values()))
         self._index = LinkCutForestIndex()
+        self._loaded = False
         self._links: dict[int, None] = dict.fromkeys(state)
         self._cuts: dict[int, None] = {}
 
@@ -198,15 +201,25 @@ class _ForestCheck:
     def valid(self, size: int) -> bool:
         if size != self._need:
             return False
-        index = self._index
+        index, endpoints = self._index, self._g.endpoints
         for eid in self._cuts:
             index.cut(eid)
         self._cuts.clear()
+        if not self._loaded:
+            self._loaded = True
+            try:
+                index.load([(eid, *endpoints(eid), 1) for eid in self._links])
+            except DataError:
+                pass   # a cycle: the loop below links up to the edge closing it
+            else:
+                self._links.clear()
+                return True
         for eid in list(self._links):
-            u, v = self._g.endpoints(eid)
-            if index.connected(u, v):
+            u, v = endpoints(eid)
+            try:
+                index.link(eid, u, v, 1)
+            except DataError:
                 return False
-            index.link(eid, u, v, 1)
             del self._links[eid]
         return True
 

@@ -130,6 +130,81 @@ def test_connectivity_matches_naive():
             assert indexes[kind].connected(u, v) == expected
 
 
+def _random_forest(rng, n):
+    """Edges (eid, u, v, dummy) of a random forest on n vertices with
+    sparse ids, in shuffled order."""
+    parent = {v: rng.randrange(v) for v in range(1, n) if rng.random() < 0.85}
+    edges = [(3 * v + 1, p, v, rng.choice((1, 2))) for v, p in parent.items()]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_load_answers_like_sequential_links():
+    rng = random.Random(21)
+    for trial in range(30):
+        n = rng.randint(2, 60)
+        edges = _random_forest(rng, n)
+        for kind in KINDS:
+            loaded, linked = make_index(kind), make_index(kind)
+            loaded.load(edges)
+            for eid, u, v, dummy in edges:
+                linked.link(eid, u, v, dummy)
+            for _ in range(60):
+                u, v = rng.randrange(n), rng.randrange(n)
+                assert loaded.connected(u, v) == linked.connected(u, v)
+                if u == v or not linked.connected(u, v):
+                    continue
+                try:
+                    expected = linked.path_edge_outside(u, v)
+                except ContractError:
+                    with pytest.raises(ContractError):
+                        loaded.path_edge_outside(u, v)
+                else:
+                    assert loaded.path_edge_outside(u, v) == expected
+            # a loaded index keeps working under cuts and links
+            if edges:
+                eid, u, v, dummy = edges[0]
+                loaded.cut(eid)
+                assert not loaded.connected(u, v)
+                loaded.link(eid, u, v, dummy)
+                assert loaded.connected(u, v)
+
+
+def test_load_rejects_a_cycle_and_stays_empty():
+    cyclic = [(0, 1, 2, 2), (1, 2, 3, 1), (2, 4, 5, 2), (3, 3, 1, 2)]
+    for kind in KINDS:
+        idx = make_index(kind)
+        with pytest.raises(DataError, match="cycle"):
+            idx.load(cyclic)
+        for eid, u, v, _ in cyclic:
+            assert not idx.connected(u, v)
+        # nothing was kept: the same ids load again once acyclic
+        idx.load(cyclic[:3])
+        assert idx.connected(1, 3) and not idx.connected(3, 4)
+
+
+def test_load_needs_an_index_without_edges():
+    for kind in KINDS:
+        idx = make_index(kind)
+        idx.link(0, 1, 2, 2)
+        with pytest.raises(DataError):
+            idx.load([(1, 5, 6, 2)])
+        idx.cut(0)
+        idx.load([(1, 5, 6, 2)])
+        assert idx.path_edge_outside(5, 6) == 1
+
+
+def test_path_query_on_disconnected_vertices_raises():
+    for kind in KINDS:
+        idx = make_index(kind)
+        idx.load([(0, 1, 2, 2), (1, 3, 4, 2)])
+        with pytest.raises(DataError):
+            idx.path_edge_outside(1, 3)
+        with pytest.raises(DataError):
+            idx.path_edge_outside(1, 99)   # a vertex the index never saw
+        assert idx.path_edge_outside(2, 1) == 0
+
+
 def test_package_is_pure_python():
     # one link-cut core: no extension source may ship beside the .py files
     package = Path(gradmorph.__file__).resolve().parent

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 import gradmorph.msf
@@ -172,3 +175,59 @@ def test_kruskal_source_weight_ceiling(rng):
         _, report = _master_check(g, src, tgt)
         w_tgt = sum(g.weight(e) for e in tgt.edges)
         assert all(b.weight <= w_tgt + 1e-9 for b in report.phase_ends())
+
+
+def _pinned_instances():
+    """Fixed connected and disconnected graphs, each with an MSF and two
+    random spanning forests."""
+    for seed in range(12):
+        rng = random.Random(1000 + seed)
+        n = rng.randint(2, 60)
+        g = random_graph(rng, n, int(1.5 * n), 1.0, 60.0, connected=seed % 2 == 0)
+        yield (g, SpanningForest(g, msf_exact(g)), random_spanning_forest(rng, g),
+               random_spanning_forest(rng, g))
+
+
+# sha256 over the JSON of every script _pinned_instances plans; any change to
+# the witness the exchange picks, or to the component order, moves it
+PINNED_MSF_DIGEST = "9f586af1b4d98ef87bb9a31a4ae6c051c049215ea9dc45cbbb2d2fec99ce2d7b"
+
+
+def test_plan_msf_scripts_are_pinned():
+    digest = hashlib.sha256()
+    for g, a, b, c in _pinned_instances():
+        for x, y in ((a, b), (b, a), (b, c), (c, b)):
+            digest.update(plan_msf(g, x, y).to_json().encode())
+    assert digest.hexdigest() == PINNED_MSF_DIGEST
+
+
+def test_index_work_follows_the_difference(monkeypatch):
+    # every edge an index receives is an exclusive edge of the initial work
+    # trees (bulk load) or the one edge an exchange links
+    received = []
+
+    class CountingIndex:
+        def __init__(self, index):
+            self._index = index
+
+        def load(self, edges):
+            edges = list(edges)
+            received.extend(edges)
+            self._index.load(edges)
+
+        def link(self, eid, u, v, dummy):
+            received.append((eid, u, v, dummy))
+            self._index.link(eid, u, v, dummy)
+
+        def __getattr__(self, name):
+            return getattr(self._index, name)
+
+    monkeypatch.setattr(gradmorph.msf, "make_index",
+                        lambda kind: CountingIndex(make_index(kind)))
+    for g, a, b, c in _pinned_instances():
+        for x, y in ((a, b), (b, a), (b, c)):
+            received.clear()
+            script = plan_msf(g, x, y)
+            k2 = len(set(x.edge_ids()) ^ set(y.edge_ids()))
+            assert len(received) <= k2 + len(script.phases)
+            assert len(script.phases) == k2 // 2
