@@ -83,10 +83,13 @@ def msf_planner_scaling(sizes: list[int], seed: int = 7) -> ScalingResult:
         g = random_graph(rng, n, int(1.4 * n), 1.0, 100.0, connected=True)
         src = SpanningForest(g, msf_exact(g))
         target = random_spanning_forest(rng, g)
-        t, script = _best_of(lambda: plan_msf(g, src, target), repeats=1)
+        # best of 3 steadies the short plans; one run of the largest is
+        # long enough to time
+        repeats = 3 if n < 100_000 else 1
+        t, script = _best_of(lambda: plan_msf(g, src, target), repeats)
         secs.append(t)
         replay_secs.append(_best_of(
-            lambda: replay(g, src.edge_ids(), script), repeats=1)[0])
+            lambda: replay(g, src.edge_ids(), script), repeats)[0])
     ratios = [t / (n * math.log(n)) for t, n in zip(secs, sizes)]
     return ScalingResult(sizes, secs, ratios, max(ratios) / min(ratios),
                          replay_secs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 DEFAULT_TOLERANCE = 1e-9
@@ -342,8 +343,24 @@ class Matching:
         self.edges: dict[int, float] = {}   # eid -> weight, insertion-ordered
         self.vertex_index: dict[int, int] = {}
         self._total: Optional[int] = None    # in _UNITs, once weight() is asked
-        for eid in edge_ids:
-            self.add(eid)
+        # one pass over the edge table, then one whole-set test: every id
+        # present, none repeated, 2|M| distinct endpoints. Only when the
+        # test fails is the matching rebuilt by add(), which raises add's
+        # error for the first faulty id.
+        ids = list(edge_ids)
+        table, edges, index = g._edges, self.edges, self.vertex_index
+        try:
+            for eid in ids:
+                u, v, w = table[eid]
+                edges[eid] = w
+                index[u] = index[v] = eid
+        except KeyError:
+            pass
+        if len(edges) != len(ids) or len(index) != 2 * len(ids):
+            edges.clear()
+            index.clear()
+            for eid in ids:
+                self.add(eid)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -472,8 +489,22 @@ class UnionFind:
 
 
 def validate_matching(g: Graph, m: Matching | Iterable[int]) -> ValidityReport:
-    """ok iff no two edges share an endpoint and all edges exist in g."""
-    eids = m.edge_ids() if isinstance(m, Matching) else list(m)
+    """ok iff no two edges share an endpoint and all edges exist in g.
+
+    Endpoints are read from g, never from a Matching's own vertex index.
+    One whole-set pass decides: every id is in g's edge table and the 2|M|
+    endpoints are distinct. Only a failed pass rescans edge by edge, to
+    name the first fault."""
+    eids = m.edges if isinstance(m, Matching) else list(m)
+    try:
+        rows = list(map(g._edges.__getitem__, eids))
+    except KeyError:
+        pass
+    else:
+        ends = set(map(itemgetter(0), rows))
+        ends.update(map(itemgetter(1), rows))
+        if len(ends) == 2 * len(rows):
+            return ValidityReport(True)
     seen_vertices: dict[int, int] = {}
     for eid in eids:
         if not g.has_edge_id(eid):
@@ -488,6 +519,16 @@ def validate_matching(g: Graph, m: Matching | Iterable[int]) -> ValidityReport:
 
 def validate_forest(g: Graph, f: SpanningForest | Iterable[int]) -> ValidityReport:
     """ok iff acyclic and forest components equal graph components."""
+    return _forest_report(g, f, g.components())
+
+
+def _forest_report(g: Graph, f: SpanningForest | Iterable[int],
+                  labels: dict[int, int]) -> ValidityReport:
+    """validate_forest with g's component labels (g.components()) given,
+    so callers that check several forests label g once.
+
+    An acyclic edge set of g spans iff |F| = |V| - c(G); the per-vertex
+    label comparison runs only when that count fails, to name a vertex."""
     eids = f.edge_ids() if isinstance(f, SpanningForest) else list(f)
     uf = UnionFind(g.vertices)
     for eid in eids:
@@ -496,10 +537,11 @@ def validate_forest(g: Graph, f: SpanningForest | Iterable[int]) -> ValidityRepo
         u, v, _ = g.edge(eid)
         if not uf.union(u, v):
             return ValidityReport(False, "cycle", edge=eid)
-    graph_labels = g.components()
+    if len(eids) == len(labels) - len(set(labels.values())):
+        return ValidityReport(True)
     forest_labels = uf.labels()
     for v in g.vertices:
-        if graph_labels[v] != forest_labels[v]:
+        if labels[v] != forest_labels[v]:
             return ValidityReport(False, "does not span", vertex=v)
     return ValidityReport(True)
 

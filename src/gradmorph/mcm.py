@@ -98,12 +98,10 @@ def classify(g: Graph, current: Matching, target: Matching) -> EdgeClassificatio
     good, bad = _LinkedList(), _LinkedList()
     blocker_count: dict[int, int] = {}
     blocked_by: dict[int, list[int]] = {}
-    for eid in target.edges:
-        if eid in current.edges:
-            continue
-        u, v, _ = g.edge(eid)
-        blockers = {b for b in (current.matched_edge(u), current.matched_edge(v))
-                    if b is not None}
+    table, matched, held = g._edges, current.vertex_index, current.edges
+    for eid in [e for e in target.edges if e not in held]:
+        u, v, _ = table[eid]
+        blockers = {b for b in (matched.get(u), matched.get(v)) if b is not None}
         blocker_count[eid] = len(blockers)
         for b in blockers:
             blocked_by.setdefault(b, []).append(eid)

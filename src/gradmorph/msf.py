@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
 from .graph import (ContractError, DataError, Graph, SpanningForest,
-                    UnionFind, slack, validate_forest)
+                    UnionFind, _forest_report, slack)
 from .dynforest import make_index
 from .script import ChangeOp, Phase, TransformationScript
 
@@ -202,12 +202,12 @@ def plan_msf(g: Graph, source: SpanningForest,
     and k = |F xor F'| / 2: contraction and the bulk load are linear, and
     only the k exchanges touch the index.
     """
+    labels = g.components()
     for name, f in (("source", source), ("target", target)):
-        report = validate_forest(g, f)
+        report = _forest_report(g, f, labels)
         if not report:
             raise DataError(f"{name} forest invalid: {report.reason} "
                             f"(edge={report.edge}, vertex={report.vertex})")
-    labels = g.components()
     src_by_comp: dict[int, list[int]] = {}
     tgt_by_comp: dict[int, list[int]] = {}
     for eid in source.edges:

@@ -52,21 +52,20 @@ def decompose(g: Graph, source: Matching, target: Matching) -> list[AlternatingC
         report = validate_matching(g, m)
         if not report:
             raise DataError(f"{name} matching invalid: {report.reason}")
-    blue = {eid for eid in source.edges if eid not in target.edges}
-    red = {eid for eid in target.edges if eid not in source.edges}
+    blue = source.edges.keys() - target.edges.keys()
+    red = target.edges.keys() - source.edges.keys()
+    table = g._edges
     blue_at: dict[int, int] = {}
     red_at: dict[int, int] = {}
     for eid in blue:
-        u, v, _ = g.edge(eid)
-        blue_at[u] = eid
-        blue_at[v] = eid
+        u, v, _ = table[eid]
+        blue_at[u] = blue_at[v] = eid
     for eid in red:
-        u, v, _ = g.edge(eid)
-        red_at[u] = eid
-        red_at[v] = eid
+        u, v, _ = table[eid]
+        red_at[u] = red_at[v] = eid
 
     def other(eid: int, x: int) -> int:
-        u, v, _ = g.edge(eid)
+        u, v, _ = table[eid]
         return v if x == u else u
 
     seen: set[int] = set()
@@ -120,8 +119,8 @@ def decompose(g: Graph, source: Matching, target: Matching) -> list[AlternatingC
 
     # paths first: start at degree-1 vertices, smaller end-edge id first
     endpoints: list[tuple[int, int]] = []  # (end edge id, vertex)
-    for eid in sorted(set(blue) | set(red)):
-        u, v, _ = g.edge(eid)
+    for eid in sorted(blue | red):
+        u, v, _ = table[eid]
         for x in (u, v):
             if degree(x) == 1:
                 endpoints.append((eid, x))
@@ -136,7 +135,7 @@ def decompose(g: Graph, source: Matching, target: Matching) -> list[AlternatingC
     for eid in sorted(blue):
         if eid in seen:
             continue
-        u, v, _ = g.edge(eid)
+        u, v, _ = table[eid]
         start = min(u, v)
         seq = walk(eid, start)
         if len(seq) % 2 != 0:

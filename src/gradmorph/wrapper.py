@@ -358,10 +358,13 @@ class WrappedMatching:
         if win.elapsed >= win.length:
             if win.groups is None or win.group_cursor < len(win.groups):
                 raise ContractError("window closed before its ops completed")
-            for eid in win.frozen_target.edges:
-                if self.g.has_edge_id(eid) and eid not in self.output.edges:
-                    raise ContractError(
-                        f"window closed without absorbing target edge {eid}")
+            frozen = win.frozen_target.edges
+            left = frozen.keys() - self.output.edges.keys()
+            if any(map(self.g.has_edge_id, left)):
+                eid = next(e for e in frozen
+                           if e in left and self.g.has_edge_id(e))
+                raise ContractError(
+                    f"window closed without absorbing target edge {eid}")
             self.window = None
 
     # -- update entry point ----------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from gradmorph.gen import random_graph, random_matching
 from gradmorph.graph import Graph, Matching
 
 # Derandomized and without an example database, so a red run reproduces
@@ -42,3 +43,13 @@ def alternating_cycle_fixture(k: int, blue_w: float, red_w: float):
     blues = [g.edge_id(2 * i, 2 * i + 1) for i in range(k)]
     reds = [g.edge_id(2 * i + 1, (2 * i + 2) % (2 * k)) for i in range(k)]
     return g, Matching(g, blues), Matching(g, reds)
+
+
+def pinned_matching_pairs():
+    """Fixed random graphs with two matchings each, built in shuffled edge
+    order, so a matching's order differs from its id order."""
+    for seed in range(10):
+        rng = random.Random(2000 + seed)
+        n = rng.randint(4, 80)
+        g = random_graph(rng, n, 2 * n, 1.0, 9.0)
+        yield g, random_matching(rng, g), random_matching(rng, g)

@@ -272,3 +272,124 @@ def test_matching_weight_equals_fsum_of_current_edges(data):
                 assert got == math.fsum(other_model.values())
                 if not other_model:
                     assert got == 0.0
+
+
+# -- whole-set construction and checks against one-edge-at-a-time references
+
+
+@st.composite
+def _graph_and_id_list(draw):
+    """A small dense graph with some edges deleted, and a list of ids drawn
+    from live, dead and never-used ids (repeats and shared endpoints
+    included), or a valid matching in random order."""
+    n = draw(st.integers(2, 8))
+    g = Graph()
+    for v in range(n):
+        g.ensure_vertex(v)
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=16)):
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v, draw(_WEIGHTS))
+    created = g.num_edges()
+    if created:
+        for eid in draw(st.sets(st.integers(0, created - 1))):
+            g.remove_edge_id(eid)
+    live = list(g.edge_ids())
+    if live and draw(st.booleans()):
+        ids, used = [], set()
+        for eid in draw(st.permutations(live)):
+            if used.isdisjoint(g.endpoints(eid)):
+                ids.append(eid)
+                used.update(g.endpoints(eid))
+        return g, ids
+    return g, draw(st.lists(st.integers(-1, created + 1), max_size=10))
+
+
+def _added_one_by_one(g, ids):
+    """(Matching built by one add() per id, None), or (None, add's error)."""
+    m = Matching(g)
+    try:
+        for eid in ids:
+            m.add(eid)
+    except DataError as exc:
+        return None, str(exc)
+    return m, None
+
+
+def _reference_scan(g, ids):
+    """validate_matching's report as (ok, reason, edge, vertex): the first
+    missing edge or shared endpoint met scanning ids in order."""
+    seen = set()
+    for eid in ids:
+        if not g.has_edge_id(eid):
+            return False, "missing edge", eid, None
+        for x in g.endpoints(eid):
+            if x in seen:
+                return False, "shared endpoint", eid, x
+            seen.add(x)
+    return True, "", None, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_id_list())
+def test_matching_build_equals_sequential_adds(case):
+    g, ids = case
+    ref, error = _added_one_by_one(g, ids)
+    if error is not None:
+        with pytest.raises(DataError) as exc:
+            Matching(g, ids)
+        assert str(exc.value) == error
+        return
+    m = Matching(g, ids)
+    assert list(m.edges.items()) == list(ref.edges.items())
+    assert list(m.vertex_index.items()) == list(ref.vertex_index.items())
+    assert m.weight() == ref.weight()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_id_list())
+def test_validate_matching_equals_per_edge_scan(case):
+    g, ids = case
+    report = validate_matching(g, ids)
+    assert (report.ok, report.reason, report.edge, report.vertex) == \
+        _reference_scan(g, ids)
+
+
+def test_validate_matching_reads_endpoints_from_graph():
+    g = path_graph(4)
+    m = Matching(g)
+    m.edges = {g.edge_id(0, 1): 1.0, g.edge_id(1, 2): 1.0}  # index left empty
+    report = validate_matching(g, m)
+    assert (report.reason, report.edge, report.vertex) == \
+        ("shared endpoint", g.edge_id(1, 2), 1)
+
+
+def _reference_forest(g, ids):
+    """validate_forest's report as (ok, reason, edge, vertex), comparing
+    every vertex's forest and graph component labels."""
+    uf = UnionFind(g.vertices)
+    for eid in ids:
+        if not g.has_edge_id(eid):
+            return False, "missing edge", eid, None
+        if not uf.union(*g.endpoints(eid)):
+            return False, "cycle", eid, None
+    graph_labels, forest_labels = g.components(), uf.labels()
+    for v in g.vertices:
+        if graph_labels[v] != forest_labels[v]:
+            return False, "does not span", None, v
+    return True, "", None, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_id_list(), st.sampled_from(["ids", "forest", "forest - 1"]))
+def test_validate_forest_equals_label_comparison(case, kind):
+    g, ids = case
+    if kind != "ids":
+        # a spanning forest of g, or one that misses its last edge
+        uf = UnionFind(g.vertices)
+        ids = [e for e in g.edge_ids() if uf.union(*g.endpoints(e))]
+        if kind == "forest - 1":
+            ids = ids[:-1]
+    report = validate_forest(g, ids)
+    assert (report.ok, report.reason, report.edge, report.vertex) == \
+        _reference_forest(g, ids)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gradmorph.gen import matching_pair, random_graph, random_matching
@@ -5,7 +7,7 @@ from gradmorph.graph import DataError, Matching, solution_stats
 from gradmorph.mcm import classify, plan_mcm
 from gradmorph.script import check_guarantee, replay
 
-from conftest import alternating_cycle_fixture, path_graph
+from conftest import alternating_cycle_fixture, path_graph, pinned_matching_pairs
 
 
 def test_classify_subset_target_is_empty():
@@ -124,3 +126,17 @@ def test_plan_runtime_is_linear_in_instance():
     tgt = Matching(g, [g.edge_id(v, v + 1) for v in range(1, 3997, 2)])
     script = plan_mcm(g, src, tgt)
     assert script.num_ops() <= len(src) + 2 * len(tgt)
+
+
+# sha256 over the JSON of every script planned between pinned_matching_pairs,
+# both ways; any change to the order in which target-only edges are
+# classified or planned moves it
+PINNED_MCM_DIGEST = "cb2ab018ef863c4c210c1100124b5323effea7de6e88c85505053040b213861f"
+
+
+def test_plan_mcm_scripts_are_pinned():
+    digest = hashlib.sha256()
+    for g, a, b in pinned_matching_pairs():
+        for x, y in ((a, b), (b, a)):
+            digest.update(plan_mcm(g, x, y).to_json().encode())
+    assert digest.hexdigest() == PINNED_MCM_DIGEST

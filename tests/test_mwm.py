@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from gradmorph.mwm import (AlternatingComponent, decompose, mwm_phase_budget,
                            prefix_min_index, prefix_sums, replace_blue_red)
 from gradmorph.script import check_guarantee, replay
 
-from conftest import alternating_cycle_fixture, path_graph
+from conftest import alternating_cycle_fixture, path_graph, pinned_matching_pairs
 
 
 def _pair_path(weights):
@@ -261,3 +262,18 @@ def test_op_count_linear(rng):
         pass
     script = plan_mwm_auto(g, src, tgt, 0.1)
     assert script.num_ops() <= len(src) + 2 * len(tgt) + len(src)
+
+
+# sha256 over the JSON of every script planned between pinned_matching_pairs,
+# both ways and at two epsilons; any change to the decomposition or to the
+# phase order moves it
+PINNED_MWM_DIGEST = "b620feeafc27acb7e0a64f0b3e06a416c0a7b6ddaca84b226c74c836fbbfbc92"
+
+
+def test_plan_mwm_auto_scripts_are_pinned():
+    digest = hashlib.sha256()
+    for g, a, b in pinned_matching_pairs():
+        for x, y in ((a, b), (b, a)):
+            for eps in (0.1, 0.5):
+                digest.update(plan_mwm_auto(g, x, y, eps).to_json().encode())
+    assert digest.hexdigest() == PINNED_MWM_DIGEST

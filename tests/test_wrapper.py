@@ -1,17 +1,19 @@
+import hashlib
 import math
 
 import pytest
 
 from gradmorph.adversary import (ExactPathMaintainer, StaticSubject,
                                  gen_fully_dynamic)
+from gradmorph.cli import main
 from gradmorph.gen import random_update_stream
 from gradmorph.graph import (ContractError, DataError, Graph, Matching,
                              UpdateEvent, validate_matching)
 from gradmorph.oracles import max_matching_exact, max_weight_matching_exact
 from gradmorph.sim import make_inner, run_simulation
 from gradmorph.wrapper import (BatchRecompute, GreedyMaximalMatching,
-                               InnerAlgorithm, OutputDelta, WrappedMatching,
-                               snapshot_truncated)
+                               InnerAlgorithm, OutputDelta, WindowState,
+                               WrappedMatching, snapshot_truncated)
 
 
 def _drive(g, algo, events, validate_every=1):
@@ -146,6 +148,21 @@ def test_contract_violation_surfaced():
                        ([b, b], f"edge {b} already in matching")):
         with pytest.raises(ContractError, match=f"sub-matching: {fault}"):
             snapshot_truncated(g, Broken(ids), 5)
+
+
+def test_window_close_names_first_unabsorbed_target_edge():
+    g = Graph()
+    ids = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(6)]
+    wrapped = WrappedMatching(g, GreedyMaximalMatching(g), 0.1)
+    wrapped.output = Matching(g, ids[:2])
+    # ids[5] dies (nothing to absorb), ids[1] is absorbed; of the two left,
+    # the error names the first in the target's order, not the smaller id
+    target = Matching(g, [ids[5], ids[1], ids[4], ids[3]])
+    g.remove_edge_id(ids[5])
+    wrapped.window = WindowState(length=2, first_half=1, frozen_target=target,
+                                 groups=[], elapsed=1)
+    with pytest.raises(ContractError, match=f"absorbing target edge {ids[4]}$"):
+        wrapped._window_step(OutputDelta())
 
 
 def test_wrap_parameter_errors():
@@ -295,3 +312,27 @@ def test_weighted_small_instance_weight_floor(rng):
             floor = opt_w * (1 - eps) / (
                 inner.beta * psi * (1 + 2 * wrapped.window_ratio) ** 2)
             assert wrapped.current_weight() >= floor - 1e-9
+
+
+# sha256 of whole `simulate --trace` CSVs (manifest line included) on two
+# fixed seeded streams, one unweighted and one weighted; any change to a
+# window's snapshot, plan or playback moves them
+PINNED_TRACES = [
+    (["--seed", "3", "simulate", "--inner", "greedy", "--epsilon", "0.1",
+      "--n", "300", "--random-updates", "3000"],
+     "4990a2c76f0086907aaebfa742bac8555defda18fbd8f98e6c2a7e6c2296e8d2"),
+    (["--seed", "3", "simulate", "--inner", "batch:2.0", "--weighted",
+      "--psi", "2", "--epsilon", "0.1", "--n", "400", "--random-updates", "2500"],
+     "f470bd60c55ceef8577a499b3f77cda59c91bbeb0df1e45280eebf4764c6f118"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_TRACES)
+def test_simulate_traces_are_pinned(tmp_path, capsys, argv, digest):
+    trace = tmp_path / "t.csv"
+    assert main(argv + ["--trace", str(trace)]) == 0
+    capsys.readouterr()
+    text = trace.read_bytes()
+    phases = {row.split(b",")[7] for row in text.splitlines()[2:]}
+    assert b"second" in phases  # windows were really planned and played
+    assert hashlib.sha256(text).hexdigest() == digest
