@@ -170,10 +170,18 @@ def _cmd_simulate(args) -> int:
     result = run_simulation(g, algo, events, oracle_check=args.oracle_check)
     if args.trace:
         _write_csv(args.trace, trace_csv_rows(result), manifest)
+    # the margin to the recourse bound and the window lifecycle, after the
+    # trace, whose manifest line describes the run's inputs only
+    results = {"max_recourse": result.max_recourse}
+    if isinstance(algo, WrappedMatching):
+        results.update(recourse_budget=algo.recourse_budget,
+                       windows=algo.windows, switches=algo.switches)
+    manifest.results = results
     _finish_manifest(manifest, args)
     ratio = result.worst_ratio
-    print(f"steps={len(result.rows)} max_recourse={result.max_recourse} "
-          f"mean_recourse={result.mean_recourse:.4f}"
+    print(f"steps={len(result.rows)} "
+          + " ".join(f"{k}={v}" for k, v in results.items())
+          + f" mean_recourse={result.mean_recourse:.4f}"
           + (f" worst_approx_ratio={ratio:.4f}" if ratio is not None else ""))
     return EXIT_OK
 

@@ -134,12 +134,14 @@ class RunManifest:
     parameters: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)   # label -> sha256
     version: str = TOOL_VERSION
+    results: dict = field(default_factory=dict)  # set once the run is over
 
     def add_input(self, label: str, text: str) -> None:
         self.inputs[label] = canonical_digest(text)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"command": self.command, "parameters": self.parameters,
-             "inputs": self.inputs, "version": self.version},
-            indent=1, sort_keys=True)
+        obj = {"command": self.command, "parameters": self.parameters,
+               "inputs": self.inputs, "version": self.version}
+        if self.results:
+            obj["results"] = self.results
+        return json.dumps(obj, indent=1, sort_keys=True)

@@ -4,11 +4,21 @@ Each phase adds one target-only edge (edges blocked by at most one current
 edge take strict precedence) and then removes the current edges incident
 on it, so every phase makes at most three changes and phase-end size never
 drops below min(|source|, |target| - 1).
+
+`plan_mcm` checks both matchings in whole-set passes and hands the
+target-only edges to `plan_target_only`, the planning core. The core reads
+the rows of those k edges and of the source edges blocking them, and keeps
+its working matching as an overlay of changes on the source's vertex
+index, so its Python work is O(k) whatever the size of the source. The
+recourse wrapper, which knows its target-only edges, calls the core
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
+from typing import Iterable
 
 from .graph import ContractError, DataError, Graph, Matching, validate_matching
 from .script import ChangeOp, Phase, TransformationScript
@@ -88,18 +98,34 @@ class EdgeClassification:
         return self.bad.ids()
 
 
+def require_valid(g: Graph, name: str, m: Matching) -> None:
+    """Raise DataError naming m unless it is a matching of g."""
+    report = validate_matching(g, m)
+    if not report:
+        raise DataError(f"{name} matching invalid: {report.reason}")
+
+
+def target_only_ids(current: Matching, target: Matching) -> list[int]:
+    """The target's edges outside current, in the target's order."""
+    return list(filterfalse(current.edges.__contains__, target.edges))
+
+
 def classify(g: Graph, current: Matching, target: Matching) -> EdgeClassification:
     """Split target-only edges into good (blocked by at most one current
     edge) and bad (blocked by two). O(|current| + |target|)."""
-    for name, m in (("current", current), ("target", target)):
-        report = validate_matching(g, m)
-        if not report:
-            raise DataError(f"{name} matching invalid: {report.reason}")
+    require_valid(g, "current", current)
+    require_valid(g, "target", target)
+    return _classify(g, current.vertex_index, target_only_ids(current, target))
+
+
+def _classify(g: Graph, matched: dict[int, int],
+              target_only: Iterable[int]) -> EdgeClassification:
+    """classify's core: reads one edge row per target-only id."""
     good, bad = _LinkedList(), _LinkedList()
     blocker_count: dict[int, int] = {}
     blocked_by: dict[int, list[int]] = {}
-    table, matched, held = g._edges, current.vertex_index, current.edges
-    for eid in [e for e in target.edges if e not in held]:
+    table = g._edges
+    for eid in target_only:
         u, v, _ = table[eid]
         blockers = {b for b in (matched.get(u), matched.get(v)) if b is not None}
         blocker_count[eid] = len(blockers)
@@ -109,16 +135,72 @@ def classify(g: Graph, current: Matching, target: Matching) -> EdgeClassificatio
     return EdgeClassification(good, bad, blocker_count, blocked_by)
 
 
+class _Overlay:
+    """A working matching held as its changes against a base matching's
+    vertex index: O(changes) to build and keep, where a copy of the base
+    costs O(|base|). add and remove keep Matching's guards."""
+
+    __slots__ = ("base", "changed", "size")
+
+    def __init__(self, base: Matching) -> None:
+        self.base = base.vertex_index
+        self.changed: dict[int, int | None] = {}   # vertex -> edge, None once freed
+        self.size = len(base)
+
+    def matched_edge(self, x: int) -> int | None:
+        changed = self.changed
+        return changed[x] if x in changed else self.base.get(x)
+
+    def add(self, eid: int, u: int, v: int) -> None:
+        for x in (u, v):
+            held = self.matched_edge(x)
+            if held == eid:
+                raise DataError(f"edge {eid} already in matching")
+            if held is not None:
+                raise DataError(f"vertex {x} already matched by edge {held}")
+        self.changed[u] = self.changed[v] = eid
+        self.size += 1
+
+    def remove(self, eid: int, u: int, v: int) -> None:
+        if self.matched_edge(u) != eid or self.matched_edge(v) != eid:
+            raise DataError(f"edge {eid} not in matching")
+        self.changed[u] = self.changed[v] = None
+        self.size -= 1
+
+
 def plan_mcm(g: Graph, source: Matching, target: Matching) -> TransformationScript:
     """Plan phases transforming source into a superset of target.
 
-    Runs in O(|source| + |target|); the emitted script passes
-    check_guarantee("mcm").
+    Checks both matchings, then runs plan_target_only: O(|source| +
+    |target|) in C-level passes, O(k) in Python for k target-only edges.
+    The emitted script passes check_guarantee("mcm").
     """
-    cls = classify(g, source, target)
-    work = source.copy()
+    require_valid(g, "current", source)
+    require_valid(g, "target", target)
+    phases, _ = plan_target_only(g, source, target_only_ids(source, target),
+                                 len(target))
+    script = TransformationScript("mcm", MCM_PHASE_BUDGET, None, phases)
+    script.validate()
+    return script
+
+
+def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],
+                     target_size: int
+                     ) -> tuple[list[Phase], list[list[tuple[str, int]]]]:
+    """The planning core: phases taking source to a superset of a target
+    matching, given the target's edges outside source (in the target's
+    order) and |target|. Returns the phases and, per phase, its ops as
+    (kind, edge id) pairs.
+
+    Checks neither matching: source must be a valid matching whose vertex
+    index agrees with g, and source plus target_only must come from one.
+    Reads O(k) edge rows for k target-only edges, and never copies source.
+    """
+    cls = _classify(g, source.vertex_index, target_only)
+    work = _Overlay(source)
+    table = g._edges
     phases: list[Phase] = []
-    target_size = len(target)
+    groups: list[list[tuple[str, int]]] = []
 
     def on_removed(blocker: int) -> None:
         for te in cls.blocked_by.pop(blocker, ()):
@@ -134,25 +216,24 @@ def plan_mcm(g: Graph, source: Matching, target: Matching) -> TransformationScri
             eid = cls.good.pop_head()
         else:
             # every remaining target-only edge is blocked twice
-            if len(work) < target_size:
+            if work.size < target_size:
                 raise ContractError(
-                    f"bad-edge invariant breach: |work| = {len(work)} < "
+                    f"bad-edge invariant breach: |work| = {work.size} < "
                     f"|target| = {target_size} with no good edges")
             eid = cls.bad.pop_head()
         del cls.blocker_count[eid]
-        u, v, w = g.edge(eid)
+        u, v, w = table[eid]
         blockers = sorted({b for b in (work.matched_edge(u), work.matched_edge(v))
                            if b is not None})
         ops = [ChangeOp("add", u, v, w)]
+        group = [("add", eid)]
         for b in blockers:
-            bu, bv, bw = g.edge(b)
+            bu, bv, bw = table[b]
             ops.append(ChangeOp("remove", bu, bv, bw))
-        for b in blockers:
-            work.remove(b)
+            group.append(("remove", b))
+            work.remove(b, bu, bv)
             on_removed(b)
-        work.add(eid)
+        work.add(eid, u, v)
         phases.append(Phase(ops))
-
-    script = TransformationScript("mcm", MCM_PHASE_BUDGET, None, phases)
-    script.validate()
-    return script
+        groups.append(group)
+    return phases, groups

@@ -5,21 +5,32 @@ snapshot of the inner algorithm's matching is gradually transformed in: the
 first half of the window makes no output changes, and the second half
 plans the transformation at its first step and then plays its ops against
 the output under a fixed per-step budget. Adversarial deletions propagate
-into every held matching through O(1) tombstones. Tiny instances skip the
-window and resync instantly, which already meets the trivial recourse
-budget.
+into the output and the snapshot through O(1) tombstones. Tiny instances
+skip the window and resync instantly, which already meets the trivial
+recourse budget.
+
+A window's open and its unweighted plan cost O(k) Python work for the k
+snapshot edges outside the output, plus a few C-level passes over the
+snapshot's ids: the open reads and checks only those target-only edges
+(the shared ones are output edges, live and disjoint), and the plan runs
+the mcm core on them over the output's own vertex index, with no copy.
+The weighted plan still builds the snapshot matching and runs
+plan_mwm_auto whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Optional
 
+from . import mcm
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
                     UpdateEvent)
-from .mcm import plan_mcm
 from .mwm import plan_mwm_auto
+from .script import TransformationScript
 
 EPS_MAX = 0.4                 # keeps the internal window ratio <= 1/2
 WINDOW_RATIO_FACTOR = 1.25    # window length ~ 1.25 * eps * matching size
@@ -56,8 +67,8 @@ class InnerAlgorithm:
 
     handle_update runs after the shared graph g has been mutated and
     returns the change to the algorithm's own matching, held in
-    self.matching. emit_edges(l) returns up to l edge ids of the current
-    matching.
+    self.matching. emit_edges(l) returns a new list of up to l edge ids of
+    the current matching; the wrapper keeps it as a window's snapshot.
     """
 
     beta: float = 1.0
@@ -235,21 +246,73 @@ class BatchRecompute(InnerAlgorithm):
 class WindowState:
     length: int
     first_half: int
-    frozen_target: Matching          # truncated inner snapshot
+    frozen: set[int]                 # live ids of the truncated inner snapshot
+    order: list[int]                 # the snapshot's ids as emitted
+    target_only: list[int]           # snapshot ids outside the output at open
     groups: Optional[list[list[tuple[str, int]]]] = None   # phase-atomic ops
     group_cursor: int = 0
     elapsed: int = 0
 
 
-def snapshot_truncated(g: Graph, inner: InnerAlgorithm, cap: int) -> Matching:
-    """Up to cap edges of the inner matching, validated as a sub-matching."""
+def emitted_ids(inner: InnerAlgorithm, cap: int) -> list[int]:
+    """inner.emit_edges(cap), refused when it returns more than cap ids."""
     ids = inner.emit_edges(cap)
     if len(ids) > cap:
         raise ContractError(f"inner emitted {len(ids)} edges for cap {cap}")
+    return ids
+
+
+def checked_snapshot(g: Graph, output: Matching,
+                     ids: list[int]) -> tuple[set[int], list[int]]:
+    """The set of ids and, in the ids' order, those outside output, once
+    ids are checked to be a matching of g; accepts exactly what
+    Matching(g, ids) accepts.
+
+    output must be a matching of g, so the ids it shares are live and
+    disjoint and need no check of their own. The k others are read in one
+    pass: they must be live and, with the shared edges, cover 2|ids|
+    distinct endpoints. A fault reruns the check edge by edge, as
+    Matching(g, ids), to name the first faulty id. O(k) plus C-level
+    passes over ids."""
+    frozen = set(ids)
+    target_only = list(filterfalse(output.edges.__contains__, ids))
     try:
-        return Matching(g, ids)
-    except DataError as exc:
-        raise ContractError(f"inner emitted an invalid sub-matching: {exc}") from None
+        rows = list(map(g._edges.__getitem__, target_only))
+    except KeyError:
+        ok = False
+    else:
+        ends = set(map(itemgetter(0), rows))
+        ends.update(map(itemgetter(1), rows))
+        ok = (len(frozen) == len(ids) and len(ends) == 2 * len(rows)
+              and frozen.isdisjoint(map(output.vertex_index.get, ends)))
+    if not ok:
+        try:
+            Matching(g, ids)
+        except DataError as exc:
+            raise ContractError(
+                f"inner emitted an invalid sub-matching: {exc}") from None
+    return frozen, target_only
+
+
+@dataclass
+class WindowScript(TransformationScript):
+    """An mcm script with its ops as (kind, edge id) pairs, as planned:
+    groups[i][j] names phases[i].ops[j]."""
+
+    groups: list[list[tuple[str, int]]] = field(default_factory=list)
+
+
+def plan_mcm(g: Graph, output: Matching, target_only: list[int],
+             target_size: int) -> WindowScript:
+    """A window's unweighted plan from the output to a snapshot of
+    target_size live edges, target_only of them outside the output. Checks
+    the output in a whole-set pass, then runs the mcm core: O(k) Python
+    work for k target-only edges."""
+    mcm.require_valid(g, "current", output)
+    phases, groups = mcm.plan_target_only(g, output, target_only, target_size)
+    script = WindowScript("mcm", mcm.MCM_PHASE_BUDGET, None, phases, groups)
+    script.validate()
+    return script
 
 
 class WrappedMatching:
@@ -274,6 +337,8 @@ class WrappedMatching:
         self.declared_beta = inner.beta * (1.0 + 2.0 * self.window_ratio) ** 2
         self.output = Matching(g)
         self.window: Optional[WindowState] = None
+        self.windows = 0      # windows opened
+        self.switches = 0     # instant switches
         self.step_count = 0
         self.last_window_phase = "idle"
 
@@ -282,27 +347,30 @@ class WrappedMatching:
     def _open_window(self, out: OutputDelta) -> None:
         src_size = len(self.output)
         cap = max(2 * src_size, BOOTSTRAP_CAP)
-        tgt = snapshot_truncated(self.g, self.inner, cap)
-        size_sum = src_size + len(tgt)
-        if size_sum <= self.small_threshold:
+        ids = emitted_ids(self.inner, cap)
+        frozen, target_only = checked_snapshot(self.g, self.output, ids)
+        if src_size + len(ids) <= self.small_threshold:
             # instant switch: trivial recourse, no window
             for eid in list(self.output.edges):
-                if eid not in tgt.edges:
+                if eid not in frozen:
                     self.output.remove(eid)
                     out.removed.append(eid)
-            for eid in tgt.edges:
-                if eid not in self.output.edges:
-                    self.output.add(eid)
-                    out.added.append(eid)
+            for eid in target_only:
+                self.output.add(eid)
+                out.added.append(eid)
+            self.switches += 1
             self.last_window_phase = "switch"
             return
         length = max(2, math.floor(
-            self.window_ratio * min(src_size, len(tgt)) / self.psi_eff))
+            self.window_ratio * min(src_size, len(ids)) / self.psi_eff))
         self.window = WindowState(
             length=length,
             first_half=length // 2,
-            frozen_target=tgt,
+            frozen=frozen,
+            order=ids,
+            target_only=target_only,
         )
+        self.windows += 1
         self.last_window_phase = "first"
 
     def _plan_window_ops(self, win: WindowState) -> list[list[tuple[str, int]]]:
@@ -311,14 +379,15 @@ class WrappedMatching:
         pair) later in the window are skipped rather than misapplied.
 
         Plans from the output itself: until this first playback step the
-        window has changed it only by tombstones."""
+        window has changed it only by tombstones, so the target-only edges
+        are those of the open that are still live."""
         if self.weighted:
-            script = plan_mwm_auto(self.g, self.output, win.frozen_target,
-                                   min(self.eps, 0.5))
-        else:
-            script = plan_mcm(self.g, self.output, win.frozen_target)
-        return [[(op.kind, self.g.edge_id(op.u, op.v)) for op in ph.ops]
-                for ph in script.phases]
+            target = Matching(self.g, filter(win.frozen.__contains__, win.order))
+            script = plan_mwm_auto(self.g, self.output, target, min(self.eps, 0.5))
+            return [[(op.kind, self.g.edge_id(op.u, op.v)) for op in ph.ops]
+                    for ph in script.phases]
+        target_only = list(filter(win.frozen.__contains__, win.target_only))
+        return plan_mcm(self.g, self.output, target_only, len(win.frozen)).groups
 
     def _window_step(self, out: OutputDelta) -> None:
         win = self.window
@@ -358,10 +427,9 @@ class WrappedMatching:
         if win.elapsed >= win.length:
             if win.groups is None or win.group_cursor < len(win.groups):
                 raise ContractError("window closed before its ops completed")
-            frozen = win.frozen_target.edges
-            left = frozen.keys() - self.output.edges.keys()
+            left = win.frozen - self.output.edges.keys()
             if any(map(self.g.has_edge_id, left)):
-                eid = next(e for e in frozen
+                eid = next(e for e in win.order
                            if e in left and self.g.has_edge_id(e))
                 raise ContractError(
                     f"window closed without absorbing target edge {eid}")
@@ -381,7 +449,7 @@ class WrappedMatching:
             if self.output.discard_dead(eid, (u, v)):
                 out.removed.append(eid)
             if win is not None:
-                win.frozen_target.discard_dead(eid, (u, v))
+                win.frozen.discard(eid)
         if self.window is None:
             # snapshot-and-switch or open; never combined with playback, so
             # one step is charged at most one kind of work

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -287,3 +288,18 @@ def test_cli_simulate_manifest_records_constants_used(tmp_path, capsys):
         "recourse_factor": RECOURSE_FACTOR, "sim_factor": SIM_FACTOR,
         "small_factor": SMALL_FACTOR, "window_ratio_factor": WINDOW_RATIO_FACTOR}
     assert params["tolerance"] == DEFAULT_TOLERANCE
+
+
+def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    rc = main(["--manifest-out", str(mpath),
+               "simulate", "--inner", "greedy", "--epsilon", "0.1",
+               "--n", "300", "--random-updates", "3000"])
+    assert rc == 0
+    printed = dict(re.findall(r"(\S+)=(\S+)", capsys.readouterr().out))
+    results = json.loads(mpath.read_text())["results"]
+    assert {k: int(printed[k]) for k in results} == results
+    assert results["recourse_budget"] == RECOURSE_FACTOR * math.ceil(1 / 0.1)
+    assert results["max_recourse"] <= results["recourse_budget"]
+    assert results["windows"] > 0
+    assert results["switches"] >= 0

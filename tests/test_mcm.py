@@ -4,7 +4,7 @@ import pytest
 
 from gradmorph.gen import matching_pair, random_graph, random_matching
 from gradmorph.graph import DataError, Matching, solution_stats
-from gradmorph.mcm import classify, plan_mcm
+from gradmorph.mcm import _Overlay, classify, plan_mcm, plan_target_only
 from gradmorph.script import check_guarantee, replay
 
 from conftest import alternating_cycle_fixture, path_graph, pinned_matching_pairs
@@ -117,6 +117,35 @@ def test_empty_source_and_empty_target(rng):
     _check_instance(g, Matching(g), tgt)
     src = random_matching(rng, g, density=1.0)
     _check_instance(g, src, Matching(g))
+
+
+def test_overlay_keeps_matching_guards():
+    g = path_graph(5)
+    a, b, c, d = (g.edge_id(v, v + 1) for v in range(4))
+    work = _Overlay(Matching(g, [b]))
+    with pytest.raises(DataError, match=f"vertex 1 already matched by edge {b}"):
+        work.add(a, 0, 1)
+    with pytest.raises(DataError, match=f"edge {b} already in matching"):
+        work.add(b, 1, 2)
+    with pytest.raises(DataError, match=f"edge {c} not in matching"):
+        work.remove(c, 2, 3)
+    work.remove(b, 1, 2)
+    with pytest.raises(DataError, match=f"edge {b} not in matching"):
+        work.remove(b, 1, 2)
+    work.add(a, 0, 1)
+    work.add(d, 3, 4)
+    assert (work.size, work.matched_edge(1), work.matched_edge(2)) == (2, a, None)
+
+
+def test_core_groups_name_the_script_ops(rng):
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        g, src, tgt = matching_pair(rng, n, rng.randint(0, 3 * n))
+        only = [e for e in tgt.edges if e not in src.edges]
+        phases, groups = plan_target_only(g, src, only, len(tgt))
+        assert phases == plan_mcm(g, src, tgt).phases
+        assert [[(op.kind, op.u, op.v) for op in ph.ops] for ph in phases] == \
+            [[(kind, *g.endpoints(eid)) for kind, eid in group] for group in groups]
 
 
 def test_plan_runtime_is_linear_in_instance():

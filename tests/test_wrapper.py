@@ -2,7 +2,10 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gradmorph.mcm
 from gradmorph.adversary import (ExactPathMaintainer, StaticSubject,
                                  gen_fully_dynamic)
 from gradmorph.cli import main
@@ -13,7 +16,7 @@ from gradmorph.oracles import max_matching_exact, max_weight_matching_exact
 from gradmorph.sim import make_inner, run_simulation
 from gradmorph.wrapper import (BatchRecompute, GreedyMaximalMatching,
                                InnerAlgorithm, OutputDelta, WindowState,
-                               WrappedMatching, snapshot_truncated)
+                               WrappedMatching, checked_snapshot, emitted_ids)
 
 
 def _drive(g, algo, events, validate_every=1):
@@ -120,10 +123,15 @@ def test_snapshot_truncated():
         def handle_update(self, ev, delta):
             return OutputDelta()
 
-    snap = snapshot_truncated(g, Fixed(), 30)
-    assert len(snap) == 10
-    snap = snapshot_truncated(g, Fixed(), 3)
-    assert len(snap) == 3
+    assert emitted_ids(Fixed(), 30) == ids
+    assert emitted_ids(Fixed(), 3) == ids[:3]
+
+    class Greedy(Fixed):
+        def emit_edges(self, count):
+            return ids
+
+    with pytest.raises(ContractError, match="inner emitted 10 edges for cap 3"):
+        emitted_ids(Greedy(), 3)
 
 
 def test_contract_violation_surfaced():
@@ -147,7 +155,151 @@ def test_contract_violation_surfaced():
                        ([a, dead], f"no edge with id {dead}"),
                        ([b, b], f"edge {b} already in matching")):
         with pytest.raises(ContractError, match=f"sub-matching: {fault}"):
-            snapshot_truncated(g, Broken(ids), 5)
+            checked_snapshot(g, Matching(g), emitted_ids(Broken(ids), 5))
+
+
+def _check_against_build(g, output, ids):
+    """checked_snapshot accepts ids exactly when Matching(g, ids) does and
+    then returns its ids and, in order, those outside output; on a
+    rejection it names the same fault. Returns whether ids were accepted."""
+    try:
+        ref = Matching(g, ids)
+    except DataError as exc:
+        with pytest.raises(ContractError) as err:
+            checked_snapshot(g, output, ids)
+        assert str(err.value) == f"inner emitted an invalid sub-matching: {exc}"
+        return False
+    frozen, target_only = checked_snapshot(g, output, ids)
+    assert frozen == ref.edges.keys()
+    assert target_only == [e for e in ids if e not in output.edges]
+    return True
+
+
+def _greedy(g, order):
+    ids, used = [], set()
+    for eid in order:
+        if used.isdisjoint(g.endpoints(eid)):
+            ids.append(eid)
+            used.update(g.endpoints(eid))
+    return ids
+
+
+@st.composite
+def _output_and_snapshot(draw):
+    """A small graph with some edges deleted, an output matching of it, and
+    emitted ids: a matching that keeps some output edges, with up to two
+    ids (live, dead, never used or repeated) slipped in."""
+    n = draw(st.integers(2, 9))
+    g = Graph()
+    for v in range(n):
+        g.ensure_vertex(v)
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=18)):
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v, 1.0)
+    created = g.num_edges()
+    if created:
+        for eid in draw(st.sets(st.integers(0, created - 1), max_size=4)):
+            g.remove_edge_id(eid)
+    live = list(g.edge_ids())
+    output = Matching(g, _greedy(g, draw(st.permutations(live))))
+    kept = draw(st.permutations(output.edge_ids()))
+    ids = _greedy(g, kept[:draw(st.integers(0, len(kept)))]
+                  + draw(st.permutations(live)))
+    for eid in draw(st.lists(st.integers(-1, created + 1), max_size=2)):
+        ids.insert(draw(st.integers(0, len(ids))), eid)
+    return g, output, ids
+
+
+@settings(max_examples=400, deadline=None)
+@given(_output_and_snapshot())
+def test_snapshot_check_equals_matching_build(case):
+    _check_against_build(*case)
+
+
+@pytest.mark.parametrize("case, accepted", [
+    ("repeated id", False),
+    ("dead id", False),
+    ("two target-only edges share a vertex", False),
+    ("target-only edge shares a vertex with a shared edge", False),
+    ("target-only edge touches an output-only edge", True),
+])
+def test_snapshot_check_cases(case, accepted):
+    g = Graph()
+    a, b, c, d, e, f = (g.add_edge(u, v, 1.0) for u, v in
+                        ((0, 1), (1, 2), (2, 3), (4, 5), (6, 7), (3, 6)))
+    dead = g.add_edge(8, 9, 1.0)
+    g.remove_edge_id(dead)
+    output = Matching(g, [b, d])
+    ids = {"repeated id": [d, e, e],
+           "dead id": [d, dead],
+           "two target-only edges share a vertex": [c, f],
+           "target-only edge shares a vertex with a shared edge": [b, a],
+           "target-only edge touches an output-only edge": [d, a]}[case]
+    assert _check_against_build(g, output, ids) == accepted
+
+
+def test_window_work_follows_the_difference(monkeypatch):
+    # |M| = 2,010 with k = 10 target-only edges: five paths a-b-c-d where
+    # the output holds bc and the inner ab and cd, next to 2,000 shared
+    # edges. Opening and planning the window neither copies a matching
+    # nor builds the snapshot as one, and the planner core reads O(k)
+    # edge rows.
+    g = Graph()
+    shared = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(2000)]
+    output_only, target_only = [], []
+    for a in range(4000, 4020, 4):
+        ab, bc, cd = (g.add_edge(a + i, a + i + 1, 1.0) for i in range(3))
+        output_only.append(bc)
+        target_only += [ab, cd]
+    inner = GreedyMaximalMatching(g)
+    inner.matching = Matching(g, shared + target_only)
+    wrapped = WrappedMatching(g, inner, 0.1)
+    wrapped.output = Matching(g, shared + output_only)
+
+    calls = {"copy": 0, "build": 0, "rows": 0, "core": 0}
+    copy, init = Matching.copy, Matching.__init__
+
+    def counted_copy(self):
+        calls["copy"] += 1
+        return copy(self)
+
+    def counted_init(self, g, edge_ids=()):
+        edge_ids = list(edge_ids)
+        calls["build"] += bool(edge_ids)
+        init(self, g, edge_ids)
+
+    class CountingRows(dict):
+        def __getitem__(self, eid):
+            calls["rows"] += 1
+            return super().__getitem__(eid)
+
+    core = gradmorph.mcm.plan_target_only
+
+    def counted_core(*args):
+        rows = calls["rows"]
+        result = core(*args)
+        calls["core"] = calls["rows"] - rows
+        return result
+
+    monkeypatch.setattr(Matching, "copy", counted_copy)
+    monkeypatch.setattr(Matching, "__init__", counted_init)
+    monkeypatch.setattr(gradmorph.mcm, "plan_target_only", counted_core)
+    g._edges = CountingRows(g._edges)
+    vertex = 5000
+    while wrapped.window is None or wrapped.window.groups is None:
+        ev = UpdateEvent.vertex_insert(vertex)
+        vertex += 1
+        wrapped.handle_update(ev, g.apply_update(ev))
+    assert wrapped.window.target_only == target_only
+    assert len(wrapped.window.groups) == 10
+    assert calls["copy"] == 0 and calls["build"] == 0
+    assert 0 < calls["core"] <= 3 * len(target_only)
+    while wrapped.window is not None:
+        ev = UpdateEvent.vertex_insert(vertex)
+        vertex += 1
+        wrapped.handle_update(ev, g.apply_update(ev))
+    assert sorted(wrapped.matching_ids()) == sorted(shared + target_only)
 
 
 def test_window_close_names_first_unabsorbed_target_edge():
@@ -156,10 +308,11 @@ def test_window_close_names_first_unabsorbed_target_edge():
     wrapped = WrappedMatching(g, GreedyMaximalMatching(g), 0.1)
     wrapped.output = Matching(g, ids[:2])
     # ids[5] dies (nothing to absorb), ids[1] is absorbed; of the two left,
-    # the error names the first in the target's order, not the smaller id
-    target = Matching(g, [ids[5], ids[1], ids[4], ids[3]])
+    # the error names the first in the snapshot's order, not the smaller id
+    order = [ids[5], ids[1], ids[4], ids[3]]
     g.remove_edge_id(ids[5])
-    wrapped.window = WindowState(length=2, first_half=1, frozen_target=target,
+    wrapped.window = WindowState(length=2, first_half=1, frozen=set(order),
+                                 order=order, target_only=order[2:],
                                  groups=[], elapsed=1)
     with pytest.raises(ContractError, match=f"absorbing target edge {ids[4]}$"):
         wrapped._window_step(OutputDelta())
