@@ -170,12 +170,15 @@ def _cmd_simulate(args) -> int:
     result = run_simulation(g, algo, events, oracle_check=args.oracle_check)
     if args.trace:
         _write_csv(args.trace, trace_csv_rows(result), manifest)
-    # the margin to the recourse bound and the window lifecycle, after the
-    # trace, whose manifest line describes the run's inputs only
+    # the margins to the recourse and step-work budgets and the window
+    # lifecycle, after the trace, whose manifest line describes the run's
+    # inputs only
     results = {"max_recourse": result.max_recourse}
     if isinstance(algo, WrappedMatching):
         results.update(recourse_budget=algo.recourse_budget,
-                       windows=algo.windows, switches=algo.switches)
+                       windows=algo.windows, switches=algo.switches,
+                       max_step_work=algo.max_step_work,
+                       step_work_budget=algo.step_work_budget)
     manifest.results = results
     _finish_manifest(manifest, args)
     ratio = result.worst_ratio

@@ -7,11 +7,12 @@ drops below min(|source|, |target| - 1).
 
 `plan_mcm` checks both matchings in whole-set passes and hands the
 target-only edges to `plan_target_only`, the planning core. The core reads
-the rows of those k edges and of the source edges blocking them, and keeps
+the rows of those k edges and of the source edges blocking them, keeps
 its working matching as an overlay of changes on the source's vertex
-index, so its Python work is O(k) whatever the size of the source. The
-recourse wrapper, which knows its target-only edges, calls the core
-directly.
+index, and returns each phase as (kind, edge id) pairs, so its Python work
+is O(k) whatever the size of the source. `plan_mcm` builds the script's
+ops from those pairs; the recourse wrapper, which knows its target-only
+edges and plays the pairs directly, calls the core alone.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def _classify(g: Graph, matched: dict[int, int],
     table = g._edges
     for eid in target_only:
         u, v, _ = table[eid]
-        blockers = {b for b in (matched.get(u), matched.get(v)) if b is not None}
+        blockers = {matched.get(u), matched.get(v)}
+        blockers.discard(None)
         blocker_count[eid] = len(blockers)
         for b in blockers:
             blocked_by.setdefault(b, []).append(eid)
@@ -177,20 +179,22 @@ def plan_mcm(g: Graph, source: Matching, target: Matching) -> TransformationScri
     """
     require_valid(g, "current", source)
     require_valid(g, "target", target)
-    phases, _ = plan_target_only(g, source, target_only_ids(source, target),
-                                 len(target))
+    groups = plan_target_only(g, source, target_only_ids(source, target),
+                              len(target))
+    table = g._edges
+    phases = [Phase([ChangeOp(kind, *table[eid]) for kind, eid in group])
+              for group in groups]
     script = TransformationScript("mcm", MCM_PHASE_BUDGET, None, phases)
     script.validate()
     return script
 
 
 def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],
-                     target_size: int
-                     ) -> tuple[list[Phase], list[list[tuple[str, int]]]]:
+                     target_size: int) -> list[list[tuple[str, int]]]:
     """The planning core: phases taking source to a superset of a target
     matching, given the target's edges outside source (in the target's
-    order) and |target|. Returns the phases and, per phase, its ops as
-    (kind, edge id) pairs.
+    order) and |target|. Returns each phase as its ops, (kind, edge id)
+    pairs: the added target-only edge, then the removals it forces.
 
     Checks neither matching: source must be a valid matching whose vertex
     index agrees with g, and source plus target_only must come from one.
@@ -199,7 +203,6 @@ def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],
     cls = _classify(g, source.vertex_index, target_only)
     work = _Overlay(source)
     table = g._edges
-    phases: list[Phase] = []
     groups: list[list[tuple[str, int]]] = []
 
     def on_removed(blocker: int) -> None:
@@ -222,18 +225,15 @@ def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],
                     f"|target| = {target_size} with no good edges")
             eid = cls.bad.pop_head()
         del cls.blocker_count[eid]
-        u, v, w = table[eid]
-        blockers = sorted({b for b in (work.matched_edge(u), work.matched_edge(v))
-                           if b is not None})
-        ops = [ChangeOp("add", u, v, w)]
+        u, v, _ = table[eid]
+        blockers = {work.matched_edge(u), work.matched_edge(v)}
+        blockers.discard(None)
         group = [("add", eid)]
-        for b in blockers:
-            bu, bv, bw = table[b]
-            ops.append(ChangeOp("remove", bu, bv, bw))
+        for b in sorted(blockers):
+            bu, bv, _ = table[b]
             group.append(("remove", b))
             work.remove(b, bu, bv)
             on_removed(b)
         work.add(eid, u, v)
-        phases.append(Phase(ops))
         groups.append(group)
-    return phases, groups
+    return groups

@@ -58,12 +58,16 @@ def run_simulation(
     total = 0
     max_rec = 0
     worst_ratio: Optional[float] = None
+    wrapped = isinstance(algo, WrappedMatching)
     for step, ev in enumerate(events, start=1):
         delta = g.apply_update(ev)
         out = algo.handle_update(ev, delta)
-        rec = out.recourse()
+        added, removed = len(out.added), len(out.removed)
+        rec = added + removed
         total += rec
-        max_rec = max(max_rec, rec)
+        if rec > max_rec:
+            max_rec = rec
+        size = algo.current_size()
         opt_size: Optional[int] = None
         if oracle_check:
             if g.num_vertices() > oracle_budget.max_vertices_matching:
@@ -71,28 +75,18 @@ def run_simulation(
                     f"oracle check refused: {g.num_vertices()} vertices "
                     f"> budget {oracle_budget.max_vertices_matching}")
             opt_size = len(max_matching_exact(g, oracle_budget))
-            size = algo.current_size()
             if opt_size > 0 and size > 0:
                 ratio = opt_size / size
                 worst_ratio = ratio if worst_ratio is None else max(worst_ratio, ratio)
             elif opt_size > 0 and size == 0:
                 worst_ratio = float("inf")
-        if isinstance(algo, WrappedMatching):
-            inner_size = algo.inner.current_size()
-            phase = algo.last_window_phase
-        else:
-            inner_size = algo.current_size()
-            phase = ""
+        # fields in TraceRow's order, passed by position
         rows.append(TraceRow(
-            step=step,
-            event=event_label(ev),
-            recourse_added=len(out.added),
-            recourse_removed=len(out.removed),
-            output_size=algo.current_size(),
-            output_weight=round(algo.current_weight(), 9),
-            inner_size=inner_size,
-            window_phase=phase,
-            opt_size=opt_size,
+            step, event_label(ev), added, removed, size,
+            round(algo.current_weight(), 9),
+            algo.inner_size if wrapped else size,
+            algo.last_window_phase if wrapped else "",
+            opt_size,
         ))
     mean = total / len(rows) if rows else 0.0
     return SimulationResult(rows, max_rec, mean, worst_ratio)

@@ -5,32 +5,39 @@ snapshot of the inner algorithm's matching is gradually transformed in: the
 first half of the window makes no output changes, and the second half
 plans the transformation at its first step and then plays its ops against
 the output under a fixed per-step budget. Adversarial deletions propagate
-into the output and the snapshot through O(1) tombstones. Tiny instances
+into the output and the window through O(1) tombstones. Tiny instances
 skip the window and resync instantly, which already meets the trivial
 recourse budget.
 
-A window's open and its unweighted plan cost O(k) Python work for the k
-snapshot edges outside the output, plus a few C-level passes over the
-snapshot's ids: the open reads and checks only those target-only edges
-(the shared ones are output edges, live and disjoint), and the plan runs
-the mcm core on them over the output's own vertex index, with no copy.
-The weighted plan still builds the snapshot matching and runs
-plan_mwm_auto whole.
+The wrapper mirrors the inner matching from the deltas that the inner's
+handle_update returns (see InnerAlgorithm), checking each reported edge in
+O(1), and keeps both differences, inner minus output and output minus
+inner, up to date as either side changes. With k the snapshot's ids
+outside the output, an unweighted window:
+
+- opens by reading the k target-only ids and the output-only ids;
+- plans by running the mcm core on the k target-only edges over the
+  output's own vertex index, after check_output has checked the whole
+  output in C-level passes, the one pass over the whole matching a window
+  makes;
+- closes by checking the k target-only edges.
+
+Weighted windows still take their snapshot from emit_edges and plan it
+whole with plan_mwm_auto.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import count, filterfalse, islice
 from operator import itemgetter
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import mcm
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
                     UpdateEvent)
 from .mwm import plan_mwm_auto
-from .script import TransformationScript
 
 EPS_MAX = 0.4                 # keeps the internal window ratio <= 1/2
 WINDOW_RATIO_FACTOR = 1.25    # window length ~ 1.25 * eps * matching size
@@ -38,6 +45,7 @@ RECOURSE_FACTOR = 16          # asserted per-step output-change bound
 SIM_FACTOR = 15               # per-step transformation op budget
 SMALL_FACTOR = 12             # instant-switch threshold
 BOOTSTRAP_CAP = 8             # snapshot floor so an empty output can grow
+STEP_WORK_FACTOR = 16         # reported per-step work budget, see step_work_budget
 
 
 @dataclass
@@ -67,8 +75,21 @@ class InnerAlgorithm:
 
     handle_update runs after the shared graph g has been mutated and
     returns the change to the algorithm's own matching, held in
-    self.matching. emit_edges(l) returns a new list of up to l edge ids of
-    the current matching; the wrapper keeps it as a window's snapshot.
+    self.matching. The change must be complete and in application order:
+    its removals applied in order, then its adds in order, take the
+    matching before the update to the matching after it, and every held
+    edge that the update deleted is among the removals. The wrapper
+    mirrors the matching from these deltas, seeded once from
+    matching_ids(), and checks the mirror's size against current_size()
+    at every step.
+
+    An unweighted window's snapshot is the mirror in the order its edges
+    entered it, and a snapshot capped at l edges is the first l of that
+    order. For an inner whose matching keeps insertion order and that
+    applies its removals before its adds, as greedy does, this is the
+    order of matching_ids(). emit_edges(l) returns a new list of the first
+    l ids of matching_ids(), or all of them; weighted windows take their
+    snapshot from it.
     """
 
     beta: float = 1.0
@@ -89,7 +110,7 @@ class InnerAlgorithm:
 
     def emit_edges(self, count: int) -> list[int]:
         ids = self.matching_ids()
-        return ids[:count]
+        return ids if len(ids) <= count else ids[:count]
 
 
 class GreedyMaximalMatching(InnerAlgorithm):
@@ -102,12 +123,13 @@ class GreedyMaximalMatching(InnerAlgorithm):
         self.matching = Matching(g)
 
     def _try_match(self, v: int, out: OutputDelta) -> None:
-        if not self.g.has_vertex(v) or self.matching.matched_edge(v) is not None:
+        matched = self.matching.vertex_index
+        if v in matched or not self.g.has_vertex(v):
             return
+        table = self.g._edges
         for eid in sorted(self.g.incident(v)):
-            a, b, _ = self.g.edge(eid)
-            other = b if a == v else a
-            if self.matching.matched_edge(other) is None:
+            a, b, _ = table[eid]
+            if (b if a == v else a) not in matched:
                 self.matching.add(eid)
                 out.added.append(eid)
                 return
@@ -121,9 +143,9 @@ class GreedyMaximalMatching(InnerAlgorithm):
                 freed.extend((u, v))
         for x in freed:
             self._try_match(x, out)
+        matched = self.matching.vertex_index
         for eid, u, v, _ in delta.added:
-            if (self.matching.matched_edge(u) is None
-                    and self.matching.matched_edge(v) is None):
+            if u not in matched and v not in matched:
                 self.matching.add(eid)
                 out.added.append(eid)
         return out
@@ -246,9 +268,9 @@ class BatchRecompute(InnerAlgorithm):
 class WindowState:
     length: int
     first_half: int
-    frozen: set[int]                 # live ids of the truncated inner snapshot
-    order: list[int]                 # the snapshot's ids as emitted
-    target_only: list[int]           # snapshot ids outside the output at open
+    target_only: list[int]   # snapshot ids outside the output at open, in snapshot order
+    output_only: set[int]    # live output ids outside the snapshot at open
+    order: Optional[list[int]] = None   # a weighted window's whole snapshot
     groups: Optional[list[list[tuple[str, int]]]] = None   # phase-atomic ops
     group_cursor: int = 0
     elapsed: int = 0
@@ -289,35 +311,45 @@ def checked_snapshot(g: Graph, output: Matching,
         try:
             Matching(g, ids)
         except DataError as exc:
-            raise ContractError(
-                f"inner emitted an invalid sub-matching: {exc}") from None
+            raise _invalid(exc) from None
     return frozen, target_only
 
 
-@dataclass
-class WindowScript(TransformationScript):
-    """An mcm script with its ops as (kind, edge id) pairs, as planned:
-    groups[i][j] names phases[i].ops[j]."""
+def _invalid(fault: object) -> ContractError:
+    return ContractError(f"inner emitted an invalid sub-matching: {fault}")
 
-    groups: list[list[tuple[str, int]]] = field(default_factory=list)
+
+@dataclass
+class WindowPlan:
+    """A window's unweighted plan: each phase as its ops, (kind, edge id)
+    pairs. Sized as a script is: len(phases) and num_ops()."""
+
+    phases: list[list[tuple[str, int]]]
+
+    def num_ops(self) -> int:
+        return sum(map(len, self.phases))
 
 
 def plan_mcm(g: Graph, output: Matching, target_only: list[int],
-             target_size: int) -> WindowScript:
+             target_size: int) -> WindowPlan:
     """A window's unweighted plan from the output to a snapshot of
-    target_size live edges, target_only of them outside the output. Checks
-    the output in a whole-set pass, then runs the mcm core: O(k) Python
-    work for k target-only edges."""
-    mcm.require_valid(g, "current", output)
-    phases, groups = mcm.plan_target_only(g, output, target_only, target_size)
-    script = WindowScript("mcm", mcm.MCM_PHASE_BUDGET, None, phases, groups)
-    script.validate()
-    return script
+    target_size live edges, target_only of them outside the output: the
+    mcm core, O(k) Python work for k target-only edges. The output must
+    already be checked, as the window's check_output does."""
+    return WindowPlan(mcm.plan_target_only(g, output, target_only, target_size))
 
 
 class WrappedMatching:
     """Bounds the per-step output recourse of any inner matching algorithm
-    to RECOURSE_FACTOR * ceil(psi_eff / eps) changes."""
+    to RECOURSE_FACTOR * ceil(psi_eff / eps) changes.
+
+    max_step_work is the most work one step has spent on the differences
+    between the inner matching and the output: ids read at a window's open
+    and close, and ops planned. It is reported against step_work_budget,
+    not enforced: an open and a plan read the k target-only ids in one
+    step, and k grows with the inner's changes over a window of about
+    eps * |M| steps. The plan step's check of the whole output is apart
+    from it (see check_output)."""
 
     def __init__(self, g: Graph, inner: InnerAlgorithm, eps: float,
                  weighted: bool = False, psi: float = 1.0) -> None:
@@ -334,41 +366,162 @@ class WrappedMatching:
         self.recourse_budget = RECOURSE_FACTOR * math.ceil(self.psi_eff / eps)
         self.sim_budget = SIM_FACTOR * math.ceil(self.psi_eff / eps)
         self.small_threshold = SMALL_FACTOR * math.ceil(self.psi_eff / eps)
+        self.step_work_budget = STEP_WORK_FACTOR * math.ceil(self.psi_eff / eps)
         self.declared_beta = inner.beta * (1.0 + 2.0 * self.window_ratio) ** 2
-        self.output = Matching(g)
+        try:
+            seed = Matching(g, inner.matching_ids())
+        except DataError as exc:
+            raise _invalid(exc) from None
+        # the inner matching as its deltas give it: edge id -> (entry
+        # number, u, v) in entry order, and vertex -> edge id
+        self._entries = count()
+        self.mirror = {eid: (next(self._entries), *g.endpoints(eid))
+                       for eid in seed.edges}
+        self.mirror_index = seed.vertex_index
+        self.inner_size = len(self.mirror)   # as checked at the last step
         self.window: Optional[WindowState] = None
         self.windows = 0      # windows opened
         self.switches = 0     # instant switches
         self.step_count = 0
+        self.max_step_work = 0
+        self._work = 0        # this step's work, see max_step_work
         self.last_window_phase = "idle"
+        self.adopt_output(())
+
+    def adopt_output(self, ids: Iterable[int]) -> None:
+        """Make the matching of g given by ids the output, outside any
+        window, and rebuild its two differences from the mirror.
+        O(|ids| + |inner|); for starting a wrapper from a known output."""
+        if self.window is not None:
+            raise ContractError("cannot replace the output inside a window")
+        self.output = Matching(self.g, ids)
+        held, mirrored = self.output.edges, self.mirror
+        self._inner_only = set(filterfalse(held.__contains__, mirrored))
+        self._output_only = set(filterfalse(mirrored.__contains__, held))
+
+    # -- the mirror and the output ----------------------------------------
+
+    def _follow_inner(self, change: OutputDelta) -> None:
+        """Feed the inner's change to the mirror, removals then adds, and
+        keep both differences. Each reported edge is checked in O(1): a
+        removal must be held, an add live and disjoint within the mirror."""
+        mirror, index, table = self.mirror, self.mirror_index, self.g._edges
+        in_output = self.output.edges
+        inner_only, output_only = self._inner_only, self._output_only
+        for eid in change.removed:
+            entry = mirror.pop(eid, None)
+            if entry is None:
+                raise _invalid(f"edge {eid} not in matching")
+            del index[entry[1]], index[entry[2]]
+            if eid in in_output:
+                output_only.add(eid)
+            else:
+                inner_only.discard(eid)
+        for eid in change.added:
+            row = table.get(eid)
+            if row is None:
+                raise _invalid(f"no edge with id {eid}")
+            u, v, _ = row
+            if eid in mirror:
+                raise _invalid(f"edge {eid} already in matching")
+            if u in index or v in index:
+                x = u if u in index else v
+                raise _invalid(f"vertex {x} already matched by edge {index[x]}")
+            mirror[eid] = (next(self._entries), u, v)
+            index[u] = index[v] = eid
+            if eid in in_output:
+                output_only.discard(eid)
+            else:
+                inner_only.add(eid)
+
+    def _output_add(self, eid: int) -> None:
+        self.output.add(eid)
+        if eid in self.mirror:
+            self._inner_only.discard(eid)
+        else:
+            self._output_only.add(eid)
+
+    def _output_remove(self, eid: int) -> None:
+        self.output.remove(eid)
+        if eid in self.mirror:
+            self._inner_only.add(eid)
+        else:
+            self._output_only.discard(eid)
+
+    def check_output(self) -> None:
+        """Raise DataError unless every output edge is live and indexed by
+        both its endpoints, and no other vertex is indexed. Run at each
+        window's plan step, before any playback op: C-level passes over
+        the output, the one pass over the whole matching a window makes."""
+        held, index = self.output.edges, self.output.vertex_index
+        ids = list(held)
+        try:
+            rows = list(map(self.g._edges.__getitem__, ids))
+        except KeyError:
+            rows = None
+        if (rows is not None and len(index) == 2 * len(ids)
+                and list(map(index.get, map(itemgetter(0), rows))) == ids
+                and list(map(index.get, map(itemgetter(1), rows))) == ids):
+            return
+        for eid in ids:
+            if not self.g.has_edge_id(eid):
+                raise DataError(f"current matching invalid: missing edge {eid}")
+            for x in self.g.endpoints(eid):
+                if index.get(x) != eid:
+                    raise DataError(f"current matching invalid: vertex {x} "
+                                    f"not indexed to edge {eid}")
+        raise DataError(f"current matching invalid: {len(index)} indexed "
+                        f"vertices for {len(ids)} edges")
 
     # -- window machinery ----------------------------------------------
 
     def _open_window(self, out: OutputDelta) -> None:
-        src_size = len(self.output)
+        """Take the snapshot and open a window on it, or switch to it at
+        once when the instance is tiny. An unweighted snapshot is the
+        mirror, or its first cap ids in entry order, so the open reads
+        the k target-only ids and the output-only ones, or the cap ids
+        when capped (then k >= cap - |output| >= |output|)."""
+        output = self.output
+        src_size = len(output)
         cap = max(2 * src_size, BOOTSTRAP_CAP)
-        ids = emitted_ids(self.inner, cap)
-        frozen, target_only = checked_snapshot(self.g, self.output, ids)
-        if src_size + len(ids) <= self.small_threshold:
+        order = None
+        if self.weighted:
+            order = emitted_ids(self.inner, cap)
+            frozen, target_only = checked_snapshot(self.g, output, order)
+            output_only = set(filterfalse(frozen.__contains__, output.edges))
+            size = len(order)
+            self._work += size + src_size
+        elif len(self.mirror) <= cap:
+            target_only = sorted(self._inner_only, key=self.mirror.__getitem__)
+            output_only = set(self._output_only)
+            size = len(self.mirror)
+            self._work += len(target_only) + len(output_only)
+        else:
+            ids = list(islice(self.mirror, cap))
+            target_only = list(filterfalse(output.edges.__contains__, ids))
+            frozen = set(ids)
+            output_only = set(filterfalse(frozen.__contains__, output.edges))
+            size = cap
+            self._work += cap + src_size
+        if src_size + size <= self.small_threshold:
             # instant switch: trivial recourse, no window
-            for eid in list(self.output.edges):
-                if eid not in frozen:
-                    self.output.remove(eid)
-                    out.removed.append(eid)
+            for eid in [e for e in output.edges if e in output_only]:
+                self._output_remove(eid)
+                out.removed.append(eid)
             for eid in target_only:
-                self.output.add(eid)
+                self._output_add(eid)
                 out.added.append(eid)
             self.switches += 1
             self.last_window_phase = "switch"
             return
         length = max(2, math.floor(
-            self.window_ratio * min(src_size, len(ids)) / self.psi_eff))
+            self.window_ratio * min(src_size, size) / self.psi_eff))
         self.window = WindowState(
             length=length,
             first_half=length // 2,
-            frozen=frozen,
-            order=ids,
             target_only=target_only,
+            output_only=output_only,
+            order=order,
         )
         self.windows += 1
         self.last_window_phase = "first"
@@ -379,15 +532,18 @@ class WrappedMatching:
         pair) later in the window are skipped rather than misapplied.
 
         Plans from the output itself: until this first playback step the
-        window has changed it only by tombstones, so the target-only edges
-        are those of the open that are still live."""
+        window has changed it only by tombstones, so the snapshot's live
+        edges are the live target-only ones and the output's edges outside
+        win.output_only."""
+        live = self.g._edges.__contains__
         if self.weighted:
-            target = Matching(self.g, filter(win.frozen.__contains__, win.order))
+            target = Matching(self.g, filter(live, win.order))
             script = plan_mwm_auto(self.g, self.output, target, min(self.eps, 0.5))
             return [[(op.kind, self.g.edge_id(op.u, op.v)) for op in ph.ops]
                     for ph in script.phases]
-        target_only = list(filter(win.frozen.__contains__, win.target_only))
-        return plan_mcm(self.g, self.output, target_only, len(win.frozen)).groups
+        target_only = list(filter(live, win.target_only))
+        size = len(self.output) - len(win.output_only) + len(target_only)
+        return plan_mcm(self.g, self.output, target_only, size).phases
 
     def _window_step(self, out: OutputDelta) -> None:
         win = self.window
@@ -397,7 +553,9 @@ class WrappedMatching:
             self.last_window_phase = "first"
         else:
             if win.groups is None:
+                self.check_output()
                 win.groups = self._plan_window_ops(win)
+                self._work += sum(map(len, win.groups))
             spent = 0
             while win.group_cursor < len(win.groups):
                 group = win.groups[win.group_cursor]
@@ -407,7 +565,11 @@ class WrappedMatching:
                 # removals first: the group's adds then land on free vertices
                 for kind, eid in group:
                     if kind == "remove" and eid in self.output.edges:
-                        self.output.remove(eid)
+                        if eid not in win.output_only:
+                            u, v = self.g.endpoints(eid)
+                            raise ContractError(
+                                f"window op remove ({u},{v}) drops a snapshot edge")
+                        self._output_remove(eid)
                         out.removed.append(eid)
                         spent += 1
                 for kind, eid in group:
@@ -419,7 +581,7 @@ class WrappedMatching:
                             self.output.matched_edge(v) is not None:
                         raise ContractError(
                             f"window op add ({u},{v}) conflicts with output")
-                    self.output.add(eid)
+                    self._output_add(eid)
                     out.added.append(eid)
                     spent += 1
             self.last_window_phase = "second"
@@ -427,12 +589,14 @@ class WrappedMatching:
         if win.elapsed >= win.length:
             if win.groups is None or win.group_cursor < len(win.groups):
                 raise ContractError("window closed before its ops completed")
-            left = win.frozen - self.output.edges.keys()
-            if any(map(self.g.has_edge_id, left)):
-                eid = next(e for e in win.order
-                           if e in left and self.g.has_edge_id(e))
-                raise ContractError(
-                    f"window closed without absorbing target edge {eid}")
+            # playback removes only output-only edges, so a live snapshot
+            # edge outside the output can only be a target-only one
+            self._work += len(win.target_only)
+            live, held = self.g._edges, self.output.edges
+            for eid in win.target_only:
+                if eid in live and eid not in held:
+                    raise ContractError(
+                        f"window closed without absorbing target edge {eid}")
             self.window = None
 
     # -- update entry point ----------------------------------------------
@@ -441,25 +605,41 @@ class WrappedMatching:
         """Process one update (graph already mutated; delta names the dead
         and new edges). Returns the change to the output matching."""
         self.step_count += 1
+        self._work = 0
         out = OutputDelta()
-        self.inner.handle_update(ev, delta)
-        # tombstones: a deletion leaves every held matching in O(1)
+        change = self.inner.handle_update(ev, delta)
+        if change.removed or change.added:
+            self._follow_inner(change)
+        mirror = self.mirror
+        self.inner_size = size = self.inner.current_size()
+        if size != len(mirror):
+            raise ContractError(f"inner reports {size} matched edges but its "
+                                f"deltas give {len(mirror)}")
+        # tombstones: a deletion leaves the output and the window in O(1)
         win = self.window
+        output = self.output
         for eid, u, v, _ in delta.removed:
-            if self.output.discard_dead(eid, (u, v)):
+            if eid in mirror:
+                raise _invalid(f"no edge with id {eid}")
+            if eid in output.edges:
+                output.discard_dead(eid, (u, v))
                 out.removed.append(eid)
-            if win is not None:
-                win.frozen.discard(eid)
-        if self.window is None:
+                self._output_only.discard(eid)
+                if win is not None:
+                    win.output_only.discard(eid)
+        if win is None:
             # snapshot-and-switch or open; never combined with playback, so
             # one step is charged at most one kind of work
             self._open_window(out)
         else:
             self._window_step(out)
-        if out.recourse() > self.recourse_budget:
+        recourse = len(out.added) + len(out.removed)
+        if recourse > self.recourse_budget:
             raise ContractError(
-                f"recourse {out.recourse()} exceeds budget {self.recourse_budget} "
+                f"recourse {recourse} exceeds budget {self.recourse_budget} "
                 f"at step {self.step_count}")
+        if self._work > self.max_step_work:
+            self.max_step_work = self._work
         return out
 
     # -- queries -----------------------------------------------------------

@@ -12,7 +12,7 @@ from gradmorph.io import (canonical_digest, emit_edge_set, emit_graph,
                           emit_updates, parse_edge_set, parse_graph,
                           parse_updates)
 from gradmorph.wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
-                               WINDOW_RATIO_FACTOR)
+                               STEP_WORK_FACTOR, WINDOW_RATIO_FACTOR)
 
 
 def test_graph_round_trip(rng):
@@ -303,3 +303,5 @@ def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
     assert results["max_recourse"] <= results["recourse_budget"]
     assert results["windows"] > 0
     assert results["switches"] >= 0
+    assert results["step_work_budget"] == STEP_WORK_FACTOR * math.ceil(1 / 0.1)
+    assert 0 < results["max_step_work"] <= results["step_work_budget"]

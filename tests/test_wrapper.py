@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from itertools import filterfalse
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,10 @@ from gradmorph.graph import (ContractError, DataError, Graph, Matching,
                              UpdateEvent, validate_matching)
 from gradmorph.oracles import max_matching_exact, max_weight_matching_exact
 from gradmorph.sim import make_inner, run_simulation
-from gradmorph.wrapper import (BatchRecompute, GreedyMaximalMatching,
-                               InnerAlgorithm, OutputDelta, WindowState,
-                               WrappedMatching, checked_snapshot, emitted_ids)
+from gradmorph.wrapper import (BOOTSTRAP_CAP, BatchRecompute,
+                               GreedyMaximalMatching, InnerAlgorithm,
+                               OutputDelta, WindowState, WrappedMatching,
+                               checked_snapshot, emitted_ids)
 
 
 def _drive(g, algo, events, validate_every=1):
@@ -239,25 +242,36 @@ def test_snapshot_check_cases(case, accepted):
     assert _check_against_build(g, output, ids) == accepted
 
 
-def test_window_work_follows_the_difference(monkeypatch):
-    # |M| = 2,010 with k = 10 target-only edges: five paths a-b-c-d where
-    # the output holds bc and the inner ab and cd, next to 2,000 shared
-    # edges. Opening and planning the window neither copies a matching
-    # nor builds the snapshot as one, and the planner core reads O(k)
-    # edge rows.
+def _paths_next_to_shared(shared_count=2000, paths=5):
+    """|M| = shared_count + 2 * paths with k = 2 * paths target-only
+    edges: paths a-b-c-d where the output holds bc and the inner ab and
+    cd, next to shared_count edges that both hold."""
     g = Graph()
-    shared = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(2000)]
+    shared = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(shared_count)]
     output_only, target_only = [], []
-    for a in range(4000, 4020, 4):
+    base = 2 * shared_count
+    for a in range(base, base + 4 * paths, 4):
         ab, bc, cd = (g.add_edge(a + i, a + i + 1, 1.0) for i in range(3))
         output_only.append(bc)
         target_only += [ab, cd]
     inner = GreedyMaximalMatching(g)
     inner.matching = Matching(g, shared + target_only)
     wrapped = WrappedMatching(g, inner, 0.1)
-    wrapped.output = Matching(g, shared + output_only)
+    wrapped.adopt_output(shared + output_only)
+    return g, wrapped, shared, output_only, target_only
 
-    calls = {"copy": 0, "build": 0, "rows": 0, "core": 0}
+
+def test_window_work_follows_the_difference(monkeypatch):
+    # |M| = 2,010 with k = 10 target-only edges. No step reads the inner
+    # matching, and no open, plan or close allocates a list or set of |M|
+    # ids: apart from the plan step's check of the output, a window's work
+    # follows the difference. Nor does any step copy a matching or build
+    # the snapshot as one, and the planner core reads O(k) edge rows.
+    g, wrapped, shared, output_only, target_only = _paths_next_to_shared()
+    inner = wrapped.inner
+
+    calls = {"copy": 0, "build": 0, "rows": 0, "core": 0, "reads": 0,
+             "checks": 0}
     copy, init = Matching.copy, Matching.__init__
 
     def counted_copy(self):
@@ -282,38 +296,206 @@ def test_window_work_follows_the_difference(monkeypatch):
         calls["core"] = calls["rows"] - rows
         return result
 
+    def counted_read(*args):
+        calls["reads"] += 1
+        return []
+
+    def counted_check():
+        # the one pass over the whole output a window makes, counted here
+        # and run after the steps, so its allocations stay out of theirs
+        calls["checks"] += 1
+
     monkeypatch.setattr(Matching, "copy", counted_copy)
     monkeypatch.setattr(Matching, "__init__", counted_init)
     monkeypatch.setattr(gradmorph.mcm, "plan_target_only", counted_core)
+    monkeypatch.setattr(inner, "matching_ids", counted_read)
+    monkeypatch.setattr(inner, "emit_edges", counted_read)
+    monkeypatch.setattr(wrapped, "check_output", counted_check)
     g._edges = CountingRows(g._edges)
+    # a list of |M| ids alone takes 8 bytes an id
+    whole = 8 * (len(shared) + len(target_only))
+    peaks = {}
     vertex = 5000
-    while wrapped.window is None or wrapped.window.groups is None:
-        ev = UpdateEvent.vertex_insert(vertex)
-        vertex += 1
-        wrapped.handle_update(ev, g.apply_update(ev))
-    assert wrapped.window.target_only == target_only
-    assert len(wrapped.window.groups) == 10
+    tracemalloc.start()
+    try:
+        while True:
+            ev = UpdateEvent.vertex_insert(vertex)
+            vertex += 1
+            delta = g.apply_update(ev)
+            before = wrapped.window
+            planned = before is not None and before.groups is not None
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            wrapped.handle_update(ev, delta)
+            grown = tracemalloc.get_traced_memory()[1] - start
+            if before is None:
+                peaks["open"] = grown
+                assert wrapped.window.target_only == target_only
+            elif not planned and wrapped.window.groups is not None:
+                peaks["plan"] = grown
+                assert len(wrapped.window.groups) == 10
+            elif wrapped.window is None:
+                peaks["close"] = grown
+                break
+    finally:
+        tracemalloc.stop()
     assert calls["copy"] == 0 and calls["build"] == 0
     assert 0 < calls["core"] <= 3 * len(target_only)
-    while wrapped.window is not None:
-        ev = UpdateEvent.vertex_insert(vertex)
-        vertex += 1
-        wrapped.handle_update(ev, g.apply_update(ev))
+    assert calls["reads"] == 0 and calls["checks"] == 1
+    assert set(peaks) == {"open", "plan", "close"}
+    assert max(peaks.values()) < whole / 2, peaks
     assert sorted(wrapped.matching_ids()) == sorted(shared + target_only)
+    monkeypatch.undo()
+    wrapped.check_output()
+
+
+def _stream_for(name, rng):
+    """A graph and a seeded update stream that the named inner accepts,
+    long enough for the wrapper to open windows."""
+    g = Graph()
+    if name in ("exact", "static"):
+        # edges toggled on 60 disjoint 10-vertex paths: a union of paths
+        events, present = [], set()
+        for _ in range(3000):
+            a = 10 * rng.randrange(60) + rng.randrange(9)
+            if a in present:
+                present.discard(a)
+                events.append(UpdateEvent.edge_delete(a, a + 1))
+            else:
+                present.add(a)
+                events.append(UpdateEvent.edge_insert(a, a + 1, 1.0))
+        return g, events
+    for v in range(300):
+        g.ensure_vertex(v)
+    return g, random_update_stream(rng, 300, 3000 if name == "greedy" else 1500,
+                                   delete_prob=0.4, vertex_ops=True)
+
+
+@pytest.mark.parametrize("name", ["greedy", "batch", "exact", "static"])
+def test_mirror_follows_the_inner(name, rng):
+    """At every step the mirror fed by the inner's deltas is its matching,
+    and the two differences are those of the mirror and the output."""
+    g, events = _stream_for(name, rng)
+    inner = {"exact": ExactPathMaintainer, "static": StaticSubject}.get(
+        name, lambda g: make_inner(name, g))(g)
+    wrapped = WrappedMatching(g, inner, 0.1)
+    for ev in events:
+        wrapped.handle_update(ev, g.apply_update(ev))
+        mirrored, output = set(wrapped.mirror), set(wrapped.output.edges)
+        assert mirrored == set(inner.matching_ids())
+        assert wrapped.mirror_index == inner.matching.vertex_index
+        assert wrapped._inner_only == mirrored - output
+        assert wrapped._output_only == output - mirrored
+        if name == "greedy":  # same order too
+            assert list(wrapped.mirror) == inner.matching_ids()
+    assert (wrapped.windows > 0) == (name != "static")
+
+
+def test_greedy_snapshot_keeps_the_inner_order(rng):
+    """Greedy applies its removals before its adds, so at every open the
+    target-only ids are those of matching_ids(), capped or not, that are
+    outside the output, in that order."""
+    g = Graph()
+    for v in range(600):
+        g.ensure_vertex(v)
+    inner = GreedyMaximalMatching(g)
+    events = random_update_stream(rng, 600, 4000, delete_prob=0.4,
+                                  vertex_ops=True)
+    for ev in events[:2000]:   # the inner alone, so some snapshots are capped
+        inner.handle_update(ev, g.apply_update(ev))
+    wrapped = WrappedMatching(g, inner, 0.1)
+    seen = {"capped": 0, "whole": 0}
+    for ev in events[2000:]:
+        opened = wrapped.windows
+        wrapped.handle_update(ev, g.apply_update(ev))
+        if wrapped.windows == opened:
+            continue
+        output = wrapped.output.edges
+        cap = max(2 * len(output), BOOTSTRAP_CAP)
+        ids = inner.matching_ids()
+        seen["capped" if len(ids) > cap else "whole"] += 1
+        assert wrapped.window.target_only == list(
+            filterfalse(output.__contains__, ids[:cap]))
+    assert seen["capped"] > 0 and seen["whole"] > 0
+
+
+@pytest.mark.parametrize("fault", ["dead id", "wrong index entry",
+                                   "missing index entry"])
+def test_corrupted_output_raises_before_playback(fault):
+    """A fault planted in the output before an open, far from the edges
+    the window changes, stops the window at its plan step, before any
+    playback op."""
+    g, wrapped, shared, output_only, _ = _paths_next_to_shared(200, 5)
+    index = wrapped.output.vertex_index
+    if fault == "dead id":
+        g.remove_edge_id(shared[7])   # unseen by the wrapper
+        match = f"missing edge {shared[7]}"
+    elif fault == "wrong index entry":
+        index[2 * 7] = shared[8]
+        match = f"vertex 14 not indexed to edge {shared[7]}"
+    else:
+        del index[2 * 7 + 1]
+        match = f"vertex 15 not indexed to edge {shared[7]}"
+    held = set(wrapped.output.edges)
+    vertex = 5000
+    with pytest.raises(DataError, match=match):
+        while True:
+            ev = UpdateEvent.vertex_insert(vertex)
+            vertex += 1
+            wrapped.handle_update(ev, g.apply_update(ev))
+            assert set(wrapped.output.edges) == held
+    assert wrapped.window.groups is None
+    assert set(wrapped.output.edges) == held
+
+
+def test_inner_deltas_are_checked():
+    """The mirror refuses a delta that does not describe the inner's
+    matching, with the snapshot check's texts."""
+    g = Graph()
+    a, b, c = (g.add_edge(u, u + 1, 1.0) for u in (0, 1, 5))
+
+    class Told(InnerAlgorithm):
+        def __init__(self, g):
+            self.g, self.matching, self.change = g, Matching(g), OutputDelta()
+
+        def handle_update(self, ev, delta):
+            return self.change
+
+    for change, fault in (
+            (OutputDelta(added=[a, b]), "vertex 1 already matched by edge"),
+            (OutputDelta(added=[c, c]), f"edge {c} already in matching"),
+            (OutputDelta(removed=[a]), f"edge {a} not in matching"),
+            (OutputDelta(added=[a]), "inner reports 0 matched edges but its "
+                                     "deltas give 1")):
+        inner = Told(g)
+        wrapped = WrappedMatching(g, inner, 0.1)
+        inner.change = change
+        ev = UpdateEvent.vertex_insert(100)
+        with pytest.raises(ContractError, match=fault):
+            wrapped.handle_update(ev, g.apply_update(ev))
+        g.apply_update(UpdateEvent.vertex_delete(100))
+    # a held edge that the update deletes must be reported removed
+    inner = Told(g)
+    inner.matching = Matching(g, [c])
+    wrapped = WrappedMatching(g, inner, 0.1)
+    ev = UpdateEvent.edge_delete(5, 6)
+    with pytest.raises(ContractError,
+                       match=f"sub-matching: no edge with id {c}"):
+        wrapped.handle_update(ev, g.apply_update(ev))
 
 
 def test_window_close_names_first_unabsorbed_target_edge():
     g = Graph()
     ids = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(6)]
     wrapped = WrappedMatching(g, GreedyMaximalMatching(g), 0.1)
-    wrapped.output = Matching(g, ids[:2])
-    # ids[5] dies (nothing to absorb), ids[1] is absorbed; of the two left,
-    # the error names the first in the snapshot's order, not the smaller id
-    order = [ids[5], ids[1], ids[4], ids[3]]
+    wrapped.adopt_output(ids[:2])
+    # the snapshot is ids[5], ids[1], ids[4], ids[3] in this order: ids[5]
+    # dies (nothing to absorb), ids[1] is shared; of the two left, the error
+    # names the first in the snapshot's order, not the smaller id
     g.remove_edge_id(ids[5])
-    wrapped.window = WindowState(length=2, first_half=1, frozen=set(order),
-                                 order=order, target_only=order[2:],
-                                 groups=[], elapsed=1)
+    wrapped.window = WindowState(length=2, first_half=1,
+                                 target_only=[ids[5], ids[4], ids[3]],
+                                 output_only={ids[0]}, groups=[], elapsed=1)
     with pytest.raises(ContractError, match=f"absorbing target edge {ids[4]}$"):
         wrapped._window_step(OutputDelta())
 
