@@ -78,10 +78,6 @@ class ExactPathMaintainer(InnerAlgorithm):
         self.g = g
         self.matching = Matching(g)
 
-    def matching_ids(self) -> list[int]:
-        # sorted, so emit_edges truncates to the smallest ids
-        return sorted(self.matching.edges)
-
     def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:
         out = OutputDelta()
         touched: set[int] = set()

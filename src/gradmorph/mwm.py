@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import (ContractError, DataError, Graph, Matching, slack,
-                    validate_matching)
-from .mcm import _LinkedList
+from .graph import ContractError, DataError, Graph, Matching, slack
+from .mcm import _LinkedList, require_valid
 from .script import ChangeOp, Phase, TransformationScript
 
 
@@ -48,10 +47,14 @@ def decompose(g: Graph, source: Matching, target: Matching) -> list[AlternatingC
     lands in exactly one component. Deterministic: components discovered
     in ascending order of their smallest blue/red edge id.
     """
-    for name, m in (("source", source), ("target", target)):
-        report = validate_matching(g, m)
-        if not report:
-            raise DataError(f"{name} matching invalid: {report.reason}")
+    require_valid(g, "source", source)
+    require_valid(g, "target", target)
+    return _decompose(g, source, target)
+
+
+def _decompose(g: Graph, source: Matching,
+               target: Matching) -> list[AlternatingComponent]:
+    """decompose for matchings already checked."""
     blue = source.edges.keys() - target.edges.keys()
     red = target.edges.keys() - source.edges.keys()
     table = g._edges
@@ -249,35 +252,6 @@ def _units_for_range(g: Graph, comp: AlternatingComponent, lo: int, hi: int) -> 
     return units
 
 
-def replace_blue_red(
-    g: Graph,
-    comp: AlternatingComponent,
-    rng: str,
-    split: Optional[int] = None,
-) -> list[ChangeOp]:
-    """Flat op sequence for one ReplaceBlueRed call.
-
-    rng is "whole", "suffix" (pairs split+1..k) or "prefix" (pairs
-    1..split). Every red edge in range is added exactly once, every blue
-    edge in range removed exactly once, removals of a red's blue neighbors
-    happening no later than one op after the add.
-    """
-    k = comp.k()
-    if rng == "whole":
-        units = _units_for_range(g, comp, 1, k)
-    elif rng == "suffix":
-        if split is None or not (0 < split < k):
-            raise DataError(f"suffix split {split} out of range for k={k}")
-        units = _units_for_range(g, comp, split + 1, k)
-    elif rng == "prefix":
-        if split is None or not (0 < split < k):
-            raise DataError(f"prefix split {split} out of range for k={k}")
-        units = _units_for_range(g, comp, 1, split)
-    else:
-        raise DataError(f"unknown range {rng!r}")
-    return [op for u in units for op in u.ops]
-
-
 class _PhaseBuilder:
     """Groups units into phases, cutting after every light blue removal."""
 
@@ -364,10 +338,8 @@ def _validate_inputs(g: Graph, source: Matching, target: Matching,
                      eps: float) -> None:
     if not (0 < eps <= 0.5):
         raise DataError(f"epsilon {eps} outside (0, 1/2]")
-    for name, m in (("source", source), ("target", target)):
-        report = validate_matching(g, m)
-        if not report:
-            raise DataError(f"{name} matching invalid: {report.reason}")
+    require_valid(g, "source", source)
+    require_valid(g, "target", target)
 
 
 def plan_mwm(
@@ -387,10 +359,9 @@ def plan_mwm(
     Runs in O(|source| + |target|).
     """
     _validate_inputs(g, source, target, eps)
-    if set(source.edges) == set(target.edges):
+    if source.edges.keys() == target.edges.keys():
         return TransformationScript("mwm", mwm_phase_budget(eps), eps, [])
-    w_source = sum(g.weight(eid) for eid in source.edges)
-    w_target = sum(g.weight(eid) for eid in target.edges)
+    w_source, w_target = source.weight(), target.weight()
     if w_target <= w_source:
         raise DataError(
             f"w(target) = {w_target} <= w(source) = {w_source}; "
@@ -407,10 +378,11 @@ def _plan_phases(
     good_edge_prepass: bool,
 ) -> tuple[TransformationScript, list[int]]:
     """plan_mwm's script for valid, distinct matchings with w(target) >=
-    w(source), and the isolated source-only edges it keeps (ascending)."""
+    w(source), and the isolated source-only edges it keeps (ascending).
+    Checks neither matching."""
     budget = mwm_phase_budget(eps)
-    w_source = sum(g.weight(eid) for eid in source.edges)
-    max_src_weight = max((g.weight(eid) for eid in source.edges), default=0.0)
+    w_source = source.weight()
+    max_src_weight = max(source.edges.values(), default=0.0)
     light_threshold = eps * w_source
     tol = slack(w_source)
     op_floor = w_source - max_src_weight - tol
@@ -420,8 +392,8 @@ def _plan_phases(
     if good_edge_prepass:
         _prepass_good_edges(g, work, target, builder)
 
-    comps = order_components(decompose(g, work, target))
-    surplus = sum(g.weight(eid) for eid in work.edges) - w_source  # pre-pass gain
+    comps = order_components(_decompose(g, work, target))
+    surplus = work.weight() - w_source  # pre-pass gain
 
     current = w_source + surplus
 
@@ -483,19 +455,18 @@ def plan_mwm_auto(
     script; the floors then reference the lighter endpoint, matching
     check_guarantee's convention.
     """
-    w_source = sum(g.weight(eid) for eid in source.edges)
-    w_target = sum(g.weight(eid) for eid in target.edges)
-    if set(source.edges) == set(target.edges):
-        return TransformationScript("mwm", mwm_phase_budget(eps), eps, [])
-    if w_target > w_source:
-        return plan_mwm(g, source, target, eps, good_edge_prepass)
     _validate_inputs(g, source, target, eps)
+    if source.edges.keys() == target.edges.keys():
+        return TransformationScript("mwm", mwm_phase_budget(eps), eps, [])
+    w_source, w_target = source.weight(), target.weight()
+    if w_target > w_source:
+        return _plan_phases(g, source, target, eps, good_edge_prepass)[0]
     script, kept = _plan_phases(g, target, source, eps, good_edge_prepass)
     # The reversed script must start from exactly `target`, so the kept
     # target-only edges leave in trailing 1-op phases. The running weight
     # then falls from w(source) + w(kept) to w(source) >= w(target), so it
     # stays above the op floor of the target -> source plan.
-    max_weight = max((g.weight(eid) for eid in target.edges), default=0.0)
+    max_weight = max(target.edges.values(), default=0.0)
     op_floor = w_target - max_weight - slack(w_target)
     current = w_source + sum(g.weight(eid) for eid in kept)
     for eid in kept:

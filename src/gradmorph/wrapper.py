@@ -12,18 +12,17 @@ recourse budget.
 The wrapper mirrors the inner matching from the deltas that the inner's
 handle_update returns (see InnerAlgorithm), checking each reported edge in
 O(1), and keeps both differences, inner minus output and output minus
-inner, up to date as either side changes. With k the snapshot's ids
-outside the output, an unweighted window:
+inner, up to date as either side changes. A window's snapshot is the
+mirror in the order its edges entered it, capped at its first cap ids.
+With k the snapshot's ids outside the output, a window:
 
 - opens by reading the k target-only ids and the output-only ids;
-- plans by running the mcm core on the k target-only edges over the
-  output's own vertex index, after check_output has checked the whole
-  output in C-level passes, the one pass over the whole matching a window
-  makes;
+- plans after check_output has checked the whole output in C-level
+  passes, the one pass over the whole matching an unweighted window
+  makes. Unweighted, it runs the mcm core on the k target-only edges over
+  the output's own vertex index; weighted, it runs plan_mwm_auto from the
+  output to the snapshot's live edges;
 - closes by checking the k target-only edges.
-
-Weighted windows still take their snapshot from emit_edges and plan it
-whole with plan_mwm_auto.
 """
 
 from __future__ import annotations
@@ -83,21 +82,16 @@ class InnerAlgorithm:
     matching_ids(), and checks the mirror's size against current_size()
     at every step.
 
-    An unweighted window's snapshot is the mirror in the order its edges
-    entered it, and a snapshot capped at l edges is the first l of that
-    order. For an inner whose matching keeps insertion order and that
-    applies its removals before its adds, as greedy does, this is the
-    order of matching_ids(). emit_edges(l) returns a new list of the first
-    l ids of matching_ids(), or all of them; weighted windows take their
-    snapshot from it.
+    A window's snapshot is the mirror in the order its edges entered it,
+    and a snapshot capped at cap edges is the first cap of that order. For
+    an inner whose matching keeps insertion order and that applies its
+    removals before its adds, as greedy does, this is the order of
+    matching_ids().
     """
 
     beta: float = 1.0
     g: Graph
     matching: Matching
-
-    def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:
-        raise NotImplementedError
 
     def matching_ids(self) -> list[int]:
         return self.matching.edge_ids()
@@ -107,10 +101,6 @@ class InnerAlgorithm:
 
     def current_weight(self) -> float:
         return self.matching.weight()
-
-    def emit_edges(self, count: int) -> list[int]:
-        ids = self.matching_ids()
-        return ids if len(ids) <= count else ids[:count]
 
 
 class GreedyMaximalMatching(InnerAlgorithm):
@@ -270,49 +260,9 @@ class WindowState:
     first_half: int
     target_only: list[int]   # snapshot ids outside the output at open, in snapshot order
     output_only: set[int]    # live output ids outside the snapshot at open
-    order: Optional[list[int]] = None   # a weighted window's whole snapshot
     groups: Optional[list[list[tuple[str, int]]]] = None   # phase-atomic ops
     group_cursor: int = 0
     elapsed: int = 0
-
-
-def emitted_ids(inner: InnerAlgorithm, cap: int) -> list[int]:
-    """inner.emit_edges(cap), refused when it returns more than cap ids."""
-    ids = inner.emit_edges(cap)
-    if len(ids) > cap:
-        raise ContractError(f"inner emitted {len(ids)} edges for cap {cap}")
-    return ids
-
-
-def checked_snapshot(g: Graph, output: Matching,
-                     ids: list[int]) -> tuple[set[int], list[int]]:
-    """The set of ids and, in the ids' order, those outside output, once
-    ids are checked to be a matching of g; accepts exactly what
-    Matching(g, ids) accepts.
-
-    output must be a matching of g, so the ids it shares are live and
-    disjoint and need no check of their own. The k others are read in one
-    pass: they must be live and, with the shared edges, cover 2|ids|
-    distinct endpoints. A fault reruns the check edge by edge, as
-    Matching(g, ids), to name the first faulty id. O(k) plus C-level
-    passes over ids."""
-    frozen = set(ids)
-    target_only = list(filterfalse(output.edges.__contains__, ids))
-    try:
-        rows = list(map(g._edges.__getitem__, target_only))
-    except KeyError:
-        ok = False
-    else:
-        ends = set(map(itemgetter(0), rows))
-        ends.update(map(itemgetter(1), rows))
-        ok = (len(frozen) == len(ids) and len(ends) == 2 * len(rows)
-              and frozen.isdisjoint(map(output.vertex_index.get, ends)))
-    if not ok:
-        try:
-            Matching(g, ids)
-        except DataError as exc:
-            raise _invalid(exc) from None
-    return frozen, target_only
 
 
 def _invalid(fault: object) -> ContractError:
@@ -477,21 +427,14 @@ class WrappedMatching:
 
     def _open_window(self, out: OutputDelta) -> None:
         """Take the snapshot and open a window on it, or switch to it at
-        once when the instance is tiny. An unweighted snapshot is the
-        mirror, or its first cap ids in entry order, so the open reads
-        the k target-only ids and the output-only ones, or the cap ids
-        when capped (then k >= cap - |output| >= |output|)."""
+        once when the instance is tiny. The snapshot is the mirror, or its
+        first cap ids in entry order, so the open reads the k target-only
+        ids and the output-only ones, or the cap ids when capped (then
+        k >= cap - |output| >= |output|)."""
         output = self.output
         src_size = len(output)
         cap = max(2 * src_size, BOOTSTRAP_CAP)
-        order = None
-        if self.weighted:
-            order = emitted_ids(self.inner, cap)
-            frozen, target_only = checked_snapshot(self.g, output, order)
-            output_only = set(filterfalse(frozen.__contains__, output.edges))
-            size = len(order)
-            self._work += size + src_size
-        elif len(self.mirror) <= cap:
+        if len(self.mirror) <= cap:
             target_only = sorted(self._inner_only, key=self.mirror.__getitem__)
             output_only = set(self._output_only)
             size = len(self.mirror)
@@ -521,7 +464,6 @@ class WrappedMatching:
             first_half=length // 2,
             target_only=target_only,
             output_only=output_only,
-            order=order,
         )
         self.windows += 1
         self.last_window_phase = "first"
@@ -535,15 +477,16 @@ class WrappedMatching:
         window has changed it only by tombstones, so the snapshot's live
         edges are the live target-only ones and the output's edges outside
         win.output_only."""
-        live = self.g._edges.__contains__
+        output = self.output
+        target_only = list(filter(self.g._edges.__contains__, win.target_only))
         if self.weighted:
-            target = Matching(self.g, filter(live, win.order))
-            script = plan_mwm_auto(self.g, self.output, target, min(self.eps, 0.5))
+            target = Matching(self.g, [*filterfalse(win.output_only.__contains__,
+                                                    output.edges), *target_only])
+            script = plan_mwm_auto(self.g, output, target, min(self.eps, 0.5))
             return [[(op.kind, self.g.edge_id(op.u, op.v)) for op in ph.ops]
                     for ph in script.phases]
-        target_only = list(filter(live, win.target_only))
-        size = len(self.output) - len(win.output_only) + len(target_only)
-        return plan_mcm(self.g, self.output, target_only, size).phases
+        size = len(output) - len(win.output_only) + len(target_only)
+        return plan_mcm(self.g, output, target_only, size).phases
 
     def _window_step(self, out: OutputDelta) -> None:
         win = self.window

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gradmorph.mcm
 from gradmorph.gen import random_graph, random_matching
 from gradmorph.graph import DataError, Graph, Matching, solution_stats
-from gradmorph.mwm import (AlternatingComponent, decompose, mwm_phase_budget,
-                           order_components, plan_mwm, plan_mwm_auto,
-                           prefix_min_index, prefix_sums, replace_blue_red)
+from gradmorph.mwm import (AlternatingComponent, _units_for_range, decompose,
+                           mwm_phase_budget, order_components, plan_mwm,
+                           plan_mwm_auto, prefix_min_index, prefix_sums)
 from gradmorph.script import check_guarantee, replay
 
 from conftest import alternating_cycle_fixture, path_graph, pinned_matching_pairs
@@ -122,21 +123,22 @@ def test_prefix_min_is_exhaustive_argmin(pairs):
 
 
 def test_replace_blue_red_spec_examples():
+    """ReplaceBlueRed on a whole component, its suffix and its prefix, as
+    the planner runs it: the units for a range of pairs."""
+    def ops(g, comp, lo, hi):
+        return [(o.kind, o.w) for u in _units_for_range(g, comp, lo, hi)
+                for o in u.ops]
+
     g, src, tgt = _pair_path([5.0, 7.0])  # k=1, r > b
     comp = decompose(g, src, tgt)[0]
-    ops = replace_blue_red(g, comp, "whole")
-    assert [(o.kind, o.w) for o in ops] == [("remove", 5.0), ("add", 7.0)]
+    assert ops(g, comp, 1, 1) == [("remove", 5.0), ("add", 7.0)]
 
     g, src, tgt = _pair_path([5.0, 1.0, 1.0, 7.0])
     comp = decompose(g, src, tgt)[0]
-    suffix = replace_blue_red(g, comp, "suffix", 1)
-    assert [(o.kind, o.w) for o in suffix] == [("remove", 1.0), ("add", 7.0)]
-    prefix = replace_blue_red(g, comp, "prefix", 1)
-    assert [(o.kind, o.w) for o in prefix] == [("remove", 5.0), ("add", 1.0)]
-    with pytest.raises(DataError):
-        replace_blue_red(g, comp, "suffix", 2)
-    with pytest.raises(DataError):
-        replace_blue_red(g, comp, "sideways")
+    assert ops(g, comp, 2, 2) == [("remove", 1.0), ("add", 7.0)]   # suffix
+    assert ops(g, comp, 1, 1) == [("remove", 5.0), ("add", 1.0)]   # prefix
+    with pytest.raises(DataError, match="malformed range 3..2"):
+        _units_for_range(g, comp, 3, 2)   # a suffix split at k
 
 
 def _master_check(g, src, tgt, eps, prepass=True):
@@ -165,6 +167,32 @@ def test_plan_identity_and_parameter_errors():
         plan_mwm(g, src, tgt, 0.6)
     with pytest.raises(DataError, match="plan_mwm_auto"):
         plan_mwm(g, tgt, src, 0.5)  # decreasing direction
+
+
+def test_planners_validate_each_matching_once(monkeypatch, rng):
+    """plan_mwm and plan_mwm_auto check each matching once a call, in
+    either direction, the refused one of plan_mwm included."""
+    calls = []
+    check = gradmorph.mcm.validate_matching
+
+    def counted(g, m):
+        calls.append(m)
+        return check(g, m)
+
+    monkeypatch.setattr(gradmorph.mcm, "validate_matching", counted)
+    g = random_graph(rng, 40, 120, 1.0, 9.0)
+    a, b = random_matching(rng, g), random_matching(rng, g)
+    light, heavy = sorted((a, b), key=Matching.weight)
+    for planner, source, target in ((plan_mwm, light, heavy),
+                                    (plan_mwm, heavy, light),
+                                    (plan_mwm_auto, light, heavy),
+                                    (plan_mwm_auto, heavy, light)):
+        calls.clear()
+        try:
+            planner(g, source, target, 0.2)
+        except DataError:
+            assert planner is plan_mwm and source is heavy
+        assert calls == [source, target]
 
 
 def test_single_component_floors():

@@ -4,8 +4,6 @@ import tracemalloc
 from itertools import filterfalse
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gradmorph.mcm
 from gradmorph.adversary import (ExactPathMaintainer, StaticSubject,
@@ -18,8 +16,7 @@ from gradmorph.oracles import max_matching_exact, max_weight_matching_exact
 from gradmorph.sim import make_inner, run_simulation
 from gradmorph.wrapper import (BOOTSTRAP_CAP, BatchRecompute,
                                GreedyMaximalMatching, InnerAlgorithm,
-                               OutputDelta, WindowState, WrappedMatching,
-                               checked_snapshot, emitted_ids)
+                               OutputDelta, WindowState, WrappedMatching)
 
 
 def _drive(g, algo, events, validate_every=1):
@@ -112,137 +109,7 @@ def test_batch_recompute_approximation(rng):
         assert inner.current_size() * (1 + inner.eps_in / 4) >= opt - 1e-9
 
 
-def test_snapshot_truncated():
-    g = Graph()
-    ids = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(10)]
-
-    class Fixed(InnerAlgorithm):
-        def matching_ids(self):
-            return ids
-
-        def current_weight(self):
-            return float(len(ids))
-
-        def handle_update(self, ev, delta):
-            return OutputDelta()
-
-    assert emitted_ids(Fixed(), 30) == ids
-    assert emitted_ids(Fixed(), 3) == ids[:3]
-
-    class Greedy(Fixed):
-        def emit_edges(self, count):
-            return ids
-
-    with pytest.raises(ContractError, match="inner emitted 10 edges for cap 3"):
-        emitted_ids(Greedy(), 3)
-
-
-def test_contract_violation_surfaced():
-    g = Graph()
-    a = g.add_edge(0, 1, 1.0)
-    b = g.add_edge(1, 2, 1.0)
-    dead = g.add_edge(5, 6, 1.0)
-    g.remove_edge_id(dead)
-
-    class Broken(InnerAlgorithm):
-        def __init__(self, ids):
-            self.ids = ids
-
-        def matching_ids(self):
-            return self.ids
-
-        def handle_update(self, ev, delta):
-            return OutputDelta()
-
-    for ids, fault in (([a, b], "vertex 1 already matched"),
-                       ([a, dead], f"no edge with id {dead}"),
-                       ([b, b], f"edge {b} already in matching")):
-        with pytest.raises(ContractError, match=f"sub-matching: {fault}"):
-            checked_snapshot(g, Matching(g), emitted_ids(Broken(ids), 5))
-
-
-def _check_against_build(g, output, ids):
-    """checked_snapshot accepts ids exactly when Matching(g, ids) does and
-    then returns its ids and, in order, those outside output; on a
-    rejection it names the same fault. Returns whether ids were accepted."""
-    try:
-        ref = Matching(g, ids)
-    except DataError as exc:
-        with pytest.raises(ContractError) as err:
-            checked_snapshot(g, output, ids)
-        assert str(err.value) == f"inner emitted an invalid sub-matching: {exc}"
-        return False
-    frozen, target_only = checked_snapshot(g, output, ids)
-    assert frozen == ref.edges.keys()
-    assert target_only == [e for e in ids if e not in output.edges]
-    return True
-
-
-def _greedy(g, order):
-    ids, used = [], set()
-    for eid in order:
-        if used.isdisjoint(g.endpoints(eid)):
-            ids.append(eid)
-            used.update(g.endpoints(eid))
-    return ids
-
-
-@st.composite
-def _output_and_snapshot(draw):
-    """A small graph with some edges deleted, an output matching of it, and
-    emitted ids: a matching that keeps some output edges, with up to two
-    ids (live, dead, never used or repeated) slipped in."""
-    n = draw(st.integers(2, 9))
-    g = Graph()
-    for v in range(n):
-        g.ensure_vertex(v)
-    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                        st.integers(0, n - 1)), max_size=18)):
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v, 1.0)
-    created = g.num_edges()
-    if created:
-        for eid in draw(st.sets(st.integers(0, created - 1), max_size=4)):
-            g.remove_edge_id(eid)
-    live = list(g.edge_ids())
-    output = Matching(g, _greedy(g, draw(st.permutations(live))))
-    kept = draw(st.permutations(output.edge_ids()))
-    ids = _greedy(g, kept[:draw(st.integers(0, len(kept)))]
-                  + draw(st.permutations(live)))
-    for eid in draw(st.lists(st.integers(-1, created + 1), max_size=2)):
-        ids.insert(draw(st.integers(0, len(ids))), eid)
-    return g, output, ids
-
-
-@settings(max_examples=400, deadline=None)
-@given(_output_and_snapshot())
-def test_snapshot_check_equals_matching_build(case):
-    _check_against_build(*case)
-
-
-@pytest.mark.parametrize("case, accepted", [
-    ("repeated id", False),
-    ("dead id", False),
-    ("two target-only edges share a vertex", False),
-    ("target-only edge shares a vertex with a shared edge", False),
-    ("target-only edge touches an output-only edge", True),
-])
-def test_snapshot_check_cases(case, accepted):
-    g = Graph()
-    a, b, c, d, e, f = (g.add_edge(u, v, 1.0) for u, v in
-                        ((0, 1), (1, 2), (2, 3), (4, 5), (6, 7), (3, 6)))
-    dead = g.add_edge(8, 9, 1.0)
-    g.remove_edge_id(dead)
-    output = Matching(g, [b, d])
-    ids = {"repeated id": [d, e, e],
-           "dead id": [d, dead],
-           "two target-only edges share a vertex": [c, f],
-           "target-only edge shares a vertex with a shared edge": [b, a],
-           "target-only edge touches an output-only edge": [d, a]}[case]
-    assert _check_against_build(g, output, ids) == accepted
-
-
-def _paths_next_to_shared(shared_count=2000, paths=5):
+def _paths_next_to_shared(shared_count=2000, paths=5, weighted=False):
     """|M| = shared_count + 2 * paths with k = 2 * paths target-only
     edges: paths a-b-c-d where the output holds bc and the inner ab and
     cd, next to shared_count edges that both hold."""
@@ -256,7 +123,7 @@ def _paths_next_to_shared(shared_count=2000, paths=5):
         target_only += [ab, cd]
     inner = GreedyMaximalMatching(g)
     inner.matching = Matching(g, shared + target_only)
-    wrapped = WrappedMatching(g, inner, 0.1)
+    wrapped = WrappedMatching(g, inner, 0.1, weighted=weighted)
     wrapped.adopt_output(shared + output_only)
     return g, wrapped, shared, output_only, target_only
 
@@ -267,7 +134,19 @@ def test_window_work_follows_the_difference(monkeypatch):
     # ids: apart from the plan step's check of the output, a window's work
     # follows the difference. Nor does any step copy a matching or build
     # the snapshot as one, and the planner core reads O(k) edge rows.
-    g, wrapped, shared, output_only, target_only = _paths_next_to_shared()
+    _window_work(monkeypatch, weighted=False)
+
+
+def test_weighted_window_work_follows_the_difference(monkeypatch):
+    # A weighted window opens and closes as an unweighted one does, from
+    # the mirror; its plan step builds the snapshot and plans it whole
+    # with plan_mwm_auto, so only that step is exempt.
+    _window_work(monkeypatch, weighted=True)
+
+
+def _window_work(monkeypatch, weighted):
+    g, wrapped, shared, output_only, target_only = _paths_next_to_shared(
+        weighted=weighted)
     inner = wrapped.inner
 
     calls = {"copy": 0, "build": 0, "rows": 0, "core": 0, "reads": 0,
@@ -309,7 +188,6 @@ def test_window_work_follows_the_difference(monkeypatch):
     monkeypatch.setattr(Matching, "__init__", counted_init)
     monkeypatch.setattr(gradmorph.mcm, "plan_target_only", counted_core)
     monkeypatch.setattr(inner, "matching_ids", counted_read)
-    monkeypatch.setattr(inner, "emit_edges", counted_read)
     monkeypatch.setattr(wrapped, "check_output", counted_check)
     g._edges = CountingRows(g._edges)
     # a list of |M| ids alone takes 8 bytes an id
@@ -326,6 +204,7 @@ def test_window_work_follows_the_difference(monkeypatch):
             planned = before is not None and before.groups is not None
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
+            made = calls["copy"], calls["build"]
             wrapped.handle_update(ev, delta)
             grown = tracemalloc.get_traced_memory()[1] - start
             if before is None:
@@ -333,16 +212,22 @@ def test_window_work_follows_the_difference(monkeypatch):
                 assert wrapped.window.target_only == target_only
             elif not planned and wrapped.window.groups is not None:
                 peaks["plan"] = grown
+                made_by_plan = calls["copy"] - made[0], calls["build"] - made[1]
                 assert len(wrapped.window.groups) == 10
             elif wrapped.window is None:
                 peaks["close"] = grown
                 break
     finally:
         tracemalloc.stop()
-    assert calls["copy"] == 0 and calls["build"] == 0
-    assert 0 < calls["core"] <= 3 * len(target_only)
     assert calls["reads"] == 0 and calls["checks"] == 1
     assert set(peaks) == {"open", "plan", "close"}
+    # only a weighted plan step copies or builds a matching
+    assert (calls["copy"], calls["build"]) == made_by_plan
+    if weighted:
+        del peaks["plan"]
+    else:
+        assert made_by_plan == (0, 0)
+        assert 0 < calls["core"] <= 3 * len(target_only)
     assert max(peaks.values()) < whole / 2, peaks
     assert sorted(wrapped.matching_ids()) == sorted(shared + target_only)
     monkeypatch.undo()
@@ -450,9 +335,10 @@ def test_corrupted_output_raises_before_playback(fault):
 
 def test_inner_deltas_are_checked():
     """The mirror refuses a delta that does not describe the inner's
-    matching, with the snapshot check's texts."""
+    matching, weighted or not, with Matching's own fault texts."""
     g = Graph()
-    a, b, c = (g.add_edge(u, u + 1, 1.0) for u in (0, 1, 5))
+    a, b, c, dead = (g.add_edge(u, u + 1, 1.0) for u in (0, 1, 5, 8))
+    g.remove_edge_id(dead)
 
     class Told(InnerAlgorithm):
         def __init__(self, g):
@@ -461,27 +347,32 @@ def test_inner_deltas_are_checked():
         def handle_update(self, ev, delta):
             return self.change
 
-    for change, fault in (
-            (OutputDelta(added=[a, b]), "vertex 1 already matched by edge"),
-            (OutputDelta(added=[c, c]), f"edge {c} already in matching"),
-            (OutputDelta(removed=[a]), f"edge {a} not in matching"),
-            (OutputDelta(added=[a]), "inner reports 0 matched edges but its "
-                                     "deltas give 1")):
+    for weighted in (False, True):
+        for change, fault in (
+                (OutputDelta(added=[a, b]), "vertex 1 already matched by edge"),
+                (OutputDelta(added=[c, c]), f"edge {c} already in matching"),
+                (OutputDelta(added=[a, dead]),
+                 f"sub-matching: no edge with id {dead}"),
+                (OutputDelta(removed=[a]), f"edge {a} not in matching"),
+                (OutputDelta(added=[a]), "inner reports 0 matched edges but "
+                                         "its deltas give 1")):
+            inner = Told(g)
+            wrapped = WrappedMatching(g, inner, 0.1, weighted=weighted)
+            inner.change = change
+            ev = UpdateEvent.vertex_insert(100)
+            with pytest.raises(ContractError, match=fault):
+                wrapped.handle_update(ev, g.apply_update(ev))
+            g.apply_update(UpdateEvent.vertex_delete(100))
+        # a held edge that the update deletes must be reported removed
         inner = Told(g)
-        wrapped = WrappedMatching(g, inner, 0.1)
-        inner.change = change
-        ev = UpdateEvent.vertex_insert(100)
-        with pytest.raises(ContractError, match=fault):
+        inner.matching = Matching(g, [c])
+        wrapped = WrappedMatching(g, inner, 0.1, weighted=weighted)
+        ev = UpdateEvent.edge_delete(5, 6)
+        with pytest.raises(ContractError,
+                           match=f"sub-matching: no edge with id {c}"):
             wrapped.handle_update(ev, g.apply_update(ev))
-        g.apply_update(UpdateEvent.vertex_delete(100))
-    # a held edge that the update deletes must be reported removed
-    inner = Told(g)
-    inner.matching = Matching(g, [c])
-    wrapped = WrappedMatching(g, inner, 0.1)
-    ev = UpdateEvent.edge_delete(5, 6)
-    with pytest.raises(ContractError,
-                       match=f"sub-matching: no edge with id {c}"):
-        wrapped.handle_update(ev, g.apply_update(ev))
+        g.apply_update(UpdateEvent.edge_insert(5, 6, 1.0))
+        c = g.edge_id(5, 6)
 
 
 def test_window_close_names_first_unabsorbed_target_edge():
