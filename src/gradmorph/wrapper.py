@@ -299,7 +299,8 @@ class WrappedMatching:
     not enforced: an open and a plan read the k target-only ids in one
     step, and k grows with the inner's changes over a window of about
     eps * |M| steps. The plan step's check of the whole output is apart
-    from it (see check_output)."""
+    from it (see check_output), and so is a weighted plan step's build
+    and plan of the whole snapshot."""
 
     def __init__(self, g: Graph, inner: InnerAlgorithm, eps: float,
                  weighted: bool = False, psi: float = 1.0) -> None:
