@@ -22,9 +22,8 @@ from .io import (RunManifest, emit_edge_set, parse_forest, parse_graph,
 from .mcm import plan_mcm
 from .msf import INDEX_KIND, plan_msf
 from .mwm import plan_mwm_auto
-from .oracles import (OracleBudget, exhaustive_transform_search,
-                      max_matching_exact, max_weight_matching_exact,
-                      msf_exact)
+from .oracles import (exhaustive_transform_search, max_matching_exact,
+                      max_weight_matching_exact, msf_exact)
 from .script import (TransformationScript, check_guarantee, replay,
                      report_to_csv_rows, transform_granularity)
 from .sim import make_inner, run_simulation, trace_csv_rows
@@ -242,12 +241,11 @@ def _cmd_adversary(args) -> int:
 def _cmd_oracle(args) -> int:
     manifest = RunManifest("oracle", {"task": args.task})
     g = parse_graph(_read(args.graph, "graph", manifest))
-    budget = OracleBudget()
     if args.task == "mcm":
-        ids = max_matching_exact(g, budget)
+        ids = max_matching_exact(g)
         print(f"size={len(ids)}")
     elif args.task == "mwm":
-        ids = max_weight_matching_exact(g, budget)
+        ids = max_weight_matching_exact(g)
         print(f"size={len(ids)} weight={sum(g.weight(e) for e in ids)!r}")
     elif args.task == "msf":
         ids = msf_exact(g)
@@ -257,8 +255,7 @@ def _cmd_oracle(args) -> int:
         tgt = set(parse_matching(_read(args.target, "to", manifest), g).edge_ids())
         res = exhaustive_transform_search(
             g, src, tgt, args.delta, args.floor,
-            floor_kind=args.floor_kind, granularity=args.search_granularity,
-            budget=budget)
+            floor_kind=args.floor_kind, granularity=args.search_granularity)
         print(f"feasible={res.feasible} explored={res.explored}"
               + ("" if res.feasible else f" note={res.note}"))
         _finish_manifest(manifest, args)

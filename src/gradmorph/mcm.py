@@ -9,94 +9,35 @@ drops below min(|source|, |target| - 1).
 target-only edges to `plan_target_only`, the planning core. The core reads
 the rows of those k edges and of the source edges blocking them, keeps
 its working matching as an overlay of changes on the source's vertex
-index, and returns each phase as (kind, edge id) pairs, so its Python work
-is O(k) whatever the size of the source. `plan_mcm` builds the script's
-ops from those pairs; the recourse wrapper, which knows its target-only
-edges and plays the pairs directly, calls the core alone.
+index, and returns each phase as (kind, edge id) pairs, the one op format
+of every planner, so its Python work is O(k) whatever the size of the
+source. `plan_mcm` hands those groups to `TransformationScript.from_groups`;
+the recourse wrapper, which knows its target-only edges and plays the
+groups directly, calls the core alone.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterable
 
 from .graph import ContractError, DataError, Graph, Matching, validate_matching
-from .script import ChangeOp, Phase, TransformationScript
+from .script import Group, TransformationScript
 
 MCM_PHASE_BUDGET = 3
 
 
-class _LinkedList:
-    """Intrusive doubly-linked list over edge ids; O(1) detach by id."""
-
-    __slots__ = ("prev", "next", "head", "tail")
-
-    def __init__(self) -> None:
-        self.prev: dict[int, int | None] = {}
-        self.next: dict[int, int | None] = {}
-        self.head: int | None = None
-        self.tail: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.head is not None
-
-    def __contains__(self, eid: int) -> bool:
-        return eid in self.prev
-
-    def __len__(self) -> int:
-        return len(self.prev)
-
-    def append(self, eid: int) -> None:
-        self.prev[eid] = self.tail
-        self.next[eid] = None
-        if self.tail is None:
-            self.head = eid
-        else:
-            self.next[self.tail] = eid
-        self.tail = eid
-
-    def detach(self, eid: int) -> None:
-        p, n = self.prev.pop(eid), self.next.pop(eid)
-        if p is None:
-            self.head = n
-        else:
-            self.next[p] = n
-        if n is None:
-            self.tail = p
-        else:
-            self.prev[n] = p
-
-    def pop_head(self) -> int:
-        eid = self.head
-        if eid is None:
-            raise ContractError("pop from empty list")
-        self.detach(eid)
-        return eid
-
-    def ids(self) -> list[int]:
-        out = []
-        x = self.head
-        while x is not None:
-            out.append(x)
-            x = self.next[x]
-        return out
-
-
 @dataclass
 class EdgeClassification:
-    """Target-only edges split by how many current edges block them."""
+    """Target-only edges split by how many current edges block them; good
+    and bad are FIFO queues of edge ids."""
 
-    good: _LinkedList
-    bad: _LinkedList
+    good: OrderedDict[int, None]
+    bad: OrderedDict[int, None]
     blocker_count: dict[int, int]        # target-only eid -> #blocking edges
     blocked_by: dict[int, list[int]]     # current eid -> target-only eids it blocks
-
-    def good_ids(self) -> list[int]:
-        return self.good.ids()
-
-    def bad_ids(self) -> list[int]:
-        return self.bad.ids()
 
 
 def require_valid(g: Graph, name: str, m: Matching) -> None:
@@ -122,7 +63,8 @@ def classify(g: Graph, current: Matching, target: Matching) -> EdgeClassificatio
 def _classify(g: Graph, matched: dict[int, int],
               target_only: Iterable[int]) -> EdgeClassification:
     """classify's core: reads one edge row per target-only id."""
-    good, bad = _LinkedList(), _LinkedList()
+    good: OrderedDict[int, None] = OrderedDict()
+    bad: OrderedDict[int, None] = OrderedDict()
     blocker_count: dict[int, int] = {}
     blocked_by: dict[int, list[int]] = {}
     table = g._edges
@@ -133,7 +75,7 @@ def _classify(g: Graph, matched: dict[int, int],
         blocker_count[eid] = len(blockers)
         for b in blockers:
             blocked_by.setdefault(b, []).append(eid)
-        (good if len(blockers) <= 1 else bad).append(eid)
+        (good if len(blockers) <= 1 else bad)[eid] = None
     return EdgeClassification(good, bad, blocker_count, blocked_by)
 
 
@@ -181,16 +123,12 @@ def plan_mcm(g: Graph, source: Matching, target: Matching) -> TransformationScri
     require_valid(g, "target", target)
     groups = plan_target_only(g, source, target_only_ids(source, target),
                               len(target))
-    table = g._edges
-    phases = [Phase([ChangeOp(kind, *table[eid]) for kind, eid in group])
-              for group in groups]
-    script = TransformationScript("mcm", MCM_PHASE_BUDGET, None, phases)
-    script.validate()
-    return script
+    return TransformationScript.from_groups(g, "mcm", MCM_PHASE_BUDGET, None,
+                                            groups)
 
 
 def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],
-                     target_size: int) -> list[list[tuple[str, int]]]:
+                     target_size: int) -> list[Group]:
     """The planning core: phases taking source to a superset of a target
     matching, given the target's edges outside source (in the target's
     order) and |target|. Returns each phase as its ops, (kind, edge id)
@@ -203,7 +141,7 @@ def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],
     cls = _classify(g, source.vertex_index, target_only)
     work = _Overlay(source)
     table = g._edges
-    groups: list[list[tuple[str, int]]] = []
+    groups: list[Group] = []
 
     def on_removed(blocker: int) -> None:
         for te in cls.blocked_by.pop(blocker, ()):
@@ -211,19 +149,19 @@ def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],
                 continue  # already planned
             cls.blocker_count[te] -= 1
             if cls.blocker_count[te] == 1 and te in cls.bad:
-                cls.bad.detach(te)
-                cls.good.append(te)
+                del cls.bad[te]
+                cls.good[te] = None
 
     while cls.good or cls.bad:
         if cls.good:
-            eid = cls.good.pop_head()
+            eid = cls.good.popitem(last=False)[0]
         else:
             # every remaining target-only edge is blocked twice
             if work.size < target_size:
                 raise ContractError(
                     f"bad-edge invariant breach: |work| = {work.size} < "
                     f"|target| = {target_size} with no good edges")
-            eid = cls.bad.pop_head()
+            eid = cls.bad.popitem(last=False)[0]
         del cls.blocker_count[eid]
         u, v, _ = table[eid]
         blockers = {work.matched_edge(u), work.matched_edge(v)}

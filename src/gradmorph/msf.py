@@ -6,7 +6,9 @@ but not the other and swap it against an edge of the cycle it closes. The
 forward stream moves the source-side tree, the backward stream moves the
 target-side tree; the emitted fragment is the forward stream followed by
 the backward stream reversed with inverted ops. Every phase is one 2-op
-exchange and phase-end weight never exceeds max(w(F), w(F')).
+exchange and phase-end weight never exceeds max(w(F), w(F')). Like every
+planner it holds ops as (kind, edge id) pairs, and `plan_msf` ends in
+`TransformationScript.from_groups`.
 
 An edge in both work trees is never cut: the exchange cuts only dummy-2
 (exclusive) edges. So the edges the two trees share at the start are
@@ -19,13 +21,13 @@ witness and scripts do not change; index work follows k = |F xor F'| / 2.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from .graph import (ContractError, DataError, Graph, SpanningForest,
                     UnionFind, _forest_report, slack)
 from .dynforest import make_index
-from .script import ChangeOp, Phase, TransformationScript
+from .script import Group, TransformationScript, reversed_groups
 
 MSF_PHASE_BUDGET = 2
 INDEX_KIND = "linkcut"   # the index the planner builds; "naive" is the test reference
@@ -76,7 +78,7 @@ class ForestIndex(Protocol):
 
 @dataclass
 class TreeTransformState:
-    """Work trees of one component plus their indexes and op streams.
+    """Work trees of one component plus their indexes.
 
     The indexes run over super-vertices: rep maps each vertex touched by an
     initially shared edge to its contracted class (other vertices stand for
@@ -90,8 +92,6 @@ class TreeTransformState:
     index_src: ForestIndex
     index_tgt: ForestIndex
     heap: CrossEdgeHeap
-    forward: list[Phase] = field(default_factory=list)
-    backward: list[Phase] = field(default_factory=list)
 
     @staticmethod
     def create(g: Graph, tree_src: Iterable[int],
@@ -119,8 +119,9 @@ class TreeTransformState:
         heap = CrossEdgeHeap(g, tgt - src)
         return TreeTransformState(g, src, tgt, rep, index_src, index_tgt, heap)
 
-    def local_trans(self, e_prime: int) -> tuple[int, tuple[ChangeOp, ChangeOp]]:
-        """One exchange step for cross edge e_prime; returns (case, ops).
+    def local_trans(self, e_prime: int) -> tuple[int, Group]:
+        """One exchange step for cross edge e_prime; returns (case, ops),
+        the ops [("remove", e), ("add", e')] of its swap.
 
         Case 1 swaps inside the source-side tree (never increasing its
         weight); case 2 swaps inside the target-side tree (strictly
@@ -142,10 +143,7 @@ class TreeTransformState:
             self.index_src.link(e_prime, su, sv, 1)
             self.index_tgt.set_dummy(e_prime, 1)
             self.heap.discard(e_prime)
-            eu, ev, _ = g.edge(e)
-            ops = (ChangeOp("remove", eu, ev, ew), ChangeOp("add", pu, pv, pw))
-            self.forward.append(Phase(list(ops)))
-            return 1, ops
+            return 1, [("remove", e), ("add", e_prime)]
         # case 2: target tree drops e'' (on its cycle with e), gains e
         eu, ev, _ = g.edge(e)
         su, sv = rep.get(eu, eu), rep.get(ev, ev)
@@ -161,34 +159,29 @@ class TreeTransformState:
         self.index_tgt.link(e, su, sv, 1)
         self.index_src.set_dummy(e, 1)
         self.heap.discard(e2)
-        e2u, e2v, _ = g.edge(e2)
-        ops = (ChangeOp("remove", e2u, e2v, e2w), ChangeOp("add", eu, ev, ew))
-        self.backward.append(Phase(list(ops)))
-        return 2, ops
+        return 2, [("remove", e2), ("add", e)]
 
 
 def plan_tree(g: Graph, tree_src: Iterable[int],
-              tree_tgt: Iterable[int]) -> list[Phase]:
+              tree_tgt: Iterable[int]) -> list[Group]:
     """Complete fragment transforming one spanning tree into another.
 
-    Forward stream first, then the backward stream reversed with each
-    2-op exchange inverted ([remove x, add y] -> [remove y, add x]).
+    Forward stream (case-1 exchanges) first, then the backward stream
+    (case 2) reversed with each 2-op exchange inverted ([remove x, add y]
+    -> [remove y, add x]).
     """
     state = TreeTransformState.create(g, tree_src, tree_tgt)
-    steps = 0
+    forward: list[Group] = []
+    backward: list[Group] = []
     expected_steps = len(state.work_src ^ state.work_tgt) // 2
     while len(state.heap):
-        state.local_trans(state.heap.peek_min())
-        steps += 1
-        if steps > expected_steps:
+        case, ops = state.local_trans(state.heap.peek_min())
+        (forward if case == 1 else backward).append(ops)
+        if len(forward) + len(backward) > expected_steps:
             raise ContractError("exchange count exceeds |src xor tgt| / 2")
     if state.work_src != state.work_tgt:
         raise ContractError("work trees differ after an empty cross set")
-    phases = list(state.forward)
-    for ph in reversed(state.backward):
-        rm, add = ph.ops
-        phases.append(Phase([add.inverted(), rm.inverted()]))
-    return phases
+    return forward + reversed_groups(backward)
 
 
 def plan_msf(g: Graph, source: SpanningForest,
@@ -229,11 +222,10 @@ def plan_msf(g: Graph, source: SpanningForest,
     tol = slack()
     entries.sort(key=lambda t: 1 if t[3] > tol else 0)
 
-    phases: list[Phase] = []
+    groups: list[Group] = []
     for _, src_ids, tgt_ids, _ in entries:
         if set(src_ids) == set(tgt_ids):
             continue
-        phases.extend(plan_tree(g, src_ids, tgt_ids))
-    script = TransformationScript("msf", MSF_PHASE_BUDGET, None, phases)
-    script.validate()
-    return script
+        groups.extend(plan_tree(g, src_ids, tgt_ids))
+    return TransformationScript.from_groups(g, "msf", MSF_PHASE_BUDGET, None,
+                                            groups)

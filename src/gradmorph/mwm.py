@@ -7,17 +7,21 @@ decides between running it whole and splitting it into its suffix and
 prefix. The op stream is grouped into phases of O(1/eps) changes, cut
 whenever a light source edge (weight < eps * w(source)) leaves the
 matching, which pins the phase-end weight above (1-eps) * w(source).
+Like every planner it plans each phase as (kind, edge id) pairs; the
+recourse wrapper plays them directly, and scripts get them through
+`TransformationScript.from_groups`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import ContractError, DataError, Graph, Matching, slack
-from .mcm import _LinkedList, require_valid
-from .script import ChangeOp, Phase, TransformationScript
+from .mcm import require_valid
+from .script import Group, TransformationScript, reversed_groups
 
 
 def mwm_phase_budget(eps: float) -> int:
@@ -219,7 +223,7 @@ class _Unit:
     inside a phase.
     """
 
-    ops: list[ChangeOp]
+    ops: Group
     end_blue: Optional[int]   # blue edge removed by the unit's last op
 
 
@@ -231,21 +235,18 @@ def _units_for_range(g: Graph, comp: AlternatingComponent, lo: int, hi: int) -> 
     units: list[_Unit] = []
     first_blue = comp.pairs[lo - 1][0]
     if first_blue is not None:
-        bu, bv, bw = g.edge(first_blue)
-        units.append(_Unit([ChangeOp("remove", bu, bv, bw)], first_blue))
+        units.append(_Unit([("remove", first_blue)], first_blue))
     for j in range(lo, hi + 1):
-        ops: list[ChangeOp] = []
+        ops: Group = []
         red = comp.pairs[j - 1][1]
         if red is not None:
-            ru, rv, rw = g.edge(red)
-            ops.append(ChangeOp("add", ru, rv, rw))
+            ops.append(("add", red))
         end_blue = None
         if j + 1 <= hi:
             nxt = comp.pairs[j][0]
             if nxt is None:
                 raise ContractError("interior pair with absent blue slot")
-            nu, nv, nw = g.edge(nxt)
-            ops.append(ChangeOp("remove", nu, nv, nw))
+            ops.append(("remove", nxt))
             end_blue = nxt
         if ops:
             units.append(_Unit(ops, end_blue))
@@ -258,8 +259,8 @@ class _PhaseBuilder:
     def __init__(self, light_threshold: float, budget: int) -> None:
         self.light = light_threshold
         self.budget = budget
-        self.phases: list[Phase] = []
-        self._ops: list[ChangeOp] = []
+        self.phases: list[Group] = []
+        self._ops: Group = []
 
     def feed(self, g: Graph, units: list[_Unit]) -> None:
         for u in units:
@@ -268,16 +269,16 @@ class _PhaseBuilder:
                 self.close()
         self.close()
 
-    def add_phase(self, ops: list[ChangeOp]) -> None:
+    def add_phase(self, ops: Group) -> None:
         self.close()
-        self.phases.append(Phase(list(ops)))
+        self.phases.append(ops)
 
     def close(self) -> None:
         if self._ops:
             if len(self._ops) > self.budget:
                 raise ContractError(
                     f"phase of {len(self._ops)} ops exceeds budget {self.budget}")
-            self.phases.append(Phase(self._ops))
+            self.phases.append(self._ops)
             self._ops = []
 
 
@@ -291,8 +292,7 @@ def _prepass_good_edges(
     the sum of its current neighbors; never decreases the weight."""
     neighbor_sum: dict[int, float] = {}
     blocked_by: dict[int, list[int]] = {}
-    queue = _LinkedList()
-    queued: set[int] = set()
+    queue: OrderedDict[int, None] = OrderedDict()   # FIFO of good edges
 
     def is_good(te: int) -> bool:
         return g.weight(te) > neighbor_sum[te]
@@ -307,29 +307,24 @@ def _prepass_good_edges(
         for b in blockers:
             blocked_by.setdefault(b, []).append(te)
         if is_good(te):
-            queue.append(te)
-            queued.add(te)
+            queue[te] = None
 
     while queue:
-        te = queue.pop_head()
-        queued.discard(te)
+        te = queue.popitem(last=False)[0]
         del neighbor_sum[te]
-        u, v, w = g.edge(te)
+        u, v, _ = g.edge(te)
         blockers = sorted({b for b in (work.matched_edge(u), work.matched_edge(v))
                            if b is not None})
-        ops = [ChangeOp("add", u, v, w)]
+        ops = [("add", te)]
         for b in blockers:
-            bu, bv, bw = g.edge(b)
-            ops.append(ChangeOp("remove", bu, bv, bw))
-        for b in blockers:
+            ops.append(("remove", b))
             work.remove(b)
             for other in blocked_by.pop(b, ()):
                 if other not in neighbor_sum:
                     continue
                 neighbor_sum[other] -= g.weight(b)
-                if other not in queued and is_good(other):
-                    queue.append(other)
-                    queued.add(other)
+                if other not in queue and is_good(other):
+                    queue[other] = None
         work.add(te)
         builder.add_phase(ops)
 
@@ -367,7 +362,9 @@ def plan_mwm(
             f"w(target) = {w_target} <= w(source) = {w_source}; "
             "plan_mwm requires an improving target - use plan_mwm_auto, "
             "which plans the swapped direction and reverses the script")
-    return _plan_phases(g, source, target, eps, good_edge_prepass)[0]
+    groups = _plan_phases(g, source, target, eps, good_edge_prepass)[0]
+    return TransformationScript.from_groups(g, "mwm", mwm_phase_budget(eps),
+                                            eps, groups)
 
 
 def _plan_phases(
@@ -376,10 +373,10 @@ def _plan_phases(
     target: Matching,
     eps: float,
     good_edge_prepass: bool,
-) -> tuple[TransformationScript, list[int]]:
-    """plan_mwm's script for valid, distinct matchings with w(target) >=
+) -> tuple[list[Group], list[int]]:
+    """plan_mwm's phases for valid, distinct matchings with w(target) >=
     w(source), and the isolated source-only edges it keeps (ascending).
-    Checks neither matching."""
+    Checks neither matching; the builder checks each phase's budget."""
     budget = mwm_phase_budget(eps)
     w_source = source.weight()
     max_src_weight = max(source.edges.values(), default=0.0)
@@ -396,12 +393,14 @@ def _plan_phases(
     surplus = work.weight() - w_source  # pre-pass gain
 
     current = w_source + surplus
+    table = g._edges
 
     def feed_checked(units: list[_Unit]) -> None:
         nonlocal current
         for u in units:
-            for op in u.ops:
-                current += op.w if op.kind == "add" else -op.w
+            for kind, eid in u.ops:
+                w = table[eid][2]
+                current += w if kind == "add" else -w
                 if current < op_floor:
                     raise ContractError(
                         f"op-end weight {current} below floor {op_floor}")
@@ -437,9 +436,7 @@ def _plan_phases(
         if surplus < -tol:
             raise ContractError(f"negative running surplus {surplus}")
 
-    script = TransformationScript("mwm", budget, eps, builder.phases)
-    script.validate()
-    return script, sorted(isolated_blues)
+    return builder.phases, sorted(isolated_blues)
 
 
 def plan_mwm_auto(
@@ -449,20 +446,34 @@ def plan_mwm_auto(
     eps: float,
     good_edge_prepass: bool = True,
 ) -> TransformationScript:
-    """plan_mwm for either direction.
+    """plan_mwm for either direction: the script of plan_mwm_groups.
 
     When the target is not heavier, plans target -> source and reverses the
     script; the floors then reference the lighter endpoint, matching
     check_guarantee's convention.
     """
+    groups = plan_mwm_groups(g, source, target, eps, good_edge_prepass)
+    return TransformationScript.from_groups(g, "mwm", mwm_phase_budget(eps),
+                                            eps, groups)
+
+
+def plan_mwm_groups(
+    g: Graph,
+    source: Matching,
+    target: Matching,
+    eps: float,
+    good_edge_prepass: bool = True,
+) -> list[Group]:
+    """plan_mwm_auto's phases as (kind, edge id) groups, reversed in id
+    space (reversed_groups) when the target is not heavier."""
     _validate_inputs(g, source, target, eps)
     if source.edges.keys() == target.edges.keys():
-        return TransformationScript("mwm", mwm_phase_budget(eps), eps, [])
+        return []
     w_source, w_target = source.weight(), target.weight()
     if w_target > w_source:
         return _plan_phases(g, source, target, eps, good_edge_prepass)[0]
-    script, kept = _plan_phases(g, target, source, eps, good_edge_prepass)
-    # The reversed script must start from exactly `target`, so the kept
+    groups, kept = _plan_phases(g, target, source, eps, good_edge_prepass)
+    # The reversed plan must start from exactly `target`, so the kept
     # target-only edges leave in trailing 1-op phases. The running weight
     # then falls from w(source) + w(kept) to w(source) >= w(target), so it
     # stays above the op floor of the target -> source plan.
@@ -470,9 +481,8 @@ def plan_mwm_auto(
     op_floor = w_target - max_weight - slack(w_target)
     current = w_source + sum(g.weight(eid) for eid in kept)
     for eid in kept:
-        u, v, w = g.edge(eid)
-        current -= w
+        current -= g.weight(eid)
         if current < op_floor:
             raise ContractError(f"op-end weight {current} below floor {op_floor}")
-        script.phases.append(Phase([ChangeOp("remove", u, v, w)]))
-    return script.reversed_script()
+        groups.append([("remove", eid)])
+    return reversed_groups(groups)

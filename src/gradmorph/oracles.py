@@ -16,17 +16,12 @@ from .graph import (BudgetError, DataError, Graph, UnionFind, slack,
 from .script import Boundary, ChangeOp, ReplayReport, TransformationScript
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_vertices_matching: int = 16
-    max_vertices_search: int = 20
-    max_solution_edges_search: int = 8
+MAX_VERTICES_MATCHING = 16       # exact matching oracles
+MAX_VERTICES_SEARCH = 20         # exhaustive_transform_search
+MAX_SOLUTION_EDGES_SEARCH = 8    # |source| + |target| in that search
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
-def _matching_dp(g: Graph, weighted: bool, budget: OracleBudget) -> list[int]:
+def _matching_dp(g: Graph, weighted: bool) -> list[int]:
     """Optimal matching via DP over vertex subsets.
 
     Returns edge ids; values within slack of the best so far tie, and ties
@@ -34,9 +29,9 @@ def _matching_dp(g: Graph, weighted: bool, budget: OracleBudget) -> list[int]:
     """
     verts = sorted(g.vertices)
     n = len(verts)
-    if n > budget.max_vertices_matching:
+    if n > MAX_VERTICES_MATCHING:
         raise BudgetError(f"matching oracle budget exceeded: {n} > "
-                          f"{budget.max_vertices_matching} vertices")
+                          f"{MAX_VERTICES_MATCHING} vertices")
     idx = {v: i for i, v in enumerate(verts)}
     # neighbor lists as (other-vertex bit, eid, weight), eid ascending
     nbrs: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
@@ -73,14 +68,14 @@ def _matching_dp(g: Graph, weighted: bool, budget: OracleBudget) -> list[int]:
     return list(ids)
 
 
-def max_matching_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> list[int]:
+def max_matching_exact(g: Graph) -> list[int]:
     """Maximum-cardinality matching edge ids, deterministic tie-break."""
-    return _matching_dp(g, weighted=False, budget=budget)
+    return _matching_dp(g, weighted=False)
 
 
-def max_weight_matching_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> list[int]:
+def max_weight_matching_exact(g: Graph) -> list[int]:
     """Maximum-weight matching edge ids, deterministic tie-break."""
-    return _matching_dp(g, weighted=True, budget=budget)
+    return _matching_dp(g, weighted=True)
 
 
 def has_augmenting_path(g: Graph, matching_ids: set[int]) -> bool:
@@ -257,7 +252,6 @@ def exhaustive_transform_search(
     floor: float,
     floor_kind: str = "size",
     granularity: str = "phase",
-    budget: OracleBudget = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Is there a transformation from source to a superset of target where
     every boundary state has quality >= floor?
@@ -269,10 +263,10 @@ def exhaustive_transform_search(
     """
     source = frozenset(source)
     target = frozenset(target)
-    if len(source) + len(target) > budget.max_solution_edges_search:
+    if len(source) + len(target) > MAX_SOLUTION_EDGES_SEARCH:
         raise BudgetError("transform search budget exceeded: "
                           f"|source|+|target| = {len(source) + len(target)}")
-    if g.num_vertices() > budget.max_vertices_search:
+    if g.num_vertices() > MAX_VERTICES_SEARCH:
         raise BudgetError(f"transform search budget exceeded: "
                           f"{g.num_vertices()} vertices")
     if granularity not in ("phase", "op"):

@@ -16,6 +16,15 @@ from .graph import ContractError, DataError, Graph, SolutionStats, slack
 
 PROBLEMS = ("mcm", "mwm", "msf")
 
+Group = list[tuple[str, int]]   # one phase's ops as (kind, edge id) pairs
+_INVERSE = {"add": "remove", "remove": "add"}
+
+
+def reversed_groups(groups: list[Group]) -> list[Group]:
+    """The undo of groups, as reversed_script undoes a script."""
+    return [[(_INVERSE[kind], eid) for kind, eid in reversed(group)]
+            for group in reversed(groups)]
+
 
 @dataclass(frozen=True)
 class ChangeOp:
@@ -39,6 +48,20 @@ class TransformationScript:
     budget: int
     epsilon: Optional[float] = None
     phases: list[Phase] = field(default_factory=list)
+
+    @staticmethod
+    def from_groups(g: Graph, problem: str, budget: int,
+                    epsilon: Optional[float],
+                    groups: Iterable[Group]) -> "TransformationScript":
+        """The validated script of groups, each op's endpoints and weight
+        read from g's edge table: where planned ops become ChangeOp."""
+        table = g._edges
+        script = TransformationScript(
+            problem, budget, epsilon,
+            [Phase([ChangeOp(kind, *table[eid]) for kind, eid in group])
+             for group in groups])
+        script.validate()
+        return script
 
     def validate(self) -> None:
         if self.problem not in PROBLEMS:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import BudgetError, DataError, Graph, UpdateEvent
-from .oracles import OracleBudget, max_matching_exact
+from .oracles import MAX_VERTICES_MATCHING, max_matching_exact
 from .wrapper import (BatchRecompute, GreedyMaximalMatching, InnerAlgorithm,
                       TraceRow, WrappedMatching)
 
@@ -45,7 +45,6 @@ def run_simulation(
     algo,
     events: Iterable[UpdateEvent],
     oracle_check: bool = False,
-    oracle_budget: OracleBudget = OracleBudget(),
 ) -> SimulationResult:
     """Apply events to g, feed them to algo, and record per-step traces.
 
@@ -70,11 +69,11 @@ def run_simulation(
         size = algo.current_size()
         opt_size: Optional[int] = None
         if oracle_check:
-            if g.num_vertices() > oracle_budget.max_vertices_matching:
+            if g.num_vertices() > MAX_VERTICES_MATCHING:
                 raise BudgetError(
                     f"oracle check refused: {g.num_vertices()} vertices "
-                    f"> budget {oracle_budget.max_vertices_matching}")
-            opt_size = len(max_matching_exact(g, oracle_budget))
+                    f"> budget {MAX_VERTICES_MATCHING}")
+            opt_size = len(max_matching_exact(g))
             if opt_size > 0 and size > 0:
                 ratio = opt_size / size
                 worst_ratio = ratio if worst_ratio is None else max(worst_ratio, ratio)

@@ -20,8 +20,8 @@ With k the snapshot's ids outside the output, a window:
 - plans after check_output has checked the whole output in C-level
   passes, the one pass over the whole matching an unweighted window
   makes. Unweighted, it runs the mcm core on the k target-only edges over
-  the output's own vertex index; weighted, it runs plan_mwm_auto from the
-  output to the snapshot's live edges;
+  the output's own vertex index; weighted, it runs the mwm planner from
+  the output to the snapshot's live edges. Both plan (kind, edge id) groups;
 - closes by checking the k target-only edges.
 """
 
@@ -33,10 +33,10 @@ from itertools import count, filterfalse, islice
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from . import mcm
+from . import mcm, mwm
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
                     UpdateEvent)
-from .mwm import plan_mwm_auto
+from .script import Group
 
 EPS_MAX = 0.4                 # keeps the internal window ratio <= 1/2
 WINDOW_RATIO_FACTOR = 1.25    # window length ~ 1.25 * eps * matching size
@@ -260,7 +260,7 @@ class WindowState:
     first_half: int
     target_only: list[int]   # snapshot ids outside the output at open, in snapshot order
     output_only: set[int]    # live output ids outside the snapshot at open
-    groups: Optional[list[list[tuple[str, int]]]] = None   # phase-atomic ops
+    groups: Optional[list[Group]] = None   # phase-atomic ops
     group_cursor: int = 0
     elapsed: int = 0
 
@@ -271,10 +271,10 @@ def _invalid(fault: object) -> ContractError:
 
 @dataclass
 class WindowPlan:
-    """A window's unweighted plan: each phase as its ops, (kind, edge id)
-    pairs. Sized as a script is: len(phases) and num_ops()."""
+    """A window's plan: each phase as its ops, (kind, edge id) pairs.
+    Sized as a script is: len(phases) and num_ops()."""
 
-    phases: list[list[tuple[str, int]]]
+    phases: list[Group]
 
     def num_ops(self) -> int:
         return sum(map(len, self.phases))
@@ -289,6 +289,13 @@ def plan_mcm(g: Graph, output: Matching, target_only: list[int],
     return WindowPlan(mcm.plan_target_only(g, output, target_only, target_size))
 
 
+def plan_mwm_auto(g: Graph, output: Matching, target: Matching,
+                  eps: float) -> WindowPlan:
+    """A window's weighted plan from the output to the snapshot's live
+    edges, target: mwm.plan_mwm_auto's groups, checking both matchings."""
+    return WindowPlan(mwm.plan_mwm_groups(g, output, target, eps))
+
+
 class WrappedMatching:
     """Bounds the per-step output recourse of any inner matching algorithm
     to RECOURSE_FACTOR * ceil(psi_eff / eps) changes.
@@ -298,9 +305,9 @@ class WrappedMatching:
     and close, and ops planned. It is reported against step_work_budget,
     not enforced: an open and a plan read the k target-only ids in one
     step, and k grows with the inner's changes over a window of about
-    eps * |M| steps. The plan step's check of the whole output is apart
-    from it (see check_output), and so is a weighted plan step's build
-    and plan of the whole snapshot."""
+    eps * |M| steps. A weighted plan step counts |output| + |snapshot| for
+    its build and check of both matchings; an unweighted plan step's check
+    of the whole output is apart from it (see check_output)."""
 
     def __init__(self, g: Graph, inner: InnerAlgorithm, eps: float,
                  weighted: bool = False, psi: float = 1.0) -> None:
@@ -469,7 +476,7 @@ class WrappedMatching:
         self.windows += 1
         self.last_window_phase = "first"
 
-    def _plan_window_ops(self, win: WindowState) -> list[list[tuple[str, int]]]:
+    def _plan_window_ops(self, win: WindowState) -> list[Group]:
         """Phase-atomic op groups with edge ids resolved at plan time, so
         edges deleted (or deleted and reincarnated under the same endpoint
         pair) later in the window are skipped rather than misapplied.
@@ -483,9 +490,8 @@ class WrappedMatching:
         if self.weighted:
             target = Matching(self.g, [*filterfalse(win.output_only.__contains__,
                                                     output.edges), *target_only])
-            script = plan_mwm_auto(self.g, output, target, min(self.eps, 0.5))
-            return [[(op.kind, self.g.edge_id(op.u, op.v)) for op in ph.ops]
-                    for ph in script.phases]
+            self._work += len(output) + len(target)
+            return plan_mwm_auto(self.g, output, target, self.eps).phases
         size = len(output) - len(win.output_only) + len(target_only)
         return plan_mcm(self.g, output, target_only, size).phases
 

@@ -14,7 +14,7 @@ def test_classify_subset_target_is_empty():
     g = path_graph(4)
     m = Matching(g, [g.edge_id(0, 1)])
     cls = classify(g, m, m)
-    assert not cls.good_ids() and not cls.bad_ids()
+    assert not cls.good and not cls.bad
 
 
 def test_classify_path_fixture():
@@ -22,21 +22,21 @@ def test_classify_path_fixture():
     current = Matching(g, [g.edge_id(1, 2)])
     target = Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3)])
     cls = classify(g, current, target)
-    assert set(cls.good_ids()) == set(target.edge_ids())
-    assert cls.bad_ids() == []
+    assert set(cls.good) == set(target.edge_ids())
+    assert list(cls.bad) == []
     # exhaustive incidence count agrees
     for eid in target.edge_ids():
         u, v = g.endpoints(eid)
         count = sum(1 for ce in current.edges
                     if set(g.endpoints(ce)) & {u, v})
-        assert (count <= 1) == (eid in cls.good_ids())
+        assert (count <= 1) == (eid in cls.good)
 
 
 def test_classify_cycle_fixture_all_bad():
     g, current, target = alternating_cycle_fixture(2, 1.0, 1.0)
     cls = classify(g, current, target)
-    assert cls.good_ids() == []
-    assert set(cls.bad_ids()) == set(target.edge_ids())
+    assert list(cls.good) == []
+    assert set(cls.bad) == set(target.edge_ids())
 
 
 def test_classify_rejects_invalid():

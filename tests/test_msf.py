@@ -10,7 +10,7 @@ from gradmorph.graph import (DataError, Graph, SpanningForest,
                              solution_stats, validate_forest)
 from gradmorph.msf import CrossEdgeHeap, TreeTransformState, plan_msf, plan_tree
 from gradmorph.oracles import msf_exact
-from gradmorph.script import check_guarantee, replay
+from gradmorph.script import TransformationScript, check_guarantee, replay
 
 
 def _triangle(w1, w2, w3):
@@ -44,7 +44,8 @@ def test_local_trans_case1():
     case, ops = state.local_trans(e3)
     assert case == 1
     assert state.work_src == {e1, e3} == state.work_tgt
-    assert [op.kind for op in ops] == ["remove", "add"]
+    assert ops == [("remove", e2), ("add", e3)]
+    assert [g.weight(eid) for _, eid in ops] == [3.0, 2.0]
 
 
 def test_local_trans_case2():
@@ -81,8 +82,7 @@ def test_symmetric_difference_shrinks_by_two(rng):
 def test_plan_tree_examples():
     g, e1, e2, e3 = _triangle(1.0, 3.0, 2.0)
     assert plan_tree(g, [e1, e2], [e1, e2]) == []
-    phases = plan_tree(g, [e1, e2], [e1, e3])
-    assert len(phases) == 1 and len(phases[0].ops) == 2
+    assert plan_tree(g, [e1, e2], [e1, e3]) == [[("remove", e2), ("add", e3)]]
 
 
 def test_plan_tree_case2_reverse_stitch():
@@ -93,16 +93,14 @@ def test_plan_tree_case2_reverse_stitch():
     e_ac = g.add_edge(0, 2, 5.0)
     src = [e_ab, e_bc]
     tgt = [e_ab, e_ac]
-    phases = plan_tree(g, src, tgt)
-    report = replay(g, src, _wrap(phases), "per-phase")
+    groups = plan_tree(g, src, tgt)
+    # the backward exchange [remove ac, add bc], reversed and inverted
+    assert groups == [[("remove", e_bc), ("add", e_ac)]]
+    script = TransformationScript.from_groups(g, "msf", 2, None, groups)
+    report = replay(g, src, script, "per-phase")
     assert report.final_edges == frozenset(tgt)
     ceiling = max(sum(g.weight(e) for e in src), sum(g.weight(e) for e in tgt))
     assert all(b.weight <= ceiling + 1e-9 for b in report.phase_ends())
-
-
-def _wrap(phases):
-    from gradmorph.script import TransformationScript
-    return TransformationScript("msf", 2, None, phases)
 
 
 def _master_check(g, src, tgt):

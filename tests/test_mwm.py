@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradmorph.mcm
+import gradmorph.wrapper
 from gradmorph.gen import random_graph, random_matching
 from gradmorph.graph import DataError, Graph, Matching, solution_stats
 from gradmorph.mwm import (AlternatingComponent, _units_for_range, decompose,
                            mwm_phase_budget, order_components, plan_mwm,
-                           plan_mwm_auto, prefix_min_index, prefix_sums)
-from gradmorph.script import check_guarantee, replay
+                           plan_mwm_auto, plan_mwm_groups, prefix_min_index,
+                           prefix_sums)
+from gradmorph.script import TransformationScript, check_guarantee, replay
 
 from conftest import alternating_cycle_fixture, path_graph, pinned_matching_pairs
 
@@ -126,8 +128,8 @@ def test_replace_blue_red_spec_examples():
     """ReplaceBlueRed on a whole component, its suffix and its prefix, as
     the planner runs it: the units for a range of pairs."""
     def ops(g, comp, lo, hi):
-        return [(o.kind, o.w) for u in _units_for_range(g, comp, lo, hi)
-                for o in u.ops]
+        return [(kind, g.weight(eid)) for u in _units_for_range(g, comp, lo, hi)
+                for kind, eid in u.ops]
 
     g, src, tgt = _pair_path([5.0, 7.0])  # k=1, r > b
     comp = decompose(g, src, tgt)[0]
@@ -228,7 +230,6 @@ def test_weighted_cycle_remark_fixture():
 
 def test_good_edge_prepass_phases_never_decrease_weight(rng):
     from gradmorph.mwm import _PhaseBuilder, _prepass_good_edges
-    from gradmorph.script import TransformationScript
 
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 30), rng.randint(0, 60), 1.0, 100.0)
@@ -236,17 +237,17 @@ def test_good_edge_prepass_phases_never_decrease_weight(rng):
         builder = _PhaseBuilder(light_threshold=0.0, budget=3)
         work = src.copy()
         _prepass_good_edges(g, work, tgt, builder)
-        script = TransformationScript("mwm", 3, 0.5, builder.phases)
+        script = TransformationScript.from_groups(g, "mwm", 3, 0.5,
+                                                  builder.phases)
         report = replay(g, src.edge_ids(), script, "per-phase")
         prev = report.boundaries[0].weight
         for b in report.boundaries[1:]:
             assert b.weight >= prev - 1e-9
             prev = b.weight
         # every handled edge outweighed its removed neighbors strictly
-        for ph in script.phases:
-            added = ph.ops[0]
-            removed_sum = sum(op.w for op in ph.ops[1:])
-            assert added.kind == "add" and added.w > removed_sum
+        for (kind, added), *removed in builder.phases:
+            removed_sum = sum(g.weight(eid) for _, eid in removed)
+            assert kind == "add" and g.weight(added) > removed_sum
 
 
 def test_master_property_random_sweep(rng):
@@ -280,16 +281,37 @@ def test_reverse_direction_floors_reference_lighter(rng):
         assert report.final_edges == frozenset(tgt.edge_ids())
 
 
-def test_op_count_linear(rng):
-    g = path_graph(2001)
-    weights = None
+def test_op_count_linear():
+    # one alternating path of 2,000 edges whose target (the odd edges) is
+    # heavier; each op of either direction touches a distinct edge of the
+    # symmetric difference
+    g = path_graph(2001, [1.5 if v % 2 else 1.0 for v in range(2000)])
     src = Matching(g, [g.edge_id(v, v + 1) for v in range(0, 1999, 2)])
     tgt = Matching(g, [g.edge_id(v, v + 1) for v in range(1, 1998, 2)])
-    # equal-cardinality alternating path; rescale weights for an increase
-    for eid in tgt.edge_ids():
-        pass
-    script = plan_mwm_auto(g, src, tgt, 0.1)
-    assert script.num_ops() <= len(src) + 2 * len(tgt) + len(src)
+    assert tgt.weight() > src.weight()
+    bound = len(src) + len(tgt)
+    assert plan_mwm(g, src, tgt, 0.1).num_ops() <= bound
+    assert plan_mwm_auto(g, tgt, src, 0.1).num_ops() <= bound
+
+
+def test_window_plan_is_the_verified_script(rng):
+    """The groups a wrapper window plays are the ops of the script that
+    replay verifies, mapped to edge ids: both directions, with the prepass
+    on (as the window plans) and off."""
+    for _ in range(40):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.randint(0, 2 * n), 1.0, 100.0)
+        a, b = random_matching(rng, g), random_matching(rng, g)
+        for src, tgt in ((a, b), (b, a)):
+            for eps, prepass in ((0.4, True), (0.1, True), (0.1, False)):
+                script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=prepass)
+                ids = [[(op.kind, g.edge_id(op.u, op.v)) for op in ph.ops]
+                       for ph in script.phases]
+                assert plan_mwm_groups(g, src, tgt, eps,
+                                       good_edge_prepass=prepass) == ids
+                if prepass:
+                    plan = gradmorph.wrapper.plan_mwm_auto(g, src, tgt, eps)
+                    assert plan.phases == ids
 
 
 # sha256 over the JSON of every script planned between pinned_matching_pairs,

@@ -1,10 +1,12 @@
 import pytest
 
 from gradmorph.gen import random_graph, random_matching
-from gradmorph.graph import BudgetError, Graph, validate_matching
+from gradmorph.graph import BudgetError, Graph, UpdateEvent, validate_matching
 from gradmorph.oracles import (exhaustive_transform_search,
                                has_augmenting_path, max_matching_exact,
                                max_weight_matching_exact, msf_exact)
+from gradmorph.sim import run_simulation
+from gradmorph.wrapper import GreedyMaximalMatching
 
 from conftest import alternating_cycle_fixture, cycle_graph, path_graph
 
@@ -24,6 +26,21 @@ def test_budget_refusal():
     g = path_graph(20)
     with pytest.raises(BudgetError):
         max_matching_exact(g)
+
+
+def test_simulation_oracle_check_refuses_more_than_16_vertices():
+    for n in (16, 17):
+        g = Graph()
+        for v in range(n):
+            g.ensure_vertex(v)
+        events = [UpdateEvent.edge_insert(0, 1, 1.0)]
+        if n > 16:
+            with pytest.raises(BudgetError, match="refused: 17 vertices > budget 16"):
+                run_simulation(g, GreedyMaximalMatching(g), events, oracle_check=True)
+        else:
+            result = run_simulation(g, GreedyMaximalMatching(g), events,
+                                    oracle_check=True)
+            assert result.rows[0].opt_size == 1
 
 
 def test_oracle_beats_greedy_and_certifies(rng):

@@ -140,7 +140,8 @@ def test_window_work_follows_the_difference(monkeypatch):
 def test_weighted_window_work_follows_the_difference(monkeypatch):
     # A weighted window opens and closes as an unweighted one does, from
     # the mirror; its plan step builds the snapshot and plans it whole
-    # with plan_mwm_auto, so only that step is exempt.
+    # with plan_mwm_auto, so only that step is exempt, and max_step_work
+    # counts it.
     _window_work(monkeypatch, weighted=True)
 
 
@@ -225,9 +226,12 @@ def _window_work(monkeypatch, weighted):
     assert (calls["copy"], calls["build"]) == made_by_plan
     if weighted:
         del peaks["plan"]
+        # the plan step's build and check of the output and the snapshot
+        assert wrapped.max_step_work >= len(shared) + len(output_only)
     else:
         assert made_by_plan == (0, 0)
         assert 0 < calls["core"] <= 3 * len(target_only)
+        assert wrapped.max_step_work < len(shared)
     assert max(peaks.values()) < whole / 2, peaks
     assert sorted(wrapped.matching_ids()) == sorted(shared + target_only)
     monkeypatch.undo()
