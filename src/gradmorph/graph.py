@@ -111,7 +111,10 @@ class SolutionStats:
 
 
 class Graph:
-    """Undirected simple graph with stable integer edge ids."""
+    """Undirected simple graph with stable integer edge ids.
+
+    Component labels are computed on demand and kept until the next
+    mutation; every mutator resets them."""
 
     def __init__(self) -> None:
         self._vertices: set[int] = set()
@@ -119,6 +122,7 @@ class Graph:
         self._by_pair: dict[tuple[int, int], int] = {}
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
+        self._labels: Optional[dict[int, int]] = None   # components() cache
 
     # -- introspection ------------------------------------------------
 
@@ -184,11 +188,13 @@ class Graph:
             raise DataError(f"vertex {v} already present")
         self._vertices.add(v)
         self._adj.setdefault(v, set())
+        self._labels = None
 
     def ensure_vertex(self, v: int) -> None:
         if v not in self._vertices:
             self._vertices.add(v)
             self._adj.setdefault(v, set())
+            self._labels = None
 
     def add_edge(self, u: int, v: int, w: float = 1.0) -> int:
         if u == v:
@@ -205,6 +211,7 @@ class Graph:
         self._by_pair[key] = eid
         self._adj[u].add(eid)
         self._adj[v].add(eid)
+        self._labels = None
         return eid
 
     def remove_edge_id(self, eid: int) -> tuple[int, int, float]:
@@ -213,6 +220,7 @@ class Graph:
         del self._by_pair[_pair(u, v)]
         self._adj[u].discard(eid)
         self._adj[v].discard(eid)
+        self._labels = None
         return u, v, w
 
     def remove_edge(self, u: int, v: int) -> int:
@@ -231,6 +239,7 @@ class Graph:
             self.remove_edge_id(eid)
         self._vertices.discard(v)
         self._adj.pop(v, None)
+        self._labels = None
         return removed
 
     def apply_update(self, ev: UpdateEvent) -> DeltaReport:
@@ -301,7 +310,15 @@ class Graph:
         return g
 
     def components(self) -> dict[int, int]:
-        """Connected-component label per vertex (smallest member id)."""
+        """Connected-component label per vertex (smallest member id); a
+        fresh dict, so the caller may change it."""
+        return dict(self._component_labels())
+
+    def _component_labels(self) -> dict[int, int]:
+        """components() without the copy: the cached labels, which callers
+        must not change."""
+        if self._labels is not None:
+            return self._labels
         label = {}
         for start in self._vertices:
             if start in label:
@@ -320,6 +337,7 @@ class Graph:
             lab = min(members)
             for m in members:
                 label[m] = lab
+        self._labels = label
         return label
 
 
@@ -518,18 +536,25 @@ def validate_matching(g: Graph, m: Matching | Iterable[int]) -> ValidityReport:
 
 
 def validate_forest(g: Graph, f: SpanningForest | Iterable[int]) -> ValidityReport:
-    """ok iff acyclic and forest components equal graph components."""
-    return _forest_report(g, f, g.components())
+    """ok iff acyclic and forest components equal graph components.
 
-
-def _forest_report(g: Graph, f: SpanningForest | Iterable[int],
-                  labels: dict[int, int]) -> ValidityReport:
-    """validate_forest with g's component labels (g.components()) given,
-    so callers that check several forests label g once.
-
-    An acyclic edge set of g spans iff |F| = |V| - c(G); the per-vertex
-    label comparison runs only when that count fails, to name a vertex."""
+    An acyclic edge set of g spans iff |F| = |V| - c(G), with g's
+    component labels computed once per version of g. One whole-set pass
+    decides first: every id is in g's edge table, |F| is right, and a local
+    union-find by rank over the rows finds no cycle. Only a failed pass
+    rescans edge by edge, to name the first fault; the per-vertex label
+    comparison runs only when the count fails, to name a vertex."""
+    labels = g._component_labels()
     eids = f.edge_ids() if isinstance(f, SpanningForest) else list(f)
+    need = len(labels) - len(set(labels.values()))
+    if len(eids) == need:
+        try:
+            rows = list(map(g._edges.__getitem__, eids))
+        except KeyError:
+            pass
+        else:
+            if _acyclic(rows):
+                return ValidityReport(True)
     uf = UnionFind(g.vertices)
     for eid in eids:
         if not g.has_edge_id(eid):
@@ -537,13 +562,35 @@ def _forest_report(g: Graph, f: SpanningForest | Iterable[int],
         u, v, _ = g.edge(eid)
         if not uf.union(u, v):
             return ValidityReport(False, "cycle", edge=eid)
-    if len(eids) == len(labels) - len(set(labels.values())):
+    if len(eids) == need:
         return ValidityReport(True)
     forest_labels = uf.labels()
     for v in g.vertices:
         if labels[v] != forest_labels[v]:
             return ValidityReport(False, "does not span", vertex=v)
     return ValidityReport(True)
+
+
+def _acyclic(rows: Iterable[tuple[int, int, float]]) -> bool:
+    """Whether the (u, v, w) edge rows form a forest: union by rank, with
+    no per-vertex set-up (a root is a vertex without a parent entry)."""
+    parent: dict[int, int] = {}
+    rank: dict[int, int] = {}
+    for u, v, _ in rows:
+        while u in parent:
+            u = parent[u]
+        while v in parent:
+            v = parent[v]
+        if u == v:
+            return False
+        ru, rv = rank.get(u, 0), rank.get(v, 0)
+        if ru < rv:
+            parent[u] = v
+        else:
+            parent[v] = u
+            if ru == rv:
+                rank[u] = ru + 1
+    return True
 
 
 def solution_stats(g: Graph, s: Matching | SpanningForest) -> SolutionStats:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from .graph import (ContractError, DataError, Graph, SpanningForest,
-                    UnionFind, _forest_report, slack)
+                    UnionFind, slack, validate_forest)
 from .dynforest import make_index
 from .script import Group, TransformationScript, reversed_groups
 
@@ -195,9 +195,9 @@ def plan_msf(g: Graph, source: SpanningForest,
     and k = |F xor F'| / 2: contraction and the bulk load are linear, and
     only the k exchanges touch the index.
     """
-    labels = g.components()
+    labels = g._component_labels()
     for name, f in (("source", source), ("target", target)):
-        report = _forest_report(g, f, labels)
+        report = validate_forest(g, f)
         if not report:
             raise DataError(f"{name} forest invalid: {report.reason} "
                             f"(edge={report.edge}, vertex={report.vertex})")

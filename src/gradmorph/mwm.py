@@ -99,20 +99,13 @@ def _decompose(g: Graph, source: Matching,
     def edge_seq_to_pairs(seq: list[int]) -> list[tuple[Optional[int], Optional[int]]]:
         pairs: list[tuple[Optional[int], Optional[int]]] = []
         i = 0
-        if seq[0] in blue:
-            while i < len(seq):
-                b = seq[i]
-                r = seq[i + 1] if i + 1 < len(seq) else None
-                pairs.append((b, r))
-                i += 2
-        else:
+        if seq[0] not in blue:
             pairs.append((None, seq[0]))
             i = 1
-            while i < len(seq):
-                b = seq[i]
-                r = seq[i + 1] if i + 1 < len(seq) else None
-                pairs.append((b, r))
-                i += 2
+        while i < len(seq):
+            r = seq[i + 1] if i + 1 < len(seq) else None
+            pairs.append((seq[i], r))
+            i += 2
         return pairs
 
     def colored(pairs) -> float:

@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .dynforest import LinkCutForestIndex
 from .graph import ContractError, DataError, Graph, SolutionStats, slack
 
 PROBLEMS = ("mcm", "mwm", "msf")
@@ -153,8 +152,9 @@ class ReplayReport:
 
 
 # Replay's validity checks: told of each edge that enters (add) or leaves
-# (remove) the checked set, they answer valid(size of the state) at each
-# boundary.
+# (remove) the checked set and of each boundary (with the state's size),
+# they answer every boundary's validity in verdicts() once the forward
+# pass is done.
 
 
 class _MatchingCheck:
@@ -165,6 +165,7 @@ class _MatchingCheck:
         self._g = g
         self._occupancy: dict[int, int] = {}
         self._overfull = 0
+        self._valid: list[bool] = []
         for eid in state:
             self.add(eid)
 
@@ -184,67 +185,128 @@ class _MatchingCheck:
             if c == 2:
                 self._overfull -= 1
 
-    def valid(self, size: int) -> bool:
-        return self._overfull == 0
+    def boundary(self, size: int) -> None:
+        self._valid.append(self._overfull == 0)
+
+    def verdicts(self) -> list[bool]:
+        return self._valid
 
 
 class _ForestCheck:
-    """Spanning-forest validity over pending deltas.
+    """Spanning-forest validity, decided offline over edge lifetimes.
 
     With c(G) components, an edge subset of G spans iff it is acyclic and
-    has |V| - c(G) edges. The index always holds an acyclic subset of the
-    state; ops only record which edges still need a link or a cut, and a
-    boundary whose size is right applies them, cuts first. The first such
-    boundary loads the whole state in one bulk load. A link (or that load)
-    that would close a cycle raises before it changes the index, so the
-    state is invalid and the edge stays pending; a source that fails the
-    load is linked one edge at a time instead.
+    has |V| - c(G) edges, so only boundaries of that size (the candidates)
+    can be valid. The forward pass records each edge's lifetime as the
+    half-open range of candidates it is alive at. verdicts() stores every
+    lifetime on the O(log B) nodes of a segment tree over the B candidates
+    that cover it, then walks the tree depth first with a union-find
+    (union by rank, no path compression, an undo log): a node whose edges
+    close a cycle makes every candidate below it invalid, and a leaf that
+    is reached is valid. An edge added and removed between the same two
+    candidates has an empty lifetime and is never checked.
     """
 
     def __init__(self, g: Graph, state: set[int]) -> None:
         self._g = g
-        self._need = g.num_vertices() - len(set(g.components().values()))
-        self._index = LinkCutForestIndex()
-        self._loaded = False
-        self._links: dict[int, None] = dict.fromkeys(state)
-        self._cuts: dict[int, None] = {}
+        labels = g._component_labels()
+        self._need = len(labels) - len(set(labels.values()))
+        self._born: dict[int, int] = dict.fromkeys(state, 0)   # eid -> first candidate
+        self._lives: list[tuple[int, int, int]] = []          # (first, end, eid)
+        self._candidates: list[int] = []                       # their boundary numbers
+        self._boundaries = 0
 
     def add(self, eid: int) -> None:
-        if eid in self._cuts:
-            del self._cuts[eid]
-        else:
-            self._links[eid] = None
+        self._born[eid] = len(self._candidates)
 
     def remove(self, eid: int) -> None:
-        if eid in self._links:
-            del self._links[eid]
-        else:
-            self._cuts[eid] = None
+        first = self._born.pop(eid)
+        if first < len(self._candidates):
+            self._lives.append((first, len(self._candidates), eid))
 
-    def valid(self, size: int) -> bool:
-        if size != self._need:
-            return False
-        index, endpoints = self._index, self._g.endpoints
-        for eid in self._cuts:
-            index.cut(eid)
-        self._cuts.clear()
-        if not self._loaded:
-            self._loaded = True
-            try:
-                index.load([(eid, *endpoints(eid), 1) for eid in self._links])
-            except DataError:
-                pass   # a cycle: the loop below links up to the edge closing it
+    def boundary(self, size: int) -> None:
+        if size == self._need:
+            self._candidates.append(self._boundaries)
+        self._boundaries += 1
+
+    def verdicts(self) -> list[bool]:
+        valid = [False] * self._boundaries
+        candidates = self._candidates
+        count = len(candidates)
+        if not count:
+            return valid
+        lives = self._lives
+        lives.extend((first, count, eid) for eid, first in self._born.items()
+                     if first < count)
+        size = 1 << (count - 1).bit_length()   # leaves of a perfect tree
+        node_edges: dict[int, list[tuple[int, int]]] = {}
+        dense: dict[int, int] = {}            # vertex -> union-find slot
+        table = self._g._edges
+        for first, end, eid in lives:
+            u, v, _ = table[eid]
+            edge = (dense.setdefault(u, len(dense)), dense.setdefault(v, len(dense)))
+            # a lifetime that runs to the last candidate runs on through the
+            # padding leaves, which are never checked, so it lands on fewer
+            # nodes: an edge never removed lands on the root alone
+            lo = first + size
+            hi = (size if end == count else end) + size
+            while lo < hi:
+                if lo & 1:
+                    node_edges.setdefault(lo, []).append(edge)
+                    lo += 1
+                if hi & 1:
+                    hi -= 1
+                    node_edges.setdefault(hi, []).append(edge)
+                lo >>= 1
+                hi >>= 1
+        parent = list(range(len(dense)))
+        rank = [0] * len(dense)
+        # one (attached root, the root it joined or -1) per union, -1
+        # unless that root's rank went up
+        undo: list[tuple[int, int]] = []
+
+        def rollback(mark: int) -> None:
+            for child, ranked in reversed(undo[mark:]):
+                parent[child] = child
+                if ranked >= 0:
+                    rank[ranked] -= 1
+            del undo[mark:]
+
+        stack = [1]   # a node to enter, or ~mark: leave a node, undoing to mark
+        while stack:
+            node = stack.pop()
+            if node < 0:
+                rollback(~node)
+                continue
+            depth = node.bit_length() - 1
+            if (node - (1 << depth)) * (size >> depth) >= count:
+                continue   # the padding beyond the last candidate
+            mark = len(undo)
+            acyclic = True
+            for a, b in node_edges.get(node, ()):
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a == b:
+                    acyclic = False
+                    break
+                if rank[a] < rank[b]:
+                    a, b = b, a
+                parent[b] = a
+                if rank[a] == rank[b]:
+                    rank[a] += 1
+                    undo.append((b, a))
+                else:
+                    undo.append((b, -1))
+            if not acyclic:
+                rollback(mark)
+            elif node >= size:
+                valid[candidates[node - size]] = True
+                rollback(mark)
             else:
-                self._links.clear()
-                return True
-        for eid in list(self._links):
-            u, v = endpoints(eid)
-            try:
-                index.link(eid, u, v, 1)
-            except DataError:
-                return False
-            del self._links[eid]
-        return True
+                stack += (~mark, 2 * node + 1, 2 * node)
+        return valid
 
 
 def transform_granularity(problem: str) -> str:
@@ -264,26 +326,29 @@ def replay(
     referencing an edge missing from g) raise DataError naming the phase
     and op; validity problems are recorded as data in the report.
 
-    Validity is kept incrementally, so a boundary costs time proportional
-    to the ops since the previous one (plus link-cut index time for
-    forests). A matching's edges that are removed later in the current
-    phase are exempt from the check at its op boundaries (phase
-    atomicity). `oracles.replay_reference` rescans the whole state at every
-    boundary and is the reference this function is tested against.
+    Matching validity is kept incrementally, so a boundary costs time
+    proportional to the ops since the previous one. A matching's edges that
+    are removed later in the current phase are exempt from the check at its
+    op boundaries (phase atomicity). Forest validity is decided offline
+    once the forward pass is done (see _ForestCheck), in
+    O((|S| + q log B) log n) for |S| source edges, q ops, B boundaries and
+    n vertices, without the planner's forest index.
+    `oracles.replay_reference` rescans the whole state at every boundary
+    and is the reference this function is tested against.
     """
     if granularity not in ("per-phase", "per-op"):
         raise DataError(f"unknown granularity {granularity!r}")
     script.validate()
     state: set[int] = set(source)
     weight = sum(g.weight(eid) for eid in state)
-    boundaries: list[Boundary] = []
+    rows: list[tuple[int, Optional[int], int, float]] = []   # phase, op, size, weight
     per_op = granularity == "per-op"
     matching = script.problem in ("mcm", "mwm")
     check = (_MatchingCheck if matching else _ForestCheck)(g, state)
 
     def snapshot(phase: int, op: Optional[int]) -> None:
-        valid = check.valid(len(state))
-        boundaries.append(Boundary(len(boundaries), phase, op, valid, len(state), weight))
+        check.boundary(len(state))
+        rows.append((phase, op, len(state), weight))
 
     snapshot(-1, None)
     for pi, phase in enumerate(script.phases):
@@ -330,6 +395,9 @@ def replay(
                 snapshot(pi, oi)
         snapshot(pi, None)
 
+    boundaries = [Boundary(i, phase, op, valid, size, w)
+                  for i, ((phase, op, size, w), valid)
+                  in enumerate(zip(rows, check.verdicts()))]
     worst_size = min(b.size for b in boundaries)
     worst_weight = min(b.weight for b in boundaries)
     counts = [len(p.ops) for p in script.phases]

@@ -393,3 +393,59 @@ def test_validate_forest_equals_label_comparison(case, kind):
     report = validate_forest(g, ids)
     assert (report.ok, report.reason, report.edge, report.vertex) == \
         _reference_forest(g, ids)
+
+
+def _fresh_labels(g):
+    uf = UnionFind(g.vertices)
+    for _, u, v, _ in g.edges():
+        uf.union(u, v)
+    return uf.labels()
+
+
+MUTATIONS = {
+    "add_vertex": lambda g: g.add_vertex(9),
+    "ensure_vertex": lambda g: g.ensure_vertex(9),
+    "ensure_present_vertex": lambda g: g.ensure_vertex(2),
+    "add_edge": lambda g: g.add_edge(2, 4, 1.0),        # joins two components
+    "add_edge_new_vertex": lambda g: g.add_edge(4, 9, 1.0),
+    "remove_edge_id": lambda g: g.remove_edge_id(g.edge_id(1, 2)),   # splits one
+    "remove_edge": lambda g: g.remove_edge(0, 1),
+    "remove_vertex": lambda g: g.remove_vertex(1),
+    "+e": lambda g: g.apply_update(UpdateEvent.edge_insert(3, 5)),
+    "-e": lambda g: g.apply_update(UpdateEvent.edge_delete(3, 4)),
+    "+v": lambda g: g.apply_update(UpdateEvent.vertex_insert(9, [(0, 1.0), (5, 2.0)])),
+    "-v": lambda g: g.apply_update(UpdateEvent.vertex_delete(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_components_follow_every_mutation(name):
+    # components 0-1-2 and 3-4, isolated 5; labels are cached between calls
+    g = path_graph(3)
+    g.add_edge(3, 4, 1.0)
+    g.ensure_vertex(5)
+    assert g.components() == _fresh_labels(g)
+    MUTATIONS[name](g)
+    assert g.components() == _fresh_labels(g)
+
+
+def test_copy_does_not_share_component_labels():
+    g = path_graph(4)
+    g.ensure_vertex(7)
+    g.components()
+    h = g.copy()
+    h.remove_edge(1, 2)
+    g.add_edge(3, 7, 1.0)
+    assert g.components() == _fresh_labels(g)
+    assert h.components() == _fresh_labels(h)
+    assert g.components() != h.components()
+
+
+def test_changing_returned_labels_leaves_the_next_call_unchanged():
+    g = path_graph(3)
+    g.ensure_vertex(4)
+    labels = g.components()
+    labels[0] = 99
+    labels.pop(4)
+    assert g.components() == _fresh_labels(g) == {0: 0, 1: 0, 2: 0, 4: 4}
+    assert validate_forest(g, [g.edge_id(0, 1), g.edge_id(1, 2)]).ok

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gradmorph.gen import random_graph, random_matching, random_spanning_forest
-from gradmorph.graph import ContractError, DataError, Graph, SpanningForest
+from gradmorph.graph import ContractError, DataError, Graph, SpanningForest, UnionFind
 from gradmorph.mcm import plan_mcm
 from gradmorph.msf import plan_msf
 from gradmorph.mwm import plan_mwm_auto
@@ -220,3 +220,74 @@ def test_random_scripts_agree(problem):
         script = _random_script(rng, g, problem, source)
         for granularity in GRANULARITIES:
             _same(g, source, script, granularity)
+
+
+def _forest_walk(rng, g, source, need, phases):
+    """A random msf script from source that keeps closing and breaking
+    cycles: mostly 2-op exchanges, whose removal breaks a cycle of the
+    state when there is one and whose add reconnects or closes one at
+    random; lone adds and removals that move the size off need and back;
+    and edges added and removed within one phase."""
+    state = set(source)
+    eids = sorted(g.edge_ids())
+
+    def split(edges):
+        """(edges closing a cycle, union-find over the others)"""
+        uf, closing = UnionFind(g.vertices), []
+        for e in sorted(edges):
+            if not uf.union(*g.endpoints(e)):
+                closing.append(e)
+        return closing, uf
+
+    def pick_add(edges):
+        absent = [e for e in eids if e not in state]
+        _, uf = split(edges)
+        joining = [e for e in absent
+                   if uf.find(g.endpoints(e)[0]) != uf.find(g.endpoints(e)[1])]
+        return rng.choice(joining if joining and rng.random() < 0.6 else absent)
+
+    def pick_remove():
+        closing, _ = split(state)
+        return rng.choice(closing if closing and rng.random() < 0.8
+                          else sorted(state))
+
+    out = []
+    for _ in range(phases):
+        roll = rng.random()
+        if roll < 0.15:
+            e = pick_add(state)
+            ops = [("add", e), ("remove", e)]
+        elif roll < 0.3 or len(state) != need:
+            grow = len(state) < need or (len(state) == need and rng.random() < 0.5)
+            ops = [("add", pick_add(state)) if grow else ("remove", pick_remove())]
+        else:
+            cut = pick_remove()
+            ops = [("remove", cut), ("add", pick_add(state - {cut}))]
+        for kind, e in ops:
+            (state.add if kind == "add" else state.discard)(e)
+        out.append(Phase([ChangeOp(kind, *g.edge(e)) for kind, e in ops]))
+    return TransformationScript("msf", 2, None, out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forest_replay_agrees_at_hundreds_of_vertices(seed):
+    rng = random.Random(1500 + seed)
+    n = rng.randrange(200, 401)
+    # about 1.1 n edges over n vertices: several components and isolated
+    # vertices, plus isolated vertices beyond the generator's range
+    g = random_graph(rng, n, int(1.1 * n), 1.0, 100.0)
+    for v in range(n, n + 5):
+        g.ensure_vertex(v)
+    assert len(set(g.components().values())) > 5
+    forest = random_spanning_forest(rng, g).edge_ids()
+    extra = next(e for e in sorted(g.edge_ids()) if e not in set(forest))
+    need = len(forest)
+    for source in (forest, forest + [extra]):   # the second holds a cycle
+        script = _forest_walk(rng, g, source, need, 120)
+        for granularity in GRANULARITIES:
+            report = _same(g, source, script, granularity)
+            right_size = [b.valid for b in report.boundaries if b.size == need]
+            assert 0 < sum(right_size) < len(right_size)
+            empty = _same(g, source, TransformationScript("msf", 2, None, []),
+                          granularity)
+            assert _valid_flags(empty) == [len(source) == need]

@@ -1,7 +1,11 @@
+import ast
+import inspect
+
 import pytest
 
 from gradmorph.graph import (DEFAULT_TOLERANCE, DataError, Graph, Matching,
                              solution_stats)
+import gradmorph.script
 from gradmorph.script import (ChangeOp, Phase, TransformationScript,
                               check_guarantee, replay, report_to_csv_rows)
 
@@ -186,3 +190,18 @@ def test_replay_deterministic_and_csv_shape():
     rows = report_to_csv_rows(r1)
     assert rows[0][0] == "boundary_index"
     assert len(rows) == len(r1.boundaries) + 1
+
+
+def test_replay_does_not_use_the_planners_forest_index():
+    # the verifier must not share the link-cut index with the msf planner
+    tree = ast.parse(inspect.getsource(gradmorph.script))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert not any("dynforest" in name.split(".") for name in imported)
