@@ -8,14 +8,14 @@ adversarial update streams witnessing the matching recourse lower bound.
 
 from .graph import (BudgetError, ContractError, DataError, DeltaReport,
                     Error, Graph, Matching, SolutionStats, SpanningForest,
-                    UpdateEvent, ValidityReport, edge_set_stats,
-                    solution_stats, validate_forest, validate_matching)
+                    UpdateEvent, ValidityReport, solution_stats,
+                    validate_forest, validate_matching)
 from .script import (Boundary, ChangeOp, GuaranteeResult, Phase,
                      ReplayReport, TransformationScript, check_guarantee,
                      replay)
 from .mcm import EdgeClassification, classify, plan_mcm, MCM_PHASE_BUDGET
 from .mwm import (AlternatingComponent, decompose, mwm_phase_budget,
-                  order_components, plan_mwm, plan_mwm_auto)
+                  order_components, plan_mwm_auto)
 from .msf import plan_msf, plan_tree, MSF_PHASE_BUDGET
 from .oracles import (exhaustive_transform_search, has_augmenting_path,
                       max_matching_exact, max_weight_matching_exact, msf_exact)
@@ -33,12 +33,12 @@ HAVE_COMPILED_CORE = False
 __all__ = [
     "BudgetError", "ContractError", "DataError", "DeltaReport", "Error",
     "Graph", "Matching", "SolutionStats", "SpanningForest", "UpdateEvent",
-    "ValidityReport", "edge_set_stats", "solution_stats", "validate_forest",
+    "ValidityReport", "solution_stats", "validate_forest",
     "validate_matching", "Boundary", "ChangeOp", "GuaranteeResult", "Phase",
     "ReplayReport", "TransformationScript", "check_guarantee", "replay",
     "EdgeClassification", "classify", "plan_mcm", "MCM_PHASE_BUDGET",
     "AlternatingComponent", "decompose", "mwm_phase_budget",
-    "order_components", "plan_mwm", "plan_mwm_auto", "plan_msf", "plan_tree",
+    "order_components", "plan_mwm_auto", "plan_msf", "plan_tree",
     "MSF_PHASE_BUDGET", "exhaustive_transform_search", "has_augmenting_path",
     "max_matching_exact", "max_weight_matching_exact", "msf_exact",
     "BatchRecompute", "GreedyMaximalMatching", "InnerAlgorithm",

@@ -1,19 +1,17 @@
-"""Dynamic forest indexes behind one interface, for the msf planner.
+"""The dynamic forest index of the msf planner.
 
-Both implementations maintain a forest under link/cut with a dummy weight
+LinkCutForestIndex maintains a forest under link/cut with a dummy weight
 per edge (1 = shared with the counterpart work tree, 2 = exclusive) and
-answer path_edge_outside(u, v): some dummy-2 edge on the u-v path, the one
+answers path_edge_outside(u, v): some dummy-2 edge on the u-v path, the one
 nearest to u. load(edges) fills an empty index with a whole forest at once.
-The naive index walks paths in O(n); the link-cut index runs in O(log n)
-amortized on the splay core LinkCutCore (Sleator and Tarjan 1983) and
-loads a forest in O(n). The planner always uses the link-cut index; the
-naive one is the reference that tests check it against. The replay
-verifier uses neither, so it stays independent of the planner it checks.
+It runs in O(log n) amortized on the splay core LinkCutCore (Sleator and
+Tarjan 1983) and loads a forest in O(n). The tests check it against a
+naive index that walks paths in O(n) (tests/naive_forest.py). The replay
+verifier uses no index, so it stays independent of the planner it checks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 from .graph import ContractError, DataError
@@ -225,89 +223,6 @@ class LinkCutCore:
         return x, m
 
 
-class NaiveForestIndex:
-    """Adjacency dict plus breadth-first path walks."""
-
-    def __init__(self) -> None:
-        self._adj: dict[int, dict[int, int]] = {}   # u -> {v: eid}
-        self._edges: dict[int, tuple[int, int, int]] = {}  # eid -> (u, v, dummy)
-
-    def link(self, eid: int, u: int, v: int, dummy: int) -> None:
-        if eid in self._edges:
-            raise DataError(f"edge {eid} already linked")
-        if self.connected(u, v):
-            raise DataError(f"link({u},{v}) would close a cycle")
-        self._edges[eid] = (u, v, dummy)
-        self._adj.setdefault(u, {})[v] = eid
-        self._adj.setdefault(v, {})[u] = eid
-
-    def load(self, edges: Iterable[tuple[int, int, int, int]]) -> None:
-        """Link each (eid, u, v, dummy) into an empty index; on a cycle the
-        index is emptied again before DataError propagates."""
-        if self._edges:
-            raise DataError("load needs an index without edges")
-        try:
-            for eid, u, v, dummy in edges:
-                self.link(eid, u, v, dummy)
-        except DataError:
-            self._adj.clear()
-            self._edges.clear()
-            raise
-
-    def cut(self, eid: int) -> None:
-        try:
-            u, v, _ = self._edges.pop(eid)
-        except KeyError:
-            raise DataError(f"edge {eid} not in index") from None
-        del self._adj[u][v]
-        del self._adj[v][u]
-
-    def set_dummy(self, eid: int, dummy: int) -> None:
-        u, v, _ = self._edges[eid]
-        self._edges[eid] = (u, v, dummy)
-
-    def dummy(self, eid: int) -> int:
-        return self._edges[eid][2]
-
-    def _path(self, u: int, v: int) -> Optional[list[int]]:
-        if u == v:
-            return []
-        prev: dict[int, tuple[int, int]] = {u: (u, -1)}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y, eid in self._adj.get(x, {}).items():
-                if y in prev:
-                    continue
-                prev[y] = (x, eid)
-                if y == v:
-                    path = []
-                    z = v
-                    while z != u:
-                        x2, e2 = prev[z]
-                        path.append(e2)
-                        z = x2
-                    path.reverse()
-                    return path
-                queue.append(y)
-        return None
-
-    def connected(self, u: int, v: int) -> bool:
-        return self._path(u, v) is not None
-
-    def path_edges(self, u: int, v: int) -> list[int]:
-        path = self._path(u, v)
-        if path is None:
-            raise DataError(f"{u} and {v} are not connected in the index")
-        return path
-
-    def path_edge_outside(self, u: int, v: int) -> int:
-        for eid in self.path_edges(u, v):
-            if self._edges[eid][2] == 2:
-                return eid
-        raise ContractError(f"no dummy-2 edge on path {u}..{v}")
-
-
 class LinkCutForestIndex:
     """Link-cut trees with path-max aggregation over dummy weights.
 
@@ -423,9 +338,7 @@ class LinkCutForestIndex:
         return self._node_edge[node]
 
 
-def make_index(kind: str) -> NaiveForestIndex | LinkCutForestIndex:
-    if kind == "naive":
-        return NaiveForestIndex()
-    if kind == "linkcut":
-        return LinkCutForestIndex()
-    raise DataError(f"unknown index kind {kind!r} (expected naive|linkcut)")
+def make_index(kind: str) -> LinkCutForestIndex:
+    if kind != "linkcut":
+        raise DataError(f"unknown index kind {kind!r} (expected linkcut)")
+    return LinkCutForestIndex()

@@ -160,26 +160,20 @@ class Graph:
             raise DataError(f"no edge ({u},{v}) in graph") from None
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        u, v, _ = self._edge(eid)
+        u, v, _ = self.edge(eid)
         return u, v
 
     def weight(self, eid: int) -> float:
-        return self._edge(eid)[2]
+        return self.edge(eid)[2]
 
     def edge(self, eid: int) -> tuple[int, int, float]:
-        return self._edge(eid)
-
-    def incident(self, v: int) -> set[int]:
-        return self._adj.get(v, set())
-
-    def degree(self, v: int) -> int:
-        return len(self._adj.get(v, ()))
-
-    def _edge(self, eid: int) -> tuple[int, int, float]:
         try:
             return self._edges[eid]
         except KeyError:
             raise DataError(f"no edge with id {eid}") from None
+
+    def incident(self, v: int) -> set[int]:
+        return self._adj.get(v, set())
 
     # -- mutation -----------------------------------------------------
 
@@ -215,7 +209,7 @@ class Graph:
         return eid
 
     def remove_edge_id(self, eid: int) -> tuple[int, int, float]:
-        u, v, w = self._edge(eid)
+        u, v, w = self.edge(eid)
         del self._edges[eid]
         del self._by_pair[_pair(u, v)]
         self._adj[u].discard(eid)
@@ -233,7 +227,7 @@ class Graph:
             raise DataError(f"vertex {v} not present")
         removed = []
         for eid in sorted(self._adj.get(v, ())):
-            a, b, w = self._edge(eid)
+            a, b, w = self.edge(eid)
             removed.append((eid, a, b, w))
         for eid, a, b, w in removed:
             self.remove_edge_id(eid)
@@ -293,21 +287,6 @@ class Graph:
             for eid in eids:
                 if eid not in self._edges or v not in self._edges[eid][:2]:
                     raise ContractError(f"stale adjacency entry {eid} at vertex {v}")
-
-    def aspect_ratio(self) -> float:
-        if not self._edges:
-            raise DataError("undefined aspect ratio: graph has no edges")
-        weights = [w for (_, _, w) in self._edges.values()]
-        return max(weights) / min(weights)
-
-    def copy(self) -> "Graph":
-        g = Graph()
-        g._vertices = set(self._vertices)
-        g._edges = dict(self._edges)
-        g._by_pair = dict(self._by_pair)
-        g._adj = {v: set(s) for v, s in self._adj.items()}
-        g._next_id = self._next_id
-        return g
 
     def components(self) -> dict[int, int]:
         """Connected-component label per vertex (smallest member id); a
@@ -593,27 +572,27 @@ def _acyclic(rows: Iterable[tuple[int, int, float]]) -> bool:
     return True
 
 
-def solution_stats(g: Graph, s: Matching | SpanningForest) -> SolutionStats:
-    """Size/total/max stats; rejects invalid solutions."""
+def require_valid(g: Graph, name: str, s: Matching | SpanningForest) -> None:
+    """Raise DataError naming s unless it is a valid matching or spanning
+    forest of g: the planners' and solution_stats' one validity gate."""
     if isinstance(s, Matching):
-        report = validate_matching(g, s)
+        kind, report = "matching", validate_matching(g, s)
     elif isinstance(s, SpanningForest):
-        report = validate_forest(g, s)
+        kind, report = "forest", validate_forest(g, s)
     else:
         raise DataError(f"unsupported solution type {type(s).__name__}")
     if not report:
-        raise DataError(f"invalid solution: {report.reason} "
+        raise DataError(f"{name} {kind} invalid: {report.reason} "
                         f"(edge={report.edge}, vertex={report.vertex})")
-    return edge_set_stats(g, s.edge_ids())
 
 
-def edge_set_stats(g: Graph, eids: Iterable[int]) -> SolutionStats:
-    total = 0.0
-    mx = 0.0
-    n = 0
-    for eid in eids:
+def solution_stats(g: Graph, s: Matching | SpanningForest) -> SolutionStats:
+    """Size/total/max stats, the total summed left to right in s's order;
+    rejects invalid solutions."""
+    require_valid(g, "solution", s)
+    total = mx = 0.0
+    for eid in s.edges:
         w = g.weight(eid)
         total += w
         mx = max(mx, w)
-        n += 1
-    return SolutionStats(n, total, mx)
+    return SolutionStats(len(s), total, mx)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterable
 
-from .graph import ContractError, DataError, Graph, Matching, validate_matching
+from .graph import ContractError, DataError, Graph, Matching, require_valid
 from .script import Group, TransformationScript
 
 MCM_PHASE_BUDGET = 3
@@ -38,13 +38,6 @@ class EdgeClassification:
     bad: OrderedDict[int, None]
     blocker_count: dict[int, int]        # target-only eid -> #blocking edges
     blocked_by: dict[int, list[int]]     # current eid -> target-only eids it blocks
-
-
-def require_valid(g: Graph, name: str, m: Matching) -> None:
-    """Raise DataError naming m unless it is a matching of g."""
-    report = validate_matching(g, m)
-    if not report:
-        raise DataError(f"{name} matching invalid: {report.reason}")
 
 
 def target_only_ids(current: Matching, target: Matching) -> list[int]:

@@ -16,6 +16,8 @@ contracted with union-find, and each index holds only the exclusive edges,
 over the contracted super-vertices. A tree path keeps the order of its
 exclusive edges under that contraction, so every query returns the same
 witness and scripts do not change; index work follows k = |F xor F'| / 2.
+Each index comes from `make_index(INDEX_KIND)`, the link-cut index; the
+tests swap in a naive reference index there, and scripts do not change.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from .graph import (ContractError, DataError, Graph, SpanningForest,
-                    UnionFind, slack, validate_forest)
+                    UnionFind, require_valid, slack)
 from .dynforest import make_index
 from .script import Group, TransformationScript, reversed_groups
 
 MSF_PHASE_BUDGET = 2
-INDEX_KIND = "linkcut"   # the index the planner builds; "naive" is the test reference
+INDEX_KIND = "linkcut"   # the index the planner builds, as manifests record it
 
 
 class CrossEdgeHeap:
@@ -195,12 +197,9 @@ def plan_msf(g: Graph, source: SpanningForest,
     and k = |F xor F'| / 2: contraction and the bulk load are linear, and
     only the k exchanges touch the index.
     """
+    require_valid(g, "source", source)
+    require_valid(g, "target", target)
     labels = g._component_labels()
-    for name, f in (("source", source), ("target", target)):
-        report = validate_forest(g, f)
-        if not report:
-            raise DataError(f"{name} forest invalid: {report.reason} "
-                            f"(edge={report.edge}, vertex={report.vertex})")
     src_by_comp: dict[int, list[int]] = {}
     tgt_by_comp: dict[int, list[int]] = {}
     for eid in source.edges:

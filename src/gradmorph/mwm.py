@@ -7,9 +7,11 @@ decides between running it whole and splitting it into its suffix and
 prefix. The op stream is grouped into phases of O(1/eps) changes, cut
 whenever a light source edge (weight < eps * w(source)) leaves the
 matching, which pins the phase-end weight above (1-eps) * w(source).
-Like every planner it plans each phase as (kind, edge id) pairs; the
-recourse wrapper plays them directly, and scripts get them through
-`TransformationScript.from_groups`.
+Like every planner it plans each phase as (kind, edge id) pairs.
+`plan_mwm_groups` is the one entry point, for either direction: it reaches
+a lighter target by planning the other way and reversing the groups. The
+recourse wrapper plays the groups directly; `plan_mwm_auto` makes them a
+script through `TransformationScript.from_groups`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import ContractError, DataError, Graph, Matching, slack
-from .mcm import require_valid
+from .graph import (ContractError, DataError, Graph, Matching, require_valid,
+                    slack)
 from .script import Group, TransformationScript, reversed_groups
 
 
@@ -322,44 +324,6 @@ def _prepass_good_edges(
         builder.add_phase(ops)
 
 
-def _validate_inputs(g: Graph, source: Matching, target: Matching,
-                     eps: float) -> None:
-    if not (0 < eps <= 0.5):
-        raise DataError(f"epsilon {eps} outside (0, 1/2]")
-    require_valid(g, "source", source)
-    require_valid(g, "target", target)
-
-
-def plan_mwm(
-    g: Graph,
-    source: Matching,
-    target: Matching,
-    eps: float,
-    good_edge_prepass: bool = True,
-) -> TransformationScript:
-    """Plan phases transforming source into a superset of target.
-
-    Requires 0 < eps <= 1/2 and w(target) > w(source); for the other
-    direction use plan_mwm_auto, which plans on swapped arguments and
-    reverses the script. Emitted scripts satisfy: op-end weight >=
-    w(source) - W, phase-end weight >= max(w(source) - W,
-    (1 - eps) w(source)), phases of at most 3 ceil(1/eps) + 3 ops.
-    Runs in O(|source| + |target|).
-    """
-    _validate_inputs(g, source, target, eps)
-    if source.edges.keys() == target.edges.keys():
-        return TransformationScript("mwm", mwm_phase_budget(eps), eps, [])
-    w_source, w_target = source.weight(), target.weight()
-    if w_target <= w_source:
-        raise DataError(
-            f"w(target) = {w_target} <= w(source) = {w_source}; "
-            "plan_mwm requires an improving target - use plan_mwm_auto, "
-            "which plans the swapped direction and reverses the script")
-    groups = _plan_phases(g, source, target, eps, good_edge_prepass)[0]
-    return TransformationScript.from_groups(g, "mwm", mwm_phase_budget(eps),
-                                            eps, groups)
-
-
 def _plan_phases(
     g: Graph,
     source: Matching,
@@ -367,9 +331,11 @@ def _plan_phases(
     eps: float,
     good_edge_prepass: bool,
 ) -> tuple[list[Group], list[int]]:
-    """plan_mwm's phases for valid, distinct matchings with w(target) >=
-    w(source), and the isolated source-only edges it keeps (ascending).
-    Checks neither matching; the builder checks each phase's budget."""
+    """Phases taking source to a superset of target, for valid, distinct
+    matchings with w(target) >= w(source): op-end weight >= w(source) - W,
+    phase-end weight >= max(w(source) - W, (1 - eps) w(source)). Also
+    returns the isolated source-only edges kept (ascending). Checks
+    neither matching; the builder checks each phase's budget."""
     budget = mwm_phase_budget(eps)
     w_source = source.weight()
     max_src_weight = max(source.edges.values(), default=0.0)
@@ -403,7 +369,7 @@ def _plan_phases(
     for comp in comps:
         if comp.k() == 1 and comp.pairs[0][1] is None:
             # isolated source-only edge: kept (superset semantics);
-            # plan_mwm_auto strips it when it reverses the script
+            # plan_mwm_groups strips it when it reverses the groups
             isolated_blues.append(comp.pairs[0][0])
             continue
         sums = prefix_sums(g, comp)
@@ -439,12 +405,8 @@ def plan_mwm_auto(
     eps: float,
     good_edge_prepass: bool = True,
 ) -> TransformationScript:
-    """plan_mwm for either direction: the script of plan_mwm_groups.
-
-    When the target is not heavier, plans target -> source and reverses the
-    script; the floors then reference the lighter endpoint, matching
-    check_guarantee's convention.
-    """
+    """The script of plan_mwm_groups: phases from source to target in
+    either direction, passing check_guarantee("mwm")."""
     groups = plan_mwm_groups(g, source, target, eps, good_edge_prepass)
     return TransformationScript.from_groups(g, "mwm", mwm_phase_budget(eps),
                                             eps, groups)
@@ -457,9 +419,15 @@ def plan_mwm_groups(
     eps: float,
     good_edge_prepass: bool = True,
 ) -> list[Group]:
-    """plan_mwm_auto's phases as (kind, edge id) groups, reversed in id
-    space (reversed_groups) when the target is not heavier."""
-    _validate_inputs(g, source, target, eps)
+    """Phases transforming source into target as (kind, edge id) groups,
+    for 0 < eps <= 1/2, in O(|source| + |target|). A heavier target is
+    reached as a superset; otherwise plans target -> source and reverses
+    the groups (reversed_groups), so the floors reference the lighter
+    endpoint, matching check_guarantee's convention."""
+    if not (0 < eps <= 0.5):
+        raise DataError(f"epsilon {eps} outside (0, 1/2]")
+    require_valid(g, "source", source)
+    require_valid(g, "target", target)
     if source.edges.keys() == target.edges.keys():
         return []
     w_source, w_target = source.weight(), target.weight()

@@ -32,9 +32,6 @@ class ChangeOp:
     v: int
     w: float
 
-    def inverted(self) -> "ChangeOp":
-        return ChangeOp("remove" if self.kind == "add" else "add", self.u, self.v, self.w)
-
 
 @dataclass
 class Phase:
@@ -79,7 +76,8 @@ class TransformationScript:
         """Undo script: phases in reverse order, each op inverted, op order
         within a phase reversed (so removals still precede the adds that
         reuse their endpoints)."""
-        phases = [Phase([op.inverted() for op in reversed(ph.ops)])
+        phases = [Phase([ChangeOp(_INVERSE[op.kind], op.u, op.v, op.w)
+                         for op in reversed(ph.ops)])
                   for ph in reversed(self.phases)]
         return TransformationScript(self.problem, self.budget, self.epsilon, phases)
 
@@ -345,6 +343,12 @@ def replay(
     per_op = granularity == "per-op"
     matching = script.problem in ("mcm", "mwm")
     check = (_MatchingCheck if matching else _ForestCheck)(g, state)
+    # At a matching's op boundaries an edge is checked iff it is in the
+    # state and not pending removal. Every pending removal runs before
+    # the phase ends, so all edges are checked again there.
+    exempt = matching and per_op
+    pending_removals: set[int] = set()   # stays empty unless exempt
+    by_pair, table = g._by_pair, g._edges
 
     def snapshot(phase: int, op: Optional[int]) -> None:
         check.boundary(len(state))
@@ -353,40 +357,38 @@ def replay(
     snapshot(-1, None)
     for pi, phase in enumerate(script.phases):
         # resolve ops against g up front so errors name their location
-        resolved: list[tuple[ChangeOp, int]] = []
+        resolved: list[tuple[ChangeOp, int, float]] = []
         for oi, op in enumerate(phase.ops):
-            if not g.has_edge(op.u, op.v):
-                raise DataError(f"phase {pi} op {oi}: edge ({op.u},{op.v}) not in graph")
-            eid = g.edge_id(op.u, op.v)
-            gw = g.weight(eid)
+            u, v = op.u, op.v
+            eid = by_pair.get((u, v) if u <= v else (v, u))
+            if eid is None:
+                raise DataError(f"phase {pi} op {oi}: edge ({u},{v}) not in graph")
+            gw = table[eid][2]
             if abs(gw - op.w) > slack(gw):
                 raise DataError(f"phase {pi} op {oi}: recorded weight {op.w} "
                                 f"!= graph weight {gw}")
-            resolved.append((op, eid))
-        # At a matching's op boundaries an edge is checked iff it is in the
-        # state and not pending removal. Every pending removal runs before
-        # the phase ends, so all edges are checked again there.
-        exempt = matching and per_op
-        pending_removals = {eid for op, eid in resolved if op.kind == "remove"}
+            resolved.append((op, eid, gw))
         if exempt:
+            pending_removals = {eid for op, eid, _ in resolved
+                                if op.kind == "remove"}
             for eid in pending_removals & state:
                 check.remove(eid)
-        for oi, (op, eid) in enumerate(resolved):
+        for oi, (op, eid, gw) in enumerate(resolved):
             if op.kind == "add":
                 if eid in state:
                     raise DataError(f"phase {pi} op {oi}: adding present edge "
                                     f"({op.u},{op.v})")
                 state.add(eid)
-                weight += g.weight(eid)
-                if not (exempt and eid in pending_removals):
+                weight += gw
+                if eid not in pending_removals:
                     check.add(eid)
             elif op.kind == "remove":
                 if eid not in state:
                     raise DataError(f"phase {pi} op {oi}: removing absent edge "
                                     f"({op.u},{op.v})")
                 state.remove(eid)
-                weight -= g.weight(eid)
-                if not (exempt and eid in pending_removals):
+                weight -= gw
+                if eid not in pending_removals:
                     check.remove(eid)
                 pending_removals.discard(eid)
             else:

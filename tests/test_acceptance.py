@@ -26,6 +26,8 @@ from gradmorph.script import check_guarantee, replay
 from gradmorph.sim import make_inner, run_simulation
 from gradmorph.wrapper import WrappedMatching
 
+from naive_forest import NaiveForestIndex
+
 REL_TOL = 1e-9
 
 
@@ -110,7 +112,7 @@ def test_criterion_03_msf_suite():
 
 def test_criterion_04_index_differential():
     rng = random.Random(404)
-    naive = make_index("naive")
+    naive = NaiveForestIndex()
     linkcut = make_index("linkcut")
     n = 150
     edges, alive, next_eid, queries, ops = {}, [], 0, 0, 0

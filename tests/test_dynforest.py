@@ -4,16 +4,22 @@ from pathlib import Path
 import pytest
 
 import gradmorph
-from gradmorph.dynforest import make_index
+from gradmorph.dynforest import LinkCutForestIndex, make_index
 from gradmorph.graph import ContractError, DataError
 
+from naive_forest import NaiveForestIndex
 
 KINDS = ("naive", "linkcut")
 
 
+def _index(kind):
+    """The naive reference, or the index the library makes."""
+    return NaiveForestIndex() if kind == "naive" else make_index(kind)
+
+
 def test_single_edge_path_query():
     for kind in KINDS:
-        idx = make_index(kind)
+        idx = _index(kind)
         idx.link(0, 1, 2, 2)
         assert idx.path_edge_outside(1, 2) == 0
         idx.set_dummy(0, 1)
@@ -23,7 +29,7 @@ def test_single_edge_path_query():
 
 def test_path_dummies_third_edge():
     for kind in KINDS:
-        idx = make_index(kind)
+        idx = _index(kind)
         dummies = [1, 1, 2, 1]
         for i, d in enumerate(dummies):
             idx.link(i, i, i + 1, d)
@@ -32,7 +38,7 @@ def test_path_dummies_third_edge():
 
 def test_link_cut_errors():
     for kind in KINDS:
-        idx = make_index(kind)
+        idx = _index(kind)
         idx.link(0, 1, 2, 1)
         idx.link(1, 2, 3, 1)
         with pytest.raises(DataError):
@@ -49,7 +55,7 @@ def _drive(ops_count, seed, kinds, n=120):
     """Random link/cut/set/query workload; asserts cross-implementation
     agreement on connectivity, returned dummy weight, and path membership."""
     rng = random.Random(seed)
-    indexes = {kind: make_index(kind) for kind in kinds}
+    indexes = {kind: _index(kind) for kind in kinds}
     oracle = indexes["naive"]
     edges = {}      # eid -> (u, v)
     alive = []
@@ -113,7 +119,7 @@ def test_differential_small():
 
 def test_connectivity_matches_naive():
     rng = random.Random(5)
-    indexes = {kind: make_index(kind) for kind in KINDS}
+    indexes = {kind: _index(kind) for kind in KINDS}
     pairs = []
     next_eid = 0
     for _ in range(400):
@@ -145,7 +151,7 @@ def test_load_answers_like_sequential_links():
         n = rng.randint(2, 60)
         edges = _random_forest(rng, n)
         for kind in KINDS:
-            loaded, linked = make_index(kind), make_index(kind)
+            loaded, linked = _index(kind), _index(kind)
             loaded.load(edges)
             for eid, u, v, dummy in edges:
                 linked.link(eid, u, v, dummy)
@@ -173,7 +179,7 @@ def test_load_answers_like_sequential_links():
 def test_load_rejects_a_cycle_and_stays_empty():
     cyclic = [(0, 1, 2, 2), (1, 2, 3, 1), (2, 4, 5, 2), (3, 3, 1, 2)]
     for kind in KINDS:
-        idx = make_index(kind)
+        idx = _index(kind)
         with pytest.raises(DataError, match="cycle"):
             idx.load(cyclic)
         for eid, u, v, _ in cyclic:
@@ -185,7 +191,7 @@ def test_load_rejects_a_cycle_and_stays_empty():
 
 def test_load_needs_an_index_without_edges():
     for kind in KINDS:
-        idx = make_index(kind)
+        idx = _index(kind)
         idx.link(0, 1, 2, 2)
         with pytest.raises(DataError):
             idx.load([(1, 5, 6, 2)])
@@ -196,13 +202,19 @@ def test_load_needs_an_index_without_edges():
 
 def test_path_query_on_disconnected_vertices_raises():
     for kind in KINDS:
-        idx = make_index(kind)
+        idx = _index(kind)
         idx.load([(0, 1, 2, 2), (1, 3, 4, 2)])
         with pytest.raises(DataError):
             idx.path_edge_outside(1, 3)
         with pytest.raises(DataError):
             idx.path_edge_outside(1, 99)   # a vertex the index never saw
         assert idx.path_edge_outside(2, 1) == 0
+
+
+def test_make_index_builds_only_the_link_cut_index():
+    assert isinstance(make_index("linkcut"), LinkCutForestIndex)
+    with pytest.raises(DataError, match="unknown index kind 'naive'"):
+        make_index("naive")
 
 
 def test_package_is_pure_python():

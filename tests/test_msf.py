@@ -4,13 +4,15 @@ import random
 import pytest
 
 import gradmorph.msf
-from gradmorph.dynforest import make_index
+from gradmorph.dynforest import LinkCutForestIndex, make_index
 from gradmorph.gen import random_graph, random_spanning_forest
 from gradmorph.graph import (DataError, Graph, SpanningForest,
                              solution_stats, validate_forest)
 from gradmorph.msf import CrossEdgeHeap, TreeTransformState, plan_msf, plan_tree
 from gradmorph.oracles import msf_exact
 from gradmorph.script import TransformationScript, check_guarantee, replay
+
+from naive_forest import NaiveForestIndex
 
 
 def _triangle(w1, w2, w3):
@@ -141,12 +143,12 @@ def test_plan_msf_disconnected_components_ordering(rng):
 
 
 def test_plan_msf_random_sweep(rng, monkeypatch):
-    def check_with_index(kind, g, src, tgt):
+    def check_with_index(index, g, src, tgt):
         # the planner always asks for msf.INDEX_KIND; swap in another index
         made = []
         with monkeypatch.context() as m:
             m.setattr(gradmorph.msf, "make_index",
-                      lambda _: made.append(kind) or make_index(kind))
+                      lambda kind: made.append(kind) or index())
             script = _master_check(g, src, tgt)[0]
         assert made or not script.phases
         return script
@@ -159,9 +161,9 @@ def test_plan_msf_random_sweep(rng, monkeypatch):
         tgt = random_spanning_forest(rng, g)
         script = _master_check(g, src, tgt)[0]
         # identical scripts regardless of index implementation
-        assert all(check_with_index(k, g, src, tgt) == script
-                   for k in ("naive", "linkcut"))
-        check_with_index("naive", g, tgt, src)
+        assert all(check_with_index(index, g, src, tgt) == script
+                   for index in (NaiveForestIndex, LinkCutForestIndex))
+        check_with_index(NaiveForestIndex, g, tgt, src)
 
 
 def test_kruskal_source_weight_ceiling(rng):

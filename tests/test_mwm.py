@@ -5,14 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gradmorph.mcm
+import gradmorph.graph
 import gradmorph.wrapper
-from gradmorph.gen import random_graph, random_matching
-from gradmorph.graph import DataError, Graph, Matching, solution_stats
+from gradmorph.gen import random_graph, random_matching, random_spanning_forest
+from gradmorph.graph import (DataError, Graph, Matching, SpanningForest,
+                             solution_stats)
+from gradmorph.mcm import plan_mcm
+from gradmorph.msf import plan_msf
 from gradmorph.mwm import (AlternatingComponent, _units_for_range, decompose,
-                           mwm_phase_budget, order_components, plan_mwm,
-                           plan_mwm_auto, plan_mwm_groups, prefix_min_index,
-                           prefix_sums)
+                           mwm_phase_budget, order_components, plan_mwm_auto,
+                           plan_mwm_groups, prefix_min_index, prefix_sums)
+from gradmorph.oracles import msf_exact
 from gradmorph.script import TransformationScript, check_guarantee, replay
 
 from conftest import alternating_cycle_fixture, path_graph, pinned_matching_pairs
@@ -162,39 +165,41 @@ def _master_check(g, src, tgt, eps, prepass=True):
 
 def test_plan_identity_and_parameter_errors():
     g, src, tgt = _pair_path([1.0, 2.0])
-    assert plan_mwm(g, src, src, 0.5).phases == []
+    assert plan_mwm_auto(g, src, src, 0.5).phases == []
     with pytest.raises(DataError):
-        plan_mwm(g, src, tgt, 0.0)
+        plan_mwm_auto(g, src, tgt, 0.0)
     with pytest.raises(DataError):
-        plan_mwm(g, src, tgt, 0.6)
-    with pytest.raises(DataError, match="plan_mwm_auto"):
-        plan_mwm(g, tgt, src, 0.5)  # decreasing direction
+        plan_mwm_auto(g, src, tgt, 0.6)
 
 
 def test_planners_validate_each_matching_once(monkeypatch, rng):
-    """plan_mwm and plan_mwm_auto check each matching once a call, in
-    either direction, the refused one of plan_mwm included."""
+    """plan_mcm, and plan_mwm_auto in either direction, check each matching
+    once a call; plan_msf checks each forest once."""
     calls = []
-    check = gradmorph.mcm.validate_matching
 
-    def counted(g, m):
-        calls.append(m)
-        return check(g, m)
+    def counting(check):
+        def counted(g, s):
+            calls.append(s)
+            return check(g, s)
+        return counted
 
-    monkeypatch.setattr(gradmorph.mcm, "validate_matching", counted)
+    for name in ("validate_matching", "validate_forest"):
+        monkeypatch.setattr(gradmorph.graph, name,
+                            counting(getattr(gradmorph.graph, name)))
     g = random_graph(rng, 40, 120, 1.0, 9.0)
     a, b = random_matching(rng, g), random_matching(rng, g)
     light, heavy = sorted((a, b), key=Matching.weight)
-    for planner, source, target in ((plan_mwm, light, heavy),
-                                    (plan_mwm, heavy, light),
-                                    (plan_mwm_auto, light, heavy),
-                                    (plan_mwm_auto, heavy, light)):
+    for source, target in ((light, heavy), (heavy, light)):
         calls.clear()
-        try:
-            planner(g, source, target, 0.2)
-        except DataError:
-            assert planner is plan_mwm and source is heavy
+        plan_mwm_auto(g, source, target, 0.2)
         assert calls == [source, target]
+        calls.clear()
+        plan_mcm(g, source, target)
+        assert calls == [source, target]
+    forests = (SpanningForest(g, msf_exact(g)), random_spanning_forest(rng, g))
+    calls.clear()
+    plan_msf(g, *forests)
+    assert calls == list(forests)
 
 
 def test_single_component_floors():
@@ -212,7 +217,7 @@ def test_heavy_fixture_one_phase():
         weights += [10.0, 11.0]
     g, src, tgt = _pair_path(weights)
     eps = 1.0 / k  # every blue is exactly eps * w(M) = 10
-    script = plan_mwm(g, src, tgt, eps, good_edge_prepass=False)
+    script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=False)
     assert len(script.phases) == 1
     assert len(script.phases[0].ops) <= 3 * math.ceil(1 / eps) + 3
     _master_check(g, src, tgt, eps, prepass=False)
@@ -265,9 +270,8 @@ def test_equal_weight_different_edges():
     a = g.add_edge(0, 1, 5.0)
     b = g.add_edge(2, 3, 5.0)
     src, tgt = Matching(g, [a]), Matching(g, [b])
-    with pytest.raises(DataError):
-        plan_mwm(g, src, tgt, 0.5)
-    _master_check(g, src, tgt, 0.5)
+    # not heavier, so planned the other way and reversed: ends exactly at b
+    assert _master_check(g, src, tgt, 0.5).final_edges == {b}
 
 
 def test_reverse_direction_floors_reference_lighter(rng):
@@ -290,7 +294,7 @@ def test_op_count_linear():
     tgt = Matching(g, [g.edge_id(v, v + 1) for v in range(1, 1998, 2)])
     assert tgt.weight() > src.weight()
     bound = len(src) + len(tgt)
-    assert plan_mwm(g, src, tgt, 0.1).num_ops() <= bound
+    assert plan_mwm_auto(g, src, tgt, 0.1).num_ops() <= bound
     assert plan_mwm_auto(g, tgt, src, 0.1).num_ops() <= bound
 
 
