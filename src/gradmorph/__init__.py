@@ -10,9 +10,8 @@ from .graph import (BudgetError, ContractError, DataError, DeltaReport,
                     Error, Graph, Matching, SolutionStats, SpanningForest,
                     UpdateEvent, ValidityReport, solution_stats,
                     validate_forest, validate_matching)
-from .script import (Boundary, ChangeOp, GuaranteeResult, Phase,
-                     ReplayReport, TransformationScript, check_guarantee,
-                     replay)
+from .script import (Boundary, ChangeOp, GuaranteeResult, ReplayReport,
+                     TransformationScript, check_guarantee, replay)
 from .mcm import EdgeClassification, classify, plan_mcm, MCM_PHASE_BUDGET
 from .mwm import (AlternatingComponent, decompose, mwm_phase_budget,
                   order_components, plan_mwm_auto)
@@ -34,7 +33,7 @@ __all__ = [
     "BudgetError", "ContractError", "DataError", "DeltaReport", "Error",
     "Graph", "Matching", "SolutionStats", "SpanningForest", "UpdateEvent",
     "ValidityReport", "solution_stats", "validate_forest",
-    "validate_matching", "Boundary", "ChangeOp", "GuaranteeResult", "Phase",
+    "validate_matching", "Boundary", "ChangeOp", "GuaranteeResult",
     "ReplayReport", "TransformationScript", "check_guarantee", "replay",
     "EdgeClassification", "classify", "plan_mcm", "MCM_PHASE_BUDGET",
     "AlternatingComponent", "decompose", "mwm_phase_budget",

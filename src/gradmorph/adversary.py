@@ -5,17 +5,19 @@ Paths grown two edges at a time force an accurate maintainer to flip its
 whole matching every growth step. The incremental variant builds many
 vertex-disjoint copies adaptively, halting a copy as soon as the subject's
 matching restricted to it stops being the unique maximum and resuming it
-if the subject ever repairs it.
+if the subject ever repairs it. Every stream is measured by
+sim.run_simulation; the incremental one is generated lazily as it runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator, Iterator, Optional
 
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
                     UpdateEvent)
+from .sim import SimulationResult, run_simulation
 from .wrapper import InnerAlgorithm, OutputDelta
 
 PATH_SCALE = 0.25     # l = max(1, floor(PATH_SCALE / eps))
@@ -166,11 +168,10 @@ class AdversaryRun:
     mode: str
     l: int
     copies: list[CopyState]
-    total_updates: int = 0
-    total_recourse: int = 0
+    result: SimulationResult     # the measured run of the stream
 
     def amortized_recourse(self) -> float:
-        return self.total_recourse / self.total_updates if self.total_updates else 0.0
+        return self.result.mean_recourse
 
     def complete_fraction(self) -> float:
         done = sum(1 for c in self.copies if c.status == "complete")
@@ -178,65 +179,61 @@ class AdversaryRun:
 
 
 class IncrementalAdversary:
-    """Adaptive insertion-only adversary for (1+eps)-accurate maintainers."""
+    """Adaptive insertion-only adversary for (1+eps)-accurate maintainers.
+
+    stream() is a lazy event stream for sim.run_simulation: it yields one
+    insert at a time and resumes once the insert has been applied to g and
+    fed to the subject, so each decision reads the subject's current
+    matching.
+    """
 
     def __init__(self, g: Graph, subject: InnerAlgorithm, eps: float, n: int) -> None:
         self.g = g
         self.subject = subject
-        self.eps = eps
         self.l = path_length_param(eps)
         copies = max(1, math.floor(COPY_SCALE * eps * n))
         span = 4 * self.l
         if copies * span > n:
             raise DataError(f"need {copies * span} vertices "
                             f"(copies={copies}, span={span}), have n={n}")
-        self.run = AdversaryRun(eps, "incremental", self.l, [
-            CopyState(i, base=i * span) for i in range(copies)
-        ])
-        self._matched: set[int] = set()
-        self._stack: list[int] = []        # suspended copy indexes
-        self._events: list[UpdateEvent] = []
+        self.copies = [CopyState(i, base=i * span) for i in range(copies)]
+        self.events: list[UpdateEvent] = []   # the inserts applied so far
+        self._stack: list[int] = []           # suspended copy indexes
+        # the subject's matching as a set, read once per applied insert
+        # rather than copied once per copy checked
+        self._matching: Optional[set[int]] = None
 
     # -- copy geometry ------------------------------------------------
 
-    def _grow(self, copy: CopyState, side: str) -> UpdateEvent:
-        l = self.l
+    def _grow(self, copy: CopyState, side: str) -> Iterator[UpdateEvent]:
+        """Insert the next edge at one end of the copy's path."""
         if copy.status == "empty":
-            copy.lo = copy.base + l
-            copy.hi = copy.lo
+            copy.lo = copy.hi = copy.base + self.l
             copy.status = "growing"
         if side == "left":
-            a = copy.lo - 1
-            ev = UpdateEvent.edge_insert(a, copy.lo, 1.0)
-            copy.lo = a
+            copy.lo -= 1
+            ev = UpdateEvent.edge_insert(copy.lo, copy.lo + 1, 1.0)
         else:
-            b = copy.hi + 1
-            ev = UpdateEvent.edge_insert(copy.hi, b, 1.0)
-            copy.hi = b
-        return ev
-
-    def _apply(self, ev: UpdateEvent, copy: CopyState, at_left: bool) -> None:
-        delta = self.g.apply_update(ev)
-        eid = delta.added[0][0]
-        if at_left:
+            copy.hi += 1
+            ev = UpdateEvent.edge_insert(copy.hi - 1, copy.hi, 1.0)
+        yield ev
+        # ev is now in g, and the subject has handled it
+        self._matching = None
+        eid = self.g.edge_id(ev.u, ev.v)
+        if side == "left":
             copy.edges.insert(0, eid)
         else:
             copy.edges.append(eid)
         copy.length += 1
-        out = self.subject.handle_update(ev, delta)
-        self.run.total_updates += 1
-        self.run.total_recourse += out.recourse()
-        for e in out.added:
-            self._matched.add(e)
-        for e in out.removed:
-            self._matched.discard(e)
-        self._events.append(ev)
+        self.events.append(ev)
 
     def _restricted_ok(self, copy: CopyState) -> bool:
         """Is the subject's matching restricted to the copy the unique
         maximum? Only checked at odd lengths, where the closed form holds."""
+        if self._matching is None:
+            self._matching = set(self.subject.matching_ids())
         want = canonical_path_matching(copy.edges)
-        have = {e for e in copy.edges if e in self._matched}
+        have = self._matching.intersection(copy.edges)
         if have == want:
             return True
         copy.halt_witness = (len(have), len(want))
@@ -244,19 +241,16 @@ class IncrementalAdversary:
 
     # -- protocol -------------------------------------------------------
 
-    def _advance(self, copy: CopyState) -> bool:
-        """Grow the copy by one conceptual step; True when complete."""
+    def _advance(self, copy: CopyState) -> Generator[UpdateEvent, None, bool]:
+        """Grow the copy by one conceptual step; returns True when complete."""
         l = self.l
         if copy.length < 2 * l - 1:
-            side = "right"
-            self._apply(self._grow(copy, side), copy, at_left=False)
+            yield from self._grow(copy, "right")
             if copy.length == 2 * l - 1 and not self._restricted_ok(copy):
                 copy.status = "halted"
             return False
-        ev = self._grow(copy, "left")
-        self._apply(ev, copy, at_left=True)
-        ev = self._grow(copy, "right")
-        self._apply(ev, copy, at_left=False)
+        yield from self._grow(copy, "left")
+        yield from self._grow(copy, "right")
         if copy.length >= 4 * l - 1:
             copy.status = "complete"
             return True
@@ -265,16 +259,16 @@ class IncrementalAdversary:
         return False
 
     def _find_resumable(self) -> Optional[CopyState]:
-        for copy in self.run.copies:
+        for copy in self.copies:
             if copy.status == "halted" and copy.length >= 2 * self.l - 1 \
                     and self._restricted_ok(copy):
                 copy.halt_witness = None
                 return copy
         return None
 
-    def run_to_completion(self, max_updates: int = 10_000_000) -> AdversaryRun:
+    def stream(self) -> Iterator[UpdateEvent]:
         current: Optional[CopyState] = None
-        while self.run.total_updates < max_updates:
+        while True:
             resumable = self._find_resumable()
             if resumable is not None and resumable is not current:
                 if current is not None and current.status == "growing":
@@ -285,25 +279,21 @@ class IncrementalAdversary:
             if current is None or current.status != "growing":
                 current = None
                 while self._stack:
-                    cand = self.run.copies[self._stack.pop()]
+                    cand = self.copies[self._stack.pop()]
                     if cand.status == "suspended":
                         cand.status = "growing"
                         current = cand
                         break
                 if current is None:
-                    nxt = next((c for c in self.run.copies if c.status == "empty"), None)
+                    nxt = next((c for c in self.copies if c.status == "empty"), None)
                     if nxt is None:
                         break
                     current = nxt
-            if self._advance(current):
+            if (yield from self._advance(current)):
                 current = None
-        for copy in self.run.copies:
+        for copy in self.copies:
             if copy.status in ("growing", "suspended"):
                 copy.status = "halted" if copy.halt_witness else copy.status
-        return self.run
-
-    def events(self) -> list[UpdateEvent]:
-        return list(self._events)
 
 
 def run_incremental_adversary(subject_factory, eps: float, n: int,
@@ -312,8 +302,8 @@ def run_incremental_adversary(subject_factory, eps: float, n: int,
     g = Graph()
     subject = subject_factory(g)
     adv = IncrementalAdversary(g, subject, eps, n)
-    run = adv.run_to_completion()
-    return run, adv.events()
+    result = run_simulation(g, subject, adv.stream())
+    return AdversaryRun(eps, "incremental", adv.l, adv.copies, result), adv.events
 
 
 def run_decremental_mirror(subject_factory, eps: float, n: int,
@@ -321,20 +311,14 @@ def run_decremental_mirror(subject_factory, eps: float, n: int,
     """Replay the incremental stream in reverse as deletions.
 
     The graph is seeded silently (setup is not measured), then each edge is
-    deleted in reverse insertion order while recourse is counted.
+    deleted in reverse insertion order under run_simulation. The run keeps
+    the mirrored stream's copies and l.
     """
-    base_run, events = run_incremental_adversary(
-        lambda g: ExactPathMaintainer(g), eps, n)
+    base, events = run_incremental_adversary(ExactPathMaintainer, eps, n)
     g = Graph()
     subject = subject_factory(g)
     for ev in events:
-        delta = g.apply_update(ev)
-        subject.handle_update(ev, delta)
-    run = AdversaryRun(eps, "decremental", base_run.l, [])
-    for ev in reversed(events):
-        down = UpdateEvent.edge_delete(ev.u, ev.v)
-        delta = g.apply_update(down)
-        out = subject.handle_update(down, delta)
-        run.total_updates += 1
-        run.total_recourse += out.recourse()
-    return run
+        subject.handle_update(ev, g.apply_update(ev))
+    result = run_simulation(g, subject, [UpdateEvent.edge_delete(ev.u, ev.v)
+                                         for ev in reversed(events)])
+    return AdversaryRun(eps, "decremental", base.l, base.copies, result)

@@ -28,8 +28,7 @@ from .script import (TransformationScript, check_guarantee, replay,
                      report_to_csv_rows, transform_granularity)
 from .sim import make_inner, run_simulation, trace_csv_rows
 from .wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
-                      WINDOW_RATIO_FACTOR, GreedyMaximalMatching,
-                      WrappedMatching)
+                      WINDOW_RATIO_FACTOR, WrappedMatching)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_CONTRACT = 0, 1, 2, 3
 
@@ -190,15 +189,13 @@ def _cmd_simulate(args) -> int:
 
 def _subject_factory(name: str, eps: float):
     if name == "exact":
-        return lambda g: adv.ExactPathMaintainer(g)
-    if name == "greedy":
-        return lambda g: GreedyMaximalMatching(g)
+        return adv.ExactPathMaintainer
     if name == "static":
-        return lambda g: adv.StaticSubject(g)
+        return adv.StaticSubject
     if name.startswith("wrapped:"):
         inner_name = name.split(":", 1)[1]
         return lambda g: WrappedMatching(g, make_inner(inner_name, g), eps)
-    raise DataError(f"unknown subject {name!r}")
+    return lambda g: make_inner(name, g)
 
 
 def _cmd_adversary(args) -> int:
@@ -212,29 +209,22 @@ def _cmd_adversary(args) -> int:
     if args.mode == "full":
         events = adv.gen_fully_dynamic(args.epsilon, args.rounds, args.n)
         g = Graph()
-        subject = factory(g)
-        result = run_simulation(g, subject, events)
-        if args.trace:
-            _write_csv(args.trace, trace_csv_rows(result), manifest)
-        _finish_manifest(manifest, args)
-        print(f"mode=full updates={len(result.rows)} "
-              f"amortized_recourse={result.mean_recourse:.4f} "
-              f"max_recourse={result.max_recourse}")
-        return EXIT_OK
-    if args.mode == "incr":
-        run, events = adv.run_incremental_adversary(factory, args.epsilon, args.n)
-    else:
-        run = adv.run_decremental_mirror(factory, args.epsilon, args.n)
-        events = []
-    if args.trace and events:
-        g = Graph()
         result = run_simulation(g, factory(g), events)
+        tail = f"max_recourse={result.max_recourse}"
+    else:
+        if args.mode == "incr":
+            run, _ = adv.run_incremental_adversary(factory, args.epsilon, args.n)
+            tail = f"complete_fraction={run.complete_fraction():.3f} "
+        else:
+            run = adv.run_decremental_mirror(factory, args.epsilon, args.n)
+            tail = ""
+        result = run.result
+        tail += f"copies={len(run.copies)} l={run.l}"
+    if args.trace:
         _write_csv(args.trace, trace_csv_rows(result), manifest)
     _finish_manifest(manifest, args)
-    print(f"mode={args.mode} updates={run.total_updates} "
-          f"amortized_recourse={run.amortized_recourse():.4f} "
-          f"complete_fraction={run.complete_fraction():.3f} "
-          f"copies={len(run.copies)} l={run.l}")
+    print(f"mode={args.mode} updates={len(result.rows)} "
+          f"amortized_recourse={result.mean_recourse:.4f} {tail}")
     return EXIT_OK
 
 

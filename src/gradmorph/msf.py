@@ -40,7 +40,6 @@ class CrossEdgeHeap:
     with lazy deletion."""
 
     def __init__(self, g: Graph, eids: Iterable[int]) -> None:
-        self._g = g
         self._alive: set[int] = set(eids)
         self._heap = [(g.weight(e), e) for e in self._alive]
         heapq.heapify(self._heap)
@@ -50,11 +49,6 @@ class CrossEdgeHeap:
 
     def discard(self, eid: int) -> None:
         self._alive.discard(eid)
-
-    def add(self, eid: int) -> None:
-        if eid not in self._alive:
-            self._alive.add(eid)
-            heapq.heappush(self._heap, (self._g.weight(eid), eid))
 
     def peek_min(self) -> int:
         while self._heap and self._heap[0][1] not in self._alive:

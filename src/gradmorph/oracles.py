@@ -170,9 +170,9 @@ def replay_reference(
         boundaries.append(Boundary(len(boundaries), phase, op, valid, len(state), weight))
 
     snapshot(-1, None, set())
-    for pi, phase in enumerate(script.phases):
+    for pi, ops in enumerate(script.phases):
         resolved: list[tuple[ChangeOp, int]] = []
-        for oi, op in enumerate(phase.ops):
+        for oi, op in enumerate(ops):
             if not g.has_edge(op.u, op.v):
                 raise DataError(f"phase {pi} op {oi}: edge ({op.u},{op.v}) not in graph")
             eid = g.edge_id(op.u, op.v)
@@ -189,20 +189,18 @@ def replay_reference(
                                     f"({op.u},{op.v})")
                 state.add(eid)
                 weight += g.weight(eid)
-            elif op.kind == "remove":
+            else:   # a remove, as validate() has checked
                 if eid not in state:
                     raise DataError(f"phase {pi} op {oi}: removing absent edge "
                                     f"({op.u},{op.v})")
                 state.remove(eid)
                 weight -= g.weight(eid)
                 pending_removals.discard(eid)
-            else:
-                raise DataError(f"phase {pi} op {oi}: unknown op kind {op.kind!r}")
             if per_op and oi < len(resolved) - 1:
                 snapshot(pi, oi, pending_removals & state)
         snapshot(pi, None, set())
 
-    counts = [len(p.ops) for p in script.phases]
+    counts = [len(ops) for ops in script.phases]
     return ReplayReport(
         problem=script.problem,
         granularity=granularity,

@@ -34,16 +34,11 @@ class ChangeOp:
 
 
 @dataclass
-class Phase:
-    ops: list[ChangeOp] = field(default_factory=list)
-
-
-@dataclass
 class TransformationScript:
     problem: str
     budget: int
     epsilon: Optional[float] = None
-    phases: list[Phase] = field(default_factory=list)
+    phases: list[list[ChangeOp]] = field(default_factory=list)   # each phase's ops
 
     @staticmethod
     def from_groups(g: Graph, problem: str, budget: int,
@@ -54,31 +49,37 @@ class TransformationScript:
         table = g._edges
         script = TransformationScript(
             problem, budget, epsilon,
-            [Phase([ChangeOp(kind, *table[eid]) for kind, eid in group])
+            [[ChangeOp(kind, *table[eid]) for kind, eid in group]
              for group in groups])
         script.validate()
         return script
 
     def validate(self) -> None:
+        """The structural check: a known problem, non-empty phases within
+        the budget, and only add and remove ops."""
         if self.problem not in PROBLEMS:
             raise DataError(f"unknown problem tag {self.problem!r}")
-        for i, ph in enumerate(self.phases):
-            if not ph.ops:
+        for i, ops in enumerate(self.phases):
+            if not ops:
                 raise ContractError(f"phase {i} is empty")
-            if len(ph.ops) > self.budget:
+            if len(ops) > self.budget:
                 raise ContractError(
-                    f"phase {i} has {len(ph.ops)} ops > declared budget {self.budget}")
+                    f"phase {i} has {len(ops)} ops > declared budget {self.budget}")
+            for j, op in enumerate(ops):
+                if op.kind not in _INVERSE:
+                    raise DataError(f"phase {i} op {j}: unknown op kind {op.kind!r}")
 
     def num_ops(self) -> int:
-        return sum(len(p.ops) for p in self.phases)
+        return sum(map(len, self.phases))
 
     def reversed_script(self) -> "TransformationScript":
         """Undo script: phases in reverse order, each op inverted, op order
         within a phase reversed (so removals still precede the adds that
         reuse their endpoints)."""
-        phases = [Phase([ChangeOp(_INVERSE[op.kind], op.u, op.v, op.w)
-                         for op in reversed(ph.ops)])
-                  for ph in reversed(self.phases)]
+        self.validate()
+        phases = [[ChangeOp(_INVERSE[op.kind], op.u, op.v, op.w)
+                   for op in reversed(ops)]
+                  for ops in reversed(self.phases)]
         return TransformationScript(self.problem, self.budget, self.epsilon, phases)
 
     # -- serialization --------------------------------------------------
@@ -90,8 +91,8 @@ class TransformationScript:
             "budget": self.budget,
             "phases": [
                 {"ops": [{"op": op.kind, "u": op.u, "v": op.v, "w": op.w}
-                         for op in ph.ops]}
-                for ph in self.phases
+                         for op in ops]}
+                for ops in self.phases
             ],
         }
 
@@ -99,13 +100,17 @@ class TransformationScript:
         return json.dumps(self.to_json_obj(), indent=1, sort_keys=False)
 
     @staticmethod
-    def from_json_obj(obj: dict) -> "TransformationScript":
+    def from_json(text: str) -> "TransformationScript":
         try:
-            phases = [Phase([ChangeOp(o["op"], int(o["u"]), int(o["v"]), float(o["w"]))
-                             for o in ph["ops"]])
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"script is not valid JSON: {exc}") from exc
+        try:
+            phases = [[ChangeOp(o["op"], int(o["u"]), int(o["v"]), float(o["w"]))
+                       for o in ph["ops"]]
                       for ph in obj["phases"]]
             eps = obj.get("epsilon")
-            script = TransformationScript(
+            return TransformationScript(
                 obj["problem"],
                 int(obj["budget"]),
                 None if eps is None else float(eps),
@@ -113,15 +118,6 @@ class TransformationScript:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed script JSON: {exc}") from exc
-        return script
-
-    @staticmethod
-    def from_json(text: str) -> "TransformationScript":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"script is not valid JSON: {exc}") from exc
-        return TransformationScript.from_json_obj(obj)
 
 
 @dataclass(frozen=True)
@@ -355,10 +351,10 @@ def replay(
         rows.append((phase, op, len(state), weight))
 
     snapshot(-1, None)
-    for pi, phase in enumerate(script.phases):
+    for pi, ops in enumerate(script.phases):
         # resolve ops against g up front so errors name their location
         resolved: list[tuple[ChangeOp, int, float]] = []
-        for oi, op in enumerate(phase.ops):
+        for oi, op in enumerate(ops):
             u, v = op.u, op.v
             eid = by_pair.get((u, v) if u <= v else (v, u))
             if eid is None:
@@ -382,7 +378,7 @@ def replay(
                 weight += gw
                 if eid not in pending_removals:
                     check.add(eid)
-            elif op.kind == "remove":
+            else:   # a remove: validate() admits no other kind
                 if eid not in state:
                     raise DataError(f"phase {pi} op {oi}: removing absent edge "
                                     f"({op.u},{op.v})")
@@ -391,8 +387,6 @@ def replay(
                 if eid not in pending_removals:
                     check.remove(eid)
                 pending_removals.discard(eid)
-            else:
-                raise DataError(f"phase {pi} op {oi}: unknown op kind {op.kind!r}")
             if per_op and oi < len(resolved) - 1:
                 snapshot(pi, oi)
         snapshot(pi, None)
@@ -402,7 +396,7 @@ def replay(
                   in enumerate(zip(rows, check.verdicts()))]
     worst_size = min(b.size for b in boundaries)
     worst_weight = min(b.weight for b in boundaries)
-    counts = [len(p.ops) for p in script.phases]
+    counts = [len(ops) for ops in script.phases]
     return ReplayReport(
         problem=script.problem,
         granularity=granularity,

@@ -50,7 +50,7 @@ def test_criterion_01_mcm_suite():
         g = random_graph(rng, n, rng.randint(0, 2 * n))
         src, tgt = random_matching(rng, g), random_matching(rng, g)
         script = plan_mcm(g, src, tgt)
-        assert all(len(p.ops) <= 3 for p in script.phases)
+        assert all(len(p) <= 3 for p in script.phases)
         report = replay(g, src.edge_ids(), script, "per-phase")
         res = check_guarantee(report, solution_stats(g, src),
                               solution_stats(g, tgt), "mcm")
@@ -74,7 +74,7 @@ def test_criterion_02_mwm_suite():
         for eps in (0.5, 0.1, 0.02):
             script = plan_mwm_auto(g, src, tgt, eps)
             budget = mwm_phase_budget(eps)
-            assert all(len(p.ops) <= budget for p in script.phases)
+            assert all(len(p) <= budget for p in script.phases)
             report = replay(g, src.edge_ids(), script, "per-op")
             res = check_guarantee(report, src_stats, tgt_stats, "mwm", eps)
             assert res.ok, (res.reason, eps)
@@ -95,7 +95,7 @@ def test_criterion_03_msf_suite():
         other = random_spanning_forest(rng, g)
         for a, b in ((kruskal, other), (other, kruskal)):
             script = plan_msf(g, a, b)
-            assert all(len(p.ops) == 2 for p in script.phases)
+            assert all(len(p) == 2 for p in script.phases)
             report = replay(g, a.edge_ids(), script, "per-phase")
             res = check_guarantee(report, solution_stats(g, a),
                                   solution_stats(g, b), "msf")

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 
 from gradmorph.adversary import (ExactPathMaintainer, IncrementalAdversary,
@@ -5,6 +8,7 @@ from gradmorph.adversary import (ExactPathMaintainer, IncrementalAdversary,
                                  gen_fully_dynamic, path_length_param,
                                  run_decremental_mirror,
                                  run_incremental_adversary)
+from gradmorph.cli import main
 from gradmorph.graph import DataError, Graph, validate_matching
 from gradmorph.wrapper import GreedyMaximalMatching, WrappedMatching
 from gradmorph.sim import run_simulation
@@ -93,10 +97,10 @@ def test_decremental_mirror_bound():
 
 def test_wrapped_subject_survives_adversary():
     # the wrapper keeps worst-case recourse low even on the adversary stream
-    import math
     eps = 0.1
     run, events = run_incremental_adversary(
         lambda g: WrappedMatching(g, GreedyMaximalMatching(g), eps), eps, 400)
+    assert run.result.max_recourse <= 16 * math.ceil(1 / eps)
     g = Graph()
     wrapped = WrappedMatching(g, GreedyMaximalMatching(g), eps)
     result = run_simulation(g, wrapped, events)
@@ -112,3 +116,49 @@ def test_canonical_matching_helper():
 def test_infeasible_parameters():
     with pytest.raises(DataError):
         IncrementalAdversary(Graph(), StaticSubject(Graph()), 0.1, 5)
+
+
+# sha256 of whole `adversary --trace` CSVs (manifest line included) and the
+# printed line, at --seed 3 --epsilon 0.1 --n 200; any change to the streams
+# or to how they are measured moves them
+PINNED_ADVERSARY = [
+    ("incr", "exact",
+     "mode=incr updates=70 amortized_recourse=2.1143 complete_fraction=1.000 "
+     "copies=10 l=2",
+     "fd0fe12a60a2c46effbb778d8d2ad7e6e590d0c4a71d10a303a5010a6bc5127f"),
+    ("incr", "wrapped:greedy",
+     "mode=incr updates=50 amortized_recourse=0.4000 complete_fraction=0.000 "
+     "copies=10 l=2",
+     "d9eecf15f6cae52fe3d03ca60c234ea3f62703eb34698aa5ae9df715fa0a05ea"),
+    ("full", "exact",
+     "mode=full updates=140 amortized_recourse=1.3429 max_recourse=7",
+     "cfc9e8d49d2caba18d289bad0063b19b8e1f7d153637931d22f192850af82de6"),
+    ("full", "wrapped:greedy",
+     "mode=full updates=140 amortized_recourse=0.5714 max_recourse=1",
+     "94500e08055d2b767184c1517c416a85f89cc0fb2a631ac3e92b5bc8d8f637eb"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, subject, line, digest", PINNED_ADVERSARY,
+    ids=[f"{mode}-{subject}" for mode, subject, *_ in PINNED_ADVERSARY])
+def test_adversary_outputs_are_pinned(tmp_path, capsys, mode, subject, line, digest):
+    trace = tmp_path / "t.csv"
+    assert main(["--seed", "3", "adversary", "--mode", mode, "--epsilon", "0.1",
+                 "--n", "200", "--subject", subject, "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == line + "\n"
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+def test_decr_trace_has_one_delete_row_per_update(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    assert main(["adversary", "--mode", "decr", "--epsilon", "0.1", "--n", "200",
+                 "--subject", "greedy", "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "complete_fraction" not in out
+    assert "copies=10 l=2" in out
+    updates = int(out.split("updates=")[1].split()[0])
+    rows = trace.read_text().splitlines()[2:]
+    assert updates > 0
+    assert len(rows) == updates
+    assert all(row.split(",")[1].startswith("-e ") for row in rows)

@@ -59,7 +59,7 @@ def test_plan_path_fixture():
     src = Matching(g, [g.edge_id(1, 2)])
     tgt = Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3)])
     script = plan_mcm(g, src, tgt)
-    ops = [[(op.kind, op.u, op.v) for op in ph.ops] for ph in script.phases]
+    ops = [[(op.kind, op.u, op.v) for op in ph] for ph in script.phases]
     assert ops == [[("add", 0, 1), ("remove", 1, 2)], [("add", 2, 3)]]
     report = replay(g, src.edge_ids(), script)
     assert [b.size for b in report.boundaries] == [1, 1, 2]
@@ -76,7 +76,7 @@ def test_plan_cycle_forced_dip():
 
 def _check_instance(g, src, tgt):
     script = plan_mcm(g, src, tgt)
-    assert all(len(p.ops) <= 3 for p in script.phases)
+    assert all(len(p) <= 3 for p in script.phases)
     report = replay(g, src.edge_ids(), script, "per-op")
     res = check_guarantee(report, solution_stats(g, src),
                           solution_stats(g, tgt), "mcm")
@@ -144,7 +144,7 @@ def test_core_groups_name_the_script_ops(rng):
         only = [e for e in tgt.edges if e not in src.edges]
         groups = plan_target_only(g, src, only, len(tgt))
         phases = plan_mcm(g, src, tgt).phases
-        assert [[(op.kind, op.u, op.v, op.w) for op in ph.ops] for ph in phases] == \
+        assert [[(op.kind, op.u, op.v, op.w) for op in ph] for ph in phases] == \
             [[(kind, *g.edge(eid)) for kind, eid in group] for group in groups]
 
 

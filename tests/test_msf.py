@@ -107,7 +107,7 @@ def test_plan_tree_case2_reverse_stitch():
 
 def _master_check(g, src, tgt):
     script = plan_msf(g, src, tgt)
-    assert all(len(p.ops) == 2 for p in script.phases)
+    assert all(len(p) == 2 for p in script.phases)
     report = replay(g, src.edge_ids(), script, "per-phase")
     res = check_guarantee(report, solution_stats(g, src),
                           solution_stats(g, tgt), "msf")

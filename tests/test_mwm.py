@@ -149,7 +149,7 @@ def test_replace_blue_red_spec_examples():
 def _master_check(g, src, tgt, eps, prepass=True):
     script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=prepass)
     budget = mwm_phase_budget(eps)
-    assert all(len(p.ops) <= budget for p in script.phases)
+    assert all(len(p) <= budget for p in script.phases)
     report = replay(g, src.edge_ids(), script, "per-op")
     src_stats = solution_stats(g, src)
     tgt_stats = solution_stats(g, tgt)
@@ -219,7 +219,7 @@ def test_heavy_fixture_one_phase():
     eps = 1.0 / k  # every blue is exactly eps * w(M) = 10
     script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=False)
     assert len(script.phases) == 1
-    assert len(script.phases[0].ops) <= 3 * math.ceil(1 / eps) + 3
+    assert len(script.phases[0]) <= 3 * math.ceil(1 / eps) + 3
     _master_check(g, src, tgt, eps, prepass=False)
 
 
@@ -309,7 +309,7 @@ def test_window_plan_is_the_verified_script(rng):
         for src, tgt in ((a, b), (b, a)):
             for eps, prepass in ((0.4, True), (0.1, True), (0.1, False)):
                 script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=prepass)
-                ids = [[(op.kind, g.edge_id(op.u, op.v)) for op in ph.ops]
+                ids = [[(op.kind, g.edge_id(op.u, op.v)) for op in ph]
                        for ph in script.phases]
                 assert plan_mwm_groups(g, src, tgt, eps,
                                        good_edge_prepass=prepass) == ids

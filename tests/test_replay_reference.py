@@ -12,7 +12,7 @@ from gradmorph.mcm import plan_mcm
 from gradmorph.msf import plan_msf
 from gradmorph.mwm import plan_mwm_auto
 from gradmorph.oracles import msf_exact, replay_reference
-from gradmorph.script import ChangeOp, Phase, TransformationScript, replay
+from gradmorph.script import ChangeOp, TransformationScript, replay
 
 from conftest import path_graph
 
@@ -22,7 +22,7 @@ GRANULARITIES = ("per-phase", "per-op")
 def _script(problem, budget, phase_ops, eps=None):
     return TransformationScript(
         problem, budget, eps,
-        [Phase([ChangeOp(*op) for op in ops]) for ops in phase_ops])
+        [[ChangeOp(*op) for op in ops] for ops in phase_ops])
 
 
 def _same(g, source, script, granularity):
@@ -70,8 +70,8 @@ def test_conflicting_add_in_planned_script(granularity):
     conflict = next(eid for eid in sorted(g.edge_ids())
                     if eid not in a and covered & set(g.endpoints(eid)))
     u, v, w = g.edge(conflict)
-    script.phases.insert(0, Phase([ChangeOp("add", u, v, w)]))
-    script.phases.append(Phase([ChangeOp("remove", u, v, w)]))
+    script.phases.insert(0, [ChangeOp("add", u, v, w)])
+    script.phases.append([ChangeOp("remove", u, v, w)])
     report = _same(g, a.edge_ids(), script, granularity)
     assert not report.phase_ends()[0].valid
 
@@ -206,7 +206,7 @@ def _random_script(rng, g, problem, source):
             (state.discard if kind == "remove" else state.add)(eid)
             u, v, w = g.edge(eid)
             ops.append(ChangeOp(kind, u, v, w))
-        phases.append(Phase(ops))
+        phases.append(ops)
     return TransformationScript(problem, 4, 0.25, phases)
 
 
@@ -265,7 +265,7 @@ def _forest_walk(rng, g, source, need, phases):
             ops = [("remove", cut), ("add", pick_add(state - {cut}))]
         for kind, e in ops:
             (state.add if kind == "add" else state.discard)(e)
-        out.append(Phase([ChangeOp(kind, *g.edge(e)) for kind, e in ops]))
+        out.append([ChangeOp(kind, *g.edge(e)) for kind, e in ops])
     return TransformationScript("msf", 2, None, out)
 
 

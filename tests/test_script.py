@@ -1,12 +1,13 @@
 import ast
 import inspect
+import json
 
 import pytest
 
 from gradmorph.graph import (DEFAULT_TOLERANCE, DataError, Graph, Matching,
                              solution_stats)
 import gradmorph.script
-from gradmorph.script import (ChangeOp, Phase, TransformationScript,
+from gradmorph.script import (ChangeOp, TransformationScript,
                               check_guarantee, replay, report_to_csv_rows)
 
 from conftest import path_graph
@@ -15,7 +16,7 @@ from conftest import path_graph
 def _script(problem, budget, phase_ops, eps=None):
     return TransformationScript(
         problem, budget, eps,
-        [Phase([ChangeOp(*op) for op in ops]) for ops in phase_ops])
+        [[ChangeOp(*op) for op in ops] for ops in phase_ops])
 
 
 @pytest.mark.parametrize("offset, accepted", [(0.5, True), (-0.5, True),
@@ -179,6 +180,14 @@ def test_reversed_script_round_trip():
     fwd = replay(g, src.edge_ids(), script)
     back = replay(g, fwd.final_edges, script.reversed_script())
     assert back.final_edges == frozenset(src.edge_ids())
+
+
+def test_reversed_script_rejects_an_unknown_op_kind():
+    script = TransformationScript.from_json(json.dumps({
+        "problem": "mcm", "epsilon": None, "budget": 3,
+        "phases": [{"ops": [{"op": "flip", "u": 0, "v": 1, "w": 1.0}]}]}))
+    with pytest.raises(DataError, match="phase 0 op 0: unknown op kind 'flip'"):
+        script.reversed_script()
 
 
 def test_replay_deterministic_and_csv_shape():
