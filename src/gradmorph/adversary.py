@@ -260,8 +260,7 @@ class IncrementalAdversary:
 
     def _find_resumable(self) -> Optional[CopyState]:
         for copy in self.copies:
-            if copy.status == "halted" and copy.length >= 2 * self.l - 1 \
-                    and self._restricted_ok(copy):
+            if copy.status == "halted" and self._restricted_ok(copy):
                 copy.halt_witness = None
                 return copy
         return None
@@ -269,31 +268,26 @@ class IncrementalAdversary:
     def stream(self) -> Iterator[UpdateEvent]:
         current: Optional[CopyState] = None
         while True:
+            # a copy that just halted failed this same check on this same
+            # matching, so the resumable copy is never current
             resumable = self._find_resumable()
-            if resumable is not None and resumable is not current:
+            if resumable is not None:
                 if current is not None and current.status == "growing":
                     current.status = "suspended"
                     self._stack.append(current.index)
                 current = resumable
                 current.status = "growing"
             if current is None or current.status != "growing":
-                current = None
-                while self._stack:
-                    cand = self.copies[self._stack.pop()]
-                    if cand.status == "suspended":
-                        cand.status = "growing"
-                        current = cand
-                        break
-                if current is None:
-                    nxt = next((c for c in self.copies if c.status == "empty"), None)
-                    if nxt is None:
-                        break
-                    current = nxt
+                if self._stack:
+                    current = self.copies[self._stack.pop()]
+                    current.status = "growing"
+                else:
+                    current = next((c for c in self.copies
+                                    if c.status == "empty"), None)
+                    if current is None:
+                        return
             if (yield from self._advance(current)):
                 current = None
-        for copy in self.copies:
-            if copy.status in ("growing", "suspended"):
-                copy.status = "halted" if copy.halt_witness else copy.status
 
 
 def run_incremental_adversary(subject_factory, eps: float, n: int,

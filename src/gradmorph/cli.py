@@ -24,7 +24,7 @@ from .msf import INDEX_KIND, plan_msf
 from .mwm import plan_mwm_auto
 from .oracles import (exhaustive_transform_search, max_matching_exact,
                       max_weight_matching_exact, msf_exact)
-from .script import (TransformationScript, check_guarantee, replay,
+from .script import (MWM_EPS_MAX, TransformationScript, check_guarantee, replay,
                      report_to_csv_rows, transform_granularity)
 from .sim import make_inner, run_simulation, trace_csv_rows
 from .wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
@@ -56,6 +56,14 @@ def _read(path: str, label: str, manifest: RunManifest) -> str:
     return text
 
 
+def _read_pair(args, problem: str, g: Graph, manifest: RunManifest):
+    """The --from and --to solutions, read and parsed in that order:
+    matchings for mcm and mwm, spanning forests otherwise."""
+    parse = parse_matching if problem in ("mcm", "mwm") else parse_forest
+    return (parse(_read(args.source, "from", manifest), g),
+            parse(_read(args.target, "to", manifest), g))
+
+
 def _finish_manifest(manifest: RunManifest, args) -> None:
     if getattr(args, "manifest_out", None):
         Path(args.manifest_out).write_text(manifest.to_json() + "\n")
@@ -68,21 +76,17 @@ def _cmd_transform(args) -> int:
         "seed": args.seed, "tolerance": DEFAULT_TOLERANCE,
     })
     g = parse_graph(_read(args.graph, "graph", manifest))
+    if args.problem == "mwm" and (args.epsilon is None
+                                  or not (0 < args.epsilon <= MWM_EPS_MAX)):
+        raise DataError(f"mwm needs --epsilon in (0, 1/2], got {args.epsilon}")
     t0 = time.perf_counter()
+    src, tgt = _read_pair(args, args.problem, g, manifest)
     if args.problem == "mcm":
-        src = parse_matching(_read(args.source, "from", manifest), g)
-        tgt = parse_matching(_read(args.target, "to", manifest), g)
         script = plan_mcm(g, src, tgt)
     elif args.problem == "mwm":
-        if args.epsilon is None or not (0 < args.epsilon <= 0.5):
-            raise DataError(f"mwm needs --epsilon in (0, 1/2], got {args.epsilon}")
-        src = parse_matching(_read(args.source, "from", manifest), g)
-        tgt = parse_matching(_read(args.target, "to", manifest), g)
         script = plan_mwm_auto(g, src, tgt, args.epsilon,
                                good_edge_prepass=not args.no_prepass)
     else:
-        src = parse_forest(_read(args.source, "from", manifest), g)
-        tgt = parse_forest(_read(args.target, "to", manifest), g)
         script = plan_msf(g, src, tgt)
     wall = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -109,12 +113,7 @@ def _cmd_replay(args) -> int:
     script = TransformationScript.from_json(_read(args.script, "script", manifest))
     if args.problem and args.problem != script.problem:
         raise DataError(f"--problem {args.problem} != script problem {script.problem}")
-    if script.problem in ("mcm", "mwm"):
-        src = parse_matching(_read(args.source, "from", manifest), g)
-        tgt = parse_matching(_read(args.target, "to", manifest), g)
-    else:
-        src = parse_forest(_read(args.source, "from", manifest), g)
-        tgt = parse_forest(_read(args.target, "to", manifest), g)
+    src, tgt = _read_pair(args, script.problem, g, manifest)
     granularity = args.granularity
     if granularity is None:
         granularity = transform_granularity(script.problem)

@@ -5,9 +5,12 @@ per edge (1 = shared with the counterpart work tree, 2 = exclusive) and
 answers path_edge_outside(u, v): some dummy-2 edge on the u-v path, the one
 nearest to u. load(edges) fills an empty index with a whole forest at once.
 It runs in O(log n) amortized on the splay core LinkCutCore (Sleator and
-Tarjan 1983) and loads a forest in O(n). The tests check it against a
-naive index that walks paths in O(n) (tests/naive_forest.py). The replay
-verifier uses no index, so it stays independent of the planner it checks.
+Tarjan 1983) and loads a forest in O(n). Each linked or loaded edge gets
+a new node, and a cut leaves its node unused: an index lives for one
+plan_tree, so it holds O(n + k) nodes for k links. The tests check it
+against a naive index that walks paths in O(n) (tests/naive_forest.py).
+The replay verifier uses no index, so it stays independent of the
+planner it checks.
 """
 
 from __future__ import annotations
@@ -235,7 +238,6 @@ class LinkCutForestIndex:
         self._vnode: dict[int, int] = {}
         self._enode: dict[int, tuple[int, int, int]] = {}  # eid -> (node, u, v)
         self._node_edge: dict[int, int] = {}               # edge node -> eid
-        self._free_edge_nodes: list[int] = []
 
     def _vertex(self, v: int) -> int:
         node = self._vnode.get(v)
@@ -244,13 +246,6 @@ class LinkCutForestIndex:
             self._vnode[v] = node
         return node
 
-    def _edge_node(self, dummy: int) -> int:
-        if self._free_edge_nodes:
-            en = self._free_edge_nodes.pop()
-            self._core.set_val(en, dummy)
-            return en
-        return self._core.new_node(dummy)
-
     def _register(self, eid: int, en: int, u: int, v: int) -> None:
         self._enode[eid] = (en, u, v)
         self._node_edge[en] = eid
@@ -258,9 +253,8 @@ class LinkCutForestIndex:
     def link(self, eid: int, u: int, v: int, dummy: int) -> None:
         if eid in self._enode:
             raise DataError(f"edge {eid} already linked")
-        en = self._edge_node(dummy)
+        en = self._core.new_node(dummy)
         if not self._core.link(self._vertex(u), en, self._vertex(v)):
-            self._free_edge_nodes.append(en)
             raise DataError(f"link({u},{v}) would close a cycle")
         self._register(eid, en, u, v)
 
@@ -302,7 +296,7 @@ class LinkCutForestIndex:
         pairs = []
         for i, y in below:
             eid, u, v, dummy = edges[i]
-            en = self._edge_node(dummy)
+            en = self._core.new_node(dummy)
             self._register(eid, en, u, v)
             pairs.append((en, self._vertex(v if y == u else u)))
             pairs.append((self._vertex(y), en))
@@ -315,7 +309,6 @@ class LinkCutForestIndex:
         en, u, v = entry
         self._core.cut(self._vnode[u], en, self._vnode[v])
         del self._node_edge[en]
-        self._free_edge_nodes.append(en)
 
     def set_dummy(self, eid: int, dummy: int) -> None:
         en, _, _ = self._enode[eid]

@@ -517,51 +517,28 @@ def validate_matching(g: Graph, m: Matching | Iterable[int]) -> ValidityReport:
 def validate_forest(g: Graph, f: SpanningForest | Iterable[int]) -> ValidityReport:
     """ok iff acyclic and forest components equal graph components.
 
-    An acyclic edge set of g spans iff |F| = |V| - c(G), with g's
-    component labels computed once per version of g. One whole-set pass
-    decides first: every id is in g's edge table, |F| is right, and a local
-    union-find by rank over the rows finds no cycle. Only a failed pass
-    rescans edge by edge, to name the first fault; the per-vertex label
-    comparison runs only when the count fails, to name a vertex."""
+    One pass over the ids, with a local union-find by rank and no set-up
+    per vertex (a root is a vertex without a parent entry), names the first
+    missing edge or cycle edge in list order. An acyclic edge set of g
+    spans iff |F| = |V| - c(G), with g's component labels computed once per
+    version of g. Only when that count fails are the labels compared, with
+    the same pass's roots, to name a vertex."""
     labels = g._component_labels()
     eids = f.edge_ids() if isinstance(f, SpanningForest) else list(f)
-    need = len(labels) - len(set(labels.values()))
-    if len(eids) == need:
-        try:
-            rows = list(map(g._edges.__getitem__, eids))
-        except KeyError:
-            pass
-        else:
-            if _acyclic(rows):
-                return ValidityReport(True)
-    uf = UnionFind(g.vertices)
-    for eid in eids:
-        if not g.has_edge_id(eid):
-            return ValidityReport(False, "missing edge", edge=eid)
-        u, v, _ = g.edge(eid)
-        if not uf.union(u, v):
-            return ValidityReport(False, "cycle", edge=eid)
-    if len(eids) == need:
-        return ValidityReport(True)
-    forest_labels = uf.labels()
-    for v in g.vertices:
-        if labels[v] != forest_labels[v]:
-            return ValidityReport(False, "does not span", vertex=v)
-    return ValidityReport(True)
-
-
-def _acyclic(rows: Iterable[tuple[int, int, float]]) -> bool:
-    """Whether the (u, v, w) edge rows form a forest: union by rank, with
-    no per-vertex set-up (a root is a vertex without a parent entry)."""
+    rows = g._edges
     parent: dict[int, int] = {}
     rank: dict[int, int] = {}
-    for u, v, _ in rows:
+    for eid in eids:
+        row = rows.get(eid)
+        if row is None:
+            return ValidityReport(False, "missing edge", edge=eid)
+        u, v, _ = row
         while u in parent:
             u = parent[u]
         while v in parent:
             v = parent[v]
         if u == v:
-            return False
+            return ValidityReport(False, "cycle", edge=eid)
         ru, rv = rank.get(u, 0), rank.get(v, 0)
         if ru < rv:
             parent[u] = v
@@ -569,7 +546,18 @@ def _acyclic(rows: Iterable[tuple[int, int, float]]) -> bool:
             parent[v] = u
             if ru == rv:
                 rank[u] = ru + 1
-    return True
+    if len(eids) == len(labels) - len(set(labels.values())):
+        return ValidityReport(True)
+
+    def root(x: int) -> int:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    # a forest component misses its graph component's label (smallest
+    # member) exactly when the forest splits that component there
+    return ValidityReport(False, "does not span", vertex=next(
+        v for v in g.vertices if root(v) != root(labels[v])))
 
 
 def require_valid(g: Graph, name: str, s: Matching | SpanningForest) -> None:

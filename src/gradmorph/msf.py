@@ -1,8 +1,10 @@
 """Spanning forest transformation planner.
 
 Two work trees per connected component, transformed toward each other by a
-greedy exchange procedure: repeatedly take the lightest edge in one tree
-but not the other and swap it against an edge of the cycle it closes. The
+greedy exchange procedure: repeatedly take the lightest cross edge (in the
+target-side tree but not the source-side one) and swap it against an edge
+of the cycle it closes. The cross set is read from the two work trees; a
+plain heap over the initial cross set, popped lazily, orders it. The
 forward stream moves the source-side tree, the backward stream moves the
 target-side tree; the emitted fragment is the forward stream followed by
 the backward stream reversed with inverted ops. Every phase is one 2-op
@@ -29,33 +31,10 @@ from typing import Iterable, Protocol
 from .graph import (ContractError, DataError, Graph, SpanningForest,
                     UnionFind, require_valid, slack)
 from .dynforest import make_index
-from .script import Group, TransformationScript, reversed_groups
+from .script import (MSF_PHASE_BUDGET, Group, TransformationScript,
+                     reversed_groups)
 
-MSF_PHASE_BUDGET = 2
 INDEX_KIND = "linkcut"   # the index the planner builds, as manifests record it
-
-
-class CrossEdgeHeap:
-    """Min-heap over the target-side-only edge set, keyed (weight, id),
-    with lazy deletion."""
-
-    def __init__(self, g: Graph, eids: Iterable[int]) -> None:
-        self._alive: set[int] = set(eids)
-        self._heap = [(g.weight(e), e) for e in self._alive]
-        heapq.heapify(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._alive)
-
-    def discard(self, eid: int) -> None:
-        self._alive.discard(eid)
-
-    def peek_min(self) -> int:
-        while self._heap and self._heap[0][1] not in self._alive:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            raise DataError("empty cross-edge heap")
-        return self._heap[0][1]
 
 
 class ForestIndex(Protocol):
@@ -87,7 +66,6 @@ class TreeTransformState:
     rep: dict[int, int]
     index_src: ForestIndex
     index_tgt: ForestIndex
-    heap: CrossEdgeHeap
 
     @staticmethod
     def create(g: Graph, tree_src: Iterable[int],
@@ -112,8 +90,7 @@ class TreeTransformState:
         index_tgt = make_index(INDEX_KIND)
         index_src.load(exclusive(src, tgt))
         index_tgt.load(exclusive(tgt, src))
-        heap = CrossEdgeHeap(g, tgt - src)
-        return TreeTransformState(g, src, tgt, rep, index_src, index_tgt, heap)
+        return TreeTransformState(g, src, tgt, rep, index_src, index_tgt)
 
     def local_trans(self, e_prime: int) -> tuple[int, Group]:
         """One exchange step for cross edge e_prime; returns (case, ops),
@@ -138,7 +115,6 @@ class TreeTransformState:
             self.index_src.cut(e)
             self.index_src.link(e_prime, su, sv, 1)
             self.index_tgt.set_dummy(e_prime, 1)
-            self.heap.discard(e_prime)
             return 1, [("remove", e), ("add", e_prime)]
         # case 2: target tree drops e'' (on its cycle with e), gains e
         eu, ev, _ = g.edge(e)
@@ -154,7 +130,6 @@ class TreeTransformState:
         self.index_tgt.cut(e2)
         self.index_tgt.link(e, su, sv, 1)
         self.index_src.set_dummy(e, 1)
-        self.heap.discard(e2)
         return 2, [("remove", e2), ("add", e)]
 
 
@@ -167,11 +142,22 @@ def plan_tree(g: Graph, tree_src: Iterable[int],
     -> [remove y, add x]).
     """
     state = TreeTransformState.create(g, tree_src, tree_tgt)
+    src, tgt = state.work_src, state.work_tgt
     forward: list[Group] = []
     backward: list[Group] = []
-    expected_steps = len(state.work_src ^ state.work_tgt) // 2
-    while len(state.heap):
-        case, ops = state.local_trans(state.heap.peek_min())
+    expected_steps = len(src ^ tgt) // 2
+    # the cross set is tgt - src: each exchange takes one edge out of it
+    # (case 1 adds e' to src, case 2 drops e'' from tgt) and adds none, so
+    # a heap built once and popped lazily keeps its lightest edge on top.
+    # A case-2 exchange leaves e' a cross edge, to be taken again.
+    cross = [(g.weight(e), e) for e in tgt - src]
+    heapq.heapify(cross)
+    while cross:
+        e_prime = cross[0][1]
+        if e_prime in src or e_prime not in tgt:
+            heapq.heappop(cross)
+            continue
+        case, ops = state.local_trans(e_prime)
         (forward if case == 1 else backward).append(ops)
         if len(forward) + len(backward) > expected_steps:
             raise ContractError("exchange count exceeds |src xor tgt| / 2")

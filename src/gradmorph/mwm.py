@@ -23,7 +23,8 @@ from typing import Iterable, Optional
 
 from .graph import (ContractError, DataError, Graph, Matching, require_valid,
                     slack)
-from .script import Group, TransformationScript, reversed_groups
+from .script import (MWM_EPS_MAX, Group, TransformationScript,
+                     reversed_groups)
 
 
 def mwm_phase_budget(eps: float) -> int:
@@ -424,7 +425,7 @@ def plan_mwm_groups(
     reached as a superset; otherwise plans target -> source and reverses
     the groups (reversed_groups), so the floors reference the lighter
     endpoint, matching check_guarantee's convention."""
-    if not (0 < eps <= 0.5):
+    if not (0 < eps <= MWM_EPS_MAX):
         raise DataError(f"epsilon {eps} outside (0, 1/2]")
     require_valid(g, "source", source)
     require_valid(g, "target", target)

@@ -14,6 +14,8 @@ from typing import Iterable, Optional
 from .graph import ContractError, DataError, Graph, SolutionStats, slack
 
 PROBLEMS = ("mcm", "mwm", "msf")
+MWM_EPS_MAX = 0.5       # mwm plans and checks take epsilon in (0, 1/2]
+MSF_PHASE_BUDGET = 2    # ops per msf phase: one exchange
 
 Group = list[tuple[str, int]]   # one phase's ops as (kind, edge id) pairs
 _INVERSE = {"add": "remove", "remove": "add"}
@@ -449,7 +451,7 @@ def check_guarantee(
         return GuaranteeResult(True)
 
     if problem == "mwm":
-        if epsilon is None or not (0 < epsilon <= 0.5):
+        if epsilon is None or not (0 < epsilon <= MWM_EPS_MAX):
             raise DataError(f"mwm check needs epsilon in (0, 1/2], got {epsilon}")
         anchor = source_stats if source_stats.total_weight <= target_stats.total_weight \
             else target_stats
@@ -475,8 +477,9 @@ def check_guarantee(
         ceiling = max(source_stats.total_weight, target_stats.total_weight)
         tol = slack(ceiling)
         for i, count in enumerate(report.phase_op_counts):
-            if count > 2:
-                return GuaranteeResult(False, f"phase {i} has {count} ops > 2", None)
+            if count > MSF_PHASE_BUDGET:
+                return GuaranteeResult(
+                    False, f"phase {i} has {count} ops > {MSF_PHASE_BUDGET}", None)
         for b in phase_ends:
             if not b.valid:
                 return GuaranteeResult(False, "invalid forest at phase end", b)

@@ -497,8 +497,6 @@ class WrappedMatching:
 
     def _window_step(self, out: OutputDelta) -> None:
         win = self.window
-        if win is None:
-            return
         if win.elapsed < win.first_half:
             self.last_window_phase = "first"
         else:

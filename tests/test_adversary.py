@@ -150,6 +150,30 @@ def test_adversary_outputs_are_pinned(tmp_path, capsys, mode, subject, line, dig
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
+def test_incr_resumes_halted_copies_and_is_pinned(tmp_path, capsys, monkeypatch):
+    # a batch subject lets halted copies become canonical again, so the
+    # stream resumes them; sha256 of the printed line and the whole trace
+    resumes = []
+    find = IncrementalAdversary._find_resumable
+
+    def counted(self):
+        copy = find(self)
+        if copy is not None:
+            resumes.append(copy.index)
+        return copy
+
+    monkeypatch.setattr(IncrementalAdversary, "_find_resumable", counted)
+    trace = tmp_path / "t.csv"
+    assert main(["--seed", "3", "adversary", "--mode", "incr", "--epsilon", "0.1",
+                 "--n", "400", "--subject", "batch:2.0", "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert resumes
+    assert hashlib.sha256(out).hexdigest() == \
+        "d858167d0cbfcbb142fe6b4c214244f9943f4c9005f7b59e805881cd2e8217d9"
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+        "4e7290120e11234a0e72ece6156d3ea2b00ade1ba05a8cd4512c8cba3778330a"
+
+
 def test_decr_trace_has_one_delete_row_per_update(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     assert main(["adversary", "--mode", "decr", "--epsilon", "0.1", "--n", "200",

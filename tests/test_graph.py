@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradmorph.graph import (DEFAULT_TOLERANCE, DataError, Graph, Matching,
@@ -367,8 +367,16 @@ def _reference_forest(g, ids):
     return True, "", None, None
 
 
+def _triangle():
+    g = path_graph(3)
+    g.add_edge(0, 2, 1.0)
+    return g
+
+
 @settings(max_examples=300, deadline=None)
 @given(_graph_and_id_list(), st.sampled_from(["ids", "forest", "forest - 1"]))
+@example(case=(_triangle(), [0, 1, 2, 7]), kind="ids")   # cycle, then missing
+@example(case=(_triangle(), [0, 7, 1, 2]), kind="ids")   # missing, then cycle
 def test_validate_forest_equals_label_comparison(case, kind):
     g, ids = case
     if kind != "ids":

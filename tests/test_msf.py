@@ -8,7 +8,7 @@ from gradmorph.dynforest import LinkCutForestIndex, make_index
 from gradmorph.gen import random_graph, random_spanning_forest
 from gradmorph.graph import (DataError, Graph, SpanningForest,
                              solution_stats, validate_forest)
-from gradmorph.msf import CrossEdgeHeap, TreeTransformState, plan_msf, plan_tree
+from gradmorph.msf import TreeTransformState, plan_msf, plan_tree
 from gradmorph.oracles import msf_exact
 from gradmorph.script import TransformationScript, check_guarantee, replay
 
@@ -23,21 +23,22 @@ def _triangle(w1, w2, w3):
     return g, e1, e2, e3
 
 
-def test_heap_min_and_ties():
+def test_plan_tree_takes_lightest_cross_edge_first_ties_by_id():
+    # hub 0 with shared spokes (0, a_i); the source tree hangs b_i off a_i
+    # by a heavy edge, the target tree joins b_i to the hub, so every cross
+    # edge (0, b_i) closes a cycle of its own and is one case-1 exchange
     g = Graph()
-    ids = [g.add_edge(10 + i, 20 + i, w) for i, w in enumerate((4.0, 2.0, 7.0))]
-    heap = CrossEdgeHeap(g, ids)
-    assert heap.peek_min() == ids[1]
-    g2 = Graph()
-    a = g2.add_edge(0, 1, 2.0)
-    b = g2.add_edge(2, 3, 2.0)
-    heap = CrossEdgeHeap(g2, [b, a])
-    assert heap.peek_min() == min(a, b)  # tie -> smaller id
-    heap.discard(min(a, b))
-    assert heap.peek_min() == max(a, b)
-    heap.discard(max(a, b))
-    with pytest.raises(DataError):
-        heap.peek_min()
+    src, tgt, cross = [], [], []
+    for i, w in enumerate((4.0, 2.0, 7.0, 2.0)):
+        a, b = 1 + 2 * i, 2 + 2 * i
+        spoke = g.add_edge(0, a, 1.0)
+        src += [spoke, g.add_edge(a, b, 9.0)]
+        cross.append(g.add_edge(0, b, w))
+        tgt += [spoke, cross[-1]]
+    groups = plan_tree(g, src, list(reversed(tgt)))
+    assert [group[1] for group in groups] == [
+        ("add", cross[1]), ("add", cross[3]),   # the tie: smaller id first
+        ("add", cross[0]), ("add", cross[2])]
 
 
 def test_local_trans_case1():
@@ -71,9 +72,11 @@ def test_symmetric_difference_shrinks_by_two(rng):
         t1 = random_spanning_forest(rng, g).edge_ids()
         t2 = random_spanning_forest(rng, g).edge_ids()
         state = TreeTransformState.create(g, t1, t2)
-        while len(state.heap):
+        while state.work_tgt - state.work_src:
             before = len(state.work_src ^ state.work_tgt)
-            case, _ = state.local_trans(state.heap.peek_min())
+            lightest = min(state.work_tgt - state.work_src,
+                           key=lambda e: (g.weight(e), e))
+            case, _ = state.local_trans(lightest)
             after = len(state.work_src ^ state.work_tgt)
             assert after == before - 2
             # both work trees stay spanning trees
