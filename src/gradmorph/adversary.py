@@ -27,6 +27,8 @@ COPY_SCALE = 0.5      # copies = max(1, floor(COPY_SCALE * eps * n))
 def path_length_param(eps: float) -> int:
     if eps <= 0:
         raise DataError(f"epsilon {eps} must be positive")
+    if not math.isfinite(eps):
+        raise DataError(f"epsilon {eps} must be finite")
     return max(1, math.floor(PATH_SCALE / eps))
 
 
@@ -164,14 +166,9 @@ class CopyState:
 
 @dataclass
 class AdversaryRun:
-    eps: float
-    mode: str
     l: int
     copies: list[CopyState]
     result: SimulationResult     # the measured run of the stream
-
-    def amortized_recourse(self) -> float:
-        return self.result.mean_recourse
 
     def complete_fraction(self) -> float:
         done = sum(1 for c in self.copies if c.status == "complete")
@@ -297,7 +294,7 @@ def run_incremental_adversary(subject_factory, eps: float, n: int,
     subject = subject_factory(g)
     adv = IncrementalAdversary(g, subject, eps, n)
     result = run_simulation(g, subject, adv.stream())
-    return AdversaryRun(eps, "incremental", adv.l, adv.copies, result), adv.events
+    return AdversaryRun(adv.l, adv.copies, result), adv.events
 
 
 def run_decremental_mirror(subject_factory, eps: float, n: int,
@@ -315,4 +312,4 @@ def run_decremental_mirror(subject_factory, eps: float, n: int,
         subject.handle_update(ev, g.apply_update(ev))
     result = run_simulation(g, subject, [UpdateEvent.edge_delete(ev.u, ev.v)
                                          for ev in reversed(events)])
-    return AdversaryRun(eps, "decremental", base.l, base.copies, result)
+    return AdversaryRun(base.l, base.copies, result)

@@ -255,14 +255,21 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _sizes(text: str) -> list[int]:
+    """The --sizes ladder: comma-separated integers, each at least 2."""
+    sizes = [int(s) for s in text.split(",") if s.strip().isdecimal()]
+    if len(sizes) != text.count(",") + 1 or min(sizes) < 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers >= 2")
+    return sizes
+
+
 def _cmd_bench(args) -> int:
-    sizes = ([int(s) for s in args.sizes.split(",")] if args.sizes
-             else [1000, 10_000, 100_000])
     if args.problem == "msf":
-        res = msf_planner_scaling(sizes, seed=args.seed)
+        res = msf_planner_scaling(args.sizes, seed=args.seed)
         model = "n*log(n)"
     else:
-        res = matching_planner_scaling(args.problem, sizes, seed=args.seed)
+        res = matching_planner_scaling(args.problem, args.sizes, seed=args.seed)
         model = "n"
     for n, t, r, rt in zip(res.sizes, res.seconds, res.ratios,
                            res.replay_seconds):
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="planner scaling fits")
     b.add_argument("--problem", default="msf", choices=("mcm", "mwm", "msf"))
-    b.add_argument("--sizes", default=None)
+    b.add_argument("--sizes", type=_sizes, default=[1000, 10_000, 100_000])
     b.set_defaults(fn=_cmd_bench)
     return p
 
@@ -348,6 +355,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "oracle" and args.task == "search" \
+                and None in (args.source, args.target):
+            parser.error("oracle --task search needs --from and --to")
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -4,18 +4,18 @@ LinkCutForestIndex maintains a forest under link/cut with a dummy weight
 per edge (1 = shared with the counterpart work tree, 2 = exclusive) and
 answers path_edge_outside(u, v): some dummy-2 edge on the u-v path, the one
 nearest to u. load(edges) fills an empty index with a whole forest at once.
-It runs in O(log n) amortized on the splay core LinkCutCore (Sleator and
-Tarjan 1983) and loads a forest in O(n). Each linked or loaded edge gets
-a new node, and a cut leaves its node unused: an index lives for one
-plan_tree, so it holds O(n + k) nodes for k links. The tests check it
-against a naive index that walks paths in O(n) (tests/naive_forest.py).
-The replay verifier uses no index, so it stays independent of the
-planner it checks.
+It is a link-cut tree (Sleator and Tarjan 1983): splay trees with lazy
+reversal, O(log n) amortized a call, and a forest loads in O(n). Each
+linked or loaded edge gets a new node, and a cut leaves its node unused:
+an index lives for one plan_tree, so it holds O(n + k) nodes for k links.
+The tests check it against a naive index that walks paths in O(n)
+(tests/naive_forest.py). The replay verifier uses no index, so it stays
+independent of the planner it checks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graph import ContractError, DataError
 
@@ -23,13 +23,17 @@ from .graph import ContractError, DataError
 NEG = -1
 
 
-class LinkCutCore:
-    """Link-cut trees: splay trees with lazy reversal. Nodes are dense
-    integer indices into parallel lists; each carries a value and a
-    subtree max, so path-maximum queries return a witness node.
-    LinkCutForestIndex builds its forest on one of these cores."""
+class LinkCutForestIndex:
+    """Link-cut trees with path-max aggregation over dummy weights.
 
-    __slots__ = ("left", "right", "parent", "flip", "val", "mx")
+    Nodes are dense integer indices into parallel lists; each carries a
+    value and a subtree max, so a path maximum returns a witness node.
+    Edges are their own nodes (value = dummy weight); vertex nodes carry
+    value 0 so a path maximum below 2 proves the precondition violated.
+    """
+
+    __slots__ = ("left", "right", "parent", "flip", "val", "mx",
+                 "_vnode", "_enode", "_node_edge")
 
     def __init__(self) -> None:
         self.left: list[int] = []
@@ -38,8 +42,11 @@ class LinkCutCore:
         self.flip: list[bool] = []
         self.val: list[int] = []
         self.mx: list[int] = []
+        self._vnode: dict[int, int] = {}
+        self._enode: dict[int, tuple[int, int, int]] = {}  # eid -> (node, u, v)
+        self._node_edge: dict[int, int] = {}               # edge node -> eid
 
-    def new_node(self, val: int) -> int:
+    def _new_node(self, val: int) -> int:
         idx = len(self.val)
         self.left.append(NEG)
         self.right.append(NEG)
@@ -48,6 +55,13 @@ class LinkCutCore:
         self.val.append(val)
         self.mx.append(val)
         return idx
+
+    def _vertex(self, v: int) -> int:
+        node = self._vnode.get(v)
+        if node is None:
+            node = self._new_node(0)
+            self._vnode[v] = node
+        return node
 
     # -- splay plumbing -------------------------------------------------
 
@@ -148,115 +162,35 @@ class LinkCutCore:
             y = parent[y]
         splay(x)
 
-    # -- public surface ---------------------------------------------------
-
-    def evert(self, x: int) -> None:
+    def _evert(self, x: int) -> None:
         self._access(x)
         self.flip[x] = not self.flip[x]
         self._push(x)
 
-    def connected(self, x: int, y: int) -> bool:
-        """Whether x and y share a tree. Leaves x everted: it is the root of
-        its tree, and when the answer is False also of its splay tree."""
-        self.evert(x)
+    def _connected(self, x: int, y: int) -> bool:
+        """Whether nodes x and y share a tree. Leaves x the root of its tree,
+        and when they do not, of its splay tree too."""
+        self._evert(x)
         self._access(y)
         # x was a splay root without path-parent; access(y) pulls it into
         # y's splay tree exactly when the root..y path starts at x
         return x == y or self.parent[x] != NEG
 
-    def link(self, x: int, m: int, y: int) -> bool:
-        """Join the trees of x and y through the one-node tree m, as the
-        path x - m - y, unless x and y are already connected. Returns
-        whether it joined them; on False nothing changed but the roots."""
-        if self.connected(x, y):
-            return False
-        # connected left x the root of its tree and of its splay tree
-        self.parent[x] = m
-        self.parent[m] = y
-        return True
-
-    def load(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Bulk link: for each (x, p), make p the tree parent of x. Every x
-        must be a one-node tree, and the pairs must orient a forest towards
-        its roots. Each x stays a one-node preferred path whose
-        path-parent is p, so no splay runs."""
-        parent = self.parent
-        for x, p in pairs:
-            parent[x] = p
-
-    def cut(self, x: int, m: int, y: int) -> None:
-        """Remove the path x - m - y, leaving m a one-node tree."""
-        left, right, parent = self.left, self.right, self.parent
-        self.evert(x)
-        self._access(y)
-        self._splay(m)
-        # the splay tree holds the path x, m, y in order, so m roots it
-        # with leaf children x and y
-        if not (left[m] == x and right[m] == y and left[x] == right[x] == NEG
-                and left[y] == right[y] == NEG):
-            raise RuntimeError("cut: x - m - y is not a path of the forest")
-        left[m] = right[m] = parent[x] = parent[y] = NEG
-        self.mx[m] = self.val[m]
-
-    def set_val(self, x: int, val: int) -> None:
-        self._splay(x)
-        self.val[x] = val
-        self._pull(x)
-
-    def path_max(self, u: int, v: int) -> Optional[tuple[int, int]]:
-        """(node, value) of the leftmost maximum-value node on the u..v
-        path, left meaning nearest to u; None when u and v are in
-        different trees."""
-        if not self.connected(u, v):
-            return None
-        left, right, val, mx = self.left, self.right, self.val, self.mx
-        push = self._push
-        m = mx[v]
-        x = v
-        while True:
-            push(x)
-            l = left[x]
-            if l != NEG and mx[l] == m:
-                x = l
-            elif val[x] == m:
-                break
-            else:
-                x = right[x]
-        self._splay(x)
-        return x, m
-
-
-class LinkCutForestIndex:
-    """Link-cut trees with path-max aggregation over dummy weights.
-
-    Edges are their own nodes (value = dummy weight); vertex nodes carry
-    value 0 so a path maximum below 2 proves the precondition violated.
-    """
-
-    def __init__(self) -> None:
-        self._core = LinkCutCore()
-        self._vnode: dict[int, int] = {}
-        self._enode: dict[int, tuple[int, int, int]] = {}  # eid -> (node, u, v)
-        self._node_edge: dict[int, int] = {}               # edge node -> eid
-
-    def _vertex(self, v: int) -> int:
-        node = self._vnode.get(v)
-        if node is None:
-            node = self._core.new_node(0)
-            self._vnode[v] = node
-        return node
-
-    def _register(self, eid: int, en: int, u: int, v: int) -> None:
-        self._enode[eid] = (en, u, v)
-        self._node_edge[en] = eid
+    # -- the index --------------------------------------------------------
 
     def link(self, eid: int, u: int, v: int, dummy: int) -> None:
+        """Link u and v by edge node eid, unless that closes a cycle."""
         if eid in self._enode:
             raise DataError(f"edge {eid} already linked")
-        en = self._core.new_node(dummy)
-        if not self._core.link(self._vertex(u), en, self._vertex(v)):
+        en = self._new_node(dummy)
+        x, y = self._vertex(u), self._vertex(v)
+        if self._connected(x, y):
             raise DataError(f"link({u},{v}) would close a cycle")
-        self._register(eid, en, u, v)
+        # _connected left x the root of its tree and of its splay tree
+        self.parent[x] = en
+        self.parent[en] = y
+        self._enode[eid] = (en, u, v)
+        self._node_edge[en] = eid
 
     def load(self, edges: Iterable[tuple[int, int, int, int]]) -> None:
         """Fill an index without edges with the forest of (eid, u, v, dummy)
@@ -293,42 +227,69 @@ class LinkCutForestIndex:
             i = next(i for i in range(len(edges)) if i not in tree)
             eid, u, v, _ = edges[i]
             raise DataError(f"load: edge {eid} ({u},{v}) closes a cycle")
-        pairs = []
+        # each child vertex y is a one-node preferred path whose path-parent
+        # is its edge node, and that node's path-parent is y's tree parent
+        parent = self.parent
         for i, y in below:
             eid, u, v, dummy = edges[i]
-            en = self._core.new_node(dummy)
-            self._register(eid, en, u, v)
-            pairs.append((en, self._vertex(v if y == u else u)))
-            pairs.append((self._vertex(y), en))
-        self._core.load(pairs)
+            en = self._new_node(dummy)
+            self._enode[eid] = (en, u, v)
+            self._node_edge[en] = eid
+            parent[en] = self._vertex(v if y == u else u)
+            parent[self._vertex(y)] = en
 
     def cut(self, eid: int) -> None:
+        """Remove the path u - eid - v, leaving the edge node unused."""
         entry = self._enode.pop(eid, None)
         if entry is None:
             raise DataError(f"edge {eid} not in index")
         en, u, v = entry
-        self._core.cut(self._vnode[u], en, self._vnode[v])
+        x, y = self._vnode[u], self._vnode[v]
+        left, right, parent = self.left, self.right, self.parent
+        self._evert(x)
+        self._access(y)
+        self._splay(en)
+        # the splay tree holds the path x, en, y in order, so en roots it
+        # with leaf children x and y
+        if not (left[en] == x and right[en] == y and left[x] == right[x] == NEG
+                and left[y] == right[y] == NEG):
+            raise ContractError(f"cut: edge {eid} ({u},{v}) is not a path "
+                                "of the forest")
+        left[en] = right[en] = parent[x] = parent[y] = NEG
+        self.mx[en] = self.val[en]
         del self._node_edge[en]
 
     def set_dummy(self, eid: int, dummy: int) -> None:
-        en, _, _ = self._enode[eid]
-        self._core.set_val(en, dummy)
-
-    def connected(self, u: int, v: int) -> bool:
-        if u not in self._vnode or v not in self._vnode:
-            return u == v
-        return self._core.connected(self._vnode[u], self._vnode[v])
+        en = self._enode[eid][0]
+        self._splay(en)
+        self.val[en] = dummy
+        self._pull(en)
 
     def path_edge_outside(self, u: int, v: int) -> int:
-        if u not in self._vnode or v not in self._vnode:
+        """The dummy-2 edge on the u..v path nearest to u: the leftmost
+        maximum-value node of the path's splay tree."""
+        vnode = self._vnode
+        if u not in vnode or v not in vnode:
             raise DataError(f"{u} and {v} are not both in the index")
-        hit = self._core.path_max(self._vnode[u], self._vnode[v])
-        if hit is None:
+        x = vnode[v]
+        if not self._connected(vnode[u], x):
             raise DataError(f"{u} and {v} are not connected in the index")
-        node, value = hit
-        if value < 2:
+        left, right, val, mx = self.left, self.right, self.val, self.mx
+        push = self._push
+        m = mx[x]
+        while True:
+            push(x)
+            l = left[x]
+            if l != NEG and mx[l] == m:
+                x = l
+            elif val[x] == m:
+                break
+            else:
+                x = right[x]
+        self._splay(x)
+        if m < 2:
             raise ContractError(f"no dummy-2 edge on path {u}..{v}")
-        return self._node_edge[node]
+        return self._node_edge[x]
 
 
 def make_index(kind: str) -> LinkCutForestIndex:

@@ -107,10 +107,3 @@ def random_update_stream(rng: random.Random, n: int, steps: int,
             present.insert(i, (u, v))
             events.append(UpdateEvent.edge_insert(u, v, w))
     return events
-
-
-def matching_pair(rng: random.Random, n: int, m: int,
-                  w_lo: float = 1.0, w_hi: float = 1.0,
-                  ) -> tuple[Graph, Matching, Matching]:
-    g = random_graph(rng, n, m, w_lo, w_hi)
-    return g, random_matching(rng, g), random_matching(rng, g)

@@ -217,11 +217,6 @@ class Graph:
         self._labels = None
         return u, v, w
 
-    def remove_edge(self, u: int, v: int) -> int:
-        eid = self.edge_id(u, v)
-        self.remove_edge_id(eid)
-        return eid
-
     def remove_vertex(self, v: int) -> list[tuple[int, int, int, float]]:
         if v not in self._vertices:
             raise DataError(f"vertex {v} not present")
@@ -265,28 +260,6 @@ class Graph:
         else:
             raise DataError(f"unknown update kind {ev.kind!r}")
         return delta
-
-    # -- checks -------------------------------------------------------
-
-    def audit(self) -> None:
-        """Full-structure invariant check; raises ContractError on breach."""
-        for eid, (u, v, w) in self._edges.items():
-            if u == v:
-                raise ContractError(f"self-loop {eid}")
-            if u not in self._vertices or v not in self._vertices:
-                raise ContractError(f"edge {eid} has missing endpoint")
-            if not (w > 0 and math.isfinite(w)):
-                raise ContractError(f"edge {eid} has weight {w}, not positive and finite")
-            if self._by_pair.get(_pair(u, v)) != eid:
-                raise ContractError(f"pair index out of sync for edge {eid}")
-            if eid not in self._adj[u] or eid not in self._adj[v]:
-                raise ContractError(f"adjacency out of sync for edge {eid}")
-        if len(self._by_pair) != len(self._edges):
-            raise ContractError("pair index size mismatch")
-        for v, eids in self._adj.items():
-            for eid in eids:
-                if eid not in self._edges or v not in self._edges[eid][:2]:
-                    raise ContractError(f"stale adjacency entry {eid} at vertex {v}")
 
     def components(self) -> dict[int, int]:
         """Connected-component label per vertex (smallest member id); a
@@ -473,13 +446,6 @@ class UnionFind:
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
         return True
-
-    def labels(self) -> dict[int, int]:
-        root_min: dict[int, int] = {}
-        for x in self.parent:
-            r = self.find(x)
-            root_min[r] = min(root_min.get(r, x), x)
-        return {x: root_min[self.find(x)] for x in self.parent}
 
 
 # -- validation and stats ---------------------------------------------

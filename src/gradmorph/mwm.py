@@ -4,10 +4,11 @@ The symmetric difference of source and target splits into vertex-disjoint
 alternating components. Components are processed gain-first so the running
 surplus never goes negative; within a component the credited prefix-minimum
 decides between running it whole and splitting it into its suffix and
-prefix. The op stream is grouped into phases of O(1/eps) changes, cut
-whenever a light source edge (weight < eps * w(source)) leaves the
-matching, which pins the phase-end weight above (1-eps) * w(source).
-Like every planner it plans each phase as (kind, edge id) pairs.
+prefix. Like every planner it plans in (kind, edge id) pairs. The op
+stream is a run of atomic units, plain groups of [add red, remove blue],
+and is grouped into phases of O(1/eps) changes. A phase is cut after each
+unit whose last op removes a light source edge (weight < eps * w(source)),
+which pins the phase-end weight above (1-eps) * w(source).
 `plan_mwm_groups` is the one entry point, for either direction: it reaches
 a lighter target by planning the other way and reversing the groups. The
 recourse wrapper plays the groups directly; `plan_mwm_auto` makes them a
@@ -210,42 +211,33 @@ def _rotated(comp: AlternatingComponent, i_min: int) -> AlternatingComponent:
     return AlternatingComponent("cycle", pairs, comp.colored_weight)
 
 
-@dataclass
-class _Unit:
-    """Atomic op group: optionally one red add, then one blue removal.
-
-    Phase cuts are only legal at unit boundaries, so the transient overlap
-    between an added red edge and its not-yet-removed blue neighbor stays
-    inside a phase.
-    """
-
-    ops: Group
-    end_blue: Optional[int]   # blue edge removed by the unit's last op
-
-
-def _units_for_range(g: Graph, comp: AlternatingComponent, lo: int, hi: int) -> list[_Unit]:
+def _units_for_range(g: Graph, comp: AlternatingComponent, lo: int,
+                     hi: int) -> list[Group]:
     """Units for pairs lo..hi (1-indexed, inclusive): an initial removal of
-    the range's first blue, then per pair [add red, remove next blue]."""
+    the range's first blue, then per pair [add red, remove next blue].
+
+    A unit is atomic: phase cuts fall only between units, so the transient
+    overlap between an added red edge and its not-yet-removed blue
+    neighbor stays inside a phase.
+    """
     if not (1 <= lo <= hi <= comp.k()):
         raise DataError(f"malformed range {lo}..{hi} for k={comp.k()}")
-    units: list[_Unit] = []
+    units: list[Group] = []
     first_blue = comp.pairs[lo - 1][0]
     if first_blue is not None:
-        units.append(_Unit([("remove", first_blue)], first_blue))
+        units.append([("remove", first_blue)])
     for j in range(lo, hi + 1):
         ops: Group = []
         red = comp.pairs[j - 1][1]
         if red is not None:
             ops.append(("add", red))
-        end_blue = None
         if j + 1 <= hi:
             nxt = comp.pairs[j][0]
             if nxt is None:
                 raise ContractError("interior pair with absent blue slot")
             ops.append(("remove", nxt))
-            end_blue = nxt
         if ops:
-            units.append(_Unit(ops, end_blue))
+            units.append(ops)
     return units
 
 
@@ -258,10 +250,11 @@ class _PhaseBuilder:
         self.phases: list[Group] = []
         self._ops: Group = []
 
-    def feed(self, g: Graph, units: list[_Unit]) -> None:
-        for u in units:
-            self._ops.extend(u.ops)
-            if u.end_blue is not None and g.weight(u.end_blue) < self.light:
+    def feed(self, g: Graph, units: list[Group]) -> None:
+        for unit in units:
+            self._ops.extend(unit)
+            kind, eid = unit[-1]
+            if kind == "remove" and g.weight(eid) < self.light:
                 self.close()
         self.close()
 
@@ -355,10 +348,10 @@ def _plan_phases(
     current = w_source + surplus
     table = g._edges
 
-    def feed_checked(units: list[_Unit]) -> None:
+    def feed_checked(units: list[Group]) -> None:
         nonlocal current
-        for u in units:
-            for kind, eid in u.ops:
+        for unit in units:
+            for kind, eid in unit:
                 w = table[eid][2]
                 current += w if kind == "add" else -w
                 if current < op_floor:

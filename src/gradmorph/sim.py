@@ -28,7 +28,11 @@ def make_inner(name: str, g: Graph) -> InnerAlgorithm:
     if name == "batch":
         return BatchRecompute(g)
     if name.startswith("batch:"):
-        return BatchRecompute(g, eps_in=float(name.split(":", 1)[1]))
+        try:
+            eps_in = float(name.split(":", 1)[1])
+        except ValueError:
+            raise DataError(f"unknown inner algorithm {name!r}") from None
+        return BatchRecompute(g, eps_in=eps_in)
     raise DataError(f"unknown inner algorithm {name!r}")
 
 

@@ -315,6 +315,8 @@ class WrappedMatching:
             raise DataError(f"epsilon {eps} outside (0, {EPS_MAX}]")
         if weighted and psi < 1.0:
             raise DataError(f"aspect-ratio bound psi {psi} < 1")
+        if weighted and not math.isfinite(psi):
+            raise DataError(f"aspect-ratio bound psi {psi} is not finite")
         self.g = g
         self.inner = inner
         self.eps = eps

@@ -13,13 +13,16 @@ from gradmorph.graph import DataError, Graph, validate_matching
 from gradmorph.wrapper import GreedyMaximalMatching, WrappedMatching
 from gradmorph.sim import run_simulation
 
+from conftest import audit
+
 
 def test_path_length_param():
     assert path_length_param(0.25) == 1
     assert path_length_param(0.1) == 2
     assert path_length_param(0.05) == 5
-    with pytest.raises(DataError):
-        path_length_param(0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(DataError):
+            path_length_param(eps)
 
 
 def test_gen_fully_dynamic_stream_is_valid():
@@ -27,7 +30,7 @@ def test_gen_fully_dynamic_stream_is_valid():
     g = Graph()
     for ev in events:
         g.apply_update(ev)  # raises on duplicate insert / phantom delete
-        g.audit()
+        audit(g)
     assert g.num_edges() == 0  # rounds tear down completely
     with pytest.raises(DataError):
         gen_fully_dynamic(0.01, rounds=1, n=10)
@@ -66,7 +69,7 @@ def test_incremental_exact_meets_lower_bound():
         run, events = run_incremental_adversary(
             lambda g: ExactPathMaintainer(g), eps, 400)
         assert run.complete_fraction() == 1.0
-        assert run.amortized_recourse() >= (1 / 8) / eps
+        assert run.result.mean_recourse >= (1 / 8) / eps
         # stream validity
         g = Graph()
         for ev in events:
@@ -92,7 +95,7 @@ def test_incremental_static_all_incomplete():
 def test_decremental_mirror_bound():
     for eps in (0.1, 0.05):
         run = run_decremental_mirror(lambda g: ExactPathMaintainer(g), eps, 400)
-        assert run.amortized_recourse() >= (1 / 8) / eps
+        assert run.result.mean_recourse >= (1 / 8) / eps
 
 
 def test_wrapped_subject_survives_adversary():

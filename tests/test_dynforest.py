@@ -17,6 +17,20 @@ def _index(kind):
     return NaiveForestIndex() if kind == "naive" else make_index(kind)
 
 
+def _connected(idx, u, v):
+    """Whether u and v share a tree of idx, asked through the path query:
+    it raises DataError exactly when they do not."""
+    if u == v:
+        return True
+    try:
+        idx.path_edge_outside(u, v)
+    except DataError:
+        return False
+    except ContractError:   # connected, with no dummy-2 edge between
+        pass
+    return True
+
+
 def test_single_edge_path_query():
     for kind in KINDS:
         idx = _index(kind)
@@ -48,7 +62,7 @@ def test_link_cut_errors():
         idx.cut(0)
         with pytest.raises(DataError):
             idx.cut(0)
-        assert not idx.connected(1, 3) or idx.connected(2, 3)
+        assert not _connected(idx, 1, 3) or _connected(idx, 2, 3)
 
 
 def _drive(ops_count, seed, kinds, n=120):
@@ -133,7 +147,7 @@ def test_connectivity_matches_naive():
             next_eid += 1
         expected = indexes["naive"].connected(u, v)
         for kind in KINDS[1:]:
-            assert indexes[kind].connected(u, v) == expected
+            assert _connected(indexes[kind], u, v) == expected
 
 
 def _random_forest(rng, n):
@@ -157,8 +171,8 @@ def test_load_answers_like_sequential_links():
                 linked.link(eid, u, v, dummy)
             for _ in range(60):
                 u, v = rng.randrange(n), rng.randrange(n)
-                assert loaded.connected(u, v) == linked.connected(u, v)
-                if u == v or not linked.connected(u, v):
+                assert _connected(loaded, u, v) == _connected(linked, u, v)
+                if u == v or not _connected(linked, u, v):
                     continue
                 try:
                     expected = linked.path_edge_outside(u, v)
@@ -171,22 +185,25 @@ def test_load_answers_like_sequential_links():
             if edges:
                 eid, u, v, dummy = edges[0]
                 loaded.cut(eid)
-                assert not loaded.connected(u, v)
+                assert not _connected(loaded, u, v)
                 loaded.link(eid, u, v, dummy)
-                assert loaded.connected(u, v)
+                assert _connected(loaded, u, v)
 
 
 def test_load_rejects_a_cycle_and_stays_empty():
     cyclic = [(0, 1, 2, 2), (1, 2, 3, 1), (2, 4, 5, 2), (3, 3, 1, 2)]
-    for kind in KINDS:
-        idx = _index(kind)
-        with pytest.raises(DataError, match="cycle"):
-            idx.load(cyclic)
-        for eid, u, v, _ in cyclic:
-            assert not idx.connected(u, v)
-        # nothing was kept: the same ids load again once acyclic
-        idx.load(cyclic[:3])
-        assert idx.connected(1, 3) and not idx.connected(3, 4)
+    repeated = cyclic[:3] + [(0, 6, 7, 2)]   # a forest that reuses id 0
+    for bad, fault in ((cyclic, "cycle"),
+                       (repeated, "repeated edge id|already linked")):
+        for kind in KINDS:
+            idx = _index(kind)
+            with pytest.raises(DataError, match=fault):
+                idx.load(bad)
+            for eid, u, v, _ in bad:
+                assert not _connected(idx, u, v)
+            # nothing was kept: the same ids load again once valid
+            idx.load(cyclic[:3])
+            assert _connected(idx, 1, 3) and not _connected(idx, 3, 4)
 
 
 def test_load_needs_an_index_without_edges():

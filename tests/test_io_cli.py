@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from gradmorph.cli import main
 from gradmorph.gen import (random_graph, random_matching,
                            random_spanning_forest, random_update_stream)
-from gradmorph.graph import DEFAULT_TOLERANCE, DataError, Graph
+from gradmorph.graph import DEFAULT_TOLERANCE, ContractError, DataError, Graph
 from gradmorph.io import (canonical_digest, emit_edge_set, emit_graph,
                           emit_updates, parse_edge_set, parse_graph,
                           parse_updates)
@@ -305,3 +306,68 @@ def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
     assert results["switches"] >= 0
     assert results["step_work_budget"] == STEP_WORK_FACTOR * math.ceil(1 / 0.1)
     assert 0 < results["max_step_work"] <= results["step_work_budget"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("simulate --inner batch:abc --epsilon 0.1 --random-updates 5", 2),
+    ("adversary --mode full --epsilon 0.1 --n 50 --subject wrapped:batch:x", 2),
+    ("simulate --inner greedy --epsilon 0.1 --random-updates 5 --weighted "
+     "--psi inf", 2),
+    ("simulate --inner greedy --epsilon 0.1 --random-updates 5 --weighted "
+     "--psi nan", 2),
+    ("adversary --mode incr --epsilon nan --n 50", 2),
+    ("adversary --mode incr --epsilon inf --n 50", 2),
+    ("adversary --mode full --epsilon inf --n 50", 2),
+    ("bench --sizes abc", 1),
+    ("bench --problem msf --sizes 1,100", 1),
+    ("bench --problem mcm --sizes 0,100", 1),
+    ("oracle --task search --graph {graph}", 1),
+])
+def test_cli_bad_inputs_end_in_one_line_errors(argv, code, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("e 0 1 1.0\ne 1 2 1.0\n")
+    assert main(argv.format(graph=graph).split()) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert (last.startswith("gradmorph: data: ") if code == 2
+            else last.startswith("gradmorph") and ": error: " in last)
+
+
+def test_cli_maps_budget_and_contract_errors(tmp_path, workdir, capsys,
+                                             monkeypatch):
+    g = Graph()
+    for v in range(16):
+        g.add_edge(v, v + 1, 1.0)
+    (tmp_path / "g17.txt").write_text(emit_graph(g))
+    assert main(["oracle", "--task", "mcm",
+                 "--graph", str(tmp_path / "g17.txt")]) == 2
+    assert capsys.readouterr().err.startswith("gradmorph: budget: ")
+
+    def broken(*args):
+        raise ContractError("planted")
+
+    monkeypatch.setattr("gradmorph.cli.plan_mcm", broken)
+    assert main(["transform", "--problem", "mcm",
+                 "--graph", str(workdir / "g.txt"),
+                 "--from", str(workdir / "from.txt"),
+                 "--to", str(workdir / "to.txt"),
+                 "--out", str(tmp_path / "s.json")]) == 3
+    assert capsys.readouterr().err == "gradmorph: contract: planted\n"
+
+
+def test_cli_simulate_reads_an_update_file(tmp_path, capsys):
+    # the same stream from a file and from --seed gives the same trace rows
+    seed, n, steps = 5, 40, 600
+    events = random_update_stream(random.Random(seed), n, steps,
+                                  vertex_ops=True)
+    (tmp_path / "u.txt").write_text(emit_updates(events))
+    run = ["simulate", "--inner", "batch:2.0", "--epsilon", "0.1",
+           "--n", str(n)]
+    assert main(run + ["--updates", str(tmp_path / "u.txt"),
+                       "--trace", str(tmp_path / "t1.csv")]) == 0
+    assert main(["--seed", str(seed)] + run + [
+        "--random-updates", str(steps), "--trace", str(tmp_path / "t2.csv")]) == 0
+    capsys.readouterr()
+    rows = [(tmp_path / t).read_text().splitlines()[1:] for t in ("t1.csv", "t2.csv")]
+    assert len(rows[0]) == len(events) + 1 and rows[0] == rows[1]

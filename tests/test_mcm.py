@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from gradmorph.gen import matching_pair, random_graph, random_matching
+from gradmorph.gen import random_graph, random_matching
 from gradmorph.graph import DataError, Matching, solution_stats
 from gradmorph.mcm import _Overlay, classify, plan_mcm, plan_target_only
 from gradmorph.script import check_guarantee, replay
@@ -91,7 +91,8 @@ def _check_instance(g, src, tgt):
 def test_random_instances_master_property(rng):
     for _ in range(150):
         n = rng.randint(2, 60)
-        g, src, tgt = matching_pair(rng, n, rng.randint(0, 3 * n))
+        g = random_graph(rng, n, rng.randint(0, 3 * n))
+        src, tgt = random_matching(rng, g), random_matching(rng, g)
         _check_instance(g, src, tgt)
 
 
@@ -140,7 +141,8 @@ def test_overlay_keeps_matching_guards():
 def test_core_groups_name_the_script_ops(rng):
     for _ in range(40):
         n = rng.randint(2, 60)
-        g, src, tgt = matching_pair(rng, n, rng.randint(0, 3 * n))
+        g = random_graph(rng, n, rng.randint(0, 3 * n))
+        src, tgt = random_matching(rng, g), random_matching(rng, g)
         only = [e for e in tgt.edges if e not in src.edges]
         groups = plan_target_only(g, src, only, len(tgt))
         phases = plan_mcm(g, src, tgt).phases

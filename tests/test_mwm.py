@@ -131,8 +131,8 @@ def test_replace_blue_red_spec_examples():
     """ReplaceBlueRed on a whole component, its suffix and its prefix, as
     the planner runs it: the units for a range of pairs."""
     def ops(g, comp, lo, hi):
-        return [(kind, g.weight(eid)) for u in _units_for_range(g, comp, lo, hi)
-                for kind, eid in u.ops]
+        return [(kind, g.weight(eid)) for unit in _units_for_range(g, comp, lo, hi)
+                for kind, eid in unit]
 
     g, src, tgt = _pair_path([5.0, 7.0])  # k=1, r > b
     comp = decompose(g, src, tgt)[0]

@@ -309,7 +309,7 @@ def test_greedy_snapshot_keeps_the_inner_order(rng):
 
 
 @pytest.mark.parametrize("fault", ["dead id", "wrong index entry",
-                                   "missing index entry"])
+                                   "missing index entry", "extra index entry"])
 def test_corrupted_output_raises_before_playback(fault):
     """A fault planted in the output before an open, far from the edges
     the window changes, stops the window at its plan step, before any
@@ -322,9 +322,15 @@ def test_corrupted_output_raises_before_playback(fault):
     elif fault == "wrong index entry":
         index[2 * 7] = shared[8]
         match = f"vertex 14 not indexed to edge {shared[7]}"
-    else:
+    elif fault == "missing index entry":
         del index[2 * 7 + 1]
         match = f"vertex 15 not indexed to edge {shared[7]}"
+    else:
+        # vertex 400 starts a path whose middle edge the output holds, so
+        # no output edge covers it
+        size = len(wrapped.output.edges)
+        index[400] = shared[7]
+        match = f"{2 * size + 1} indexed vertices for {size} edges"
     held = set(wrapped.output.edges)
     vertex = 5000
     with pytest.raises(DataError, match=match):
