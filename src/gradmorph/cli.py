@@ -1,20 +1,25 @@
 """Command-line surface: transform, replay, simulate, adversary, oracle,
-bench. Exit codes: 0 ok / guarantee holds, 1 usage, 2 data, 3 contract."""
+bench. Exit codes: 0 ok / guarantee holds, 1 usage, 2 data, 3 contract.
+
+Start-up is most of a CLI run at small sizes, so this module loads at import
+only what the parser and `transform` need (gen for the default seed, graph,
+io, script and the three planners). Each other command imports the modules that only it uses when
+it runs: `simulate` and `adversary` the wrapper, sim and adversary modules,
+`oracle` the exact solvers, `bench` the scaling harness, and the commands
+that write a CSV file the csv module.
+"""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import random
+import math
 import sys
 import time
 from pathlib import Path
 from typing import Optional
 
-from . import adversary as adv
-from .bench import matching_planner_scaling, msf_planner_scaling
-from .gen import DEFAULT_SEED, random_update_stream
+from .gen import DEFAULT_SEED
 from .graph import (DEFAULT_TOLERANCE, BudgetError, ContractError, DataError,
                     Graph, solution_stats)
 from .io import (RunManifest, emit_edge_set, parse_forest, parse_graph,
@@ -22,13 +27,8 @@ from .io import (RunManifest, emit_edge_set, parse_forest, parse_graph,
 from .mcm import plan_mcm
 from .msf import INDEX_KIND, plan_msf
 from .mwm import plan_mwm_auto
-from .oracles import (exhaustive_transform_search, max_matching_exact,
-                      max_weight_matching_exact, msf_exact)
 from .script import (MWM_EPS_MAX, TransformationScript, check_guarantee, replay,
                      report_to_csv_rows, transform_granularity)
-from .sim import make_inner, run_simulation, trace_csv_rows
-from .wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
-                      WINDOW_RATIO_FACTOR, WrappedMatching)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_CONTRACT = 0, 1, 2, 3
 
@@ -41,6 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path: str, rows: list[list], manifest: RunManifest) -> None:
+    import csv
     with open(path, "w", newline="") as fh:
         fh.write(f"# manifest: {json.dumps(json.loads(manifest.to_json()), sort_keys=True)}\n")
         writer = csv.writer(fh)
@@ -136,6 +137,11 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import random
+    from .gen import random_update_stream
+    from .sim import make_inner, run_simulation, trace_csv_rows
+    from .wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
+                          WINDOW_RATIO_FACTOR, WrappedMatching)
     manifest = RunManifest("simulate", {
         "inner": args.inner, "epsilon": args.epsilon, "wrap": not args.no_wrap,
         "weighted": args.weighted, "psi": args.psi, "seed": args.seed,
@@ -187,6 +193,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _subject_factory(name: str, eps: float):
+    from . import adversary as adv
+    from .sim import make_inner
+    from .wrapper import WrappedMatching
     if name == "exact":
         return adv.ExactPathMaintainer
     if name == "static":
@@ -198,6 +207,8 @@ def _subject_factory(name: str, eps: float):
 
 
 def _cmd_adversary(args) -> int:
+    from . import adversary as adv
+    from .sim import run_simulation, trace_csv_rows
     manifest = RunManifest("adversary", {
         "mode": args.mode, "epsilon": args.epsilon, "n": args.n,
         "subject": args.subject, "rounds": args.rounds, "seed": args.seed,
@@ -228,6 +239,8 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracles import (exhaustive_transform_search, max_matching_exact,
+                          max_weight_matching_exact, msf_exact)
     manifest = RunManifest("oracle", {"task": args.task})
     g = parse_graph(_read(args.graph, "graph", manifest))
     if args.task == "mcm":
@@ -255,16 +268,37 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _at_least(lo: int):
+    """An argparse type: an integer of at least lo."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {lo}")
+        return value
+    return parse
+
+
 def _sizes(text: str) -> list[int]:
     """The --sizes ladder: comma-separated integers, each at least 2."""
-    sizes = [int(s) for s in text.split(",") if s.strip().isdecimal()]
-    if len(sizes) != text.count(",") + 1 or min(sizes) < 2:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of integers >= 2")
-    return sizes
+    return [_at_least(2)(s) for s in text.split(",")]
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _cmd_bench(args) -> int:
+    from .bench import matching_planner_scaling, msf_planner_scaling
     if args.problem == "msf":
         res = msf_planner_scaling(args.sizes, seed=args.seed)
         model = "n*log(n)"
@@ -317,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-wrap", action="store_true",
                    help="run the inner algorithm bare (control)")
     s.add_argument("--updates", default=None)
-    s.add_argument("--random-updates", type=int, default=None)
-    s.add_argument("--n", type=int, default=500)
+    s.add_argument("--random-updates", type=_at_least(0), default=None)
+    s.add_argument("--n", type=_at_least(0), default=500)
     s.add_argument("--trace", default=None)
     s.add_argument("--oracle-check", action="store_true")
     s.set_defaults(fn=_cmd_simulate)
@@ -326,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("adversary", help="run a lower-bound adversary")
     a.add_argument("--mode", required=True, choices=("full", "incr", "decr"))
     a.add_argument("--epsilon", type=float, required=True)
-    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--n", type=_at_least(0), required=True)
     a.add_argument("--subject", default="exact")
-    a.add_argument("--rounds", type=int, default=10)
+    a.add_argument("--rounds", type=_at_least(1), default=10)
     a.add_argument("--trace", default=None)
     a.set_defaults(fn=_cmd_adversary)
 
@@ -337,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--graph", required=True)
     o.add_argument("--from", dest="source", default=None)
     o.add_argument("--to", dest="target", default=None)
-    o.add_argument("--delta", type=int, default=3)
-    o.add_argument("--floor", type=float, default=0.0)
+    o.add_argument("--delta", type=_at_least(1), default=3)
+    o.add_argument("--floor", type=_finite, default=0.0)
     o.add_argument("--floor-kind", default="size", choices=("size", "weight"))
     o.add_argument("--search-granularity", default="phase", choices=("phase", "op"))
     o.add_argument("--out", default=None)
@@ -358,6 +392,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "oracle" and args.task == "search" \
                 and None in (args.source, args.target):
             parser.error("oracle --task search needs --from and --to")
+        if args.command == "simulate" and args.random_updates and args.n < 2:
+            parser.error("simulate --random-updates needs --n >= 2")
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -9,7 +9,6 @@ identical reruns emit byte-identical artifacts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -124,6 +123,7 @@ def emit_updates(events: Iterable[UpdateEvent]) -> str:
 
 
 def canonical_digest(text: str) -> str:
+    import hashlib      # loads OpenSSL; only manifests need it
     canon = "\n".join(line.rstrip() for line in text.splitlines()).strip() + "\n"
     return hashlib.sha256(canon.encode()).hexdigest()
 

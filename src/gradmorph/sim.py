@@ -1,4 +1,10 @@
-"""Update-stream simulation driver producing per-step recourse traces."""
+"""Update-stream simulation driver producing per-step recourse traces.
+
+`oracles` is imported by run_simulation only when oracle_check is set,
+once per run: the exact matcher is a debugging aid, and a plain run (or a
+process that only builds its state, as a fresh benchmark set-up does)
+should not pay to load it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import BudgetError, DataError, Graph, UpdateEvent
-from .oracles import MAX_VERTICES_MATCHING, max_matching_exact
 from .wrapper import (BatchRecompute, GreedyMaximalMatching, InnerAlgorithm,
                       TraceRow, WrappedMatching)
 
@@ -62,6 +67,8 @@ def run_simulation(
     max_rec = 0
     worst_ratio: Optional[float] = None
     wrapped = isinstance(algo, WrappedMatching)
+    if oracle_check:
+        from .oracles import MAX_VERTICES_MATCHING, max_matching_exact
     for step, ev in enumerate(events, start=1):
         delta = g.apply_update(ev)
         out = algo.handle_update(ev, delta)

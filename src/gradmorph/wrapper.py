@@ -23,6 +23,9 @@ With k the snapshot's ids outside the output, a window:
   the output's own vertex index; weighted, it runs the mwm planner from
   the output to the snapshot's live edges. Both plan (kind, edge id) groups;
 - closes by checking the k target-only edges.
+
+`mwm` is imported inside plan_mwm_auto, the one function that only weighted
+windows call, so an unweighted wrapper never loads the weighted planner.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import count, filterfalse, islice
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from . import mcm, mwm
+from . import mcm
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
                     UpdateEvent)
 from .script import Group
@@ -293,6 +296,7 @@ def plan_mwm_auto(g: Graph, output: Matching, target: Matching,
                   eps: float) -> WindowPlan:
     """A window's weighted plan from the output to the snapshot's live
     edges, target: mwm.plan_mwm_auto's groups, checking both matchings."""
+    from . import mwm
     return WindowPlan(mwm.plan_mwm_groups(g, output, target, eps))
 
 

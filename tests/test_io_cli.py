@@ -322,6 +322,19 @@ def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
     ("bench --problem msf --sizes 1,100", 1),
     ("bench --problem mcm --sizes 0,100", 1),
     ("oracle --task search --graph {graph}", 1),
+    # counts that describe no run: usage errors, except --random-updates 0,
+    # which asks for no stream at all
+    ("simulate --inner greedy --epsilon 0.2 --n -5 --random-updates 10", 1),
+    ("simulate --inner greedy --epsilon 0.2 --n 1 --random-updates 10", 1),
+    ("simulate --inner greedy --epsilon 0.2 --random-updates -3", 1),
+    ("simulate --inner greedy --epsilon 0.2 --random-updates 0", 2),
+    ("adversary --mode full --epsilon 0.1 --n 50 --rounds -1", 1),
+    ("adversary --mode full --epsilon 0.1 --n 50 --rounds 0", 1),
+    ("adversary --mode incr --epsilon 0.1 --n -3", 1),
+    ("oracle --task search --graph {graph} --from {graph} --to {graph} "
+     "--delta -2", 1),
+    ("oracle --task search --graph {graph} --from {graph} --to {graph} "
+     "--floor nan", 1),
 ])
 def test_cli_bad_inputs_end_in_one_line_errors(argv, code, tmp_path, capsys):
     graph = tmp_path / "g.txt"

@@ -1,7 +1,13 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gradmorph
+
+SRC = Path(gradmorph.__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -45,3 +51,74 @@ def test_every_other_definition_is_named_in_the_package():
 
     found = sorted(name for tree in trees for name in unnamed(tree.body, ""))
     assert found == sorted(UNNAMED_IN_PACKAGE)
+
+
+def _fresh(code: str) -> dict:
+    """Runs code in a fresh interpreter on this source tree and returns the
+    JSON object it prints last; code ends by printing one."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# ends each child's code: prints its `result` and the gradmorph submodules
+# it loaded, without the package prefix
+LOADED = ("import json, sys; print(json.dumps({'loaded': sorted("
+          "m[len('gradmorph.'):] for m in sys.modules "
+          "if m.startswith('gradmorph.')), **result}))")
+
+
+def test_import_loads_no_submodule():
+    assert _fresh("import gradmorph; result = {}\n" + LOADED) == {"loaded": []}
+
+
+def test_lazy_exports_are_the_submodules_objects():
+    # the first access imports the owning submodule and caches its object
+    out = _fresh("""
+import importlib, gradmorph
+result = {
+    "different": [name for name, module in gradmorph._OWNER.items()
+                  if getattr(gradmorph, name) is not getattr(
+                      importlib.import_module("gradmorph." + module), name)],
+    "uncached": [name for name in gradmorph.__all__
+                 if name not in vars(gradmorph)],
+    "missing_from_dir": sorted(set(gradmorph.__all__) - set(dir(gradmorph))),
+}
+""" + LOADED)
+    assert out["different"] == out["uncached"] == out["missing_from_dir"] == []
+
+
+def test_cli_transform_loads_only_what_it_runs(tmp_path):
+    for name, text in (("g", "e 0 1 1.0\ne 1 2 1.0\ne 2 3 1.0\n"),
+                       ("from", "1 2\n"), ("to", "0 1\n2 3\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+    out = _fresh(f"""
+from gradmorph.cli import main
+result = {{"rc": main(["transform", "--problem", "mcm",
+                      "--graph", {str(tmp_path / "g.txt")!r},
+                      "--from", {str(tmp_path / "from.txt")!r},
+                      "--to", {str(tmp_path / "to.txt")!r},
+                      "--out", {str(tmp_path / "s.json")!r}])}}
+""" + LOADED)
+    assert out["rc"] == 0
+    assert not {"adversary", "bench", "oracles", "sim", "wrapper"} & set(
+        out["loaded"])
+
+
+def test_unweighted_wrapped_run_loads_neither_oracles_nor_mwm():
+    out = _fresh("""
+import random
+from gradmorph.gen import random_update_stream
+from gradmorph.graph import Graph
+from gradmorph.sim import make_inner, run_simulation
+from gradmorph.wrapper import WrappedMatching
+g = Graph()
+for v in range(300):
+    g.ensure_vertex(v)
+algo = WrappedMatching(g, make_inner("greedy", g), 0.1)
+run_simulation(g, algo, random_update_stream(random.Random(3), 300, 3000))
+result = {"windows": algo.windows}
+""" + LOADED)
+    assert out["windows"] > 0
+    assert not {"oracles", "mwm"} & set(out["loaded"])
