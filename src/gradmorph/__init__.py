@@ -18,11 +18,11 @@ _EXPORTS = {
              "Matching SolutionStats SpanningForest UpdateEvent ValidityReport "
              "solution_stats validate_forest validate_matching",
     "script": "Boundary ChangeOp GuaranteeResult ReplayReport "
-              "TransformationScript check_guarantee replay",
-    "mcm": "EdgeClassification classify plan_mcm MCM_PHASE_BUDGET",
-    "mwm": "AlternatingComponent decompose mwm_phase_budget order_components "
-           "plan_mwm_auto",
-    "msf": "plan_msf plan_tree MSF_PHASE_BUDGET",
+              "TransformationScript check_guarantee replay phase_budget "
+              "MCM_PHASE_BUDGET MSF_PHASE_BUDGET",
+    "mcm": "EdgeClassification classify plan_mcm",
+    "mwm": "AlternatingComponent decompose order_components plan_mwm_auto",
+    "msf": "plan_msf plan_tree",
     "oracles": "exhaustive_transform_search has_augmenting_path "
                "max_matching_exact max_weight_matching_exact msf_exact",
     "wrapper": "BatchRecompute GreedyMaximalMatching InnerAlgorithm "

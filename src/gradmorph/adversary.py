@@ -110,7 +110,9 @@ class ExactPathMaintainer(InnerAlgorithm):
         return out
 
     def _path_from_any(self, v: int) -> list[int]:
-        """Ordered edge list of v's path, starting at its smaller-id end."""
+        """Ordered edge list of v's path, from the end that the walk from v
+        reaches first in incident-set order, not by id. On even lengths the
+        maintained matching depends on it; the adversary checks odd ones."""
         g = self.g
         # walk to one end
         x = v

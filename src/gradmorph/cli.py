@@ -2,11 +2,12 @@
 bench. Exit codes: 0 ok / guarantee holds, 1 usage, 2 data, 3 contract.
 
 Start-up is most of a CLI run at small sizes, so this module loads at import
-only what the parser and `transform` need (gen for the default seed, graph,
-io, script and the three planners). Each other command imports the modules that only it uses when
-it runs: `simulate` and `adversary` the wrapper, sim and adversary modules,
-`oracle` the exact solvers, `bench` the scaling harness, and the commands
-that write a CSV file the csv module.
+only what the parser, `replay` and an mcm `transform` need (gen for the
+default seed, graph, io, script and the mcm planner). Each command imports
+the modules that only it uses when it runs: `transform` the index kind and
+the mwm or msf planner, `simulate` and `adversary` the wrapper, sim and
+adversary modules, `oracle` the exact solvers, `bench` the scaling harness,
+and the commands that write a CSV file the csv module.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from .graph import (DEFAULT_TOLERANCE, BudgetError, ContractError, DataError,
 from .io import (RunManifest, emit_edge_set, parse_forest, parse_graph,
                  parse_matching, parse_updates, emit_updates)
 from .mcm import plan_mcm
-from .msf import INDEX_KIND, plan_msf
-from .mwm import plan_mwm_auto
-from .script import (MWM_EPS_MAX, TransformationScript, check_guarantee, replay,
-                     report_to_csv_rows, transform_granularity)
+from .script import (PROBLEMS, TransformationScript, check_guarantee,
+                     phase_budget, replay, report_to_csv_rows,
+                     transform_granularity)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_CONTRACT = 0, 1, 2, 3
 
@@ -71,23 +71,24 @@ def _finish_manifest(manifest: RunManifest, args) -> None:
 
 
 def _cmd_transform(args) -> int:
+    from .dynforest import INDEX_KIND
     manifest = RunManifest("transform", {
         "problem": args.problem, "epsilon": args.epsilon,
         "index": INDEX_KIND, "prepass": not args.no_prepass,
         "seed": args.seed, "tolerance": DEFAULT_TOLERANCE,
     })
     g = parse_graph(_read(args.graph, "graph", manifest))
-    if args.problem == "mwm" and (args.epsilon is None
-                                  or not (0 < args.epsilon <= MWM_EPS_MAX)):
-        raise DataError(f"mwm needs --epsilon in (0, 1/2], got {args.epsilon}")
+    phase_budget(args.problem, args.epsilon)   # checks epsilon for mwm
     t0 = time.perf_counter()
     src, tgt = _read_pair(args, args.problem, g, manifest)
     if args.problem == "mcm":
         script = plan_mcm(g, src, tgt)
     elif args.problem == "mwm":
+        from .mwm import plan_mwm_auto
         script = plan_mwm_auto(g, src, tgt, args.epsilon,
                                good_edge_prepass=not args.no_prepass)
     else:
+        from .msf import plan_msf
         script = plan_msf(g, src, tgt)
     wall = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -98,9 +99,10 @@ def _cmd_transform(args) -> int:
     obj["manifest"] = json.loads(manifest.to_json())
     Path(args.out).write_text(json.dumps(obj, indent=1) + "\n")
     _finish_manifest(manifest, args)
-    floor = report.worst_size if args.problem == "mcm" else report.worst_weight
+    worst = (report.worst_size if args.problem == "mcm" else report.worst_weight
+             if args.problem == "mwm" else max(b.weight for b in report.boundaries))
     print(f"phases={len(script.phases)} budget={script.budget} "
-          f"min_quality={floor} wall_seconds={wall:.4f} "
+          f"min_quality={worst} wall_seconds={wall:.4f} "
           f"replay_seconds={replay_wall:.4f}")
     return EXIT_OK
 
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("transform", help="plan a transformation script")
-    t.add_argument("--problem", required=True, choices=("mcm", "mwm", "msf"))
+    t.add_argument("--problem", required=True, choices=PROBLEMS)
     t.add_argument("--graph", required=True)
     t.add_argument("--from", dest="source", required=True)
     t.add_argument("--to", dest="target", required=True)
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=_cmd_transform)
 
     r = sub.add_parser("replay", help="replay a script and check guarantees")
-    r.add_argument("--problem", default=None, choices=("mcm", "mwm", "msf"))
+    r.add_argument("--problem", default=None, choices=PROBLEMS)
     r.add_argument("--graph", required=True)
     r.add_argument("--from", dest="source", required=True)
     r.add_argument("--to", dest="target", required=True)
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=_cmd_oracle)
 
     b = sub.add_parser("bench", help="planner scaling fits")
-    b.add_argument("--problem", default="msf", choices=("mcm", "mwm", "msf"))
+    b.add_argument("--problem", default="msf", choices=PROBLEMS)
     b.add_argument("--sizes", type=_sizes, default=[1000, 10_000, 100_000])
     b.set_defaults(fn=_cmd_bench)
     return p

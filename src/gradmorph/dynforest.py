@@ -20,6 +20,7 @@ from typing import Iterable
 from .graph import ContractError, DataError
 
 
+INDEX_KIND = "linkcut"   # the index the msf planner builds, as manifests record it
 NEG = -1
 
 

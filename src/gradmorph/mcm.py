@@ -26,8 +26,6 @@ from typing import Iterable
 from .graph import ContractError, DataError, Graph, Matching, require_valid
 from .script import Group, TransformationScript
 
-MCM_PHASE_BUDGET = 3
-
 
 @dataclass
 class EdgeClassification:
@@ -116,8 +114,7 @@ def plan_mcm(g: Graph, source: Matching, target: Matching) -> TransformationScri
     require_valid(g, "target", target)
     groups = plan_target_only(g, source, target_only_ids(source, target),
                               len(target))
-    return TransformationScript.from_groups(g, "mcm", MCM_PHASE_BUDGET, None,
-                                            groups)
+    return TransformationScript.from_groups(g, "mcm", None, groups)
 
 
 def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],

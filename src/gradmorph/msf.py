@@ -30,11 +30,8 @@ from typing import Iterable, Protocol
 
 from .graph import (ContractError, DataError, Graph, SpanningForest,
                     UnionFind, require_valid, slack)
-from .dynforest import make_index
-from .script import (MSF_PHASE_BUDGET, Group, TransformationScript,
-                     reversed_groups)
-
-INDEX_KIND = "linkcut"   # the index the planner builds, as manifests record it
+from .dynforest import INDEX_KIND, make_index
+from .script import Group, TransformationScript, reversed_groups
 
 
 class ForestIndex(Protocol):
@@ -206,5 +203,4 @@ def plan_msf(g: Graph, source: SpanningForest,
         if set(src_ids) == set(tgt_ids):
             continue
         groups.extend(plan_tree(g, src_ids, tgt_ids))
-    return TransformationScript.from_groups(g, "msf", MSF_PHASE_BUDGET, None,
-                                            groups)
+    return TransformationScript.from_groups(g, "msf", None, groups)

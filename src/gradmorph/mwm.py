@@ -17,19 +17,13 @@ script through `TransformationScript.from_groups`.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import (ContractError, DataError, Graph, Matching, require_valid,
                     slack)
-from .script import (MWM_EPS_MAX, Group, TransformationScript,
-                     reversed_groups)
-
-
-def mwm_phase_budget(eps: float) -> int:
-    return 3 * math.ceil(1.0 / eps) + 3
+from .script import Group, TransformationScript, phase_budget, reversed_groups
 
 
 @dataclass
@@ -330,7 +324,7 @@ def _plan_phases(
     phase-end weight >= max(w(source) - W, (1 - eps) w(source)). Also
     returns the isolated source-only edges kept (ascending). Checks
     neither matching; the builder checks each phase's budget."""
-    budget = mwm_phase_budget(eps)
+    budget = phase_budget("mwm", eps)
     w_source = source.weight()
     max_src_weight = max(source.edges.values(), default=0.0)
     light_threshold = eps * w_source
@@ -402,8 +396,7 @@ def plan_mwm_auto(
     """The script of plan_mwm_groups: phases from source to target in
     either direction, passing check_guarantee("mwm")."""
     groups = plan_mwm_groups(g, source, target, eps, good_edge_prepass)
-    return TransformationScript.from_groups(g, "mwm", mwm_phase_budget(eps),
-                                            eps, groups)
+    return TransformationScript.from_groups(g, "mwm", eps, groups)
 
 
 def plan_mwm_groups(
@@ -418,8 +411,7 @@ def plan_mwm_groups(
     reached as a superset; otherwise plans target -> source and reverses
     the groups (reversed_groups), so the floors reference the lighter
     endpoint, matching check_guarantee's convention."""
-    if not (0 < eps <= MWM_EPS_MAX):
-        raise DataError(f"epsilon {eps} outside (0, 1/2]")
+    phase_budget("mwm", eps)   # checks eps
     require_valid(g, "source", source)
     require_valid(g, "target", target)
     if source.edges.keys() == target.edges.keys():

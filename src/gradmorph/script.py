@@ -8,6 +8,7 @@ solution, recording validity and quality at every requested boundary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -15,10 +16,23 @@ from .graph import ContractError, DataError, Graph, SolutionStats, slack
 
 PROBLEMS = ("mcm", "mwm", "msf")
 MWM_EPS_MAX = 0.5       # mwm plans and checks take epsilon in (0, 1/2]
+MCM_PHASE_BUDGET = 3    # ops per mcm phase: one add and two removals
 MSF_PHASE_BUDGET = 2    # ops per msf phase: one exchange
 
 Group = list[tuple[str, int]]   # one phase's ops as (kind, edge id) pairs
 _INVERSE = {"add": "remove", "remove": "add"}
+
+
+def phase_budget(problem: str, epsilon: Optional[float] = None) -> int:
+    """Δ, the most ops one phase may make: the one rule that the planners
+    plan to and check_guarantee checks. mwm takes epsilon in (0, 1/2]."""
+    if problem == "mwm":
+        if epsilon is None or not (0 < epsilon <= MWM_EPS_MAX):
+            raise DataError(f"mwm needs epsilon in (0, 1/2], got {epsilon}")
+        return 3 * math.ceil(1.0 / epsilon) + 3
+    if problem not in PROBLEMS:
+        raise DataError(f"unknown problem {problem!r}")
+    return MCM_PHASE_BUDGET if problem == "mcm" else MSF_PHASE_BUDGET
 
 
 def reversed_groups(groups: list[Group]) -> list[Group]:
@@ -43,14 +57,13 @@ class TransformationScript:
     phases: list[list[ChangeOp]] = field(default_factory=list)   # each phase's ops
 
     @staticmethod
-    def from_groups(g: Graph, problem: str, budget: int,
-                    epsilon: Optional[float],
+    def from_groups(g: Graph, problem: str, epsilon: Optional[float],
                     groups: Iterable[Group]) -> "TransformationScript":
-        """The validated script of groups, each op's endpoints and weight
-        read from g's edge table: where planned ops become ChangeOp."""
+        """The validated script of groups, with the problem's phase_budget
+        and each op read from g's edge table: where plans become ChangeOp."""
         table = g._edges
         script = TransformationScript(
-            problem, budget, epsilon,
+            problem, phase_budget(problem, epsilon), epsilon,
             [[ChangeOp(kind, *table[eid]) for kind, eid in group]
              for group in groups])
         script.validate()
@@ -428,17 +441,22 @@ def check_guarantee(
     problem: str,
     epsilon: Optional[float] = None,
 ) -> GuaranteeResult:
-    """Check the per-problem quality floor at every boundary of the report.
+    """Check every phase against the problem's phase_budget, then the
+    per-problem quality floor at every boundary of the report.
 
     mcm: phase-end sizes >= min(|source|, |target|-1), validity at phase
     ends. mwm: phase-end weight >= max(w-W, (1-eps)w) and op-end weight
     >= w-W, both referenced to the lighter of source/target (the reverse
     convention for reversed scripts). msf: phase-end weight <= max of the
-    two totals, validity, and phases of at most two ops.
+    two totals, validity.
     """
     if problem != report.problem:
         raise DataError(f"problem tag mismatch: report={report.problem!r} "
                         f"check={problem!r}")
+    delta = phase_budget(problem, epsilon)
+    for i, count in enumerate(report.phase_op_counts):
+        if count > delta:
+            return GuaranteeResult(False, f"phase {i} has {count} ops > {delta}")
     phase_ends = report.phase_ends()
 
     if problem == "mcm":
@@ -451,8 +469,6 @@ def check_guarantee(
         return GuaranteeResult(True)
 
     if problem == "mwm":
-        if epsilon is None or not (0 < epsilon <= MWM_EPS_MAX):
-            raise DataError(f"mwm check needs epsilon in (0, 1/2], got {epsilon}")
         anchor = source_stats if source_stats.total_weight <= target_stats.total_weight \
             else target_stats
         base = anchor.total_weight
@@ -473,22 +489,16 @@ def check_guarantee(
                     False, f"phase-end weight {b.weight} < floor {phase_floor}", b)
         return GuaranteeResult(True)
 
-    if problem == "msf":
-        ceiling = max(source_stats.total_weight, target_stats.total_weight)
-        tol = slack(ceiling)
-        for i, count in enumerate(report.phase_op_counts):
-            if count > MSF_PHASE_BUDGET:
-                return GuaranteeResult(
-                    False, f"phase {i} has {count} ops > {MSF_PHASE_BUDGET}", None)
-        for b in phase_ends:
-            if not b.valid:
-                return GuaranteeResult(False, "invalid forest at phase end", b)
-            if b.weight > ceiling + tol:
-                return GuaranteeResult(
-                    False, f"phase-end weight {b.weight} > ceiling {ceiling}", b)
-        return GuaranteeResult(True)
-
-    raise DataError(f"unknown problem {problem!r}")
+    # msf: phase_budget raised for any problem not in PROBLEMS
+    ceiling = max(source_stats.total_weight, target_stats.total_weight)
+    tol = slack(ceiling)
+    for b in phase_ends:
+        if not b.valid:
+            return GuaranteeResult(False, "invalid forest at phase end", b)
+        if b.weight > ceiling + tol:
+            return GuaranteeResult(
+                False, f"phase-end weight {b.weight} > ceiling {ceiling}", b)
+    return GuaranteeResult(True)
 
 
 def report_to_csv_rows(report: ReplayReport) -> list[list]:

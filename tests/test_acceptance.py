@@ -18,11 +18,11 @@ from gradmorph.gen import (random_graph, random_matching,
 from gradmorph.graph import Graph, Matching, SpanningForest, solution_stats
 from gradmorph.mcm import plan_mcm
 from gradmorph.msf import plan_msf
-from gradmorph.mwm import mwm_phase_budget, plan_mwm_auto
+from gradmorph.mwm import plan_mwm_auto
 from gradmorph.oracles import (exhaustive_transform_search,
                                max_matching_exact, max_weight_matching_exact)
 from gradmorph.oracles import msf_exact
-from gradmorph.script import check_guarantee, replay
+from gradmorph.script import check_guarantee, phase_budget, replay
 from gradmorph.sim import make_inner, run_simulation
 from gradmorph.wrapper import WrappedMatching
 
@@ -73,7 +73,7 @@ def test_criterion_02_mwm_suite():
         src_stats, tgt_stats = solution_stats(g, src), solution_stats(g, tgt)
         for eps in (0.5, 0.1, 0.02):
             script = plan_mwm_auto(g, src, tgt, eps)
-            budget = mwm_phase_budget(eps)
+            budget = phase_budget("mwm", eps)
             assert all(len(p) <= budget for p in script.phases)
             report = replay(g, src.edge_ids(), script, "per-op")
             res = check_guarantee(report, src_stats, tgt_stats, "mwm", eps)

@@ -8,10 +8,12 @@ import pytest
 from gradmorph.cli import main
 from gradmorph.gen import (random_graph, random_matching,
                            random_spanning_forest, random_update_stream)
-from gradmorph.graph import DEFAULT_TOLERANCE, ContractError, DataError, Graph
+from gradmorph.graph import (DEFAULT_TOLERANCE, ContractError, DataError, Graph,
+                             SpanningForest)
 from gradmorph.io import (canonical_digest, emit_edge_set, emit_graph,
                           emit_updates, parse_edge_set, parse_graph,
                           parse_updates)
+from gradmorph.oracles import msf_exact
 from gradmorph.wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
                                STEP_WORK_FACTOR, WINDOW_RATIO_FACTOR)
 
@@ -134,14 +136,63 @@ def test_cli_corrupted_script_fails_replay(workdir, capsys):
     assert "guarantee violated" in capsys.readouterr().out
 
 
+def test_cli_replay_holds_each_phase_to_the_problem_budget(tmp_path, capsys):
+    # one 7-op phase on the 8-path, from (1,2),(3,4),(5,6) to (0,1),...,(6,7),
+    # in a script that declares a budget of 50: mcm's phase budget is 3,
+    # mwm's is 9 at eps = 0.5
+    (tmp_path / "g.txt").write_text("".join(f"e {v} {v + 1} 1\n" for v in range(7)))
+    (tmp_path / "from.txt").write_text("1 2\n3 4\n5 6\n")
+    (tmp_path / "to.txt").write_text("0 1\n2 3\n4 5\n6 7\n")
+    ops = [{"op": op, "u": u, "v": u + 1, "w": 1.0}
+           for op, us in (("remove", (1, 3, 5)), ("add", (0, 2, 4, 6)))
+           for u in us]
+    run = ["replay", "--graph", str(tmp_path / "g.txt"),
+           "--from", str(tmp_path / "from.txt"),
+           "--to", str(tmp_path / "to.txt"), "--script", str(tmp_path / "s.json")]
+    for problem, eps, rc, out in (
+            ("mcm", None, 2, "guarantee violated: phase 0 has 7 ops > 3\n"),
+            ("mwm", 0.5, 0, "guarantee holds: boundaries=2 worst_size=3 "
+                            "worst_weight=3.0\n")):
+        (tmp_path / "s.json").write_text(json.dumps(
+            {"problem": problem, "epsilon": eps, "budget": 50,
+             "phases": [{"ops": ops}]}))
+        # mwm per phase: per op, the removals first dip below w - W
+        assert main(run + ["--granularity", "per-phase"]) == rc
+        assert capsys.readouterr().out == out
+
+
+def test_cli_transform_reports_the_heaviest_msf_boundary(tmp_path, capsys):
+    # lighter is better for msf, so its worst boundary is its heaviest: here
+    # the phase ends climb from the minimum forest to the random target
+    rng = random.Random(5)
+    g = random_graph(rng, 40, 56, 1.0, 100.0, connected=True)
+    src = SpanningForest(g, msf_exact(g))
+    tgt = random_spanning_forest(rng, g)
+    (tmp_path / "g.txt").write_text(emit_graph(g))
+    (tmp_path / "f1.txt").write_text(emit_edge_set(g, src.edge_ids()))
+    (tmp_path / "f2.txt").write_text(emit_edge_set(g, tgt.edge_ids()))
+    assert main(["transform", "--problem", "msf",
+                 "--graph", str(tmp_path / "g.txt"),
+                 "--from", str(tmp_path / "f1.txt"),
+                 "--to", str(tmp_path / "f2.txt"),
+                 "--out", str(tmp_path / "s.json")]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    w_src, w_tgt = (sum(g.weight(e) for e in f.edges) for f in (src, tgt))
+    assert w_src < w_tgt
+    assert float(fields["min_quality"]) == pytest.approx(w_tgt, rel=1e-9)
+
+
 def test_cli_usage_and_data_errors(workdir, capsys):
     assert main(["transform", "--problem", "nope"]) == 1
+    capsys.readouterr()
     rc = main(["transform", "--problem", "mwm", "--epsilon", "0",
                "--graph", str(workdir / "g.txt"),
                "--from", str(workdir / "from.txt"),
                "--to", str(workdir / "to.txt"),
                "--out", str(workdir / "x.json")])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "gradmorph: data: mwm needs epsilon in (0, 1/2], got 0.0\n")
     rc = main(["transform", "--problem", "mcm",
                "--graph", str(workdir / "missing.txt"),
                "--from", str(workdir / "from.txt"),

@@ -13,10 +13,11 @@ from gradmorph.graph import (DataError, Graph, Matching, SpanningForest,
 from gradmorph.mcm import plan_mcm
 from gradmorph.msf import plan_msf
 from gradmorph.mwm import (AlternatingComponent, _units_for_range, decompose,
-                           mwm_phase_budget, order_components, plan_mwm_auto,
-                           plan_mwm_groups, prefix_min_index, prefix_sums)
+                           order_components, plan_mwm_auto, plan_mwm_groups,
+                           prefix_min_index, prefix_sums)
 from gradmorph.oracles import msf_exact
-from gradmorph.script import TransformationScript, check_guarantee, replay
+from gradmorph.script import (TransformationScript, check_guarantee,
+                              phase_budget, replay)
 
 from conftest import alternating_cycle_fixture, path_graph, pinned_matching_pairs
 
@@ -148,7 +149,7 @@ def test_replace_blue_red_spec_examples():
 
 def _master_check(g, src, tgt, eps, prepass=True):
     script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=prepass)
-    budget = mwm_phase_budget(eps)
+    budget = phase_budget("mwm", eps)
     assert all(len(p) <= budget for p in script.phases)
     report = replay(g, src.edge_ids(), script, "per-op")
     src_stats = solution_stats(g, src)
@@ -242,7 +243,7 @@ def test_good_edge_prepass_phases_never_decrease_weight(rng):
         builder = _PhaseBuilder(light_threshold=0.0, budget=3)
         work = src.copy()
         _prepass_good_edges(g, work, tgt, builder)
-        script = TransformationScript.from_groups(g, "mwm", 3, 0.5,
+        script = TransformationScript.from_groups(g, "mwm", 0.5,
                                                   builder.phases)
         report = replay(g, src.edge_ids(), script, "per-phase")
         prev = report.boundaries[0].weight

@@ -89,21 +89,36 @@ result = {
     assert out["different"] == out["uncached"] == out["missing_from_dir"] == []
 
 
-def test_cli_transform_loads_only_what_it_runs(tmp_path):
-    for name, text in (("g", "e 0 1 1.0\ne 1 2 1.0\ne 2 3 1.0\n"),
+def _cli_run(tmp_path, command: str, *options: str) -> dict:
+    """Runs a CLI command on the 4-path, from (1,2) to (0,1) and (2,3), in a
+    fresh interpreter; the command's other options follow."""
+    args = [command]
+    for name, text in (("graph", "e 0 1 1.0\ne 1 2 1.0\ne 2 3 1.0\n"),
                        ("from", "1 2\n"), ("to", "0 1\n2 3\n")):
         (tmp_path / f"{name}.txt").write_text(text)
-    out = _fresh(f"""
-from gradmorph.cli import main
-result = {{"rc": main(["transform", "--problem", "mcm",
-                      "--graph", {str(tmp_path / "g.txt")!r},
-                      "--from", {str(tmp_path / "from.txt")!r},
-                      "--to", {str(tmp_path / "to.txt")!r},
-                      "--out", {str(tmp_path / "s.json")!r}])}}
-""" + LOADED)
+        args.append(f"--{name}={tmp_path / name}.txt")
+    return _fresh(f"from gradmorph.cli import main\n"
+                  f"result = {{'rc': main({[*args, *options]!r})}}\n" + LOADED)
+
+
+def test_cli_transform_loads_only_what_it_runs(tmp_path):
+    out = _cli_run(tmp_path, "transform", "--problem", "mcm",
+                   f"--out={tmp_path / 's.json'}")
     assert out["rc"] == 0
-    assert not {"adversary", "bench", "oracles", "sim", "wrapper"} & set(
-        out["loaded"])
+    assert not {"adversary", "bench", "msf", "mwm", "oracles", "sim",
+                "wrapper"} & set(out["loaded"])
+
+
+def test_cli_replay_loads_only_what_it_runs(tmp_path):
+    ops = [{"op": op, "u": u, "v": u + 1, "w": 1.0}
+           for op, u in (("remove", 1), ("add", 0), ("add", 2))]
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"problem": "mcm", "epsilon": None, "budget": 3,
+         "phases": [{"ops": ops}]}))
+    out = _cli_run(tmp_path, "replay", f"--script={tmp_path / 's.json'}")
+    assert out["rc"] == 0
+    assert not {"adversary", "bench", "dynforest", "msf", "mwm", "oracles",
+                "sim", "wrapper"} & set(out["loaded"])
 
 
 def test_unweighted_wrapped_run_loads_neither_oracles_nor_mwm():

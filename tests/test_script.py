@@ -1,14 +1,16 @@
 import ast
 import inspect
 import json
+import math
 
 import pytest
 
 from gradmorph.graph import (DEFAULT_TOLERANCE, DataError, Graph, Matching,
-                             solution_stats)
+                             SpanningForest, solution_stats)
 import gradmorph.script
 from gradmorph.script import (ChangeOp, TransformationScript,
-                              check_guarantee, replay, report_to_csv_rows)
+                              check_guarantee, phase_budget, replay,
+                              report_to_csv_rows)
 
 from conftest import path_graph
 
@@ -154,6 +156,65 @@ def test_check_guarantee_msf():
     res = check_guarantee(report, solution_stats(g, src),
                           solution_stats(g, tgt), "msf")
     assert not res.ok  # 3-op phase and non-spanning end
+
+
+def test_phase_budget_is_the_rule_for_every_problem():
+    assert phase_budget("mcm") == 3 and phase_budget("msf") == 2
+    # 3 * ceil(1/eps) + 3
+    for eps, delta in ((0.5, 9), (0.3, 15), (0.25, 15), (0.1, 33), (0.02, 153)):
+        assert phase_budget("mwm", eps) == delta
+    for eps in (None, 0, -0.1, 0.51, 1.0, math.nan):
+        with pytest.raises(DataError, match=r"mwm needs epsilon in \(0, 1/2\], got"):
+            phase_budget("mwm", eps)
+    with pytest.raises(DataError, match="unknown problem 'mst'"):
+        phase_budget("mst")
+
+
+def _one_phase(problem, n_ops, eps):
+    """A graph, source and target, and a one-phase script of n_ops ops
+    that declares a budget of 50 and meets every floor of the problem. A
+    matching phase adds n_ops disjoint edges to the empty matching; the
+    msf phase exchanges (1,2) for (0,2) on a triangle, then keeps going."""
+    g = Graph()
+    if problem == "msf":
+        ids = [g.add_edge(0, 1, 1.0), g.add_edge(1, 2, 5.0), g.add_edge(0, 2, 2.0)]
+        src, tgt = SpanningForest(g, ids[:2]), SpanningForest(g, [ids[0], ids[2]])
+        ops = [("remove", 1, 2, 5.0), ("add", 0, 2, 2.0), ("remove", 0, 1, 1.0)]
+    else:
+        ids = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(n_ops)]
+        src, tgt = Matching(g), Matching(g, ids)
+        ops = [("add", 2 * i, 2 * i + 1, 1.0) for i in range(n_ops)]
+    return g, src, tgt, _script(problem, 50, [ops[:n_ops]], eps)
+
+
+@pytest.mark.parametrize("problem, eps", [("mcm", None), ("mwm", 0.5),
+                                          ("msf", None)])
+def test_check_guarantee_holds_each_phase_to_phase_budget(problem, eps):
+    # replay accepts the budget a script declares; the guarantee is Δ
+    delta = phase_budget(problem, eps)
+    for n_ops in (delta, delta + 1):
+        g, src, tgt, script = _one_phase(problem, n_ops, eps)
+        report = replay(g, src.edge_ids(), script)
+        res = check_guarantee(report, solution_stats(g, src),
+                              solution_stats(g, tgt), problem, eps)
+        if n_ops == delta:
+            assert res.ok, res.reason
+        else:
+            assert not res.ok and res.boundary is None
+            assert res.reason == f"phase 0 has {n_ops} ops > {delta}"
+
+
+def test_mwm_check_takes_delta_from_the_epsilon_it_checks():
+    # a 10-op phase is within Δ = 15 at the script's eps = 0.25, but not
+    # within Δ = 9 when checked at the larger eps = 0.5
+    g, src, tgt, script = _one_phase("mwm", 10, 0.25)
+    report = replay(g, src.edge_ids(), script, "per-op")
+    stats = solution_stats(g, src), solution_stats(g, tgt)
+    assert check_guarantee(report, *stats, "mwm", 0.25).ok
+    res = check_guarantee(report, *stats, "mwm", 0.5)
+    assert not res.ok and res.reason == "phase 0 has 10 ops > 9"
+    with pytest.raises(DataError, match="mwm needs epsilon"):
+        check_guarantee(report, *stats, "mwm", None)
 
 
 def test_json_round_trip():
