@@ -95,15 +95,16 @@ def _cmd_transform(args) -> int:
     report = replay(g, src.edge_ids(), script,
                     transform_granularity(args.problem))
     replay_wall = time.perf_counter() - t0
-    obj = script.to_json_obj()
-    obj["manifest"] = json.loads(manifest.to_json())
-    Path(args.out).write_text(json.dumps(obj, indent=1) + "\n")
+    Path(args.out).write_text(
+        script.to_json(json.loads(manifest.to_json())) + "\n")
     _finish_manifest(manifest, args)
-    worst = (report.worst_size if args.problem == "mcm" else report.worst_weight
-             if args.problem == "mwm" else max(b.weight for b in report.boundaries))
-    print(f"phases={len(script.phases)} budget={script.budget} "
-          f"min_quality={worst} wall_seconds={wall:.4f} "
-          f"replay_seconds={replay_wall:.4f}")
+    # the worst boundary: the smallest or lightest matching, or the
+    # heaviest forest, since lighter is better there
+    worst = (f"min_quality={report.worst_size}" if args.problem == "mcm"
+             else f"min_quality={report.worst_weight}" if args.problem == "mwm"
+             else f"max_weight={max(b.weight for b in report.boundaries)}")
+    print(f"phases={len(script.phases)} budget={script.budget} {worst} "
+          f"wall_seconds={wall:.4f} replay_seconds={replay_wall:.4f}")
     return EXIT_OK
 
 
@@ -116,6 +117,9 @@ def _cmd_replay(args) -> int:
     script = TransformationScript.from_json(_read(args.script, "script", manifest))
     if args.problem and args.problem != script.problem:
         raise DataError(f"--problem {args.problem} != script problem {script.problem}")
+    if args.epsilon is not None and script.problem != "mwm":
+        raise DataError(f"--epsilon applies to mwm only, not to the "
+                        f"script's {script.problem}")
     src, tgt = _read_pair(args, script.problem, g, manifest)
     granularity = args.granularity
     if granularity is None:
@@ -396,6 +400,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("oracle --task search needs --from and --to")
         if args.command == "simulate" and args.random_updates and args.n < 2:
             parser.error("simulate --random-updates needs --n >= 2")
+        if args.command == "transform" and args.problem != "mwm" \
+                and args.epsilon is not None:
+            parser.error(f"transform --epsilon applies to mwm only, "
+                         f"not to {args.problem}")
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

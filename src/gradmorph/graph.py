@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Optional
 
 DEFAULT_TOLERANCE = 1e-9
@@ -123,6 +124,39 @@ class Graph:
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
         self._labels: Optional[dict[int, int]] = None   # components() cache
+
+    @classmethod
+    def from_columns(cls, vertices: list[int], us: list[int], vs: list[int],
+                     ws: list[float]) -> Optional["Graph"]:
+        """The graph that ensure_vertex on each of vertices, then
+        add_edge(us[i], vs[i], ws[i]) for i in order, builds, with the same
+        tables, edge ids and iteration orders; None where one of those calls
+        would raise. One whole-set check (no self-loop, every weight
+        positive and finite, no pair twice) replaces the per-edge ones."""
+        m = len(us)
+        # a sum of finite weights that overflows fails too: the caller's
+        # per-edge fallback then decides
+        if m and (any(map(eq, us, vs)) or not min(ws) > 0
+                  or not math.isfinite(sum(ws))):
+            return None
+        g = cls()
+        verts = g._vertices
+        verts.update(vertices)   # one add per item, as ensure_vertex does
+        order = vertices
+        if not (verts.issuperset(us) and verts.issuperset(vs)):
+            order = list(chain(vertices, chain.from_iterable(zip(us, vs))))
+            verts.update(order)
+        adj = g._adj = {v: set() for v in dict.fromkeys(order)}
+        by_pair = g._by_pair
+        for eid, u, v in zip(range(m), us, vs):
+            by_pair[(u, v) if u <= v else (v, u)] = eid
+            adj[u].add(eid)
+            adj[v].add(eid)
+        if len(by_pair) != m:
+            return None
+        g._edges = dict(zip(range(m), zip(us, vs, ws)))
+        g._next_id = m
+        return g
 
     # -- introspection ------------------------------------------------
 

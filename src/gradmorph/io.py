@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain, repeat
+from typing import Iterable, Optional
 
 from .graph import (DataError, Graph, Matching, SpanningForest, UpdateEvent,
                     checked_weight)
@@ -27,6 +28,41 @@ def _tokens(text: str):
 
 
 def parse_graph(text: str) -> Graph:
+    """The graph of a graph file. Text in emit_graph's layout is read in
+    bulk; any other text, and any text that fails a bulk check, is read
+    line by line, so errors name their line the same way either way."""
+    g = _parse_graph_bulk(text)
+    return _parse_graph_lines(text) if g is None else g
+
+
+def _lines(rows: Iterable[tuple[str, ...]]) -> str:
+    """rows as lines of single-space-separated tokens, each line ended by
+    a newline."""
+    body = "\n".join(map(" ".join, rows))
+    return body + "\n" if body else body
+
+
+def _parse_graph_bulk(text: str) -> Optional[Graph]:
+    """The graph of text in emit_graph's layout: 'v <id>' lines, then
+    'e <u> <v> <w>' lines, single spaces, a newline after every line and no
+    '#'. Whole columns are converted at once and Graph.from_columns builds
+    the tables. None for any other text, or where a check fails."""
+    toks = text.split()
+    k = toks.index("e") if "e" in toks else len(toks)   # the v lines' tokens
+    if "#" in text or text != _lines(chain(
+            zip(repeat("v"), toks[1:k:2]),
+            zip(repeat("e"), toks[k + 1::4], toks[k + 2::4], toks[k + 3::4]))):
+        return None
+    try:
+        columns = (list(map(int, toks[1:k:2])), list(map(int, toks[k + 1::4])),
+                   list(map(int, toks[k + 2::4])), list(map(float, toks[k + 3::4])))
+    except ValueError:
+        return None
+    del toks   # the tables need only the columns
+    return Graph.from_columns(*columns)
+
+
+def _parse_graph_lines(text: str) -> Graph:
     g = Graph()
     for lineno, toks in _tokens(text):
         try:
@@ -50,6 +86,29 @@ def emit_graph(g: Graph) -> str:
 
 
 def parse_edge_set(text: str, g: Graph) -> list[int]:
+    """The edge ids of a solution file's '<u> <v>' lines, in file order:
+    read in bulk when every line is exactly that and names an edge of g,
+    line by line otherwise."""
+    eids = _parse_edge_set_bulk(text, g)
+    return _parse_edge_set_lines(text, g) if eids is None else eids
+
+
+def _parse_edge_set_bulk(text: str, g: Graph) -> Optional[list[int]]:
+    """The ids of text in emit_edge_set's layout ('<u> <v>' lines, single
+    spaces, a newline after every line, no '#'), every pair resolved in one
+    pass; None for any other text or any pair that is not an edge of g."""
+    toks = text.split()
+    if "#" in text or text != _lines(zip(toks[0::2], toks[1::2])):
+        return None
+    by_pair = g._by_pair
+    try:
+        return [by_pair[(u, v) if u <= v else (v, u)]
+                for u, v in zip(map(int, toks[0::2]), map(int, toks[1::2]))]
+    except (KeyError, ValueError):
+        return None
+
+
+def _parse_edge_set_lines(text: str, g: Graph) -> list[int]:
     eids = []
     for lineno, toks in _tokens(text):
         try:

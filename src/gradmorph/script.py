@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .graph import ContractError, DataError, Graph, SolutionStats, slack
@@ -21,6 +23,15 @@ MSF_PHASE_BUDGET = 2    # ops per msf phase: one exchange
 
 Group = list[tuple[str, int]]   # one phase's ops as (kind, edge id) pairs
 _INVERSE = {"add": "remove", "remove": "add"}
+# one op of a script as json.dumps(..., indent=1) writes it, its four
+# values already JSON text
+_OP_JSON = '    {{\n     "op": {},\n     "u": {},\n     "v": {},\n     "w": {}\n    }}'
+
+
+def _json_numbers(values: list) -> list[str]:
+    """Each number in values as json.dumps writes it, from one call of its
+    C encoder."""
+    return json.dumps(values, separators=(",", ":"))[1:-1].split(",") if values else []
 
 
 def phase_budget(problem: str, epsilon: Optional[float] = None) -> int:
@@ -111,8 +122,30 @@ class TransformationScript:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=1, sort_keys=False)
+    def to_json(self, manifest: Optional[dict] = None) -> str:
+        """json.dumps(obj, indent=1) of to_json_obj(), with manifest as a
+        last "manifest" key when given, byte for byte. It is written
+        directly, because json.dumps with an indent runs its pure-Python
+        encoder: the op values go through its C encoder a column at a time,
+        and only the manifest, which is small, takes the indented path."""
+        ops = [op for phase in self.phases for op in phase]
+        kinds = {kind: json.dumps(kind) for kind in {op.kind for op in ops}}
+        columns = [[kinds[op.kind] for op in ops]] + [
+            _json_numbers([getattr(op, name) for op in ops]) for name in "uvw"]
+        texts = iter(map(_OP_JSON.format, *columns))
+        phases = ",\n".join(
+            '  {\n   "ops": [\n' + ",\n".join(islice(texts, len(phase)))
+            + "\n   ]\n  }" if phase else '  {\n   "ops": []\n  }'
+            for phase in self.phases)
+        text = (f'{{\n "problem": {json.dumps(self.problem)},'
+                f'\n "epsilon": {json.dumps(self.epsilon)},'
+                f'\n "budget": {json.dumps(self.budget)},'
+                f'\n "phases": ' + (f"[\n{phases}\n ]" if phases else "[]"))
+        if manifest is not None:
+            # one level deeper than on its own: one more space per line
+            nested = json.dumps(manifest, indent=1).replace("\n", "\n ")
+            text += ',\n "manifest": ' + nested
+        return text + "\n}"
 
     @staticmethod
     def from_json(text: str) -> "TransformationScript":
@@ -135,7 +168,9 @@ class TransformationScript:
             raise DataError(f"malformed script JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
+# not frozen: replay makes one per boundary, and a frozen dataclass's
+# __init__ costs about five times as much
+@dataclass
 class Boundary:
     index: int
     phase: int           # -1 for the initial snapshot
@@ -171,7 +206,7 @@ class _MatchingCheck:
     form a matching iff no vertex is covered twice."""
 
     def __init__(self, g: Graph, state: set[int]) -> None:
-        self._g = g
+        self._table = g._edges
         self._occupancy: dict[int, int] = {}
         self._overfull = 0
         self._valid: list[bool] = []
@@ -180,19 +215,19 @@ class _MatchingCheck:
 
     def add(self, eid: int) -> None:
         occupancy = self._occupancy
-        for x in self._g.endpoints(eid):
-            c = occupancy.get(x, 0) + 1
-            occupancy[x] = c
-            if c == 2:
-                self._overfull += 1
+        u, v, _ = self._table[eid]
+        cu = occupancy[u] = occupancy.get(u, 0) + 1
+        cv = occupancy[v] = occupancy.get(v, 0) + 1
+        self._overfull += (cu == 2) + (cv == 2)
 
     def remove(self, eid: int) -> None:
         occupancy = self._occupancy
-        for x in self._g.endpoints(eid):
-            c = occupancy[x]
-            occupancy[x] = c - 1
-            if c == 2:
-                self._overfull -= 1
+        u, v, _ = self._table[eid]
+        cu = occupancy[u]
+        cv = occupancy[v]
+        occupancy[u] = cu - 1
+        occupancy[v] = cv - 1
+        self._overfull -= (cu == 2) + (cv == 2)
 
     def boundary(self, size: int) -> None:
         self._valid.append(self._overfull == 0)
@@ -349,7 +384,7 @@ def replay(
         raise DataError(f"unknown granularity {granularity!r}")
     script.validate()
     state: set[int] = set(source)
-    weight = sum(g.weight(eid) for eid in state)
+    weight = sum(map(g.weight, state))
     rows: list[tuple[int, Optional[int], int, float]] = []   # phase, op, size, weight
     per_op = granularity == "per-op"
     matching = script.problem in ("mcm", "mwm")
@@ -375,7 +410,7 @@ def replay(
             if eid is None:
                 raise DataError(f"phase {pi} op {oi}: edge ({u},{v}) not in graph")
             gw = table[eid][2]
-            if abs(gw - op.w) > slack(gw):
+            if op.w != gw and abs(gw - op.w) > slack(gw):
                 raise DataError(f"phase {pi} op {oi}: recorded weight {op.w} "
                                 f"!= graph weight {gw}")
             resolved.append((op, eid, gw))
@@ -409,8 +444,8 @@ def replay(
     boundaries = [Boundary(i, phase, op, valid, size, w)
                   for i, ((phase, op, size, w), valid)
                   in enumerate(zip(rows, check.verdicts()))]
-    worst_size = min(b.size for b in boundaries)
-    worst_weight = min(b.weight for b in boundaries)
+    worst_size = min(map(itemgetter(2), rows))
+    worst_weight = min(map(itemgetter(3), rows))
     counts = [len(ops) for ops in script.phases]
     return ReplayReport(
         problem=script.problem,

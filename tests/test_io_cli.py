@@ -4,7 +4,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradmorph import io
 from gradmorph.cli import main
 from gradmorph.gen import (random_graph, random_matching,
                            random_spanning_forest, random_update_stream)
@@ -62,6 +65,131 @@ def test_parse_rejects_non_finite_or_non_positive_weights(w):
         parse_updates(f"+e 0 1 {w}\n")
     with pytest.raises(DataError, match="line 2: weight"):
         parse_updates(f"+e 0 1\n+v 5 0 1.0 1 {w}\n")
+
+
+def _graph_state(g):
+    """Every table of g, with each iteration order as a list."""
+    return (list(g._vertices), list(g._edges.items()), list(g._by_pair.items()),
+            [(v, list(eids)) for v, eids in g._adj.items()], g._next_id,
+            g._labels)
+
+
+def _outcome(parse, *args):
+    """What parse(*args) gives: its result, or the text of its DataError."""
+    try:
+        return parse(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+# small ids so that pairs repeat and self-loops occur, and a few large ones;
+# weights from subnormal to 1e300, and the ones a graph file must refuse
+_IDS = st.one_of(st.integers(0, 6), st.integers(-2, 2**40))
+_WEIGHTS = st.one_of(st.floats(min_value=5e-324, max_value=1e300),
+                     st.sampled_from([1.0, 0.0, -1.0, math.nan, math.inf]))
+# lines that only the per-line reader accepts or refuses: comments, blank
+# lines, 3-token edges (weight 1.0), extra tokens, unknown records and
+# non-integer ids
+_ODD_LINES = st.sampled_from([
+    "# a comment", "", "   ", "e 1 2", "e 2 3 4.5 extra", "v 3 extra",
+    "e 1 2 3.0 # trailing", "z 1", "v x", "e 1.5 2 1.0", "e 1 b 1.0",
+    "e 1 2 w", "v", "e 1"])
+
+
+@st.composite
+def _graph_texts(draw):
+    """(text, canonical): a graph file in emit_graph's layout, or one that
+    mixes in other lines, record orders and separators."""
+    lines = [f"v {v}" for v in draw(st.lists(_IDS, max_size=6))]
+    lines += [f"e {u} {v} {w!r}" for u, v, w
+              in draw(st.lists(st.tuples(_IDS, _IDS, _WEIGHTS), max_size=12))]
+    if draw(st.booleans()):
+        return "".join(line + "\n" for line in lines), True
+    lines += draw(st.lists(_ODD_LINES, max_size=4))
+    lines = _regrouped(draw, draw(st.permutations(lines)))
+    sep = draw(st.sampled_from([" ", "  ", "\t", "\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", " \n"]))
+    return "".join(line.replace(" ", sep) + end for line in lines), False
+
+
+def _regrouped(draw, lines):
+    """lines, perhaps with two neighbours joined on one line, so that one
+    line holds two records, the same tokens on other lines."""
+    if len(lines) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 2))
+        lines[i:i + 2] = [lines[i] + " " + lines[i + 1]]
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_texts())
+def test_bulk_graph_parse_matches_the_line_reader(case):
+    # the bulk path builds the same tables, ids and iteration orders as the
+    # per-line reader, or leaves the text to it, so errors are unchanged
+    text, canonical = case
+    expected = _outcome(io._parse_graph_lines, text)
+    got = _outcome(parse_graph, text)
+    bulk = io._parse_graph_bulk(text)
+    if isinstance(expected, str):
+        assert got == expected and bulk is None
+        return
+    assert _graph_state(got) == _graph_state(expected)
+    # a text in the layout falls back only on a failed check; 12 weights
+    # of at most 1e300 cannot overflow the check's sum
+    assert bulk is not None or not canonical
+    if bulk is not None:
+        assert _graph_state(bulk) == _graph_state(expected)
+
+
+@st.composite
+def _edge_set_texts(draw):
+    """(graph, text, canonical): a valid graph and a solution file naming
+    its edges in either order, pairs it lacks, or other lines."""
+    g = Graph()
+    for u, v, w in draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                           st.floats(1.0, 9.0)), max_size=12)):
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v, w)
+    pairs = [(u, v) for _, u, v, _ in g.edges()]
+    lines = [f"{a} {b}" if draw(st.booleans()) else f"{b} {a}"
+             for a, b in draw(st.lists(st.sampled_from(pairs), max_size=6))] \
+        if pairs else []
+    lines += [f"{a} {b}" for a, b in draw(st.lists(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=2))]
+    if draw(st.booleans()):
+        return g, "".join(line + "\n" for line in lines), True
+    lines += draw(st.lists(st.sampled_from(
+        ["# c", "", "1", "1 2 3", "x 2", "0 1 # c"]), max_size=3))
+    lines = _regrouped(draw, draw(st.permutations(lines)))
+    sep = draw(st.sampled_from([" ", "\t", "\n"]))
+    return g, "".join(line.replace(" ", sep) + draw(st.sampled_from(["\n", "\r\n"]))
+                      for line in lines), False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_set_texts())
+def test_bulk_edge_set_parse_matches_the_line_reader(case):
+    g, text, canonical = case
+    expected = _outcome(io._parse_edge_set_lines, text, g)
+    assert _outcome(parse_edge_set, text, g) == expected
+    bulk = io._parse_edge_set_bulk(text, g)
+    # in the layout, only an unknown pair leaves the text to the line reader
+    assert bulk is not None or not canonical or isinstance(expected, str)
+    if bulk is not None:
+        assert bulk == expected
+
+
+def test_bulk_parse_reads_emit_graph_output(rng):
+    g = random_graph(rng, 30, 60, 1.0, 9.0)
+    g.ensure_vertex(99)
+    text = emit_graph(g)
+    bulk = io._parse_graph_bulk(text)
+    assert bulk is not None
+    assert _graph_state(bulk) == _graph_state(io._parse_graph_lines(text))
+    m = random_matching(rng, g)
+    solution = emit_edge_set(g, m.edge_ids())
+    assert io._parse_edge_set_bulk(solution, bulk) == \
+        io._parse_edge_set_lines(solution, bulk)
 
 
 def test_canonical_digest_ignores_trailing_space():
@@ -179,7 +307,7 @@ def test_cli_transform_reports_the_heaviest_msf_boundary(tmp_path, capsys):
     fields = dict(f.split("=") for f in capsys.readouterr().out.split())
     w_src, w_tgt = (sum(g.weight(e) for e in f.edges) for f in (src, tgt))
     assert w_src < w_tgt
-    assert float(fields["min_quality"]) == pytest.approx(w_tgt, rel=1e-9)
+    assert float(fields["max_weight"]) == pytest.approx(w_tgt, rel=1e-9)
 
 
 def test_cli_usage_and_data_errors(workdir, capsys):
@@ -200,6 +328,33 @@ def test_cli_usage_and_data_errors(workdir, capsys):
                "--out", str(workdir / "x.json")])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("problem", ["mcm", "msf"])
+def test_cli_transform_refuses_epsilon_for_mcm_and_msf(problem, workdir,
+                                                       capsys):
+    out = workdir / "s.json"
+    assert main(["transform", "--problem", problem, "--epsilon", "7",
+                 "--graph", str(workdir / "g.txt"),
+                 "--from", str(workdir / "from.txt"),
+                 "--to", str(workdir / "to.txt"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"gradmorph: error: transform --epsilon applies to mwm only, "
+        f"not to {problem}")
+    assert not out.exists()
+
+
+def test_cli_replay_refuses_epsilon_for_an_mcm_script(workdir, capsys):
+    files = ["--graph", str(workdir / "g.txt"),
+             "--from", str(workdir / "from.txt"),
+             "--to", str(workdir / "to.txt")]
+    script = str(workdir / "s.json")
+    assert main(["transform", "--problem", "mcm", *files, "--out", script]) == 0
+    capsys.readouterr()
+    assert main(["replay", *files, "--script", script, "--epsilon", "7"]) == 2
+    assert capsys.readouterr().err == (
+        "gradmorph: data: --epsilon applies to mwm only, not to the "
+        "script's mcm\n")
 
 
 def test_cli_mwm_and_msf(workdir, rng, capsys, tmp_path):

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradmorph.graph import (DEFAULT_TOLERANCE, DataError, Graph, Matching,
                              SpanningForest, solution_stats)
@@ -228,6 +230,37 @@ def test_json_round_trip():
         TransformationScript.from_json("{nope")
     with pytest.raises(DataError):
         TransformationScript.from_json("{\"problem\": \"mcm\"}")
+
+
+# weights from subnormal to 1e300, vertex ids up to 2**62
+_OPS = st.builds(ChangeOp, st.sampled_from(["add", "remove"]),
+                 st.integers(0, 2**62), st.integers(-5, 2**62),
+                 st.floats(min_value=5e-324, max_value=1e300))
+_SCRIPTS = st.builds(
+    TransformationScript, st.sampled_from(["mcm", "mwm", "msf"]),
+    st.integers(1, 10**6),
+    st.one_of(st.none(), st.floats(min_value=1e-9, max_value=0.5)),
+    st.one_of(st.just([]), st.lists(_OPS, min_size=1, max_size=4).map(
+        lambda ops: [ops]), st.lists(st.lists(_OPS, min_size=1, max_size=4),
+                                     max_size=5)))
+# manifests: nested dicts and lists, booleans, None, numbers and strings
+# that need escaping
+_MANIFESTS = st.one_of(st.none(), st.dictionaries(st.text(max_size=6), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12), max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCRIPTS, _MANIFESTS)
+def test_script_writer_is_json_dumps_byte_for_byte(script, manifest):
+    obj = script.to_json_obj()
+    if manifest is None:
+        assert script.to_json() == json.dumps(obj, indent=1)
+    else:
+        obj["manifest"] = manifest
+        assert script.to_json(manifest) == json.dumps(obj, indent=1)
 
 
 def test_reversed_script_round_trip():
