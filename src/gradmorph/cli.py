@@ -73,8 +73,7 @@ def _finish_manifest(manifest: RunManifest, args) -> None:
 def _cmd_transform(args) -> int:
     from .dynforest import INDEX_KIND
     manifest = RunManifest("transform", {
-        "problem": args.problem, "epsilon": args.epsilon,
-        "index": INDEX_KIND, "prepass": not args.no_prepass,
+        "problem": args.problem, "epsilon": args.epsilon, "index": INDEX_KIND,
         "seed": args.seed, "tolerance": DEFAULT_TOLERANCE,
     })
     g = parse_graph(_read(args.graph, "graph", manifest))
@@ -85,8 +84,7 @@ def _cmd_transform(args) -> int:
         script = plan_mcm(g, src, tgt)
     elif args.problem == "mwm":
         from .mwm import plan_mwm_auto
-        script = plan_mwm_auto(g, src, tgt, args.epsilon,
-                               good_edge_prepass=not args.no_prepass)
+        script = plan_mwm_auto(g, src, tgt, args.epsilon)
     else:
         from .msf import plan_msf
         script = plan_msf(g, src, tgt)
@@ -94,6 +92,10 @@ def _cmd_transform(args) -> int:
     t0 = time.perf_counter()
     report = replay(g, src.edge_ids(), script,
                     transform_granularity(args.problem))
+    result = check_guarantee(report, solution_stats(g, src),
+                             solution_stats(g, tgt), args.problem, args.epsilon)
+    if not result.ok:
+        raise ContractError(f"planned script {_violation(result)}")
     replay_wall = time.perf_counter() - t0
     Path(args.out).write_text(
         script.to_json(json.loads(manifest.to_json())) + "\n")
@@ -135,11 +137,15 @@ def _cmd_replay(args) -> int:
         print(f"guarantee holds: boundaries={len(report.boundaries)} "
               f"worst_size={report.worst_size} worst_weight={report.worst_weight}")
         return EXIT_OK
-    where = result.boundary
-    print(f"guarantee violated: {result.reason}"
-          + (f" at boundary {where.index} (phase {where.phase}, op {where.op})"
-             if where else ""))
+    print(_violation(result))
     return EXIT_DATA
+
+
+def _violation(result) -> str:
+    where = result.boundary   # of a failed check_guarantee, if any
+    return f"guarantee violated: {result.reason}" + (
+        f" at boundary {where.index} (phase {where.phase}, op {where.op})"
+        if where else "")
 
 
 def _cmd_simulate(args) -> int:
@@ -335,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--to", dest="target", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--epsilon", type=float, default=None)
-    t.add_argument("--no-prepass", action="store_true")
     t.set_defaults(fn=_cmd_transform)
 
     r = sub.add_parser("replay", help="replay a script and check guarantees")

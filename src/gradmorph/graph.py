@@ -486,22 +486,32 @@ class UnionFind:
 
 
 def validate_matching(g: Graph, m: Matching | Iterable[int]) -> ValidityReport:
-    """ok iff no two edges share an endpoint and all edges exist in g.
+    """ok iff no two edges share an endpoint and all edges exist in g; for
+    a Matching, also iff its vertex index maps exactly the 2|M| endpoints
+    to their edges.
 
-    Endpoints are read from g, never from a Matching's own vertex index.
-    One whole-set pass decides: every id is in g's edge table and the 2|M|
-    endpoints are distinct. Only a failed pass rescans edge by edge, to
-    name the first fault."""
-    eids = m.edges if isinstance(m, Matching) else list(m)
+    Endpoints are read from g. One whole-set pass decides: every id is in
+    g's edge table, and the 2|M| endpoints are distinct or, for a Matching,
+    each indexed to its own edge with no other entry (which makes them
+    distinct). Only a failed pass rescans edge by edge, to name the first
+    fault: a missing edge or shared endpoint, and only then the index."""
+    index = m.vertex_index if isinstance(m, Matching) else None
+    eids = list(m.edges if index is not None else m)
     try:
         rows = list(map(g._edges.__getitem__, eids))
     except KeyError:
         pass
     else:
-        ends = set(map(itemgetter(0), rows))
-        ends.update(map(itemgetter(1), rows))
-        if len(ends) == 2 * len(rows):
-            return ValidityReport(True)
+        if index is not None:
+            if (len(index) == 2 * len(eids)
+                    and list(map(index.get, map(itemgetter(0), rows))) == eids
+                    and list(map(index.get, map(itemgetter(1), rows))) == eids):
+                return ValidityReport(True)
+        else:
+            ends = set(map(itemgetter(0), rows))
+            ends.update(map(itemgetter(1), rows))
+            if len(ends) == 2 * len(rows):
+                return ValidityReport(True)
     seen_vertices: dict[int, int] = {}
     for eid in eids:
         if not g.has_edge_id(eid):
@@ -511,7 +521,13 @@ def validate_matching(g: Graph, m: Matching | Iterable[int]) -> ValidityReport:
             if x in seen_vertices:
                 return ValidityReport(False, "shared endpoint", edge=eid, vertex=x)
             seen_vertices[x] = eid
-    return ValidityReport(True)
+    if index is None:
+        return ValidityReport(True)
+    # the first endpoint, then index entry, that the index maps elsewhere
+    x = next(x for x in chain(seen_vertices, index)
+             if index.get(x) != seen_vertices.get(x))
+    return ValidityReport(False, "vertex index disagrees", vertex=x,
+                          edge=seen_vertices.get(x, index.get(x)))
 
 
 def validate_forest(g: Graph, f: SpanningForest | Iterable[int]) -> ValidityReport:

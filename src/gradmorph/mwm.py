@@ -317,7 +317,6 @@ def _plan_phases(
     source: Matching,
     target: Matching,
     eps: float,
-    good_edge_prepass: bool,
 ) -> tuple[list[Group], list[int]]:
     """Phases taking source to a superset of target, for valid, distinct
     matchings with w(target) >= w(source): op-end weight >= w(source) - W,
@@ -333,8 +332,7 @@ def _plan_phases(
     builder = _PhaseBuilder(light_threshold, budget)
     work = source.copy()
 
-    if good_edge_prepass:
-        _prepass_good_edges(g, work, target, builder)
+    _prepass_good_edges(g, work, target, builder)
 
     comps = order_components(_decompose(g, work, target))
     surplus = work.weight() - w_source  # pre-pass gain
@@ -391,11 +389,10 @@ def plan_mwm_auto(
     source: Matching,
     target: Matching,
     eps: float,
-    good_edge_prepass: bool = True,
 ) -> TransformationScript:
     """The script of plan_mwm_groups: phases from source to target in
     either direction, passing check_guarantee("mwm")."""
-    groups = plan_mwm_groups(g, source, target, eps, good_edge_prepass)
+    groups = plan_mwm_groups(g, source, target, eps)
     return TransformationScript.from_groups(g, "mwm", eps, groups)
 
 
@@ -404,7 +401,6 @@ def plan_mwm_groups(
     source: Matching,
     target: Matching,
     eps: float,
-    good_edge_prepass: bool = True,
 ) -> list[Group]:
     """Phases transforming source into target as (kind, edge id) groups,
     for 0 < eps <= 1/2, in O(|source| + |target|). A heavier target is
@@ -418,8 +414,8 @@ def plan_mwm_groups(
         return []
     w_source, w_target = source.weight(), target.weight()
     if w_target > w_source:
-        return _plan_phases(g, source, target, eps, good_edge_prepass)[0]
-    groups, kept = _plan_phases(g, target, source, eps, good_edge_prepass)
+        return _plan_phases(g, source, target, eps)[0]
+    groups, kept = _plan_phases(g, target, source, eps)
     # The reversed plan must start from exactly `target`, so the kept
     # target-only edges leave in trailing 1-op phases. The running weight
     # then falls from w(source) + w(kept) to w(source) >= w(target), so it

@@ -5,7 +5,7 @@ snapshot of the inner algorithm's matching is gradually transformed in: the
 first half of the window makes no output changes, and the second half
 plans the transformation at its first step and then plays its ops against
 the output under a fixed per-step budget. Adversarial deletions propagate
-into the output and the window through O(1) tombstones. Tiny instances
+into the output through O(1) tombstones. Tiny instances
 skip the window and resync instantly, which already meets the trivial
 recourse budget.
 
@@ -14,14 +14,15 @@ handle_update returns (see InnerAlgorithm), checking each reported edge in
 O(1), and keeps both differences, inner minus output and output minus
 inner, up to date as either side changes. A window's snapshot is the
 mirror in the order its edges entered it, capped at its first cap ids.
-With k the snapshot's ids outside the output, a window:
+A window is one generator of its steps. With k the snapshot's ids outside
+the output, a window:
 
 - opens by reading the k target-only ids and the output-only ids;
-- plans after check_output has checked the whole output in C-level
-  passes, the one pass over the whole matching an unweighted window
-  makes. Unweighted, it runs the mcm core on the k target-only edges over
-  the output's own vertex index; weighted, it runs the mwm planner from
-  the output to the snapshot's live edges. Both plan (kind, edge id) groups;
+- plans after the one matching gate has checked the whole output in
+  C-level passes. Unweighted, it runs the mcm core on the k target-only
+  edges over the output's own vertex index; weighted, it runs the mwm
+  planner, whose gate it is, from the output to the snapshot's live edges.
+  Both plan (kind, edge id) groups;
 - closes by checking the k target-only edges.
 
 `mwm` is imported inside plan_mwm_auto, the one function that only weighted
@@ -31,14 +32,14 @@ windows call, so an unweighted wrapper never loads the weighted planner.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import count, filterfalse, islice
-from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Generator, Iterable, Optional
 
 from . import mcm
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
-                    UpdateEvent)
+                    UpdateEvent, require_valid)
 from .script import Group
 
 EPS_MAX = 0.4                 # keeps the internal window ratio <= 1/2
@@ -257,17 +258,6 @@ class BatchRecompute(InnerAlgorithm):
         return out
 
 
-@dataclass
-class WindowState:
-    length: int
-    first_half: int
-    target_only: list[int]   # snapshot ids outside the output at open, in snapshot order
-    output_only: set[int]    # live output ids outside the snapshot at open
-    groups: Optional[list[Group]] = None   # phase-atomic ops
-    group_cursor: int = 0
-    elapsed: int = 0
-
-
 def _invalid(fault: object) -> ContractError:
     return ContractError(f"inner emitted an invalid sub-matching: {fault}")
 
@@ -288,7 +278,7 @@ def plan_mcm(g: Graph, output: Matching, target_only: list[int],
     """A window's unweighted plan from the output to a snapshot of
     target_size live edges, target_only of them outside the output: the
     mcm core, O(k) Python work for k target-only edges. The output must
-    already be checked, as the window's check_output does."""
+    already be checked, as the window's plan step does."""
     return WindowPlan(mcm.plan_target_only(g, output, target_only, target_size))
 
 
@@ -311,7 +301,11 @@ class WrappedMatching:
     step, and k grows with the inner's changes over a window of about
     eps * |M| steps. A weighted plan step counts |output| + |snapshot| for
     its build and check of both matchings; an unweighted plan step's check
-    of the whole output is apart from it (see check_output)."""
+    of the whole output is apart from it.
+
+    Weighted, every weight the wrapper sees, g's at construction and each
+    inserted one, must keep the ratio of the greatest to the least within
+    psi, or the update raises DataError naming the edge."""
 
     def __init__(self, g: Graph, inner: InnerAlgorithm, eps: float,
                  weighted: bool = False, psi: float = 1.0) -> None:
@@ -343,13 +337,17 @@ class WrappedMatching:
                        for eid in seed.edges}
         self.mirror_index = seed.vertex_index
         self.inner_size = len(self.mirror)   # as checked at the last step
-        self.window: Optional[WindowState] = None
+        self.window: Optional[Generator[None, OutputDelta, None]] = None
         self.windows = 0      # windows opened
         self.switches = 0     # instant switches
         self.step_count = 0
         self.max_step_work = 0
         self._work = 0        # this step's work, see max_step_work
         self.last_window_phase = "idle"
+        self._w_lo, self._w_hi = math.inf, 0.0   # the weights seen
+        if weighted:
+            for u, v, w in g._edges.values():
+                self._see_weight(w, u, v)
         self.adopt_output(())
 
     def adopt_output(self, ids: Iterable[int]) -> None:
@@ -362,6 +360,14 @@ class WrappedMatching:
         held, mirrored = self.output.edges, self.mirror
         self._inner_only = set(filterfalse(held.__contains__, mirrored))
         self._output_only = set(filterfalse(mirrored.__contains__, held))
+
+    def _see_weight(self, w: float, u: int, v: int) -> None:
+        """Widen the weights seen to w, on edge (u, v), within ratio psi."""
+        lo, hi = min(self._w_lo, w), max(self._w_hi, w)
+        if hi > self.psi_eff * lo:
+            raise DataError(f"weight {w} on edge ({u},{v}) breaks psi "
+                            f"{self.psi_eff}: weights seen span [{lo}, {hi}]")
+        self._w_lo, self._w_hi = lo, hi
 
     # -- the mirror and the output ----------------------------------------
 
@@ -412,49 +418,31 @@ class WrappedMatching:
         else:
             self._output_only.discard(eid)
 
-    def check_output(self) -> None:
-        """Raise DataError unless every output edge is live and indexed by
-        both its endpoints, and no other vertex is indexed. Run at each
-        window's plan step, before any playback op: C-level passes over
-        the output, the one pass over the whole matching a window makes."""
-        held, index = self.output.edges, self.output.vertex_index
-        ids = list(held)
-        try:
-            rows = list(map(self.g._edges.__getitem__, ids))
-        except KeyError:
-            rows = None
-        if (rows is not None and len(index) == 2 * len(ids)
-                and list(map(index.get, map(itemgetter(0), rows))) == ids
-                and list(map(index.get, map(itemgetter(1), rows))) == ids):
-            return
-        for eid in ids:
-            if not self.g.has_edge_id(eid):
-                raise DataError(f"current matching invalid: missing edge {eid}")
-            for x in self.g.endpoints(eid):
-                if index.get(x) != eid:
-                    raise DataError(f"current matching invalid: vertex {x} "
-                                    f"not indexed to edge {eid}")
-        raise DataError(f"current matching invalid: {len(index)} indexed "
-                        f"vertices for {len(ids)} edges")
+    # -- the window --------------------------------------------------------
 
-    # -- window machinery ----------------------------------------------
-
-    def _open_window(self, out: OutputDelta) -> None:
-        """Take the snapshot and open a window on it, or switch to it at
-        once when the instance is tiny. The snapshot is the mirror, or its
-        first cap ids in entry order, so the open reads the k target-only
-        ids and the output-only ones, or the cap ids when capped (then
-        k >= cap - |output| >= |output|)."""
-        output = self.output
+    def _window(self) -> Generator[None, OutputDelta, None]:
+        """One window as a generator of its steps, each sent the step's
+        output change. The first step takes the snapshot: the mirror, or its
+        first cap ids in entry order, so it reads the k target-only and the
+        output-only ids, or the cap ids when capped (then k >= cap -
+        |output| >= |output|). A tiny instance switches to it there, and the
+        window ends. Otherwise length // 2 steps make no change; the plan
+        step checks the output and plans; playback runs in phase-atomic
+        groups under sim_budget; and the last step ends with the close check."""
+        out = yield   # primed when made: the first send is the first step
+        # through a proxy, the window holds no reference to the wrapper that
+        # holds it, so a wrapper dropped mid-window is freed at once
+        self = weakref.proxy(self)
+        g, output, mirror = self.g, self.output, self.mirror
         src_size = len(output)
         cap = max(2 * src_size, BOOTSTRAP_CAP)
-        if len(self.mirror) <= cap:
-            target_only = sorted(self._inner_only, key=self.mirror.__getitem__)
+        if len(mirror) <= cap:
+            target_only = sorted(self._inner_only, key=mirror.__getitem__)
             output_only = set(self._output_only)
-            size = len(self.mirror)
+            size = len(mirror)
             self._work += len(target_only) + len(output_only)
         else:
-            ids = list(islice(self.mirror, cap))
+            ids = list(islice(mirror, cap))
             target_only = list(filterfalse(output.edges.__contains__, ids))
             frozen = set(ids)
             output_only = set(filterfalse(frozen.__contains__, output.edges))
@@ -473,85 +461,72 @@ class WrappedMatching:
             return
         length = max(2, math.floor(
             self.window_ratio * min(src_size, size) / self.psi_eff))
-        self.window = WindowState(
-            length=length,
-            first_half=length // 2,
-            target_only=target_only,
-            output_only=output_only,
-        )
         self.windows += 1
         self.last_window_phase = "first"
-
-    def _plan_window_ops(self, win: WindowState) -> list[Group]:
-        """Phase-atomic op groups with edge ids resolved at plan time, so
-        edges deleted (or deleted and reincarnated under the same endpoint
-        pair) later in the window are skipped rather than misapplied.
-
-        Plans from the output itself: until this first playback step the
-        window has changed it only by tombstones, so the snapshot's live
-        edges are the live target-only ones and the output's edges outside
-        win.output_only."""
-        output = self.output
-        target_only = list(filter(self.g._edges.__contains__, win.target_only))
+        for _ in range(length // 2 + 1):
+            out = yield   # the open and the first half make no change
+        self.last_window_phase = "second"
+        # Only tombstones have changed the output, so the snapshot's live
+        # edges are the live target-only ones and the output's edges outside
+        # output_only. Ids resolved now make playback skip edges deleted
+        # (and maybe reincarnated under the same endpoints) later on.
+        output_only = set(filter(output.edges.__contains__, output_only))
+        live = list(filter(g._edges.__contains__, target_only))
         if self.weighted:
-            target = Matching(self.g, [*filterfalse(win.output_only.__contains__,
-                                                    output.edges), *target_only])
+            # a dead output edge, which only a fault leaves, is for the
+            # planner's gate to name
+            kept = filterfalse(output_only.__contains__, output.edges)
+            target = Matching(g, [*filter(g._edges.__contains__, kept), *live])
             self._work += len(output) + len(target)
-            return plan_mwm_auto(self.g, output, target, self.eps).phases
-        size = len(output) - len(win.output_only) + len(target_only)
-        return plan_mcm(self.g, output, target_only, size).phases
-
-    def _window_step(self, out: OutputDelta) -> None:
-        win = self.window
-        if win.elapsed < win.first_half:
-            self.last_window_phase = "first"
+            plan = plan_mwm_auto(g, output, target, self.eps)
         else:
-            if win.groups is None:
-                self.check_output()
-                win.groups = self._plan_window_ops(win)
-                self._work += sum(map(len, win.groups))
+            require_valid(g, "current", output)
+            plan = plan_mcm(g, output, live,
+                            len(output) - len(output_only) + len(live))
+        groups = plan.phases
+        self._work += sum(map(len, groups))
+        cursor = 0
+        for step in range(length - length // 2):
+            if step:
+                out = yield
             spent = 0
-            while win.group_cursor < len(win.groups):
-                group = win.groups[win.group_cursor]
+            while cursor < len(groups):
+                group = groups[cursor]
                 if spent > 0 and spent + len(group) > self.sim_budget:
                     break  # group stays atomic; finish it next step
-                win.group_cursor += 1
+                cursor += 1
                 # removals first: the group's adds then land on free vertices
                 for kind, eid in group:
-                    if kind == "remove" and eid in self.output.edges:
-                        if eid not in win.output_only:
-                            u, v = self.g.endpoints(eid)
+                    if kind == "remove" and eid in output.edges:
+                        if eid not in output_only:
+                            u, v = g.endpoints(eid)
                             raise ContractError(
                                 f"window op remove ({u},{v}) drops a snapshot edge")
                         self._output_remove(eid)
                         out.removed.append(eid)
                         spent += 1
                 for kind, eid in group:
-                    if kind != "add" or not self.g.has_edge_id(eid) \
-                            or eid in self.output.edges:
+                    if kind != "add" or not g.has_edge_id(eid) \
+                            or eid in output.edges:
                         continue
-                    u, v = self.g.endpoints(eid)
-                    if self.output.matched_edge(u) is not None or \
-                            self.output.matched_edge(v) is not None:
+                    u, v = g.endpoints(eid)
+                    if output.matched_edge(u) is not None or \
+                            output.matched_edge(v) is not None:
                         raise ContractError(
                             f"window op add ({u},{v}) conflicts with output")
                     self._output_add(eid)
                     out.added.append(eid)
                     spent += 1
-            self.last_window_phase = "second"
-        win.elapsed += 1
-        if win.elapsed >= win.length:
-            if win.groups is None or win.group_cursor < len(win.groups):
-                raise ContractError("window closed before its ops completed")
-            # playback removes only output-only edges, so a live snapshot
-            # edge outside the output can only be a target-only one
-            self._work += len(win.target_only)
-            live, held = self.g._edges, self.output.edges
-            for eid in win.target_only:
-                if eid in live and eid not in held:
-                    raise ContractError(
-                        f"window closed without absorbing target edge {eid}")
-            self.window = None
+        if cursor < len(groups):
+            raise ContractError("window closed before its ops completed")
+        # playback removes only output-only edges, so a live snapshot edge
+        # outside the output can only be a target-only one
+        self._work += len(target_only)
+        table, held = g._edges, output.edges
+        for eid in target_only:
+            if eid in table and eid not in held:
+                raise ContractError(
+                    f"window closed without absorbing target edge {eid}")
 
     # -- update entry point ----------------------------------------------
 
@@ -560,6 +535,9 @@ class WrappedMatching:
         and new edges). Returns the change to the output matching."""
         self.step_count += 1
         self._work = 0
+        if self.weighted:
+            for _, u, v, w in delta.added:
+                self._see_weight(w, u, v)
         out = OutputDelta()
         change = self.inner.handle_update(ev, delta)
         if change.removed or change.added:
@@ -569,8 +547,7 @@ class WrappedMatching:
         if size != len(mirror):
             raise ContractError(f"inner reports {size} matched edges but its "
                                 f"deltas give {len(mirror)}")
-        # tombstones: a deletion leaves the output and the window in O(1)
-        win = self.window
+        # tombstones: a deletion leaves the output in O(1)
         output = self.output
         for eid, u, v, _ in delta.removed:
             if eid in mirror:
@@ -579,14 +556,19 @@ class WrappedMatching:
                 output.discard_dead(eid, (u, v))
                 out.removed.append(eid)
                 self._output_only.discard(eid)
-                if win is not None:
-                    win.output_only.discard(eid)
-        if win is None:
-            # snapshot-and-switch or open; never combined with playback, so
-            # one step is charged at most one kind of work
-            self._open_window(out)
-        else:
-            self._window_step(out)
+        window = self.window
+        if window is None:
+            # the snapshot, then the switch or the open: never combined
+            # with playback, so one step is charged one kind of work
+            window = self.window = self._window()
+            next(window)
+        elif window.gi_frame is None:
+            # a step of this window raised, so it can never close checked
+            raise ContractError("window failed at an earlier step")
+        try:
+            window.send(out)
+        except StopIteration:
+            self.window = None
         recourse = len(out.added) + len(out.removed)
         if recourse > self.recourse_budget:
             raise ContractError(

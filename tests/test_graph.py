@@ -360,6 +360,26 @@ def test_validate_matching_reads_endpoints_from_graph():
         ("shared endpoint", g.edge_id(1, 2), 1)
 
 
+def test_validate_matching_checks_a_matchings_vertex_index():
+    """A Matching's index must map exactly its 2|M| endpoints to their
+    edges: the first endpoint, in edge order, that it maps elsewhere is
+    named, and then the first entry that is no endpoint at all."""
+    g = path_graph(8)
+    ids = [g.edge_id(v, v + 1) for v in (0, 2, 4)]
+    for plant, edge, vertex in (
+            (lambda index: index.update({2: ids[2]}), ids[1], 2),
+            (lambda index: index.pop(5), ids[2], 5),
+            (lambda index: index.update({7: ids[0]}), ids[0], 7)):
+        m = Matching(g, ids)
+        assert validate_matching(g, m).ok
+        plant(m.vertex_index)
+        report = validate_matching(g, m)
+        assert (report.ok, report.reason, report.edge, report.vertex) == \
+            (False, "vertex index disagrees", edge, vertex)
+        # the ids alone, with endpoints read from g, are still a matching
+        assert validate_matching(g, list(m.edges)).ok
+
+
 def _reference_forest(g, ids):
     """validate_forest's report as (ok, reason, edge, vertex), comparing
     every vertex's forest and graph component labels."""

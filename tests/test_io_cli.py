@@ -17,6 +17,7 @@ from gradmorph.io import (canonical_digest, emit_edge_set, emit_graph,
                           emit_updates, parse_edge_set, parse_graph,
                           parse_updates)
 from gradmorph.oracles import msf_exact
+from gradmorph.script import TransformationScript
 from gradmorph.wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
                                STEP_WORK_FACTOR, WINDOW_RATIO_FACTOR)
 
@@ -573,6 +574,45 @@ def test_cli_maps_budget_and_contract_errors(tmp_path, workdir, capsys,
                  "--to", str(workdir / "to.txt"),
                  "--out", str(tmp_path / "s.json")]) == 3
     assert capsys.readouterr().err == "gradmorph: contract: planted\n"
+
+
+def test_cli_simulate_refuses_weights_beyond_psi(tmp_path, capsys):
+    (tmp_path / "u.txt").write_text("+e 0 1 1.0\n+e 2 3 1000.0\n")
+    run = ["simulate", "--inner", "greedy", "--epsilon", "0.1", "--n", "4",
+           "--updates", str(tmp_path / "u.txt")]
+    assert main(run) == 0   # unweighted, weights are not read
+    assert main(run + ["--weighted", "--psi", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "gradmorph: data: weight 1000.0 on edge (2,3) breaks psi 2.0: "
+        "weights seen span [1.0, 1000.0]\n")
+
+
+def test_cli_transform_checks_what_it_replays(tmp_path, capsys, monkeypatch):
+    """transform holds its replay to check_guarantee: a plan whose first
+    phase ends below the mcm floor min(|from|, |to| - 1) = 2 is a contract
+    violation, and no script is written."""
+    (tmp_path / "g.txt").write_text("".join(f"e {v} {v + 1} 1.0\n"
+                                            for v in range(5)))
+    (tmp_path / "from.txt").write_text("1 2\n3 4\n")
+    (tmp_path / "to.txt").write_text("0 1\n2 3\n4 5\n")
+
+    def below_floor(g, src, tgt):
+        e = g.edge_id
+        return TransformationScript.from_groups(g, "mcm", None, [
+            [("remove", e(1, 2))],
+            [("add", e(0, 1)), ("remove", e(3, 4)), ("add", e(2, 3))],
+            [("add", e(4, 5))]])
+
+    monkeypatch.setattr("gradmorph.cli.plan_mcm", below_floor)
+    out = tmp_path / "s.json"
+    assert main(["transform", "--problem", "mcm",
+                 "--graph", str(tmp_path / "g.txt"),
+                 "--from", str(tmp_path / "from.txt"),
+                 "--to", str(tmp_path / "to.txt"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "gradmorph: contract: planned script guarantee violated: size 1 < "
+        "floor 2 at boundary 1 (phase 0, op None)\n")
+    assert not out.exists()
 
 
 def test_cli_simulate_reads_an_update_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -46,6 +47,19 @@ def test_classify_rejects_invalid():
     m.edges = {e: None for e in broken}  # bypass add() checks
     with pytest.raises(DataError):
         classify(g, m, Matching(g))
+
+
+def test_plan_mcm_refuses_an_index_that_disagrees_with_g():
+    # plan_target_only reads the source's vertex index, so the gate checks
+    # it: a blocker missing from the index would go unremoved
+    g = path_graph(4)
+    src = Matching(g, [g.edge_id(1, 2)])
+    tgt = Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3)])
+    del src.vertex_index[2]
+    with pytest.raises(DataError, match=re.escape(
+            "current matching invalid: vertex index disagrees "
+            f"(edge={g.edge_id(1, 2)}, vertex=2)")):
+        plan_mcm(g, src, tgt)
 
 
 def test_plan_identity():

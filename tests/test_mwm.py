@@ -147,8 +147,8 @@ def test_replace_blue_red_spec_examples():
         _units_for_range(g, comp, 3, 2)   # a suffix split at k
 
 
-def _master_check(g, src, tgt, eps, prepass=True):
-    script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=prepass)
+def _master_check(g, src, tgt, eps):
+    script = plan_mwm_auto(g, src, tgt, eps)
     budget = phase_budget("mwm", eps)
     assert all(len(p) <= budget for p in script.phases)
     report = replay(g, src.edge_ids(), script, "per-op")
@@ -205,29 +205,28 @@ def test_planners_validate_each_matching_once(monkeypatch, rng):
 
 def test_single_component_floors():
     g, src, tgt = _pair_path([5.0, 1.0, 1.0, 7.0])
-    report = _master_check(g, src, tgt, 0.5, prepass=False)
+    report = _master_check(g, src, tgt, 0.5)
     w, w_max = 6.0, 5.0
     assert report.worst_weight >= w - w_max - 1e-9
 
 
 def test_heavy_fixture_one_phase():
-    # all blues heavy (>= eps * w(M)): the whole component runs in one phase
+    # all blues heavy (>= eps * w(M)): the whole component runs in one
+    # phase. On a cycle no red outweighs its two blue neighbours, so the
+    # good-edge pre-pass plans nothing and the component is the whole plan
     k = 5
-    weights = []
-    for _ in range(k):
-        weights += [10.0, 11.0]
-    g, src, tgt = _pair_path(weights)
+    g, src, tgt = alternating_cycle_fixture(k, 10.0, 11.0)
     eps = 1.0 / k  # every blue is exactly eps * w(M) = 10
-    script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=False)
+    script = plan_mwm_auto(g, src, tgt, eps)
     assert len(script.phases) == 1
-    assert len(script.phases[0]) <= 3 * math.ceil(1 / eps) + 3
-    _master_check(g, src, tgt, eps, prepass=False)
+    assert len(script.phases[0]) == 2 * k <= 3 * math.ceil(1 / eps) + 3
+    _master_check(g, src, tgt, eps)
 
 
 def test_weighted_cycle_remark_fixture():
     k, a, d = 3, 10.0, 1.0
     g, src, tgt = alternating_cycle_fixture(k, a, a + d)
-    report = _master_check(g, src, tgt, 0.5, prepass=False)
+    report = _master_check(g, src, tgt, 0.5)
     # forced deficit: some op boundary dips at least a - k*d below w(M)
     w_src = k * a
     assert report.worst_weight <= w_src - (a - k * d) + 1e-9
@@ -262,8 +261,7 @@ def test_master_property_random_sweep(rng):
             n = rng.randint(2, 50)
             g = random_graph(rng, n, rng.randint(0, 2 * n), 1.0, 100.0)
             src, tgt = random_matching(rng, g), random_matching(rng, g)
-            for prepass in (True, False):
-                _master_check(g, src, tgt, eps, prepass=prepass)
+            _master_check(g, src, tgt, eps)
 
 
 def test_equal_weight_different_edges():
@@ -301,22 +299,19 @@ def test_op_count_linear():
 
 def test_window_plan_is_the_verified_script(rng):
     """The groups a wrapper window plays are the ops of the script that
-    replay verifies, mapped to edge ids: both directions, with the prepass
-    on (as the window plans) and off."""
+    replay verifies, mapped to edge ids, in both directions."""
     for _ in range(40):
         n = rng.randint(2, 40)
         g = random_graph(rng, n, rng.randint(0, 2 * n), 1.0, 100.0)
         a, b = random_matching(rng, g), random_matching(rng, g)
         for src, tgt in ((a, b), (b, a)):
-            for eps, prepass in ((0.4, True), (0.1, True), (0.1, False)):
-                script = plan_mwm_auto(g, src, tgt, eps, good_edge_prepass=prepass)
+            for eps in (0.4, 0.1):
+                script = plan_mwm_auto(g, src, tgt, eps)
                 ids = [[(op.kind, g.edge_id(op.u, op.v)) for op in ph]
                        for ph in script.phases]
-                assert plan_mwm_groups(g, src, tgt, eps,
-                                       good_edge_prepass=prepass) == ids
-                if prepass:
-                    plan = gradmorph.wrapper.plan_mwm_auto(g, src, tgt, eps)
-                    assert plan.phases == ids
+                assert plan_mwm_groups(g, src, tgt, eps) == ids
+                plan = gradmorph.wrapper.plan_mwm_auto(g, src, tgt, eps)
+                assert plan.phases == ids
 
 
 # sha256 over the JSON of every script planned between pinned_matching_pairs,

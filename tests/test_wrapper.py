@@ -1,22 +1,28 @@
+import gc
 import hashlib
 import math
+import re
 import tracemalloc
-from itertools import filterfalse
+import weakref
+from itertools import count, filterfalse, islice
 
 import pytest
 
+import gradmorph.graph
 import gradmorph.mcm
+import gradmorph.wrapper
 from gradmorph.adversary import (ExactPathMaintainer, StaticSubject,
                                  gen_fully_dynamic)
 from gradmorph.cli import main
 from gradmorph.gen import random_update_stream
 from gradmorph.graph import (ContractError, DataError, Graph, Matching,
-                             UpdateEvent, validate_matching)
+                             UpdateEvent, ValidityReport, require_valid,
+                             validate_matching)
 from gradmorph.oracles import max_matching_exact, max_weight_matching_exact
 from gradmorph.sim import make_inner, run_simulation
 from gradmorph.wrapper import (BOOTSTRAP_CAP, BatchRecompute,
                                GreedyMaximalMatching, InnerAlgorithm,
-                               OutputDelta, WindowState, WrappedMatching)
+                               OutputDelta, WindowPlan, WrappedMatching)
 
 
 def _drive(g, algo, events, validate_every=1):
@@ -145,13 +151,26 @@ def test_weighted_window_work_follows_the_difference(monkeypatch):
     _window_work(monkeypatch, weighted=True)
 
 
+def _spy(monkeypatch, module, name, calls):
+    """Replace module.name by a pass-through that records each call's
+    arguments and result in calls."""
+    fn = getattr(module, name)
+
+    def spied(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, spied)
+
+
 def _window_work(monkeypatch, weighted):
     g, wrapped, shared, output_only, target_only = _paths_next_to_shared(
         weighted=weighted)
     inner = wrapped.inner
 
-    calls = {"copy": 0, "build": 0, "rows": 0, "core": 0, "reads": 0,
-             "checks": 0}
+    calls = {"copy": 0, "build": 0, "rows": 0, "core": 0, "reads": 0}
+    checked, plans = [], []
     copy, init = Matching.copy, Matching.__init__
 
     def counted_copy(self):
@@ -180,16 +199,19 @@ def _window_work(monkeypatch, weighted):
         calls["reads"] += 1
         return []
 
-    def counted_check():
-        # the one pass over the whole output a window makes, counted here
-        # and run after the steps, so its allocations stay out of theirs
-        calls["checks"] += 1
+    def counted_check(g, m):
+        # the matching gate's passes over whole matchings, recorded here
+        # and run after the steps, so their allocations stay out of theirs
+        checked.append(m)
+        return ValidityReport(True)
 
     monkeypatch.setattr(Matching, "copy", counted_copy)
     monkeypatch.setattr(Matching, "__init__", counted_init)
     monkeypatch.setattr(gradmorph.mcm, "plan_target_only", counted_core)
     monkeypatch.setattr(inner, "matching_ids", counted_read)
-    monkeypatch.setattr(wrapped, "check_output", counted_check)
+    monkeypatch.setattr(gradmorph.graph, "validate_matching", counted_check)
+    _spy(monkeypatch, gradmorph.wrapper,
+         "plan_mwm_auto" if weighted else "plan_mcm", plans)
     g._edges = CountingRows(g._edges)
     # a list of |M| ids alone takes 8 bytes an id
     whole = 8 * (len(shared) + len(target_only))
@@ -201,41 +223,46 @@ def _window_work(monkeypatch, weighted):
             ev = UpdateEvent.vertex_insert(vertex)
             vertex += 1
             delta = g.apply_update(ev)
-            before = wrapped.window
-            planned = before is not None and before.groups is not None
+            opening, planned = wrapped.window is None, len(plans)
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             made = calls["copy"], calls["build"]
             wrapped.handle_update(ev, delta)
             grown = tracemalloc.get_traced_memory()[1] - start
-            if before is None:
+            if opening:
                 peaks["open"] = grown
-                assert wrapped.window.target_only == target_only
-            elif not planned and wrapped.window.groups is not None:
+                assert wrapped.window is not None and not plans
+            elif len(plans) > planned:
                 peaks["plan"] = grown
                 made_by_plan = calls["copy"] - made[0], calls["build"] - made[1]
-                assert len(wrapped.window.groups) == 10
             elif wrapped.window is None:
                 peaks["close"] = grown
                 break
     finally:
         tracemalloc.stop()
-    assert calls["reads"] == 0 and calls["checks"] == 1
+    assert calls["reads"] == 0 and len(plans) == 1
     assert set(peaks) == {"open", "plan", "close"}
+    (_, output, target, *size), plan = plans[0]
+    assert output is wrapped.output and len(plan.phases) == 10
     # only a weighted plan step copies or builds a matching
     assert (calls["copy"], calls["build"]) == made_by_plan
     if weighted:
         del peaks["plan"]
-        # the plan step's build and check of the output and the snapshot
+        # the snapshot, output's edges first, and its build and check with
+        # the output's: the gate checks the output once
+        assert list(target.edges) == shared + target_only
+        assert checked == [output, target]
         assert wrapped.max_step_work >= len(shared) + len(output_only)
     else:
+        assert (target, size) == (target_only, [len(shared) + len(target_only)])
+        assert checked == [output]
         assert made_by_plan == (0, 0)
         assert 0 < calls["core"] <= 3 * len(target_only)
         assert wrapped.max_step_work < len(shared)
     assert max(peaks.values()) < whole / 2, peaks
     assert sorted(wrapped.matching_ids()) == sorted(shared + target_only)
     monkeypatch.undo()
-    wrapped.check_output()
+    require_valid(g, "current", wrapped.output)
 
 
 def _stream_for(name, rng):
@@ -280,10 +307,10 @@ def test_mirror_follows_the_inner(name, rng):
     assert (wrapped.windows > 0) == (name != "static")
 
 
-def test_greedy_snapshot_keeps_the_inner_order(rng):
+def test_greedy_snapshot_keeps_the_inner_order(monkeypatch, rng):
     """Greedy applies its removals before its adds, so at every open the
     target-only ids are those of matching_ids(), capped or not, that are
-    outside the output, in that order."""
+    outside the output, in that order: the plan step gets the live ones."""
     g = Graph()
     for v in range(600):
         g.ensure_vertex(v)
@@ -293,53 +320,107 @@ def test_greedy_snapshot_keeps_the_inner_order(rng):
     for ev in events[:2000]:   # the inner alone, so some snapshots are capped
         inner.handle_update(ev, g.apply_update(ev))
     wrapped = WrappedMatching(g, inner, 0.1)
+    plans = []
+    _spy(monkeypatch, gradmorph.wrapper, "plan_mcm", plans)
     seen = {"capped": 0, "whole": 0}
+    expected = None
     for ev in events[2000:]:
         opened = wrapped.windows
         wrapped.handle_update(ev, g.apply_update(ev))
+        if plans:
+            (_, _, given, _), _ = plans.pop()
+            assert given == list(filter(g.has_edge_id, expected))
+            expected = None
         if wrapped.windows == opened:
             continue
         output = wrapped.output.edges
         cap = max(2 * len(output), BOOTSTRAP_CAP)
         ids = inner.matching_ids()
         seen["capped" if len(ids) > cap else "whole"] += 1
-        assert wrapped.window.target_only == list(
-            filterfalse(output.__contains__, ids[:cap]))
+        assert expected is None   # the last window planned before this open
+        expected = list(filterfalse(output.__contains__, ids[:cap]))
     assert seen["capped"] > 0 and seen["whole"] > 0
 
 
-@pytest.mark.parametrize("fault", ["dead id", "wrong index entry",
-                                   "missing index entry", "extra index entry"])
-def test_corrupted_output_raises_before_playback(fault):
-    """A fault planted in the output before an open, far from the edges
-    the window changes, stops the window at its plan step, before any
-    playback op."""
-    g, wrapped, shared, output_only, _ = _paths_next_to_shared(200, 5)
+def test_plan_step_sizes_the_snapshot_by_its_live_edges(monkeypatch, rng):
+    """The plan step gets the snapshot's live target-only ids and its live
+    size, also when a deletion in the first half hit an output-only edge:
+    batch swaps its whole matching, so its windows hold many of those."""
+    g = Graph()
+    for v in range(300):
+        g.ensure_vertex(v)
+    wrapped = WrappedMatching(g, make_inner("batch:2.0", g), 0.1)
+    plans = []
+    _spy(monkeypatch, gradmorph.wrapper, "plan_mcm", plans)
+    snapshot, hit = None, 0
+    for ev in random_update_stream(rng, 300, 3000, delete_prob=0.4,
+                                   vertex_ops=True):
+        opened = wrapped.windows
+        held = set(wrapped.output.edges)
+        wrapped.handle_update(ev, g.apply_update(ev))
+        if snapshot is not None:
+            hit += any(e in held and e not in snapshot and not g.has_edge_id(e)
+                       for e in held)
+        if plans:
+            (_, _, given, size), _ = plans.pop()
+            assert given == list(filter(g.has_edge_id, target_only))
+            assert size == len(list(filter(g.has_edge_id, snapshot)))
+            snapshot = None
+        if wrapped.windows > opened:
+            cap = max(2 * len(wrapped.output), BOOTSTRAP_CAP)
+            snapshot = list(islice(wrapped.mirror, cap))
+            target_only = [e for e in snapshot if e not in wrapped.output]
+    assert hit > 0
+
+
+def _planted(g, wrapped, shared, fault):
+    """Plant a fault in the output, far from the edges a window changes,
+    and return the gate's report of it as (reason, edge, vertex)."""
     index = wrapped.output.vertex_index
     if fault == "dead id":
         g.remove_edge_id(shared[7])   # unseen by the wrapper
-        match = f"missing edge {shared[7]}"
-    elif fault == "wrong index entry":
+        return "missing edge", shared[7], None
+    if fault == "wrong index entry":
         index[2 * 7] = shared[8]
-        match = f"vertex 14 not indexed to edge {shared[7]}"
-    elif fault == "missing index entry":
+        return "vertex index disagrees", shared[7], 14
+    if fault == "missing index entry":
         del index[2 * 7 + 1]
-        match = f"vertex 15 not indexed to edge {shared[7]}"
-    else:
-        # vertex 400 starts a path whose middle edge the output holds, so
-        # no output edge covers it
-        size = len(wrapped.output.edges)
-        index[400] = shared[7]
-        match = f"{2 * size + 1} indexed vertices for {size} edges"
+        return "vertex index disagrees", shared[7], 15
+    # vertex 400 starts a path whose middle edge the output holds, so no
+    # output edge covers it
+    index[400] = shared[7]
+    return "vertex index disagrees", shared[7], 400
+
+
+def _stepper(g, wrapped):
+    """A step of wrapped that inserts a new isolated vertex each call."""
+    vertices = count(5000)
+
+    def step():
+        ev = UpdateEvent.vertex_insert(next(vertices))
+        return wrapped.handle_update(ev, g.apply_update(ev))
+
+    return step
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("fault", ["dead id", "wrong index entry",
+                                   "missing index entry", "extra index entry"])
+def test_corrupted_output_raises_before_playback(fault, weighted):
+    """A fault planted in the output before an open stops the window at
+    its plan step, before any playback op, with the matching gate's text:
+    the wrapper's own call unweighted, the weighted planner's weighted."""
+    g, wrapped, shared, output_only, _ = _paths_next_to_shared(
+        200, 5, weighted=weighted)
+    reason, edge, vertex = _planted(g, wrapped, shared, fault)
+    name = "source" if weighted else "current"
     held = set(wrapped.output.edges)
-    vertex = 5000
-    with pytest.raises(DataError, match=match):
+    with pytest.raises(DataError, match=re.escape(
+            f"{name} matching invalid: {reason} (edge={edge}, vertex={vertex})")):
+        step = _stepper(g, wrapped)
         while True:
-            ev = UpdateEvent.vertex_insert(vertex)
-            vertex += 1
-            wrapped.handle_update(ev, g.apply_update(ev))
-            assert set(wrapped.output.edges) == held
-    assert wrapped.window.groups is None
+            assert step().recourse() == 0
+    assert wrapped.last_window_phase == "second"
     assert set(wrapped.output.edges) == held
 
 
@@ -385,20 +466,108 @@ def test_inner_deltas_are_checked():
         c = g.edge_id(5, 6)
 
 
-def test_window_close_names_first_unabsorbed_target_edge():
+def _unabsorbing_window(monkeypatch):
+    """A wrapper whose next window opens on a snapshot of six edges in the
+    order ids[5], ids[1], ids[4], ids[3] and plans nothing, with ids[5]
+    dead by then: ids[1] is shared, and of the two target-only edges left
+    the close names the first in the snapshot's order, not the smaller."""
     g = Graph()
     ids = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(6)]
-    wrapped = WrappedMatching(g, GreedyMaximalMatching(g), 0.1)
+    inner = GreedyMaximalMatching(g)
+    inner.matching = Matching(g, [ids[5], ids[1], ids[4], ids[3]])
+    wrapped = WrappedMatching(g, inner, 0.1)
     wrapped.adopt_output(ids[:2])
-    # the snapshot is ids[5], ids[1], ids[4], ids[3] in this order: ids[5]
-    # dies (nothing to absorb), ids[1] is shared; of the two left, the error
-    # names the first in the snapshot's order, not the smaller id
+    wrapped.small_threshold = 0   # a window, not an instant switch
+    monkeypatch.setattr(gradmorph.wrapper, "plan_mcm",
+                        lambda *args: WindowPlan([]))
+    step = _stepper(g, wrapped)
+    step()
     g.remove_edge_id(ids[5])
-    wrapped.window = WindowState(length=2, first_half=1,
-                                 target_only=[ids[5], ids[4], ids[3]],
-                                 output_only={ids[0]}, groups=[], elapsed=1)
+    return step, ids, wrapped
+
+
+def test_window_close_names_first_unabsorbed_target_edge(monkeypatch):
+    step, ids, _ = _unabsorbing_window(monkeypatch)
     with pytest.raises(ContractError, match=f"absorbing target edge {ids[4]}$"):
-        wrapped._window_step(OutputDelta())
+        while True:
+            step()
+
+
+@pytest.mark.parametrize("where", ["plan step", "close check"])
+def test_a_window_that_raised_stays_failed(monkeypatch, where):
+    """Every step after a window's failed one raises, so no window is
+    dropped without its checks, and the output stays as it was."""
+    if where == "plan step":
+        g, wrapped, shared, _, _ = _paths_next_to_shared(200, 5)
+        _planted(g, wrapped, shared, "wrong index entry")
+        step, first = _stepper(g, wrapped), DataError
+    else:
+        step, _, wrapped = _unabsorbing_window(monkeypatch)
+        first = ContractError
+    with pytest.raises(first):
+        while True:
+            step()
+    held = set(wrapped.output.edges)
+    for _ in range(3):
+        with pytest.raises(ContractError, match="failed at an earlier step"):
+            step()
+    with pytest.raises(ContractError, match="inside a window"):
+        wrapped.adopt_output(())
+    assert set(wrapped.output.edges) == held
+
+
+@pytest.mark.parametrize("w_hi", [2.0, 10.0, 1000.0])
+def test_weighted_wrapper_holds_weights_to_psi(rng, w_hi):
+    """psi bounds the ratio of the weights a weighted wrapper has seen: the
+    first insert that takes it beyond psi raises DataError naming its
+    edge. An unweighted wrapper reads no weights."""
+    psi = 2.0
+    events = random_update_stream(rng, 12, 150, delete_prob=0.35,
+                                  w_lo=1.0, w_hi=w_hi)
+    g, seen, breaking = Graph(), [], None
+    for ev in events:
+        for _, u, v, w in g.apply_update(ev).added:
+            seen.append(w)
+            if breaking is None and max(seen) > psi * min(seen):
+                breaking = w, u, v
+    for weighted in (False, True):
+        g = Graph()
+        wrapped = WrappedMatching(g, GreedyMaximalMatching(g), 0.1,
+                                  weighted=weighted, psi=psi)
+        if weighted and breaking:
+            w, u, v = breaking
+            with pytest.raises(DataError, match=re.escape(
+                    f"weight {w} on edge ({u},{v}) breaks psi {psi}")):
+                _drive(g, wrapped, events)
+        else:
+            _drive(g, wrapped, events)
+    assert (breaking is None) == (w_hi == psi)
+    # the graph's own edges count as seen
+    g = Graph()
+    g.add_edge(0, 1, 1.0)
+    g.add_edge(2, 3, 3.0)
+    WrappedMatching(g, GreedyMaximalMatching(g), 0.1)
+    with pytest.raises(DataError, match=re.escape(
+            "weight 3.0 on edge (2,3) breaks psi 2.0")):
+        WrappedMatching(g, GreedyMaximalMatching(g), 0.1, weighted=True,
+                        psi=psi)
+
+
+def test_a_wrapper_dropped_mid_window_is_freed_at_once():
+    # a window that held its wrapper would make a reference cycle, which
+    # keeps a dropped wrapper and its graph alive until the cyclic collector
+    # runs
+    g, wrapped, *_ = _paths_next_to_shared(200, 5)
+    step = _stepper(g, wrapped)
+    step()
+    assert wrapped.window is not None
+    ref = weakref.ref(wrapped)
+    gc.disable()
+    try:
+        del wrapped, step
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_wrap_parameter_errors():
