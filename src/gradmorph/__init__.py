@@ -20,7 +20,7 @@ _EXPORTS = {
     "script": "Boundary ChangeOp GuaranteeResult ReplayReport "
               "TransformationScript check_guarantee replay phase_budget "
               "MCM_PHASE_BUDGET MSF_PHASE_BUDGET",
-    "mcm": "EdgeClassification classify plan_mcm",
+    "mcm": "plan_mcm",
     "mwm": "AlternatingComponent decompose order_components plan_mwm_auto",
     "msf": "plan_msf plan_tree",
     "oracles": "exhaustive_transform_search has_augmenting_path "

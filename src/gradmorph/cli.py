@@ -143,9 +143,11 @@ def _cmd_replay(args) -> int:
 
 def _violation(result) -> str:
     where = result.boundary   # of a failed check_guarantee, if any
-    return f"guarantee violated: {result.reason}" + (
-        f" at boundary {where.index} (phase {where.phase}, op {where.op})"
-        if where else "")
+    if where is None:
+        return f"guarantee violated: {result.reason}"
+    op = "" if where.op is None else f", op {where.op}"
+    return (f"guarantee violated: {result.reason} at boundary {where.index} "
+            f"(phase {where.phase}{op})")
 
 
 def _cmd_simulate(args) -> int:
@@ -154,9 +156,10 @@ def _cmd_simulate(args) -> int:
     from .sim import make_inner, run_simulation, trace_csv_rows
     from .wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
                           WINDOW_RATIO_FACTOR, WrappedMatching)
+    psi = 1.0 if args.psi is None else args.psi
     manifest = RunManifest("simulate", {
         "inner": args.inner, "epsilon": args.epsilon, "wrap": not args.no_wrap,
-        "weighted": args.weighted, "psi": args.psi, "seed": args.seed,
+        "weighted": args.weighted, "psi": psi, "seed": args.seed,
         "oracle_check": args.oracle_check, "n": args.n,
         "random_updates": args.random_updates, "tolerance": DEFAULT_TOLERANCE,
         "constants": {"recourse_factor": RECOURSE_FACTOR,
@@ -167,7 +170,7 @@ def _cmd_simulate(args) -> int:
         events = parse_updates(_read(args.updates, "updates", manifest))
     elif args.random_updates:
         rng = random.Random(args.seed)
-        w_hi = args.psi if args.weighted else 1.0
+        w_hi = psi if args.weighted else 1.0
         events = random_update_stream(rng, args.n, args.random_updates,
                                       w_lo=1.0, w_hi=w_hi, vertex_ops=True)
         manifest.add_input("updates", emit_updates(events))
@@ -181,7 +184,7 @@ def _cmd_simulate(args) -> int:
         algo = inner
     else:
         algo = WrappedMatching(g, inner, args.epsilon,
-                               weighted=args.weighted, psi=args.psi)
+                               weighted=args.weighted, psi=psi)
     result = run_simulation(g, algo, events, oracle_check=args.oracle_check)
     if args.trace:
         _write_csv(args.trace, trace_csv_rows(result), manifest)
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--inner", required=True)
     s.add_argument("--epsilon", type=float, required=True)
     s.add_argument("--weighted", action="store_true")
-    s.add_argument("--psi", type=float, default=1.0)
+    s.add_argument("--psi", type=float, default=None)
     s.add_argument("--no-wrap", action="store_true",
                    help="run the inner algorithm bare (control)")
     s.add_argument("--updates", default=None)
@@ -405,6 +408,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("oracle --task search needs --from and --to")
         if args.command == "simulate" and args.random_updates and args.n < 2:
             parser.error("simulate --random-updates needs --n >= 2")
+        if args.command == "simulate" and args.psi is not None \
+                and not args.weighted:
+            parser.error("simulate --psi applies to --weighted only")
         if args.command == "transform" and args.problem != "mwm" \
                 and args.epsilon is not None:
             parser.error(f"transform --epsilon applies to mwm only, "

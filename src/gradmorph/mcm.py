@@ -13,61 +13,23 @@ index, and returns each phase as (kind, edge id) pairs, the one op format
 of every planner, so its Python work is O(k) whatever the size of the
 source. `plan_mcm` hands those groups to `TransformationScript.from_groups`;
 the recourse wrapper, which knows its target-only edges and plays the
-groups directly, calls the core alone.
+groups directly, calls the core alone. The core runs `Exchange`; the mwm
+planner drains the same exchange, with weights, as its good-edge pre-pass.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, deque
 from itertools import filterfalse
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .graph import ContractError, DataError, Graph, Matching, require_valid
 from .script import Group, TransformationScript
 
 
-@dataclass
-class EdgeClassification:
-    """Target-only edges split by how many current edges block them; good
-    and bad are FIFO queues of edge ids."""
-
-    good: OrderedDict[int, None]
-    bad: OrderedDict[int, None]
-    blocker_count: dict[int, int]        # target-only eid -> #blocking edges
-    blocked_by: dict[int, list[int]]     # current eid -> target-only eids it blocks
-
-
 def target_only_ids(current: Matching, target: Matching) -> list[int]:
     """The target's edges outside current, in the target's order."""
     return list(filterfalse(current.edges.__contains__, target.edges))
-
-
-def classify(g: Graph, current: Matching, target: Matching) -> EdgeClassification:
-    """Split target-only edges into good (blocked by at most one current
-    edge) and bad (blocked by two). O(|current| + |target|)."""
-    require_valid(g, "current", current)
-    require_valid(g, "target", target)
-    return _classify(g, current.vertex_index, target_only_ids(current, target))
-
-
-def _classify(g: Graph, matched: dict[int, int],
-              target_only: Iterable[int]) -> EdgeClassification:
-    """classify's core: reads one edge row per target-only id."""
-    good: OrderedDict[int, None] = OrderedDict()
-    bad: OrderedDict[int, None] = OrderedDict()
-    blocker_count: dict[int, int] = {}
-    blocked_by: dict[int, list[int]] = {}
-    table = g._edges
-    for eid in target_only:
-        u, v, _ = table[eid]
-        blockers = {matched.get(u), matched.get(v)}
-        blockers.discard(None)
-        blocker_count[eid] = len(blockers)
-        for b in blockers:
-            blocked_by.setdefault(b, []).append(eid)
-        (good if len(blockers) <= 1 else bad)[eid] = None
-    return EdgeClassification(good, bad, blocker_count, blocked_by)
 
 
 class _Overlay:
@@ -103,6 +65,69 @@ class _Overlay:
         self.size -= 1
 
 
+class Exchange:
+    """Greedy exchange of target-only edges into an overlay of source. An
+    edge is good while the summed cost of the source edges blocking it is
+    below its worth: for mcm worth 2 and cost 1 (at most one blocker, so
+    the size never drops), for mwm the weights (so the weight never drops).
+
+    drain() swaps in good edges in FIFO order, exchange(e) one given edge;
+    each gives its group [add e, remove b...], blockers ascending, and a
+    removed blocker promotes the edges it blocked that become good. rest
+    maps the edges not yet good, in target order, to their blockers'
+    summed cost. Reads each target-only edge's row when built and again
+    when it goes in, and each removed blocker's row once.
+    """
+
+    def __init__(self, g: Graph, source: Matching, target_only: Iterable[int],
+                 worth: Callable[[int], float],
+                 cost: Callable[[int], float]) -> None:
+        self.table = table = g._edges
+        self.work = _Overlay(source)
+        self.worth, self.cost = worth, cost
+        self.good: deque[int] = deque()
+        self.rest: OrderedDict[int, float] = OrderedDict()
+        self.blocked_by: dict[int, list[int]] = {}  # source eid -> edges it blocks
+        matched = source.vertex_index
+        for eid in target_only:
+            u, v, _ = table[eid]
+            blockers = {matched.get(u), matched.get(v)}
+            blockers.discard(None)
+            for b in blockers:
+                self.blocked_by.setdefault(b, []).append(eid)
+            need = sum(map(cost, blockers))
+            if need < worth(eid):
+                self.good.append(eid)
+            else:
+                self.rest[eid] = need
+
+    def drain(self) -> Iterator[Group]:
+        good = self.good
+        while good:
+            yield self.exchange(good.popleft())
+
+    def exchange(self, eid: int) -> Group:
+        rest, good, table, work = self.rest, self.good, self.table, self.work
+        rest.pop(eid, None)
+        u, v, _ = table[eid]
+        blockers = {work.matched_edge(u), work.matched_edge(v)}
+        blockers.discard(None)
+        group = [("add", eid)]
+        for b in sorted(blockers):
+            bu, bv, _ = table[b]
+            group.append(("remove", b))
+            work.remove(b, bu, bv)
+            freed = self.cost(b)
+            for te in self.blocked_by.pop(b, ()):
+                if te in rest:
+                    rest[te] -= freed
+                    if rest[te] < self.worth(te):
+                        del rest[te]
+                        good.append(te)
+        work.add(eid, u, v)
+        return group
+
+
 def plan_mcm(g: Graph, source: Matching, target: Matching) -> TransformationScript:
     """Plan phases transforming source into a superset of target.
 
@@ -110,7 +135,7 @@ def plan_mcm(g: Graph, source: Matching, target: Matching) -> TransformationScri
     |target|) in C-level passes, O(k) in Python for k target-only edges.
     The emitted script passes check_guarantee("mcm").
     """
-    require_valid(g, "current", source)
+    require_valid(g, "source", source)
     require_valid(g, "target", target)
     groups = plan_target_only(g, source, target_only_ids(source, target),
                               len(target))
@@ -123,45 +148,20 @@ def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],
     matching, given the target's edges outside source (in the target's
     order) and |target|. Returns each phase as its ops, (kind, edge id)
     pairs: the added target-only edge, then the removals it forces.
+    Drains the exchange; once no edge is good, every one left is blocked
+    twice, so the first of them goes in anyway and the core drains again.
 
     Checks neither matching: source must be a valid matching whose vertex
     index agrees with g, and source plus target_only must come from one.
     Reads O(k) edge rows for k target-only edges, and never copies source.
     """
-    cls = _classify(g, source.vertex_index, target_only)
-    work = _Overlay(source)
-    table = g._edges
-    groups: list[Group] = []
-
-    def on_removed(blocker: int) -> None:
-        for te in cls.blocked_by.pop(blocker, ()):
-            if te not in cls.blocker_count:
-                continue  # already planned
-            cls.blocker_count[te] -= 1
-            if cls.blocker_count[te] == 1 and te in cls.bad:
-                del cls.bad[te]
-                cls.good[te] = None
-
-    while cls.good or cls.bad:
-        if cls.good:
-            eid = cls.good.popitem(last=False)[0]
-        else:
-            # every remaining target-only edge is blocked twice
-            if work.size < target_size:
-                raise ContractError(
-                    f"bad-edge invariant breach: |work| = {work.size} < "
-                    f"|target| = {target_size} with no good edges")
-            eid = cls.bad.popitem(last=False)[0]
-        del cls.blocker_count[eid]
-        u, v, _ = table[eid]
-        blockers = {work.matched_edge(u), work.matched_edge(v)}
-        blockers.discard(None)
-        group = [("add", eid)]
-        for b in sorted(blockers):
-            bu, bv, _ = table[b]
-            group.append(("remove", b))
-            work.remove(b, bu, bv)
-            on_removed(b)
-        work.add(eid, u, v)
-        groups.append(group)
+    core = Exchange(g, source, target_only, lambda e: 2, lambda b: 1)
+    groups = list(core.drain())
+    while core.rest:
+        if core.work.size < target_size:
+            raise ContractError(
+                f"bad-edge invariant breach: |work| = {core.work.size} < "
+                f"|target| = {target_size} with no good edges")
+        groups.append(core.exchange(next(iter(core.rest))))
+        groups.extend(core.drain())
     return groups

@@ -1,6 +1,9 @@
 """Weighted matching transformation planner.
 
-The symmetric difference of source and target splits into vertex-disjoint
+A good-edge pre-pass first drains the mcm exchange core with weights for
+worth and cost: each target-only edge heavier than the source edges
+blocking it goes in, in its own 3-op phase. The rest of the symmetric
+difference of source and target splits into vertex-disjoint
 alternating components. Components are processed gain-first so the running
 surplus never goes negative; within a component the credited prefix-minimum
 decides between running it whole and splitting it into its suffix and
@@ -17,12 +20,12 @@ script through `TransformationScript.from_groups`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import (ContractError, DataError, Graph, Matching, require_valid,
                     slack)
+from .mcm import Exchange, target_only_ids
 from .script import Group, TransformationScript, phase_budget, reversed_groups
 
 
@@ -265,53 +268,6 @@ class _PhaseBuilder:
             self._ops = []
 
 
-def _prepass_good_edges(
-    g: Graph,
-    work: Matching,
-    target: Matching,
-    builder: _PhaseBuilder,
-) -> None:
-    """Eagerly emit 3-op phases for every target-only edge that outweighs
-    the sum of its current neighbors; never decreases the weight."""
-    neighbor_sum: dict[int, float] = {}
-    blocked_by: dict[int, list[int]] = {}
-    queue: OrderedDict[int, None] = OrderedDict()   # FIFO of good edges
-
-    def is_good(te: int) -> bool:
-        return g.weight(te) > neighbor_sum[te]
-
-    for te in target.edges:
-        if te in work.edges:
-            continue
-        u, v, _ = g.edge(te)
-        blockers = {b for b in (work.matched_edge(u), work.matched_edge(v))
-                    if b is not None}
-        neighbor_sum[te] = sum(g.weight(b) for b in blockers)
-        for b in blockers:
-            blocked_by.setdefault(b, []).append(te)
-        if is_good(te):
-            queue[te] = None
-
-    while queue:
-        te = queue.popitem(last=False)[0]
-        del neighbor_sum[te]
-        u, v, _ = g.edge(te)
-        blockers = sorted({b for b in (work.matched_edge(u), work.matched_edge(v))
-                           if b is not None})
-        ops = [("add", te)]
-        for b in blockers:
-            ops.append(("remove", b))
-            work.remove(b)
-            for other in blocked_by.pop(b, ()):
-                if other not in neighbor_sum:
-                    continue
-                neighbor_sum[other] -= g.weight(b)
-                if other not in queue and is_good(other):
-                    queue[other] = None
-        work.add(te)
-        builder.add_phase(ops)
-
-
 def _plan_phases(
     g: Graph,
     source: Matching,
@@ -331,8 +287,13 @@ def _plan_phases(
     op_floor = w_source - max_src_weight - tol
     builder = _PhaseBuilder(light_threshold, budget)
     work = source.copy()
-
-    _prepass_good_edges(g, work, target, builder)
+    # the good-edge pre-pass, whose 3-op phases never decrease the weight
+    weight = g.weight
+    for group in Exchange(g, source, target_only_ids(source, target),
+                          weight, weight).drain():
+        builder.add_phase(group)
+        for kind, eid in reversed(group):   # the removals first
+            (work.add if kind == "add" else work.remove)(eid)
 
     comps = order_components(_decompose(g, work, target))
     surplus = work.weight() - w_source  # pre-pass gain

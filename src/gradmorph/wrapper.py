@@ -480,11 +480,11 @@ class WrappedMatching:
             self._work += len(output) + len(target)
             plan = plan_mwm_auto(g, output, target, self.eps)
         else:
-            require_valid(g, "current", output)
+            require_valid(g, "source", output)
             plan = plan_mcm(g, output, live,
                             len(output) - len(output_only) + len(live))
         groups = plan.phases
-        self._work += sum(map(len, groups))
+        self._work += plan.num_ops()
         cursor = 0
         for step in range(length - length // 2):
             if step:

@@ -535,6 +535,9 @@ def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
     ("simulate --inner greedy --epsilon 0.2 --n 1 --random-updates 10", 1),
     ("simulate --inner greedy --epsilon 0.2 --random-updates -3", 1),
     ("simulate --inner greedy --epsilon 0.2 --random-updates 0", 2),
+    # --psi bounds the weights a weighted run reads: unweighted, a usage error
+    ("simulate --inner greedy --epsilon 0.2 --n 50 --random-updates 200 "
+     "--psi 7", 1),
     ("adversary --mode full --epsilon 0.1 --n 50 --rounds -1", 1),
     ("adversary --mode full --epsilon 0.1 --n 50 --rounds 0", 1),
     ("adversary --mode incr --epsilon 0.1 --n -3", 1),
@@ -611,7 +614,7 @@ def test_cli_transform_checks_what_it_replays(tmp_path, capsys, monkeypatch):
                  "--to", str(tmp_path / "to.txt"), "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
         "gradmorph: contract: planned script guarantee violated: size 1 < "
-        "floor 2 at boundary 1 (phase 0, op None)\n")
+        "floor 2 at boundary 1 (phase 0)\n")
     assert not out.exists()
 
 

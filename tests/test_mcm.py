@@ -5,48 +5,81 @@ import pytest
 
 from gradmorph.gen import random_graph, random_matching
 from gradmorph.graph import DataError, Matching, solution_stats
-from gradmorph.mcm import _Overlay, classify, plan_mcm, plan_target_only
-from gradmorph.script import check_guarantee, replay
+from gradmorph.mcm import (Exchange, _Overlay, plan_mcm, plan_target_only,
+                           target_only_ids)
+from gradmorph.script import TransformationScript, check_guarantee, replay
 
 from conftest import alternating_cycle_fixture, path_graph, pinned_matching_pairs
 
 
-def test_classify_subset_target_is_empty():
+def _mcm_exchange(g, current, target):
+    return Exchange(g, current, target_only_ids(current, target),
+                    lambda e: 2, lambda b: 1)
+
+
+def _blockers(g, current, eid):
+    """The current edges sharing an endpoint with eid, found by scanning
+    every current edge."""
+    ends = set(g.endpoints(eid))
+    return [c for c in current.edges if ends & set(g.endpoints(c))]
+
+
+def _instances(rng, count, w_hi=1.0):
+    for _ in range(count):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.randint(0, 3 * n), 1.0, w_hi)
+        yield g, random_matching(rng, g), random_matching(rng, g)
+
+
+def test_exchange_mcm_good_is_at_most_one_blocker(rng):
     g = path_graph(4)
     m = Matching(g, [g.edge_id(0, 1)])
-    cls = classify(g, m, m)
-    assert not cls.good and not cls.bad
-
-
-def test_classify_path_fixture():
-    g = path_graph(4)
-    current = Matching(g, [g.edge_id(1, 2)])
-    target = Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3)])
-    cls = classify(g, current, target)
-    assert set(cls.good) == set(target.edge_ids())
-    assert list(cls.bad) == []
-    # exhaustive incidence count agrees
-    for eid in target.edge_ids():
-        u, v = g.endpoints(eid)
-        count = sum(1 for ce in current.edges
-                    if set(g.endpoints(ce)) & {u, v})
-        assert (count <= 1) == (eid in cls.good)
-
-
-def test_classify_cycle_fixture_all_bad():
+    core = _mcm_exchange(g, m, m)
+    assert not core.good and not core.rest
     g, current, target = alternating_cycle_fixture(2, 1.0, 1.0)
-    cls = classify(g, current, target)
-    assert list(cls.good) == []
-    assert set(cls.bad) == set(target.edge_ids())
+    core = _mcm_exchange(g, current, target)
+    assert not core.good and list(core.rest) == target.edge_ids()
+    for g, current, target in _instances(rng, 60):
+        core = _mcm_exchange(g, current, target)
+        only = target_only_ids(current, target)
+        assert list(core.good) == [
+            e for e in only if len(_blockers(g, current, e)) <= 1]
+        assert core.rest == {e: 2 for e in only
+                             if len(_blockers(g, current, e)) == 2}
 
 
-def test_classify_rejects_invalid():
+def test_exchange_weighted_good_outweighs_its_blockers(rng):
+    for g, current, target in _instances(rng, 60, 100.0):
+        core = Exchange(g, current, target_only_ids(current, target),
+                        g.weight, g.weight)
+        for e in target_only_ids(current, target):
+            blocked = sum(map(g.weight, _blockers(g, current, e)))
+            assert (e in core.good) == (g.weight(e) > blocked)
+            assert (e in core.rest) == (g.weight(e) <= blocked)
+
+
+def test_drained_mcm_exchange_never_lowers_the_size(rng):
+    for g, current, target in _instances(rng, 60):
+        groups = list(_mcm_exchange(g, current, target).drain())
+        size = len(current)
+        for (kind, added), *removed in groups:
+            assert kind == "add" and len(removed) <= 1
+            assert all(k == "remove" for k, _ in removed)
+            size += 1 - len(removed)
+        if groups:
+            script = TransformationScript.from_groups(g, "mcm", None, groups)
+            report = replay(g, current.edge_ids(), script)
+            sizes = [b.size for b in report.boundaries]
+            assert sizes == sorted(sizes) and sizes[-1] == size
+
+
+def test_plan_mcm_rejects_an_invalid_source():
     g = path_graph(3)
     broken = [g.edge_id(0, 1), g.edge_id(1, 2)]
     m = Matching(g)
     m.edges = {e: None for e in broken}  # bypass add() checks
-    with pytest.raises(DataError):
-        classify(g, m, Matching(g))
+    with pytest.raises(DataError, match="source matching invalid"):
+        plan_mcm(g, m, Matching(g))
 
 
 def test_plan_mcm_refuses_an_index_that_disagrees_with_g():
@@ -57,7 +90,7 @@ def test_plan_mcm_refuses_an_index_that_disagrees_with_g():
     tgt = Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3)])
     del src.vertex_index[2]
     with pytest.raises(DataError, match=re.escape(
-            "current matching invalid: vertex index disagrees "
+            "source matching invalid: vertex index disagrees "
             f"(edge={g.edge_id(1, 2)}, vertex=2)")):
         plan_mcm(g, src, tgt)
 
@@ -175,7 +208,7 @@ def test_plan_runtime_is_linear_in_instance():
 
 # sha256 over the JSON of every script planned between pinned_matching_pairs,
 # both ways; any change to the order in which target-only edges are
-# classified or planned moves it
+# exchanged moves it
 PINNED_MCM_DIGEST = "cb2ab018ef863c4c210c1100124b5323effea7de6e88c85505053040b213861f"
 
 

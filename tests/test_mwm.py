@@ -10,7 +10,7 @@ import gradmorph.wrapper
 from gradmorph.gen import random_graph, random_matching, random_spanning_forest
 from gradmorph.graph import (DataError, Graph, Matching, SpanningForest,
                              solution_stats)
-from gradmorph.mcm import plan_mcm
+from gradmorph.mcm import Exchange, plan_mcm, target_only_ids
 from gradmorph.msf import plan_msf
 from gradmorph.mwm import (AlternatingComponent, _units_for_range, decompose,
                            order_components, plan_mwm_auto, plan_mwm_groups,
@@ -233,26 +233,26 @@ def test_weighted_cycle_remark_fixture():
     assert report.worst_weight >= w_src - a - 1e-9  # th:app floor
 
 
-def test_good_edge_prepass_phases_never_decrease_weight(rng):
-    from gradmorph.mwm import _PhaseBuilder, _prepass_good_edges
-
+def test_drained_weighted_exchange_strictly_raises_the_weight(rng):
+    # the good-edge pre-pass: the mcm exchange core with weights for worth
+    # and cost, whose groups open every plan toward a heavier target
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 30), rng.randint(0, 60), 1.0, 100.0)
         src, tgt = random_matching(rng, g), random_matching(rng, g)
-        builder = _PhaseBuilder(light_threshold=0.0, budget=3)
-        work = src.copy()
-        _prepass_good_edges(g, work, tgt, builder)
-        script = TransformationScript.from_groups(g, "mwm", 0.5,
-                                                  builder.phases)
-        report = replay(g, src.edge_ids(), script, "per-phase")
-        prev = report.boundaries[0].weight
-        for b in report.boundaries[1:]:
-            assert b.weight >= prev - 1e-9
-            prev = b.weight
-        # every handled edge outweighed its removed neighbors strictly
-        for (kind, added), *removed in builder.phases:
-            removed_sum = sum(g.weight(eid) for _, eid in removed)
-            assert kind == "add" and g.weight(added) > removed_sum
+        groups = list(Exchange(g, src, target_only_ids(src, tgt),
+                               g.weight, g.weight).drain())
+        for (kind, added), *removed in groups:
+            # strictly: the added edge outweighs the blockers it removes
+            assert kind == "add" and all(k == "remove" for k, _ in removed)
+            assert g.weight(added) > sum(g.weight(eid) for _, eid in removed)
+        if groups:
+            # replayed, with its running float sum, the weight never falls
+            script = TransformationScript.from_groups(g, "mwm", 0.5, groups)
+            report = replay(g, src.edge_ids(), script, "per-phase")
+            weights = [b.weight for b in report.boundaries]
+            assert all(a <= b + 1e-9 for a, b in zip(weights, weights[1:]))
+        if src.edges.keys() != tgt.edges.keys() and tgt.weight() > src.weight():
+            assert plan_mwm_groups(g, src, tgt, 0.5)[:len(groups)] == groups
 
 
 def test_master_property_random_sweep(rng):

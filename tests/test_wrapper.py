@@ -408,15 +408,15 @@ def _stepper(g, wrapped):
                                    "missing index entry", "extra index entry"])
 def test_corrupted_output_raises_before_playback(fault, weighted):
     """A fault planted in the output before an open stops the window at
-    its plan step, before any playback op, with the matching gate's text:
-    the wrapper's own call unweighted, the weighted planner's weighted."""
+    its plan step, before any playback op, with the matching gate's text,
+    which names the output the source whether the wrapper's own call
+    (unweighted) or the weighted planner's raises it."""
     g, wrapped, shared, output_only, _ = _paths_next_to_shared(
         200, 5, weighted=weighted)
     reason, edge, vertex = _planted(g, wrapped, shared, fault)
-    name = "source" if weighted else "current"
     held = set(wrapped.output.edges)
     with pytest.raises(DataError, match=re.escape(
-            f"{name} matching invalid: {reason} (edge={edge}, vertex={vertex})")):
+            f"source matching invalid: {reason} (edge={edge}, vertex={vertex})")):
         step = _stepper(g, wrapped)
         while True:
             assert step().recourse() == 0
