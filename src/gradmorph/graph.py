@@ -337,9 +337,9 @@ class Matching:
     """Edge-id set with the matching invariant plus a vertex index.
 
     weight() is the correctly rounded sum of the edge weights. It reads an
-    exact integer total that add, remove, discard_dead and copy keep from
-    the first weight() call on, so no call costs time in the matching's
-    size after the first.
+    exact integer total that add, remove and discard_dead keep from the
+    first weight() call on, so no call costs time in the matching's size
+    after the first.
     """
 
     def __init__(self, g: Graph, edge_ids: Iterable[int] = ()) -> None:
@@ -418,14 +418,6 @@ class Matching:
         if self._total is not None:
             self._total -= _units(w)
         return True
-
-    def copy(self) -> "Matching":
-        m = Matching.__new__(Matching)
-        m.g = self.g
-        m.edges = dict(self.edges)
-        m.vertex_index = dict(self.vertex_index)
-        m._total = self._total
-        return m
 
 
 class SpanningForest:

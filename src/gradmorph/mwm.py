@@ -2,26 +2,32 @@
 
 A good-edge pre-pass first drains the mcm exchange core with weights for
 worth and cost: each target-only edge heavier than the source edges
-blocking it goes in, in its own 3-op phase. The rest of the symmetric
-difference of source and target splits into vertex-disjoint
+blocking it goes in, in its own 3-op phase. The planner then reads the
+core's state, with no working copy of the source: the target-only edges
+still out and the source-only edges still in split into vertex-disjoint
 alternating components. Components are processed gain-first so the running
 surplus never goes negative; within a component the credited prefix-minimum
 decides between running it whole and splitting it into its suffix and
 prefix. Like every planner it plans in (kind, edge id) pairs. The op
 stream is a run of atomic units, plain groups of [add red, remove blue],
-and is grouped into phases of O(1/eps) changes. A phase is cut after each
-unit whose last op removes a light source edge (weight < eps * w(source)),
-which pins the phase-end weight above (1-eps) * w(source).
-`plan_mwm_groups` is the one entry point, for either direction: it reaches
-a lighter target by planning the other way and reversing the groups. The
-recourse wrapper plays the groups directly; `plan_mwm_auto` makes them a
-script through `TransformationScript.from_groups`.
+fed through one loop that holds each op end to the op floor
+w(source) - W and groups the units into phases of O(1/eps) changes. A
+phase is cut after each unit whose last op removes a light source edge
+(weight < eps * w(source)), which pins the phase-end weight above
+(1-eps) * w(source). `plan_mwm_groups` is the one entry point, for either
+direction: it reaches a lighter target by planning the other way, with
+the isolated edges that plan would keep leaving through the same loop,
+and reversing the groups. The recourse wrapper plays the groups directly;
+`plan_mwm_auto` makes them a script through
+`TransformationScript.from_groups`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import chain
+from typing import AbstractSet, Iterable, Optional
 
 from .graph import (ContractError, DataError, Graph, Matching, require_valid,
                     slack)
@@ -54,14 +60,14 @@ def decompose(g: Graph, source: Matching, target: Matching) -> list[AlternatingC
     """
     require_valid(g, "source", source)
     require_valid(g, "target", target)
-    return _decompose(g, source, target)
+    return _decompose(g, source.edges.keys() - target.edges.keys(),
+                      target.edges.keys() - source.edges.keys())
 
 
-def _decompose(g: Graph, source: Matching,
-               target: Matching) -> list[AlternatingComponent]:
-    """decompose for matchings already checked."""
-    blue = source.edges.keys() - target.edges.keys()
-    red = target.edges.keys() - source.edges.keys()
+def _decompose(g: Graph, blue: AbstractSet[int],
+               red: AbstractSet[int]) -> list[AlternatingComponent]:
+    """decompose for the source-only ids blue and the target-only ids red
+    of two matchings already checked."""
     table = g._edges
     blue_at: dict[int, int] = {}
     red_at: dict[int, int] = {}
@@ -238,85 +244,65 @@ def _units_for_range(g: Graph, comp: AlternatingComponent, lo: int,
     return units
 
 
-class _PhaseBuilder:
-    """Groups units into phases, cutting after every light blue removal."""
-
-    def __init__(self, light_threshold: float, budget: int) -> None:
-        self.light = light_threshold
-        self.budget = budget
-        self.phases: list[Group] = []
-        self._ops: Group = []
-
-    def feed(self, g: Graph, units: list[Group]) -> None:
-        for unit in units:
-            self._ops.extend(unit)
-            kind, eid = unit[-1]
-            if kind == "remove" and g.weight(eid) < self.light:
-                self.close()
-        self.close()
-
-    def add_phase(self, ops: Group) -> None:
-        self.close()
-        self.phases.append(ops)
-
-    def close(self) -> None:
-        if self._ops:
-            if len(self._ops) > self.budget:
-                raise ContractError(
-                    f"phase of {len(self._ops)} ops exceeds budget {self.budget}")
-            self.phases.append(self._ops)
-            self._ops = []
-
-
 def _plan_phases(
     g: Graph,
     source: Matching,
     target: Matching,
     eps: float,
-) -> tuple[list[Group], list[int]]:
+    exact: bool = False,
+) -> list[Group]:
     """Phases taking source to a superset of target, for valid, distinct
     matchings with w(target) >= w(source): op-end weight >= w(source) - W,
-    phase-end weight >= max(w(source) - W, (1 - eps) w(source)). Also
-    returns the isolated source-only edges kept (ascending). Checks
-    neither matching; the builder checks each phase's budget."""
+    phase-end weight >= max(w(source) - W, (1 - eps) w(source)). With
+    exact, the isolated source-only edges that a superset keeps leave too,
+    each in its own 1-op phase, ascending, so the phases end at exactly
+    target. Checks neither matching, but each phase's budget."""
     budget = phase_budget("mwm", eps)
     w_source = source.weight()
     max_src_weight = max(source.edges.values(), default=0.0)
     light_threshold = eps * w_source
     tol = slack(w_source)
     op_floor = w_source - max_src_weight - tol
-    builder = _PhaseBuilder(light_threshold, budget)
-    work = source.copy()
+    table, weight = g._edges, g.weight
     # the good-edge pre-pass, whose 3-op phases never decrease the weight
-    weight = g.weight
-    for group in Exchange(g, source, target_only_ids(source, target),
-                          weight, weight).drain():
-        builder.add_phase(group)
-        for kind, eid in reversed(group):   # the removals first
-            (work.add if kind == "add" else work.remove)(eid)
-
-    comps = order_components(_decompose(g, work, target))
-    surplus = work.weight() - w_source  # pre-pass gain
-
+    core = Exchange(g, source, target_only_ids(source, target), weight, weight)
+    phases = list(core.drain())
+    added = [group[0][1] for group in phases]
+    removed = [eid for group in phases for _, eid in group[1:]]
+    # blue and red: the source-only edges still in, the target-only still out
+    blue = source.edges.keys() - target.edges.keys()
+    blue.difference_update(removed)
+    comps = order_components(_decompose(g, blue, core.rest.keys()))
+    # pre-pass gain: the correctly rounded weight after the pre-pass
+    surplus = math.fsum(chain(source.edges.values(), map(weight, added),
+                              (-weight(eid) for eid in removed))) - w_source
     current = w_source + surplus
-    table = g._edges
 
-    def feed_checked(units: list[Group]) -> None:
+    def feed(units: list[Group]) -> None:
+        """Append units to phases, holding each op end to the op floor and
+        cutting a phase after each unit whose last op removes a light edge,
+        and after the last unit."""
         nonlocal current
-        for unit in units:
+        ops: Group = []
+        for i, unit in enumerate(units, 1):
             for kind, eid in unit:
                 w = table[eid][2]
                 current += w if kind == "add" else -w
                 if current < op_floor:
                     raise ContractError(
                         f"op-end weight {current} below floor {op_floor}")
-        builder.feed(g, units)
+            ops += unit
+            if (kind == "remove" and w < light_threshold) or i == len(units):
+                if len(ops) > budget:
+                    raise ContractError(
+                        f"phase of {len(ops)} ops exceeds budget {budget}")
+                phases.append(ops)
+                ops = []
 
     isolated_blues: list[int] = []
     for comp in comps:
         if comp.k() == 1 and comp.pairs[0][1] is None:
-            # isolated source-only edge: kept (superset semantics);
-            # plan_mwm_groups strips it when it reverses the groups
+            # isolated source-only edge: kept (superset semantics)
             isolated_blues.append(comp.pairs[0][0])
             continue
         sums = prefix_sums(g, comp)
@@ -329,20 +315,22 @@ def _plan_phases(
             if surplus + sums[i_min] < -tol:
                 raise ContractError(
                     "rotated cycle still has negative credited minimum")
-            feed_checked(_units_for_range(g, comp, 1, comp.k()))
+            feed(_units_for_range(g, comp, 1, comp.k()))
         elif surplus + sums[i_min] >= 0:
-            feed_checked(_units_for_range(g, comp, 1, comp.k()))
+            feed(_units_for_range(g, comp, 1, comp.k()))
         else:
             if not (0 < i_min < comp.k()):
                 raise ContractError(f"split index {i_min} not interior")
-            feed_checked(_units_for_range(g, comp, i_min + 1, comp.k()))
-            feed_checked(_units_for_range(g, comp, 1, i_min))
-        builder.close()
+            feed(_units_for_range(g, comp, i_min + 1, comp.k()))
+            feed(_units_for_range(g, comp, 1, i_min))
         surplus += comp.colored_weight
         if surplus < -tol:
             raise ContractError(f"negative running surplus {surplus}")
-
-    return builder.phases, sorted(isolated_blues)
+    if exact:
+        # the weight falls from w(target) + w(kept) to w(target) >= w(source)
+        for eid in sorted(isolated_blues):
+            feed([[("remove", eid)]])
+    return phases
 
 
 def plan_mwm_auto(
@@ -373,20 +361,7 @@ def plan_mwm_groups(
     require_valid(g, "target", target)
     if source.edges.keys() == target.edges.keys():
         return []
-    w_source, w_target = source.weight(), target.weight()
-    if w_target > w_source:
-        return _plan_phases(g, source, target, eps)[0]
-    groups, kept = _plan_phases(g, target, source, eps)
-    # The reversed plan must start from exactly `target`, so the kept
-    # target-only edges leave in trailing 1-op phases. The running weight
-    # then falls from w(source) + w(kept) to w(source) >= w(target), so it
-    # stays above the op floor of the target -> source plan.
-    max_weight = max(target.edges.values(), default=0.0)
-    op_floor = w_target - max_weight - slack(w_target)
-    current = w_source + sum(g.weight(eid) for eid in kept)
-    for eid in kept:
-        current -= g.weight(eid)
-        if current < op_floor:
-            raise ContractError(f"op-end weight {current} below floor {op_floor}")
-        groups.append([("remove", eid)])
-    return reversed_groups(groups)
+    if target.weight() > source.weight():
+        return _plan_phases(g, source, target, eps)
+    # the reversed plan must start from exactly source
+    return reversed_groups(_plan_phases(g, target, source, eps, exact=True))

@@ -158,7 +158,7 @@ def replay_reference(
         raise DataError(f"unknown granularity {granularity!r}")
     script.validate()
     state: set[int] = set(source)
-    weight = sum(g.weight(eid) for eid in state)
+    weight = sum((g.weight(eid) for eid in state), 0.0)
     boundaries: list[Boundary] = []
     per_op = granularity == "per-op"
 

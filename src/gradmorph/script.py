@@ -384,7 +384,7 @@ def replay(
         raise DataError(f"unknown granularity {granularity!r}")
     script.validate()
     state: set[int] = set(source)
-    weight = sum(map(g.weight, state))
+    weight = sum(map(g.weight, state), 0.0)
     rows: list[tuple[int, Optional[int], int, float]] = []   # phase, op, size, weight
     per_op = granularity == "per-op"
     matching = script.problem in ("mcm", "mwm")

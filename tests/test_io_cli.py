@@ -395,6 +395,23 @@ def test_cli_mwm_and_msf(workdir, rng, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_weights_from_an_empty_source_print_as_floats(tmp_path, capsys):
+    # the first boundary of an empty source weighs 0.0, not the integer 0
+    (tmp_path / "g.txt").write_text("e 0 1 2.0\ne 1 2 1.0\ne 2 3 1.0\n")
+    (tmp_path / "from.txt").write_text("")
+    (tmp_path / "to.txt").write_text("0 1\n")
+    files = ["--graph", str(tmp_path / "g.txt"), "--from",
+             str(tmp_path / "from.txt"), "--to", str(tmp_path / "to.txt")]
+    script, csv = str(tmp_path / "s.json"), tmp_path / "r.csv"
+    assert main(["transform", "--problem", "mwm", "--epsilon", "0.5", *files,
+                 "--out", script]) == 0
+    assert "min_quality=0.0 " in capsys.readouterr().out
+    assert main(["replay", *files, "--script", script, "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out == (
+        "guarantee holds: boundaries=2 worst_size=0 worst_weight=0.0\n")
+    assert csv.read_text().splitlines()[-2:] == ["0,-1,,1,0,0.0", "1,0,,1,1,2.0"]
+
+
 def test_cli_simulate_and_adversary(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     rc = main(["simulate", "--inner", "batch:2.0", "--epsilon", "0.1",

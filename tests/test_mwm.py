@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradmorph.graph
+import gradmorph.mwm
 import gradmorph.wrapper
 from gradmorph.gen import random_graph, random_matching, random_spanning_forest
-from gradmorph.graph import (DataError, Graph, Matching, SpanningForest,
-                             solution_stats)
+from gradmorph.graph import (ContractError, DataError, Graph, Matching,
+                             SpanningForest, solution_stats)
 from gradmorph.mcm import Exchange, plan_mcm, target_only_ids
 from gradmorph.msf import plan_msf
 from gradmorph.mwm import (AlternatingComponent, _units_for_range, decompose,
@@ -223,6 +224,30 @@ def test_heavy_fixture_one_phase():
     _master_check(g, src, tgt, eps)
 
 
+def test_the_feed_holds_ops_to_the_floor_and_phases_to_the_budget(monkeypatch):
+    # a 4-cycle whose heavier target edges are each blocked twice, so the
+    # pre-pass takes none: one feed of three units, a 4-op phase
+    g = Graph()
+    b1, r1, b2, r2 = (g.add_edge(v, (v + 1) % 4, 15.0 if v % 2 else 10.0)
+                      for v in range(4))
+    src, tgt = Matching(g, [b1, b2]), Matching(g, [r1, r2])
+    assert plan_mwm_groups(g, src, tgt, 0.5) == [
+        [("remove", b1), ("add", r1), ("remove", b2), ("add", r2)]]
+    units = gradmorph.mwm._units_for_range
+
+    def removals_first(*args):
+        ops = [op for unit in units(*args) for op in unit]
+        return [[op] for op in sorted(ops, key=lambda op: op[0] == "add")]
+
+    with monkeypatch.context() as m:
+        m.setattr(gradmorph.mwm, "_units_for_range", removals_first)
+        with pytest.raises(ContractError, match="op-end weight 0.0 below floor"):
+            plan_mwm_groups(g, src, tgt, 0.5)
+    monkeypatch.setattr(gradmorph.mwm, "phase_budget", lambda problem, eps: 3)
+    with pytest.raises(ContractError, match="phase of 4 ops exceeds budget 3"):
+        plan_mwm_groups(g, src, tgt, 0.5)
+
+
 def test_weighted_cycle_remark_fixture():
     k, a, d = 3, 10.0, 1.0
     g, src, tgt = alternating_cycle_fixture(k, a, a + d)
@@ -282,6 +307,33 @@ def test_reverse_direction_floors_reference_lighter(rng):
         report = _master_check(g, src, tgt, 0.1)
         # reversed scripts end exactly at the target
         assert report.final_edges == frozenset(tgt.edge_ids())
+
+
+def test_reversed_plan_adds_each_isolated_target_edge_first(rng):
+    # planned target -> source, the target-only edges that no source edge
+    # touches are kept, then leave in 1-op phases, ascending; reversed, the
+    # plan opens by adding each of them in its own phase, descending
+    g = Graph()
+    heavy = g.add_edge(0, 1, 5.0)
+    a, b = g.add_edge(2, 3, 1.0), g.add_edge(4, 5, 1.0)
+    assert plan_mwm_groups(g, Matching(g, [heavy]), Matching(g, [a, b]), 0.5) \
+        == [[("add", b)], [("add", a)], [("remove", heavy)]]
+    several = 0
+    for eps in (0.5, 0.1):
+        for _ in range(40):
+            n = rng.randint(2, 40)
+            g = random_graph(rng, n, rng.randint(0, 2 * n), 1.0, 100.0)
+            # thin matchings leave many target edges with free endpoints
+            src, tgt = random_matching(rng, g, 0.3), random_matching(rng, g, 0.3)
+            if tgt.weight() > src.weight():
+                src, tgt = tgt, src  # force the reversed branch
+            isolated = [e for e in tgt.edges if e not in src.edges and all(
+                src.matched_edge(x) is None for x in g.edge(e)[:2])]
+            groups = plan_mwm_groups(g, src, tgt, eps)
+            assert groups[:len(isolated)] == [
+                [("add", e)] for e in sorted(isolated, reverse=True)]
+            several += len(isolated) > 1
+    assert several >= 5
 
 
 def test_op_count_linear():

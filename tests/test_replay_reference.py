@@ -35,6 +35,17 @@ def _valid_flags(report):
     return [b.valid for b in report.boundaries]
 
 
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_empty_source_weighs_a_float_zero(granularity):
+    g = Graph()
+    g.add_edge(0, 1, 2.0)
+    script = _script("mwm", 9, [[("add", 0, 1, 2.0)]], eps=0.5)
+    first = _same(g, [], script, granularity).boundaries[0].weight
+    assert repr(first) == "0.0"
+    assert repr(replay_reference(g, [], script, granularity)
+                .boundaries[0].weight) == "0.0"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_planned_matching_scripts_agree(seed):
     rng = random.Random(seed)

@@ -138,8 +138,8 @@ def test_window_work_follows_the_difference(monkeypatch):
     # |M| = 2,010 with k = 10 target-only edges. No step reads the inner
     # matching, and no open, plan or close allocates a list or set of |M|
     # ids: apart from the plan step's check of the output, a window's work
-    # follows the difference. Nor does any step copy a matching or build
-    # the snapshot as one, and the planner core reads O(k) edge rows.
+    # follows the difference. Nor does any step build the snapshot as a
+    # matching, and the planner core reads O(k) edge rows.
     _window_work(monkeypatch, weighted=False)
 
 
@@ -169,13 +169,9 @@ def _window_work(monkeypatch, weighted):
         weighted=weighted)
     inner = wrapped.inner
 
-    calls = {"copy": 0, "build": 0, "rows": 0, "core": 0, "reads": 0}
+    calls = {"build": 0, "rows": 0, "core": 0, "reads": 0}
     checked, plans = [], []
-    copy, init = Matching.copy, Matching.__init__
-
-    def counted_copy(self):
-        calls["copy"] += 1
-        return copy(self)
+    init = Matching.__init__
 
     def counted_init(self, g, edge_ids=()):
         edge_ids = list(edge_ids)
@@ -205,7 +201,6 @@ def _window_work(monkeypatch, weighted):
         checked.append(m)
         return ValidityReport(True)
 
-    monkeypatch.setattr(Matching, "copy", counted_copy)
     monkeypatch.setattr(Matching, "__init__", counted_init)
     monkeypatch.setattr(gradmorph.mcm, "plan_target_only", counted_core)
     monkeypatch.setattr(inner, "matching_ids", counted_read)
@@ -226,7 +221,7 @@ def _window_work(monkeypatch, weighted):
             opening, planned = wrapped.window is None, len(plans)
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            made = calls["copy"], calls["build"]
+            made = calls["build"]
             wrapped.handle_update(ev, delta)
             grown = tracemalloc.get_traced_memory()[1] - start
             if opening:
@@ -234,7 +229,7 @@ def _window_work(monkeypatch, weighted):
                 assert wrapped.window is not None and not plans
             elif len(plans) > planned:
                 peaks["plan"] = grown
-                made_by_plan = calls["copy"] - made[0], calls["build"] - made[1]
+                made_by_plan = calls["build"] - made
             elif wrapped.window is None:
                 peaks["close"] = grown
                 break
@@ -244,19 +239,19 @@ def _window_work(monkeypatch, weighted):
     assert set(peaks) == {"open", "plan", "close"}
     (_, output, target, *size), plan = plans[0]
     assert output is wrapped.output and len(plan.phases) == 10
-    # only a weighted plan step copies or builds a matching
-    assert (calls["copy"], calls["build"]) == made_by_plan
+    # only a weighted plan step builds a matching
+    assert calls["build"] == made_by_plan
     if weighted:
         del peaks["plan"]
         # the snapshot, output's edges first, and its build and check with
         # the output's: the gate checks the output once
         assert list(target.edges) == shared + target_only
-        assert checked == [output, target]
+        assert checked == [output, target] and made_by_plan == 1
         assert wrapped.max_step_work >= len(shared) + len(output_only)
     else:
         assert (target, size) == (target_only, [len(shared) + len(target_only)])
         assert checked == [output]
-        assert made_by_plan == (0, 0)
+        assert made_by_plan == 0
         assert 0 < calls["core"] <= 3 * len(target_only)
         assert wrapped.max_step_work < len(shared)
     assert max(peaks.values()) < whole / 2, peaks
