@@ -17,7 +17,7 @@ _EXPORTS = {
     "graph": "BudgetError ContractError DataError DeltaReport Error Graph "
              "Matching SolutionStats SpanningForest UpdateEvent ValidityReport "
              "solution_stats validate_forest validate_matching",
-    "script": "Boundary ChangeOp GuaranteeResult ReplayReport "
+    "script": "Boundary GuaranteeResult ReplayReport "
               "TransformationScript check_guarantee replay phase_budget "
               "MCM_PHASE_BUDGET MSF_PHASE_BUDGET",
     "mcm": "plan_mcm",

@@ -116,7 +116,8 @@ def _cmd_replay(args) -> int:
         "granularity": args.granularity, "tolerance": DEFAULT_TOLERANCE,
     })
     g = parse_graph(_read(args.graph, "graph", manifest))
-    script = TransformationScript.from_json(_read(args.script, "script", manifest))
+    script = TransformationScript.from_json(
+        _read(args.script, "script", manifest), g)
     if args.problem and args.problem != script.problem:
         raise DataError(f"--problem {args.problem} != script problem {script.problem}")
     if args.epsilon is not None and script.problem != "mwm":
@@ -261,12 +262,9 @@ def _cmd_oracle(args) -> int:
     if args.task == "mcm":
         ids = max_matching_exact(g)
         print(f"size={len(ids)}")
-    elif args.task == "mwm":
-        ids = max_weight_matching_exact(g)
-        print(f"size={len(ids)} weight={sum(g.weight(e) for e in ids)!r}")
-    elif args.task == "msf":
-        ids = msf_exact(g)
-        print(f"size={len(ids)} weight={sum(g.weight(e) for e in ids)!r}")
+    elif args.task in ("mwm", "msf"):
+        ids = (max_weight_matching_exact if args.task == "mwm" else msf_exact)(g)
+        print(f"size={len(ids)} weight={sum(map(g.weight, ids), 0.0)!r}")
     else:
         src = set(parse_matching(_read(args.source, "from", manifest), g).edge_ids())
         tgt = set(parse_matching(_read(args.target, "to", manifest), g).edge_ids())

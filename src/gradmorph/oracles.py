@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .graph import (BudgetError, DataError, Graph, UnionFind, slack,
                     validate_forest)
-from .script import Boundary, ChangeOp, ReplayReport, TransformationScript
+from .script import Boundary, ReplayReport, TransformationScript
 
 
 MAX_VERTICES_MATCHING = 16       # exact matching oracles
@@ -156,6 +156,8 @@ def replay_reference(
     scan, or `validate_forest`)."""
     if granularity not in ("per-phase", "per-op"):
         raise DataError(f"unknown granularity {granularity!r}")
+    if script.g is not g:
+        raise DataError("the script names the edge ids of another graph")
     script.validate()
     state: set[int] = set(source)
     weight = sum((g.weight(eid) for eid in state), 0.0)
@@ -171,32 +173,25 @@ def replay_reference(
 
     snapshot(-1, None, set())
     for pi, ops in enumerate(script.phases):
-        resolved: list[tuple[ChangeOp, int]] = []
-        for oi, op in enumerate(ops):
-            if not g.has_edge(op.u, op.v):
-                raise DataError(f"phase {pi} op {oi}: edge ({op.u},{op.v}) not in graph")
-            eid = g.edge_id(op.u, op.v)
-            gw = g.weight(eid)
-            if abs(gw - op.w) > slack(gw):
-                raise DataError(f"phase {pi} op {oi}: recorded weight {op.w} "
-                                f"!= graph weight {gw}")
-            resolved.append((op, eid))
-        pending_removals = {eid for op, eid in resolved if op.kind == "remove"}
-        for oi, (op, eid) in enumerate(resolved):
-            if op.kind == "add":
+        pending_removals = {eid for kind, eid in ops if kind == "remove"}
+        for oi, (kind, eid) in enumerate(ops):
+            if not g.has_edge_id(eid):
+                raise DataError(f"phase {pi} op {oi}: no edge with id {eid}")
+            u, v, w = g.edge(eid)
+            if kind == "add":
                 if eid in state:
                     raise DataError(f"phase {pi} op {oi}: adding present edge "
-                                    f"({op.u},{op.v})")
+                                    f"({u},{v})")
                 state.add(eid)
-                weight += g.weight(eid)
+                weight += w
             else:   # a remove, as validate() has checked
                 if eid not in state:
                     raise DataError(f"phase {pi} op {oi}: removing absent edge "
-                                    f"({op.u},{op.v})")
+                                    f"({u},{v})")
                 state.remove(eid)
-                weight -= g.weight(eid)
+                weight -= w
                 pending_removals.discard(eid)
-            if per_op and oi < len(resolved) - 1:
+            if per_op and oi < len(ops) - 1:
                 snapshot(pi, oi, pending_removals & state)
         snapshot(pi, None, set())
 

@@ -1,7 +1,11 @@
 """Phase/operation scripts shared by all planners, plus the replay verifier.
 
-Scripts are self-contained (ops carry endpoints and weights) and serialize
-to JSON; replay checks them mechanically against a graph and a source
+A script holds the planners' own op format, each phase a group of (kind,
+edge id) pairs, with the graph whose ids they name. Its JSON form names
+each op's edge by its endpoints and weight: to_json reads them from the
+graph's edge table, and from_json, the one place where a script's endpoint
+pair becomes an edge id, resolves them against the graph it is given.
+replay checks a script mechanically against that graph and a source
 solution, recording validity and quality at every requested boundary.
 """
 
@@ -47,36 +51,28 @@ def phase_budget(problem: str, epsilon: Optional[float] = None) -> int:
 
 
 def reversed_groups(groups: list[Group]) -> list[Group]:
-    """The undo of groups, as reversed_script undoes a script."""
+    """The undo of groups: groups in reverse order, each op inverted, op
+    order within a group reversed (so removals still precede the adds that
+    reuse their endpoints)."""
     return [[(_INVERSE[kind], eid) for kind, eid in reversed(group)]
             for group in reversed(groups)]
 
 
-@dataclass(frozen=True)
-class ChangeOp:
-    kind: str  # "add" | "remove"
-    u: int
-    v: int
-    w: float
-
-
 @dataclass
 class TransformationScript:
+    g: Graph             # the graph whose edge ids the phases name
     problem: str
     budget: int
     epsilon: Optional[float] = None
-    phases: list[list[ChangeOp]] = field(default_factory=list)   # each phase's ops
+    phases: list[Group] = field(default_factory=list)   # each phase's ops
 
     @staticmethod
     def from_groups(g: Graph, problem: str, epsilon: Optional[float],
-                    groups: Iterable[Group]) -> "TransformationScript":
-        """The validated script of groups, with the problem's phase_budget
-        and each op read from g's edge table: where plans become ChangeOp."""
-        table = g._edges
+                    groups: list[Group]) -> "TransformationScript":
+        """The validated script of groups on g, with the problem's
+        phase_budget."""
         script = TransformationScript(
-            problem, phase_budget(problem, epsilon), epsilon,
-            [[ChangeOp(kind, *table[eid]) for kind, eid in group]
-             for group in groups])
+            g, problem, phase_budget(problem, epsilon), epsilon, groups)
         script.validate()
         return script
 
@@ -91,33 +87,31 @@ class TransformationScript:
             if len(ops) > self.budget:
                 raise ContractError(
                     f"phase {i} has {len(ops)} ops > declared budget {self.budget}")
-            for j, op in enumerate(ops):
-                if op.kind not in _INVERSE:
-                    raise DataError(f"phase {i} op {j}: unknown op kind {op.kind!r}")
+            for j, (kind, _) in enumerate(ops):
+                # a tuple, not a hash lookup: a kind read from JSON may be a list
+                if kind not in ("add", "remove"):
+                    raise DataError(f"phase {i} op {j}: unknown op kind {kind!r}")
 
     def num_ops(self) -> int:
         return sum(map(len, self.phases))
 
     def reversed_script(self) -> "TransformationScript":
-        """Undo script: phases in reverse order, each op inverted, op order
-        within a phase reversed (so removals still precede the adds that
-        reuse their endpoints)."""
+        """The undo script: reversed_groups of the phases."""
         self.validate()
-        phases = [[ChangeOp(_INVERSE[op.kind], op.u, op.v, op.w)
-                   for op in reversed(ops)]
-                  for ops in reversed(self.phases)]
-        return TransformationScript(self.problem, self.budget, self.epsilon, phases)
+        return TransformationScript(self.g, self.problem, self.budget,
+                                    self.epsilon, reversed_groups(self.phases))
 
     # -- serialization --------------------------------------------------
 
     def to_json_obj(self) -> dict:
+        table = self.g._edges
         return {
             "problem": self.problem,
             "epsilon": self.epsilon,
             "budget": self.budget,
             "phases": [
-                {"ops": [{"op": op.kind, "u": op.u, "v": op.v, "w": op.w}
-                         for op in ops]}
+                {"ops": [{"op": kind, "u": u, "v": v, "w": w}
+                         for kind, eid in ops for u, v, w in (table[eid],)]}
                 for ops in self.phases
             ],
         }
@@ -129,9 +123,10 @@ class TransformationScript:
         encoder: the op values go through its C encoder a column at a time,
         and only the manifest, which is small, takes the indented path."""
         ops = [op for phase in self.phases for op in phase]
-        kinds = {kind: json.dumps(kind) for kind in {op.kind for op in ops}}
-        columns = [[kinds[op.kind] for op in ops]] + [
-            _json_numbers([getattr(op, name) for op in ops]) for name in "uvw"]
+        kinds = {kind: json.dumps(kind) for kind in set(map(itemgetter(0), ops))}
+        rows = list(map(self.g._edges.__getitem__, map(itemgetter(1), ops)))
+        columns = [[kinds[kind] for kind, _ in ops]] + [
+            _json_numbers(list(map(itemgetter(i), rows))) for i in range(3)]
         texts = iter(map(_OP_JSON.format, *columns))
         phases = ",\n".join(
             '  {\n   "ops": [\n' + ",\n".join(islice(texts, len(phase)))
@@ -148,23 +143,36 @@ class TransformationScript:
         return text + "\n}"
 
     @staticmethod
-    def from_json(text: str) -> "TransformationScript":
+    def from_json(text: str, g: Graph) -> "TransformationScript":
+        """The script that text holds, on g: each op's endpoint pair is
+        resolved to its edge id in g, and its recorded weight must equal
+        g's within slack; an error names the phase and op."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"script is not valid JSON: {exc}") from exc
+        by_pair, table = g._by_pair, g._edges
         try:
-            phases = [[ChangeOp(o["op"], int(o["u"]), int(o["v"]), float(o["w"]))
-                       for o in ph["ops"]]
-                      for ph in obj["phases"]]
+            phases = []
+            for i, phase in enumerate(obj["phases"]):
+                ops = []
+                for j, op in enumerate(phase["ops"]):
+                    u, v, w = int(op["u"]), int(op["v"]), float(op["w"])
+                    eid = by_pair.get((u, v) if u <= v else (v, u))
+                    if eid is None:
+                        raise DataError(f"phase {i} op {j}: edge ({u},{v}) not in graph")
+                    gw = table[eid][2]
+                    # a NaN recorded weight fails this test too
+                    if w != gw and not abs(gw - w) <= slack(gw):
+                        raise DataError(f"phase {i} op {j}: recorded weight {w} "
+                                        f"!= graph weight {gw}")
+                    ops.append((op["op"], eid))
+                phases.append(ops)
             eps = obj.get("epsilon")
             return TransformationScript(
-                obj["problem"],
-                int(obj["budget"]),
-                None if eps is None else float(eps),
-                phases,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+                g, obj["problem"], int(obj["budget"]),
+                None if eps is None else float(eps), phases)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed script JSON: {exc}") from exc
 
 
@@ -366,9 +374,10 @@ def replay(
 ) -> ReplayReport:
     """Deterministically apply the script to the source edge set.
 
-    Structural op failures (adding a present edge, removing an absent one,
-    referencing an edge missing from g) raise DataError naming the phase
-    and op; validity problems are recorded as data in the report.
+    The script must be on g itself: its phases name g's edge ids. Structural
+    op failures (adding a present edge, removing an absent one, an id that
+    g no longer holds) raise DataError naming the phase and op; validity
+    problems are recorded as data in the report.
 
     Matching validity is kept incrementally, so a boundary costs time
     proportional to the ops since the previous one. A matching's edges that
@@ -382,6 +391,8 @@ def replay(
     """
     if granularity not in ("per-phase", "per-op"):
         raise DataError(f"unknown granularity {granularity!r}")
+    if script.g is not g:
+        raise DataError("the script names the edge ids of another graph")
     script.validate()
     state: set[int] = set(source)
     weight = sum(map(g.weight, state), 0.0)
@@ -394,7 +405,7 @@ def replay(
     # the phase ends, so all edges are checked again there.
     exempt = matching and per_op
     pending_removals: set[int] = set()   # stays empty unless exempt
-    by_pair, table = g._by_pair, g._edges
+    table = g._edges
 
     def snapshot(phase: int, op: Optional[int]) -> None:
         check.boundary(len(state))
@@ -402,42 +413,34 @@ def replay(
 
     snapshot(-1, None)
     for pi, ops in enumerate(script.phases):
-        # resolve ops against g up front so errors name their location
-        resolved: list[tuple[ChangeOp, int, float]] = []
-        for oi, op in enumerate(ops):
-            u, v = op.u, op.v
-            eid = by_pair.get((u, v) if u <= v else (v, u))
-            if eid is None:
-                raise DataError(f"phase {pi} op {oi}: edge ({u},{v}) not in graph")
-            gw = table[eid][2]
-            if op.w != gw and abs(gw - op.w) > slack(gw):
-                raise DataError(f"phase {pi} op {oi}: recorded weight {op.w} "
-                                f"!= graph weight {gw}")
-            resolved.append((op, eid, gw))
         if exempt:
-            pending_removals = {eid for op, eid, _ in resolved
-                                if op.kind == "remove"}
+            # state holds only g's ids: weighing the source checked its own
+            pending_removals = {eid for kind, eid in ops if kind == "remove"}
             for eid in pending_removals & state:
                 check.remove(eid)
-        for oi, (op, eid, gw) in enumerate(resolved):
-            if op.kind == "add":
+        last = len(ops) - 1
+        for oi, (kind, eid) in enumerate(ops):
+            row = table.get(eid)
+            if row is None:
+                raise DataError(f"phase {pi} op {oi}: no edge with id {eid}")
+            if kind == "add":
                 if eid in state:
                     raise DataError(f"phase {pi} op {oi}: adding present edge "
-                                    f"({op.u},{op.v})")
+                                    f"({row[0]},{row[1]})")
                 state.add(eid)
-                weight += gw
+                weight += row[2]
                 if eid not in pending_removals:
                     check.add(eid)
             else:   # a remove: validate() admits no other kind
                 if eid not in state:
                     raise DataError(f"phase {pi} op {oi}: removing absent edge "
-                                    f"({op.u},{op.v})")
+                                    f"({row[0]},{row[1]})")
                 state.remove(eid)
-                weight -= gw
+                weight -= row[2]
                 if eid not in pending_removals:
                     check.remove(eid)
                 pending_removals.discard(eid)
-            if per_op and oi < len(resolved) - 1:
+            if per_op and oi < last:
                 snapshot(pi, oi)
         snapshot(pi, None)
 

@@ -40,7 +40,7 @@ from typing import Generator, Iterable, Optional
 from . import mcm
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
                     UpdateEvent, require_valid)
-from .script import Group
+from .script import MCM_PHASE_BUDGET, TransformationScript, phase_budget
 
 EPS_MAX = 0.4                 # keeps the internal window ratio <= 1/2
 WINDOW_RATIO_FACTOR = 1.25    # window length ~ 1.25 * eps * matching size
@@ -262,32 +262,24 @@ def _invalid(fault: object) -> ContractError:
     return ContractError(f"inner emitted an invalid sub-matching: {fault}")
 
 
-@dataclass
-class WindowPlan:
-    """A window's plan: each phase as its ops, (kind, edge id) pairs.
-    Sized as a script is: len(phases) and num_ops()."""
-
-    phases: list[Group]
-
-    def num_ops(self) -> int:
-        return sum(map(len, self.phases))
-
-
 def plan_mcm(g: Graph, output: Matching, target_only: list[int],
-             target_size: int) -> WindowPlan:
+             target_size: int) -> TransformationScript:
     """A window's unweighted plan from the output to a snapshot of
     target_size live edges, target_only of them outside the output: the
     mcm core, O(k) Python work for k target-only edges. The output must
     already be checked, as the window's plan step does."""
-    return WindowPlan(mcm.plan_target_only(g, output, target_only, target_size))
+    return TransformationScript(
+        g, "mcm", MCM_PHASE_BUDGET, None,
+        mcm.plan_target_only(g, output, target_only, target_size))
 
 
 def plan_mwm_auto(g: Graph, output: Matching, target: Matching,
-                  eps: float) -> WindowPlan:
+                  eps: float) -> TransformationScript:
     """A window's weighted plan from the output to the snapshot's live
-    edges, target: mwm.plan_mwm_auto's groups, checking both matchings."""
+    edges, target: mwm.plan_mwm_groups's groups, checking both matchings."""
     from . import mwm
-    return WindowPlan(mwm.plan_mwm_groups(g, output, target, eps))
+    return TransformationScript(g, "mwm", phase_budget("mwm", eps), eps,
+                                mwm.plan_mwm_groups(g, output, target, eps))
 
 
 class WrappedMatching:
@@ -326,6 +318,10 @@ class WrappedMatching:
         self.small_threshold = SMALL_FACTOR * math.ceil(self.psi_eff / eps)
         self.step_work_budget = STEP_WORK_FACTOR * math.ceil(self.psi_eff / eps)
         self.declared_beta = inner.beta * (1.0 + 2.0 * self.window_ratio) ** 2
+        if weighted:
+            # an inner's beta is for cardinality: for weight it is within
+            # psi times that, and a weighted window loses 1/(1 - eps) more
+            self.declared_beta *= psi / (1.0 - eps)
         try:
             seed = Matching(g, inner.matching_ids())
         except DataError as exc:

@@ -412,6 +412,35 @@ def test_cli_weights_from_an_empty_source_print_as_floats(tmp_path, capsys):
     assert csv.read_text().splitlines()[-2:] == ["0,-1,,1,0,0.0", "1,0,,1,1,2.0"]
 
 
+@pytest.mark.parametrize("task", ["mwm", "msf"])
+@pytest.mark.parametrize("graph, out", [("v 0\nv 1\n", "size=0 weight=0.0\n"),
+                                        ("e 0 1 2.5\n", "size=1 weight=2.5\n")])
+def test_cli_oracle_prints_every_weight_as_a_float(task, graph, out, tmp_path,
+                                                   capsys):
+    # an empty answer weighs 0.0, not the integer 0
+    (tmp_path / "g.txt").write_text(graph)
+    assert main(["oracle", "--task", task, "--graph", str(tmp_path / "g.txt")]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_cli_replay_names_an_absent_pair_and_a_wrong_weight(tmp_path, capsys):
+    (tmp_path / "g.txt").write_text("e 0 1 1.0\ne 2 3 1.0\n")
+    (tmp_path / "from.txt").write_text("")
+    (tmp_path / "to.txt").write_text("0 1\n")
+    script = tmp_path / "s.json"
+    run = ["replay", "--graph", str(tmp_path / "g.txt"),
+           "--from", str(tmp_path / "from.txt"),
+           "--to", str(tmp_path / "to.txt"), "--script", str(script)]
+    for (u, v, w), error in (
+            ((1, 2, 1.0), "phase 0 op 0: edge (1,2) not in graph"),
+            ((0, 1, 1.5), "phase 0 op 0: recorded weight 1.5 != graph weight 1.0")):
+        script.write_text(json.dumps(
+            {"problem": "mcm", "epsilon": None, "budget": 3,
+             "phases": [{"ops": [{"op": "add", "u": u, "v": v, "w": w}]}]}))
+        assert main(run) == 2
+        assert capsys.readouterr().err == f"gradmorph: data: {error}\n"
+
+
 def test_cli_simulate_and_adversary(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     rc = main(["simulate", "--inner", "batch:2.0", "--epsilon", "0.1",

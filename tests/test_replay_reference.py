@@ -2,7 +2,9 @@
 full-rescan `oracles.replay_reference`, on planned, corrupted and random
 scripts, including the errors both raise."""
 
+import json
 import random
+import re
 
 import pytest
 
@@ -12,17 +14,21 @@ from gradmorph.mcm import plan_mcm
 from gradmorph.msf import plan_msf
 from gradmorph.mwm import plan_mwm_auto
 from gradmorph.oracles import msf_exact, replay_reference
-from gradmorph.script import ChangeOp, TransformationScript, replay
+from gradmorph.script import TransformationScript, replay
 
 from conftest import path_graph
 
 GRANULARITIES = ("per-phase", "per-op")
 
 
-def _script(problem, budget, phase_ops, eps=None):
-    return TransformationScript(
-        problem, budget, eps,
-        [[ChangeOp(*op) for op in ops] for ops in phase_ops])
+def _script(g, problem, budget, phase_ops, eps=None):
+    """The script of literal (kind, u, v, w) ops, read on g as a script
+    file is."""
+    return TransformationScript.from_json(json.dumps({
+        "problem": problem, "epsilon": eps, "budget": budget,
+        "phases": [{"ops": [{"op": kind, "u": u, "v": v, "w": w}
+                            for kind, u, v, w in ops]}
+                   for ops in phase_ops]}), g)
 
 
 def _same(g, source, script, granularity):
@@ -39,7 +45,7 @@ def _valid_flags(report):
 def test_empty_source_weighs_a_float_zero(granularity):
     g = Graph()
     g.add_edge(0, 1, 2.0)
-    script = _script("mwm", 9, [[("add", 0, 1, 2.0)]], eps=0.5)
+    script = _script(g, "mwm", 9, [[("add", 0, 1, 2.0)]], eps=0.5)
     first = _same(g, [], script, granularity).boundaries[0].weight
     assert repr(first) == "0.0"
     assert repr(replay_reference(g, [], script, granularity)
@@ -80,9 +86,8 @@ def test_conflicting_add_in_planned_script(granularity):
     covered = {x for eid in a.edge_ids() for x in g.endpoints(eid)}
     conflict = next(eid for eid in sorted(g.edge_ids())
                     if eid not in a and covered & set(g.endpoints(eid)))
-    u, v, w = g.edge(conflict)
-    script.phases.insert(0, [ChangeOp("add", u, v, w)])
-    script.phases.append([ChangeOp("remove", u, v, w)])
+    script.phases.insert(0, [("add", conflict)])
+    script.phases.append([("remove", conflict)])
     report = _same(g, a.edge_ids(), script, granularity)
     assert not report.phase_ends()[0].valid
 
@@ -97,7 +102,7 @@ def test_edge_removed_readded_and_removed_in_one_phase(start_present):
     if not start_present:
         ops.insert(0, ("add", 0, 1, 1.0))
     source = [g.edge_id(0, 1)] if start_present else []
-    script = _script("mcm", 5, [ops, [("remove", 1, 2, 1.0)]])
+    script = _script(g, "mcm", 5, [ops, [("remove", 1, 2, 1.0)]])
     report = _same(g, source, script, "per-op")
     flags = _valid_flags(report)
     assert flags[-3:] == [False, True, True]   # op 2, phase 0 end, phase 1 end
@@ -106,7 +111,7 @@ def test_edge_removed_readded_and_removed_in_one_phase(start_present):
 
 def test_pending_removal_is_exempt_at_op_boundaries():
     g = path_graph(3)
-    script = _script("mcm", 3, [[("add", 1, 2, 1.0), ("remove", 0, 1, 1.0)]])
+    script = _script(g, "mcm", 3, [[("add", 1, 2, 1.0), ("remove", 0, 1, 1.0)]])
     report = _same(g, [g.edge_id(0, 1)], script, "per-op")
     assert _valid_flags(report) == [True, True, True]
 
@@ -117,7 +122,7 @@ def test_forest_cycle_closed_then_broken(granularity):
     g = Graph()
     e01, e12, e02, e23 = (g.add_edge(0, 1, 1.0), g.add_edge(1, 2, 2.0),
                           g.add_edge(0, 2, 3.0), g.add_edge(2, 3, 4.0))
-    script = _script("msf", 2, [
+    script = _script(g, "msf", 2, [
         [("remove", 2, 3, 4.0), ("add", 0, 2, 3.0)],   # closes the triangle
         [("add", 2, 3, 4.0), ("remove", 0, 1, 1.0)],   # breaks it, spans again
         [("remove", 1, 2, 2.0), ("add", 0, 1, 1.0)],
@@ -132,7 +137,7 @@ def test_forest_cycle_stays_until_broken():
     g = Graph()
     e01, e12, e02 = g.add_edge(0, 1, 1.0), g.add_edge(1, 2, 1.0), g.add_edge(0, 2, 1.0)
     e34, e45, e35 = g.add_edge(3, 4, 1.0), g.add_edge(4, 5, 1.0), g.add_edge(3, 5, 1.0)
-    script = _script("msf", 2, [
+    script = _script(g, "msf", 2, [
         [("remove", 3, 4, 1.0), ("add", 0, 2, 1.0)],
         [("remove", 4, 5, 1.0), ("add", 3, 4, 1.0)],
         [("remove", 3, 4, 1.0), ("add", 4, 5, 1.0)],
@@ -146,19 +151,19 @@ def test_forest_cycle_stays_until_broken():
 def test_invalid_sources(granularity):
     g = path_graph(4)
     two_at_1 = [g.edge_id(0, 1), g.edge_id(1, 2)]
-    script = _script("mcm", 3, [[("remove", 0, 1, 1.0)]])
+    script = _script(g, "mcm", 3, [[("remove", 0, 1, 1.0)]])
     report = _same(g, two_at_1, script, granularity)
     assert _valid_flags(report) == [False, True]
 
     tri = Graph()
     e01, e12, e02 = tri.add_edge(0, 1, 1.0), tri.add_edge(1, 2, 1.0), tri.add_edge(0, 2, 1.0)
     tri.ensure_vertex(3)
-    script = _script("msf", 2, [[("remove", 0, 2, 1.0)]])
+    script = _script(tri, "msf", 2, [[("remove", 0, 2, 1.0)]])
     report = _same(tri, [e01, e12, e02], script, granularity)
     assert _valid_flags(report) == [False, True]
     # too few edges to span, then right-sized but cyclic
-    report = _same(tri, [e01], _script("msf", 2, [[("add", 1, 2, 1.0)],
-                                                  [("add", 0, 2, 1.0)]]),
+    report = _same(tri, [e01], _script(tri, "msf", 2, [[("add", 1, 2, 1.0)],
+                                                       [("add", 0, 2, 1.0)]]),
                    granularity)
     assert _valid_flags(report) == [False, True, False]
 
@@ -170,8 +175,6 @@ def _error(fn, *args):
 
 
 STRUCTURAL = {
-    "not in graph": ("mcm", [[("add", 0, 1, 1.0)], [("add", 2, 9, 1.0)]]),
-    "recorded weight": ("mcm", [[("add", 0, 1, 1.0)], [("add", 2, 3, 5.0)]]),
     "adding present": ("mcm", [[("add", 0, 1, 1.0)],
                                [("add", 2, 3, 1.0), ("add", 0, 1, 1.0)]]),
     "removing absent": ("msf", [[("add", 0, 1, 1.0)],
@@ -190,15 +193,66 @@ def test_structural_errors_match(expected, granularity):
     g = path_graph(5)
     problem, phase_ops = STRUCTURAL[expected]
     budget = 2 if problem == "msf" else 3
-    script = _script(problem, budget, phase_ops, eps=0.25)
+    script = _script(g, problem, budget, phase_ops, eps=0.25)
     fast = _error(replay, g, [], script, granularity)
     assert fast == _error(replay_reference, g, [], script, granularity)
     assert expected in fast[1]
 
 
+# an endpoint pair and its recorded weight are checked where the script is
+# read, before either replay sees it
+READ_ERRORS = {
+    "phase 1 op 0: edge (2,9) not in graph":
+        [[("add", 0, 1, 1.0)], [("add", 2, 9, 1.0)]],
+    "phase 1 op 0: recorded weight 5.0 != graph weight 1.0":
+        [[("add", 0, 1, 1.0)], [("add", 2, 3, 5.0)]],
+}
+
+
+@pytest.mark.parametrize("expected", sorted(READ_ERRORS))
+def test_read_errors_name_location(expected):
+    g = path_graph(5)
+    with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+        _script(g, "mcm", 3, READ_ERRORS[expected])
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_both_refuse_a_script_on_another_graph(granularity):
+    rng = random.Random(5)
+    g = random_graph(rng, 30, 60, 1.0, 9.0)
+    a, b = random_matching(rng, g), random_matching(rng, g)
+    script = plan_mcm(g, a, b)
+    twin = TransformationScript.from_json(script.to_json(), g)
+    copy = Graph()
+    for _, u, v, w in g.edges():
+        copy.add_edge(u, v, w)
+    # the same ids on an equal graph are still another graph's ids
+    fast = _error(replay, copy, a.edge_ids(), twin, granularity)
+    assert fast == _error(replay_reference, copy, a.edge_ids(), twin,
+                          granularity)
+    assert fast == (DataError, "the script names the edge ids of another graph")
+    _same(g, a.edge_ids(), twin, granularity)
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_both_name_an_id_that_left_the_graph(granularity):
+    rng = random.Random(6)
+    g = random_graph(rng, 30, 60, 1.0, 9.0)
+    a, b = random_matching(rng, g), random_matching(rng, g)
+    script = plan_mcm(g, a, b)
+    (pi, oi), eid = next(((pi, oi), eid)
+                         for pi, ops in enumerate(script.phases)
+                         for oi, (kind, eid) in enumerate(ops) if kind == "add")
+    g.remove_edge_id(eid)
+    fast = _error(replay, g, a.edge_ids(), script, granularity)
+    assert fast == _error(replay_reference, g, a.edge_ids(), script,
+                          granularity)
+    assert fast == (DataError, f"phase {pi} op {oi}: no edge with id {eid}")
+
+
 def test_unknown_granularity_matches():
     g = path_graph(3)
-    script = _script("mcm", 3, [])
+    script = _script(g, "mcm", 3, [])
     fast = _error(replay, g, [], script, "per-edge")
     assert fast == _error(replay_reference, g, [], script, "per-edge")
 
@@ -215,10 +269,9 @@ def _random_script(rng, g, problem, source):
             eid = rng.choice(eids)
             kind = "remove" if eid in state else "add"
             (state.discard if kind == "remove" else state.add)(eid)
-            u, v, w = g.edge(eid)
-            ops.append(ChangeOp(kind, u, v, w))
+            ops.append((kind, eid))
         phases.append(ops)
-    return TransformationScript(problem, 4, 0.25, phases)
+    return TransformationScript(g, problem, 4, 0.25, phases)
 
 
 @pytest.mark.parametrize("problem", ["mcm", "msf"])
@@ -276,8 +329,8 @@ def _forest_walk(rng, g, source, need, phases):
             ops = [("remove", cut), ("add", pick_add(state - {cut}))]
         for kind, e in ops:
             (state.add if kind == "add" else state.discard)(e)
-        out.append([ChangeOp(kind, *g.edge(e)) for kind, e in ops])
-    return TransformationScript("msf", 2, None, out)
+        out.append(ops)
+    return TransformationScript(g, "msf", 2, None, out)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -299,6 +352,6 @@ def test_forest_replay_agrees_at_hundreds_of_vertices(seed):
             report = _same(g, source, script, granularity)
             right_size = [b.valid for b in report.boundaries if b.size == need]
             assert 0 < sum(right_size) < len(right_size)
-            empty = _same(g, source, TransformationScript("msf", 2, None, []),
+            empty = _same(g, source, TransformationScript(g, "msf", 2, None, []),
                           granularity)
             assert _valid_flags(empty) == [len(source) == need]

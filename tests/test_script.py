@@ -2,6 +2,8 @@ import ast
 import inspect
 import json
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,38 +12,49 @@ from hypothesis import strategies as st
 from gradmorph.graph import (DEFAULT_TOLERANCE, DataError, Graph, Matching,
                              SpanningForest, solution_stats)
 import gradmorph.script
-from gradmorph.script import (ChangeOp, TransformationScript,
+from gradmorph.gen import (random_graph, random_matching,
+                           random_spanning_forest)
+from gradmorph.mcm import plan_mcm
+from gradmorph.msf import plan_msf
+from gradmorph.mwm import plan_mwm_auto
+from gradmorph.script import (PROBLEMS, TransformationScript,
                               check_guarantee, phase_budget, replay,
                               report_to_csv_rows)
 
 from conftest import path_graph
 
 
-def _script(problem, budget, phase_ops, eps=None):
-    return TransformationScript(
-        problem, budget, eps,
-        [[ChangeOp(*op) for op in ops] for ops in phase_ops])
+def _script(g, problem, budget, phase_ops, eps=None):
+    """The script of literal (kind, u, v, w) ops, read on g as a script
+    file is."""
+    return TransformationScript.from_json(json.dumps({
+        "problem": problem, "epsilon": eps, "budget": budget,
+        "phases": [{"ops": [{"op": kind, "u": u, "v": v, "w": w}
+                            for kind, u, v, w in ops]}
+                   for ops in phase_ops]}), g)
 
 
 @pytest.mark.parametrize("offset, accepted", [(0.5, True), (-0.5, True),
-                                              (2.0, False), (-2.0, False)])
+                                              (2.0, False), (-2.0, False),
+                                              (math.nan, False)])
 def test_recorded_weight_checked_with_relative_slack(offset, accepted):
     g = Graph()
     w = 1e6
     g.add_edge(0, 1, w)
     recorded = w + offset * DEFAULT_TOLERANCE * w   # slack is relative here
-    script = _script("mcm", 3, [[("add", 0, 1, recorded)]])
     if accepted:
+        script = _script(g, "mcm", 3, [[("add", 0, 1, recorded)]])
         assert replay(g, [], script).final_edges == {g.edge_id(0, 1)}
     else:
-        with pytest.raises(DataError, match="recorded weight"):
-            replay(g, [], script)
+        with pytest.raises(DataError, match=re.escape(
+                f"phase 0 op 0: recorded weight {recorded} != graph weight {w}")):
+            _script(g, "mcm", 3, [[("add", 0, 1, recorded)]])
 
 
 def test_empty_script_single_snapshot():
     g = path_graph(3)
     src = Matching(g, [g.edge_id(0, 1)])
-    report = replay(g, src.edge_ids(), _script("mcm", 3, []))
+    report = replay(g, src.edge_ids(), _script(g, "mcm", 3, []))
     assert len(report.boundaries) == 1
     assert report.final_edges == frozenset(src.edge_ids())
 
@@ -49,7 +62,7 @@ def test_empty_script_single_snapshot():
 def test_single_add_on_isolated_edge():
     g = Graph()
     g.add_edge(0, 1, 2.0)
-    report = replay(g, [], _script("mcm", 3, [[("add", 0, 1, 2.0)]]))
+    report = replay(g, [], _script(g, "mcm", 3, [[("add", 0, 1, 2.0)]]))
     assert report.boundaries[-1].size == 1
     assert report.boundaries[-1].valid
 
@@ -57,19 +70,22 @@ def test_single_add_on_isolated_edge():
 def test_replay_structural_errors_name_location():
     g = path_graph(3)
     with pytest.raises(DataError, match="phase 0 op 0"):
-        replay(g, [], _script("mcm", 3, [[("remove", 0, 1, 1.0)]]))
+        replay(g, [], _script(g, "mcm", 3, [[("remove", 0, 1, 1.0)]]))
     with pytest.raises(DataError, match="phase 0 op 1"):
-        replay(g, [], _script("mcm", 3, [[("add", 0, 1, 1.0), ("add", 0, 1, 1.0)]]))
-    with pytest.raises(DataError, match="not in graph"):
-        replay(g, [], _script("mcm", 3, [[("add", 0, 9, 1.0)]]))
-    with pytest.raises(DataError, match="recorded weight"):
-        replay(g, [], _script("mcm", 3, [[("add", 0, 1, 5.0)]]))
+        replay(g, [], _script(g, "mcm", 3, [[("add", 0, 1, 1.0), ("add", 0, 1, 1.0)]]))
+    # an endpoint pair and its weight are checked where the script is read
+    with pytest.raises(DataError, match=re.escape(
+            "phase 1 op 0: edge (0,9) not in graph")):
+        _script(g, "mcm", 3, [[("add", 0, 1, 1.0)], [("add", 0, 9, 1.0)]])
+    with pytest.raises(DataError, match=re.escape(
+            "phase 0 op 1: recorded weight 5.0 != graph weight 1.0")):
+        _script(g, "mcm", 3, [[("add", 0, 1, 1.0), ("add", 2, 1, 5.0)]])
 
 
 def test_conflicting_add_is_recorded_not_raised():
     g = path_graph(3)
     src = Matching(g, [g.edge_id(0, 1)])
-    script = _script("mcm", 3, [[("add", 1, 2, 1.0)]])
+    script = _script(g, "mcm", 3, [[("add", 1, 2, 1.0)]])
     report = replay(g, src.edge_ids(), script)
     assert not report.boundaries[-1].valid
     stats = solution_stats(g, src)
@@ -79,7 +95,7 @@ def test_conflicting_add_is_recorded_not_raised():
 
 def test_phase_budget_enforced():
     g = path_graph(5)
-    script = _script("mcm", 1, [[("add", 0, 1, 1.0), ("add", 2, 3, 1.0)]])
+    script = _script(g, "mcm", 1, [[("add", 0, 1, 1.0), ("add", 2, 3, 1.0)]])
     from gradmorph.graph import ContractError
     with pytest.raises(ContractError, match="budget"):
         replay(g, [], script)
@@ -88,7 +104,7 @@ def test_phase_budget_enforced():
 def test_check_guarantee_mcm_arithmetic():
     g = path_graph(6)
     src = Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3)])
-    report = replay(g, src.edge_ids(), _script("mcm", 3, [
+    report = replay(g, src.edge_ids(), _script(g, "mcm", 3, [
         [("remove", 2, 3, 1.0)],
         [("add", 4, 5, 1.0)],
     ]))
@@ -110,7 +126,7 @@ def test_check_guarantee_mwm_floor_arithmetic():
     u0, v0 = g.endpoints(edges[0])
     u1, v1 = g.endpoints(edges[1])
     extra = g.add_edge(100, 101, 4.0)
-    script = _script("mwm", 10, [
+    script = _script(g, "mwm", 10, [
         [("remove", u0, v0, 5.0), ("remove", u1, v1, 5.0),
          ("add", 100, 101, 4.0)],
     ], eps=0.1)
@@ -124,7 +140,7 @@ def test_check_guarantee_mwm_floor_arithmetic():
     res = check_guarantee(report_op, stats_src, stats_src, "mwm", 0.1)
     assert not res.ok and res.boundary.weight == pytest.approx(90.0)
     # a 96 phase end passes the 95 floor
-    ok_script = _script("mwm", 10, [
+    ok_script = _script(g, "mwm", 10, [
         [("remove", u0, v0, 5.0), ("add", 100, 101, 4.0)],
     ], eps=0.1)
     report = replay(g, src.edge_ids(), ok_script, "per-phase")
@@ -133,7 +149,7 @@ def test_check_guarantee_mwm_floor_arithmetic():
 
 def test_check_guarantee_problem_mismatch():
     g = path_graph(3)
-    report = replay(g, [], _script("mcm", 3, []))
+    report = replay(g, [], _script(g, "mcm", 3, []))
     stats = solution_stats(g, Matching(g))
     with pytest.raises(DataError):
         check_guarantee(report, stats, stats, "msf")
@@ -147,12 +163,12 @@ def test_check_guarantee_msf():
     from gradmorph.graph import SpanningForest
     src = SpanningForest(g, [e1, e2])
     tgt = SpanningForest(g, [e1, e3])
-    script = _script("msf", 2, [[("remove", 1, 2, 5.0), ("add", 0, 2, 2.0)]])
+    script = _script(g, "msf", 2, [[("remove", 1, 2, 5.0), ("add", 0, 2, 2.0)]])
     report = replay(g, src.edge_ids(), script)
     res = check_guarantee(report, solution_stats(g, src),
                           solution_stats(g, tgt), "msf")
     assert res.ok
-    bad = _script("msf", 3, [[("remove", 1, 2, 5.0), ("add", 0, 2, 2.0),
+    bad = _script(g, "msf", 3, [[("remove", 1, 2, 5.0), ("add", 0, 2, 2.0),
                               ("remove", 0, 2, 2.0)]])
     report = replay(g, src.edge_ids(), bad)
     res = check_guarantee(report, solution_stats(g, src),
@@ -186,7 +202,7 @@ def _one_phase(problem, n_ops, eps):
         ids = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(n_ops)]
         src, tgt = Matching(g), Matching(g, ids)
         ops = [("add", 2 * i, 2 * i + 1, 1.0) for i in range(n_ops)]
-    return g, src, tgt, _script(problem, 50, [ops[:n_ops]], eps)
+    return g, src, tgt, _script(g, problem, 50, [ops[:n_ops]], eps)
 
 
 @pytest.mark.parametrize("problem, eps", [("mcm", None), ("mwm", 0.5),
@@ -220,29 +236,67 @@ def test_mwm_check_takes_delta_from_the_epsilon_it_checks():
 
 
 def test_json_round_trip():
-    script = _script("mwm", 9, [
-        [("add", 1, 2, 1.5), ("remove", 2, 3, 2.0)],
+    g = Graph()
+    for u, v, w in ((1, 2, 1.5), (2, 3, 2.0), (4, 5, 1.0)):
+        g.add_edge(u, v, w)
+    script = _script(g, "mwm", 9, [
+        [("add", 1, 2, 1.5), ("remove", 3, 2, 2.0)],
         [("add", 4, 5, 1.0)],
     ], eps=0.25)
-    again = TransformationScript.from_json(script.to_json())
+    e = g.edge_id
+    assert script.phases == [[("add", e(1, 2)), ("remove", e(2, 3))],
+                             [("add", e(4, 5))]]
+    again = TransformationScript.from_json(script.to_json(), g)
     assert again == script
     with pytest.raises(DataError):
-        TransformationScript.from_json("{nope")
+        TransformationScript.from_json("{nope", g)
     with pytest.raises(DataError):
-        TransformationScript.from_json("{\"problem\": \"mcm\"}")
+        TransformationScript.from_json("{\"problem\": \"mcm\"}", g)
+    # JSON reads 1e400 as an infinite float, which no int holds
+    infinite = script.to_json().replace('"u": 1,', '"u": 1e400,', 1)
+    with pytest.raises(DataError, match="malformed script JSON: cannot convert "
+                                        "float infinity to integer"):
+        TransformationScript.from_json(infinite, g)
 
 
-# weights from subnormal to 1e300, vertex ids up to 2**62
-_OPS = st.builds(ChangeOp, st.sampled_from(["add", "remove"]),
-                 st.integers(0, 2**62), st.integers(-5, 2**62),
-                 st.floats(min_value=5e-324, max_value=1e300))
-_SCRIPTS = st.builds(
-    TransformationScript, st.sampled_from(["mcm", "mwm", "msf"]),
-    st.integers(1, 10**6),
-    st.one_of(st.none(), st.floats(min_value=1e-9, max_value=0.5)),
-    st.one_of(st.just([]), st.lists(_OPS, min_size=1, max_size=4).map(
-        lambda ops: [ops]), st.lists(st.lists(_OPS, min_size=1, max_size=4),
-                                     max_size=5)))
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_planned_scripts_read_back_to_their_groups(problem):
+    rng = random.Random(8)
+    for trial in range(20):
+        g = random_graph(rng, rng.randrange(2, 40), rng.randrange(1, 80),
+                         1.0, 100.0, connected=trial % 2 == 0)
+        if problem == "msf":
+            script = plan_msf(g, random_spanning_forest(rng, g),
+                              random_spanning_forest(rng, g))
+        else:
+            a, b = random_matching(rng, g), random_matching(rng, g)
+            script = (plan_mcm(g, a, b) if problem == "mcm"
+                      else plan_mwm_auto(g, a, b, 0.25))
+        again = TransformationScript.from_json(script.to_json(), g)
+        assert again.phases == script.phases
+        assert again == script
+
+
+@st.composite
+def _scripts(draw):
+    """A script of random ops on the edges of a graph it builds: vertex
+    ids up to 2**62 and weights from subnormal to 1e300."""
+    g = Graph()
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, 2**62), st.integers(-5, 2**62)).filter(
+            lambda p: p[0] != p[1]),
+        min_size=1, max_size=6, unique_by=lambda p: (min(p), max(p))))
+    for u, v in pairs:
+        g.add_edge(u, v, draw(st.floats(min_value=5e-324, max_value=1e300)))
+    ops = st.tuples(st.sampled_from(["add", "remove"]),
+                    st.sampled_from(sorted(g.edge_ids())))
+    phases = draw(st.one_of(
+        st.just([]), st.lists(ops, min_size=1, max_size=4).map(lambda o: [o]),
+        st.lists(st.lists(ops, min_size=1, max_size=4), max_size=5)))
+    return TransformationScript(
+        g, draw(st.sampled_from(PROBLEMS)), draw(st.integers(1, 10**6)),
+        draw(st.one_of(st.none(), st.floats(min_value=1e-9, max_value=0.5))),
+        phases)
 # manifests: nested dicts and lists, booleans, None, numbers and strings
 # that need escaping
 _MANIFESTS = st.one_of(st.none(), st.dictionaries(st.text(max_size=6), st.recursive(
@@ -253,7 +307,7 @@ _MANIFESTS = st.one_of(st.none(), st.dictionaries(st.text(max_size=6), st.recurs
 
 
 @settings(max_examples=300, deadline=None)
-@given(_SCRIPTS, _MANIFESTS)
+@given(_scripts(), _MANIFESTS)
 def test_script_writer_is_json_dumps_byte_for_byte(script, manifest):
     obj = script.to_json_obj()
     if manifest is None:
@@ -266,7 +320,7 @@ def test_script_writer_is_json_dumps_byte_for_byte(script, manifest):
 def test_reversed_script_round_trip():
     g = path_graph(4)
     src = Matching(g, [g.edge_id(1, 2)])
-    script = _script("mcm", 3, [
+    script = _script(g, "mcm", 3, [
         [("add", 0, 1, 1.0)] if False else [("remove", 1, 2, 1.0)],
         [("add", 0, 1, 1.0)],
         [("add", 2, 3, 1.0)],
@@ -276,17 +330,18 @@ def test_reversed_script_round_trip():
     assert back.final_edges == frozenset(src.edge_ids())
 
 
-def test_reversed_script_rejects_an_unknown_op_kind():
-    script = TransformationScript.from_json(json.dumps({
-        "problem": "mcm", "epsilon": None, "budget": 3,
-        "phases": [{"ops": [{"op": "flip", "u": 0, "v": 1, "w": 1.0}]}]}))
-    with pytest.raises(DataError, match="phase 0 op 0: unknown op kind 'flip'"):
+@pytest.mark.parametrize("kind", ["flip", ["add"]])
+def test_reversed_script_rejects_an_unknown_op_kind(kind):
+    g = path_graph(2)
+    script = _script(g, "mcm", 3, [[(kind, 0, 1, 1.0)]])
+    with pytest.raises(DataError, match=re.escape(
+            f"phase 0 op 0: unknown op kind {kind!r}")):
         script.reversed_script()
 
 
 def test_replay_deterministic_and_csv_shape():
     g = path_graph(4)
-    script = _script("mcm", 3, [[("add", 0, 1, 1.0)], [("add", 2, 3, 1.0)]])
+    script = _script(g, "mcm", 3, [[("add", 0, 1, 1.0)], [("add", 2, 3, 1.0)]])
     r1 = replay(g, [], script, "per-op")
     r2 = replay(g, [], script, "per-op")
     assert r1 == r2

@@ -19,10 +19,11 @@ from gradmorph.graph import (ContractError, DataError, Graph, Matching,
                              UpdateEvent, ValidityReport, require_valid,
                              validate_matching)
 from gradmorph.oracles import max_matching_exact, max_weight_matching_exact
+from gradmorph.script import TransformationScript
 from gradmorph.sim import make_inner, run_simulation
 from gradmorph.wrapper import (BOOTSTRAP_CAP, BatchRecompute,
                                GreedyMaximalMatching, InnerAlgorithm,
-                               OutputDelta, WindowPlan, WrappedMatching)
+                               OutputDelta, WrappedMatching)
 
 
 def _drive(g, algo, events, validate_every=1):
@@ -474,7 +475,7 @@ def _unabsorbing_window(monkeypatch):
     wrapped.adopt_output(ids[:2])
     wrapped.small_threshold = 0   # a window, not an instant switch
     monkeypatch.setattr(gradmorph.wrapper, "plan_mcm",
-                        lambda *args: WindowPlan([]))
+                        lambda g, *args: TransformationScript(g, "mcm", 3))
     step = _stepper(g, wrapped)
     step()
     g.remove_edge_id(ids[5])
@@ -576,6 +577,23 @@ def test_wrap_parameter_errors():
         WrappedMatching(g, inner, eps=0.1, weighted=True, psi=0.5)
     w = WrappedMatching(g, inner, eps=0.1)
     assert w.declared_beta == pytest.approx(2.0 * (1 + 2 * 0.125) ** 2)
+
+
+def test_weighted_declared_beta_holds_on_a_heavy_middle_edge():
+    # greedy keeps the two light edges that block the heavy one: a ratio of
+    # 5, which a bound without psi (2 * 1.25**2 = 3.125) misses
+    g = Graph()
+    inner = GreedyMaximalMatching(g)
+    w = WrappedMatching(g, inner, eps=0.1, weighted=True, psi=10.0)
+    _drive(g, w, [UpdateEvent.edge_insert(0, 1, 1.0),
+                  UpdateEvent.edge_insert(2, 3, 1.0),
+                  UpdateEvent.edge_insert(1, 2, 10.0)])
+    opt = sum(map(g.weight, max_weight_matching_exact(g)))
+    assert (w.current_weight(), opt) == (2.0, 10.0)
+    assert w.declared_beta == pytest.approx(
+        inner.beta * 10.0 * (1 + 2 * 0.125) ** 2 / (1 - 0.1))
+    assert inner.beta * (1 + 2 * w.window_ratio) ** 2 < opt / w.current_weight()
+    assert opt / w.current_weight() <= w.declared_beta
 
 
 def test_deletion_tombstone_recourse():
