@@ -8,17 +8,20 @@ still out and the source-only edges still in split into vertex-disjoint
 alternating components. Components are processed gain-first so the running
 surplus never goes negative; within a component the credited prefix-minimum
 decides between running it whole and splitting it into its suffix and
-prefix. Like every planner it plans in (kind, edge id) pairs. The op
-stream is a run of atomic units, plain groups of [add red, remove blue],
-fed through one loop that holds each op end to the op floor
-w(source) - W and groups the units into phases of O(1/eps) changes. A
-phase is cut after each unit whose last op removes a light source edge
-(weight < eps * w(source)), which pins the phase-end weight above
-(1-eps) * w(source). `plan_mwm_groups` is the one entry point, for either
-direction: it reaches a lighter target by planning the other way, with
-the isolated edges that plan would keep leaving through the same loop,
-and reversing the groups. The recourse wrapper plays the groups directly;
-`plan_mwm_auto` makes them a script through
+prefix. Like every planner it plans in (kind, edge id) pairs. A
+component is held as its run: its edge ids in walk order, the blue
+(source-only) ids at even positions and the red (target-only) ids at odd
+ones, so the whole, a suffix and a prefix are each a slice of it. One
+loop feeds a slice: it removes each blue id and adds each red one, holds
+each op end to the op floor w(source) - W, and cuts a phase after each
+removal of a light source edge (weight < eps * w(source)) and after the
+last op. A cut only follows a removal, so an added red edge shares a phase
+with the blue edge it displaces, each phase makes O(1/eps) changes and
+ends above (1-eps) * w(source). `plan_mwm_groups` is the one entry point,
+for either direction: it reaches a lighter target by planning the other
+way, with the isolated edges that plan would keep leaving through the
+same loop, and reversing the groups. The recourse wrapper plays the
+groups directly; `plan_mwm_auto` makes them a script through
 `TransformationScript.from_groups`.
 """
 
@@ -29,8 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import AbstractSet, Iterable, Optional
 
-from .graph import (ContractError, DataError, Graph, Matching, require_valid,
-                    slack)
+from .graph import ContractError, Graph, Matching, require_valid, slack
 from .mcm import Exchange, target_only_ids
 from .script import Group, TransformationScript, phase_budget, reversed_groups
 
@@ -39,24 +41,27 @@ from .script import Group, TransformationScript, phase_budget, reversed_groups
 class AlternatingComponent:
     """Path or cycle of alternating source-only / target-only edges.
 
-    pairs[i] = (blue eid or None, red eid or None); only the first blue and
-    the last red slot may be absent, and only for paths.
+    run holds its edge ids in walk order, blue (source-only) at even
+    positions and red (target-only) at odd ones, padded to even length:
+    pair i is run[2i], run[2i + 1]. Only a path's run[0] and run[-1] may be
+    None.
     """
 
     kind: str                                  # "path" | "cycle"
-    pairs: list[tuple[Optional[int], Optional[int]]]
+    run: list[Optional[int]]
     colored_weight: float
 
     def k(self) -> int:
-        return len(self.pairs)
+        return len(self.run) // 2
 
 
 def decompose(g: Graph, source: Matching, target: Matching) -> list[AlternatingComponent]:
     """Split source XOR target into alternating components.
 
     Isolated shared edges are excluded; every symmetric-difference edge
-    lands in exactly one component. Deterministic: components discovered
-    in ascending order of their smallest blue/red edge id.
+    lands in exactly one component. Deterministic: paths come first, in
+    ascending order of (end edge id, end vertex), then cycles, in
+    ascending order of their smallest blue edge id.
     """
     require_valid(g, "source", source)
     require_valid(g, "target", target)
@@ -77,80 +82,46 @@ def _decompose(g: Graph, blue: AbstractSet[int],
     for eid in red:
         u, v, _ = table[eid]
         red_at[u] = red_at[v] = eid
-
-    def other(eid: int, x: int) -> int:
-        u, v, _ = table[eid]
-        return v if x == u else u
-
     seen: set[int] = set()
     comps: list[AlternatingComponent] = []
 
-    def walk(start_edge: int, start_vertex: int) -> list[int]:
-        """Edge sequence from start_vertex through start_edge onward."""
-        out = [start_edge]
-        seen.add(start_edge)
-        x = other(start_edge, start_vertex)
-        current = start_edge
-        while True:
-            nxt = red_at.get(x) if current in blue else blue_at.get(x)
-            if nxt is None or nxt in seen:
-                return out
-            out.append(nxt)
-            seen.add(nxt)
-            x = other(nxt, x)
-            current = nxt
-
-    def degree(x: int) -> int:
-        return (1 if x in blue_at else 0) + (1 if x in red_at else 0)
-
-    def edge_seq_to_pairs(seq: list[int]) -> list[tuple[Optional[int], Optional[int]]]:
-        pairs: list[tuple[Optional[int], Optional[int]]] = []
-        i = 0
-        if seq[0] not in blue:
-            pairs.append((None, seq[0]))
-            i = 1
-        while i < len(seq):
-            r = seq[i + 1] if i + 1 < len(seq) else None
-            pairs.append((seq[i], r))
-            i += 2
-        return pairs
-
-    def colored(pairs) -> float:
-        c = 0.0
-        for b, r in pairs:
+    def walk(kind: str, eid: int, x: int) -> None:
+        """Append the component walked from vertex x through edge eid."""
+        run = [] if eid in blue else [None]
+        while eid is not None and eid not in seen:
+            run.append(eid)
+            seen.add(eid)
+            u, v, _ = table[eid]
+            x = v if x == u else u
+            eid = (blue_at if len(run) % 2 == 0 else red_at).get(x)
+        if len(run) % 2:
+            run.append(None)
+        colored = 0.0
+        for b, r in zip(run[::2], run[1::2]):
             if r is not None:
-                c += g.weight(r)
+                colored += table[r][2]
             if b is not None:
-                c -= g.weight(b)
-        return c
+                colored -= table[b][2]
+        comps.append(AlternatingComponent(kind, run, colored))
 
     # paths first: start at degree-1 vertices, smaller end-edge id first
     endpoints: list[tuple[int, int]] = []  # (end edge id, vertex)
     for eid in sorted(blue | red):
         u, v, _ = table[eid]
         for x in (u, v):
-            if degree(x) == 1:
+            if (x in blue_at) + (x in red_at) == 1:
                 endpoints.append((eid, x))
     for eid, x in sorted(endpoints):
-        if eid in seen:
-            continue
-        seq = walk(eid, x)
-        pairs = edge_seq_to_pairs(seq)
-        comps.append(AlternatingComponent("path", pairs, colored(pairs)))
+        if eid not in seen:
+            walk("path", eid, x)
 
     # remaining edges lie on cycles; start each at its smallest blue edge
     for eid in sorted(blue):
-        if eid in seen:
-            continue
-        u, v, _ = table[eid]
-        start = min(u, v)
-        seq = walk(eid, start)
-        if len(seq) % 2 != 0:
-            raise ContractError("alternating cycle with odd edge count")
-        pairs = edge_seq_to_pairs(seq)
-        if any(b is None or r is None for b, r in pairs):
-            raise ContractError("cycle component with absent slot")
-        comps.append(AlternatingComponent("cycle", pairs, colored(pairs)))
+        if eid not in seen:
+            u, v, _ = table[eid]
+            walk("cycle", eid, min(u, v))
+            if None in comps[-1].run:
+                raise ContractError("alternating cycle with odd edge count")
     for eid in sorted(red):
         if eid not in seen:
             raise ContractError(f"red edge {eid} missed by decomposition")
@@ -184,10 +155,11 @@ def order_components(
     return ordered
 
 
-def prefix_sums(g: Graph, comp: AlternatingComponent) -> list[float]:
-    """c(0..k): colored weight of the first i pairs, absent slots contribute 0."""
+def prefix_sums(g: Graph, run: list[Optional[int]]) -> list[float]:
+    """c(0..k): colored weight of the first i pairs of a component's run,
+    absent slots contribute 0."""
     sums = [0.0]
-    for b, r in comp.pairs:
+    for b, r in zip(run[::2], run[1::2]):
         step = (g.weight(r) if r is not None else 0.0) - \
                (g.weight(b) if b is not None else 0.0)
         sums.append(sums[-1] + step)
@@ -206,42 +178,6 @@ def prefix_min_index(sums: list[float]) -> int:
         if s < sums[best]:
             best = i
     return best
-
-
-def _rotated(comp: AlternatingComponent, i_min: int) -> AlternatingComponent:
-    """Cycle rotated so the pair after the prefix minimum comes first."""
-    pairs = comp.pairs[i_min:] + comp.pairs[:i_min]
-    return AlternatingComponent("cycle", pairs, comp.colored_weight)
-
-
-def _units_for_range(g: Graph, comp: AlternatingComponent, lo: int,
-                     hi: int) -> list[Group]:
-    """Units for pairs lo..hi (1-indexed, inclusive): an initial removal of
-    the range's first blue, then per pair [add red, remove next blue].
-
-    A unit is atomic: phase cuts fall only between units, so the transient
-    overlap between an added red edge and its not-yet-removed blue
-    neighbor stays inside a phase.
-    """
-    if not (1 <= lo <= hi <= comp.k()):
-        raise DataError(f"malformed range {lo}..{hi} for k={comp.k()}")
-    units: list[Group] = []
-    first_blue = comp.pairs[lo - 1][0]
-    if first_blue is not None:
-        units.append([("remove", first_blue)])
-    for j in range(lo, hi + 1):
-        ops: Group = []
-        red = comp.pairs[j - 1][1]
-        if red is not None:
-            ops.append(("add", red))
-        if j + 1 <= hi:
-            nxt = comp.pairs[j][0]
-            if nxt is None:
-                raise ContractError("interior pair with absent blue slot")
-            ops.append(("remove", nxt))
-        if ops:
-            units.append(ops)
-    return units
 
 
 def _plan_phases(
@@ -278,21 +214,23 @@ def _plan_phases(
                               (-weight(eid) for eid in removed))) - w_source
     current = w_source + surplus
 
-    def feed(units: list[Group]) -> None:
-        """Append units to phases, holding each op end to the op floor and
-        cutting a phase after each unit whose last op removes a light edge,
-        and after the last unit."""
+    def feed(run: list[Optional[int]]) -> None:
+        """Play run, removing its even positions and adding its odd ones,
+        holding each op end to the op floor and cutting a phase after each
+        light removal and after the last op."""
         nonlocal current
         ops: Group = []
-        for i, unit in enumerate(units, 1):
-            for kind, eid in unit:
-                w = table[eid][2]
-                current += w if kind == "add" else -w
-                if current < op_floor:
-                    raise ContractError(
-                        f"op-end weight {current} below floor {op_floor}")
-            ops += unit
-            if (kind == "remove" and w < light_threshold) or i == len(units):
+        last = len(run) - 1 if run[-1] is not None else len(run) - 2
+        for i, eid in enumerate(run):
+            if eid is None:
+                continue
+            kind, w = "add" if i % 2 else "remove", table[eid][2]
+            current += w if i % 2 else -w
+            ops.append((kind, eid))
+            if current < op_floor:
+                raise ContractError(
+                    f"op-end weight {current} below floor {op_floor}")
+            if (kind == "remove" and w < light_threshold) or i == last:
                 if len(ops) > budget:
                     raise ContractError(
                         f"phase of {len(ops)} ops exceeds budget {budget}")
@@ -301,35 +239,36 @@ def _plan_phases(
 
     isolated_blues: list[int] = []
     for comp in comps:
-        if comp.k() == 1 and comp.pairs[0][1] is None:
+        run = comp.run
+        if len(run) == 2 and run[1] is None:
             # isolated source-only edge: kept (superset semantics)
-            isolated_blues.append(comp.pairs[0][0])
+            isolated_blues.append(run[0])
             continue
-        sums = prefix_sums(g, comp)
+        sums = prefix_sums(g, run)
         i_min = prefix_min_index(sums)
         if comp.kind == "cycle":
             if i_min > 0:
-                comp = _rotated(comp, i_min)
-                sums = prefix_sums(g, comp)
+                run = run[2 * i_min:] + run[:2 * i_min]
+                sums = prefix_sums(g, run)
                 i_min = prefix_min_index(sums)
             if surplus + sums[i_min] < -tol:
                 raise ContractError(
                     "rotated cycle still has negative credited minimum")
-            feed(_units_for_range(g, comp, 1, comp.k()))
+            feed(run)
         elif surplus + sums[i_min] >= 0:
-            feed(_units_for_range(g, comp, 1, comp.k()))
+            feed(run)
         else:
             if not (0 < i_min < comp.k()):
                 raise ContractError(f"split index {i_min} not interior")
-            feed(_units_for_range(g, comp, i_min + 1, comp.k()))
-            feed(_units_for_range(g, comp, 1, i_min))
+            feed(run[2 * i_min:])
+            feed(run[:2 * i_min])
         surplus += comp.colored_weight
         if surplus < -tol:
             raise ContractError(f"negative running surplus {surplus}")
     if exact:
         # the weight falls from w(target) + w(kept) to w(target) >= w(source)
         for eid in sorted(isolated_blues):
-            feed([[("remove", eid)]])
+            feed([eid])
     return phases
 
 

@@ -103,18 +103,23 @@ class TransformationScript:
 
     # -- serialization --------------------------------------------------
 
+    def _lost_edge(self) -> DataError:
+        """The error naming the first op whose edge id g no longer holds."""
+        table = self.g._edges
+        i, j, eid = next((i, j, eid) for i, ops in enumerate(self.phases)
+                         for j, (_, eid) in enumerate(ops) if eid not in table)
+        return DataError(f"phase {i} op {j}: no edge with id {eid}")
+
     def to_json_obj(self) -> dict:
         table = self.g._edges
-        return {
-            "problem": self.problem,
-            "epsilon": self.epsilon,
-            "budget": self.budget,
-            "phases": [
-                {"ops": [{"op": kind, "u": u, "v": v, "w": w}
-                         for kind, eid in ops for u, v, w in (table[eid],)]}
-                for ops in self.phases
-            ],
-        }
+        try:
+            phases = [{"ops": [{"op": kind, "u": u, "v": v, "w": w}
+                               for kind, eid in ops for u, v, w in (table[eid],)]}
+                      for ops in self.phases]
+        except KeyError:
+            raise self._lost_edge() from None
+        return {"problem": self.problem, "epsilon": self.epsilon,
+                "budget": self.budget, "phases": phases}
 
     def to_json(self, manifest: Optional[dict] = None) -> str:
         """json.dumps(obj, indent=1) of to_json_obj(), with manifest as a
@@ -124,7 +129,10 @@ class TransformationScript:
         and only the manifest, which is small, takes the indented path."""
         ops = [op for phase in self.phases for op in phase]
         kinds = {kind: json.dumps(kind) for kind in set(map(itemgetter(0), ops))}
-        rows = list(map(self.g._edges.__getitem__, map(itemgetter(1), ops)))
+        try:
+            rows = list(map(self.g._edges.__getitem__, map(itemgetter(1), ops)))
+        except KeyError:
+            raise self._lost_edge() from None
         columns = [[kinds[kind] for kind, _ in ops]] + [
             _json_numbers(list(map(itemgetter(i), rows))) for i in range(3)]
         texts = iter(map(_OP_JSON.format, *columns))
@@ -146,7 +154,8 @@ class TransformationScript:
     def from_json(text: str, g: Graph) -> "TransformationScript":
         """The script that text holds, on g: each op's endpoint pair is
         resolved to its edge id in g, and its recorded weight must equal
-        g's within slack; an error names the phase and op."""
+        g's within slack; an error names the phase and op. Vertex ids and
+        the budget must be JSON integers."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -157,7 +166,10 @@ class TransformationScript:
             for i, phase in enumerate(obj["phases"]):
                 ops = []
                 for j, op in enumerate(phase["ops"]):
-                    u, v, w = int(op["u"]), int(op["v"]), float(op["w"])
+                    u, v, w = op["u"], op["v"], float(op["w"])
+                    if type(u) is not int or type(v) is not int:   # nor bool
+                        raise TypeError(f"phase {i} op {j}: vertex ids "
+                                        f"{u!r}, {v!r} are not both integers")
                     eid = by_pair.get((u, v) if u <= v else (v, u))
                     if eid is None:
                         raise DataError(f"phase {i} op {j}: edge ({u},{v}) not in graph")
@@ -168,10 +180,12 @@ class TransformationScript:
                                         f"!= graph weight {gw}")
                     ops.append((op["op"], eid))
                 phases.append(ops)
-            eps = obj.get("epsilon")
+            eps, budget = obj.get("epsilon"), obj["budget"]
+            if type(budget) is not int:
+                raise TypeError(f"budget {budget!r} is not an integer")
             return TransformationScript(
-                g, obj["problem"], int(obj["budget"]),
-                None if eps is None else float(eps), phases)
+                g, obj["problem"], budget, None if eps is None else float(eps),
+                phases)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed script JSON: {exc}") from exc
 

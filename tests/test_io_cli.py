@@ -433,7 +433,10 @@ def test_cli_replay_names_an_absent_pair_and_a_wrong_weight(tmp_path, capsys):
            "--to", str(tmp_path / "to.txt"), "--script", str(script)]
     for (u, v, w), error in (
             ((1, 2, 1.0), "phase 0 op 0: edge (1,2) not in graph"),
-            ((0, 1, 1.5), "phase 0 op 0: recorded weight 1.5 != graph weight 1.0")):
+            ((0, 1, 1.5), "phase 0 op 0: recorded weight 1.5 != graph weight 1.0"),
+            # a vertex id is a JSON integer, never truncated to one
+            ((0.5, 1.7, 1.0), "malformed script JSON: phase 0 op 0: vertex ids "
+                              "0.5, 1.7 are not both integers")):
         script.write_text(json.dumps(
             {"problem": "mcm", "epsilon": None, "budget": 3,
              "phases": [{"ops": [{"op": "add", "u": u, "v": v, "w": w}]}]}))

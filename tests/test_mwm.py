@@ -13,9 +13,9 @@ from gradmorph.graph import (ContractError, DataError, Graph, Matching,
                              SpanningForest, solution_stats)
 from gradmorph.mcm import Exchange, plan_mcm, target_only_ids
 from gradmorph.msf import plan_msf
-from gradmorph.mwm import (AlternatingComponent, _units_for_range, decompose,
-                           order_components, plan_mwm_auto, plan_mwm_groups,
-                           prefix_min_index, prefix_sums)
+from gradmorph.mwm import (AlternatingComponent, decompose, order_components,
+                           plan_mwm_auto, plan_mwm_groups, prefix_min_index,
+                           prefix_sums)
 from gradmorph.oracles import msf_exact
 from gradmorph.script import (TransformationScript, check_guarantee,
                               phase_budget, replay)
@@ -41,8 +41,7 @@ def test_decompose_identity_and_shared_exclusion():
     tgt = Matching(g, [shared, g.edge_id(3, 4)])
     comps = decompose(g, src, tgt)
     assert len(comps) == 1
-    eids = {e for b, r in comps[0].pairs for e in (b, r) if e is not None}
-    assert shared not in eids
+    assert shared not in comps[0].run
     assert decompose(g, src, src) == []
 
 
@@ -54,24 +53,30 @@ def test_decompose_degrees_at_most_two(rng):
         src, tgt = random_matching(rng, g), random_matching(rng, g)
         comps = decompose(g, src, tgt)
         sym = set(src.edge_ids()) ^ set(tgt.edge_ids())
-        seen = []
-        for comp in comps:
-            for b, r in comp.pairs:
-                seen.extend(e for e in (b, r) if e is not None)
+        seen = [e for comp in comps for e in comp.run if e is not None]
         assert sorted(seen) == sorted(sym)
         for comp in comps:
-            k = comp.k()
-            for i, (b, r) in enumerate(comp.pairs):
-                if comp.kind == "cycle":
-                    assert b is not None and r is not None
-                else:
-                    if b is None:
-                        assert i == 0
-                    if r is None:
-                        assert i == k - 1
+            run = comp.run
+            assert len(run) == 2 * comp.k() > 0
+            # blue (source-only) ids at even positions, red at odd ones
+            assert all(e in src.edges for e in run[::2] if e is not None)
+            assert all(e in tgt.edges for e in run[1::2] if e is not None)
+            # None only at a path's ends, never in a cycle
+            inner = run if comp.kind == "cycle" else run[1:-1]
+            assert None not in inner
             assert comp.colored_weight == pytest.approx(
-                sum(g.weight(r) for _, r in comp.pairs if r is not None)
-                - sum(g.weight(b) for b, _ in comp.pairs if b is not None))
+                sum(g.weight(r) for r in run[1::2] if r is not None)
+                - sum(g.weight(b) for b in run[::2] if b is not None))
+
+
+def test_decompose_lists_paths_then_cycles():
+    # a 4-cycle with ids 0-3 and a path with ids 4-5: the path comes first
+    g = Graph()
+    for u, v in ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)):
+        g.add_edge(u, v, 1.0)
+    comps = decompose(g, Matching(g, [0, 2, 4]), Matching(g, [1, 3, 5]))
+    assert [(c.kind, c.run) for c in comps] == [("path", [4, 5]),
+                                                ("cycle", [0, 1, 2, 3])]
 
 
 def test_two_disjoint_paths_two_components():
@@ -107,12 +112,17 @@ def test_order_components_rule():
 
 def test_prefix_min_index_examples():
     g, src, tgt = _pair_path([1.0, 2.0, 1.0, 2.0])  # all r >= b
-    comp = decompose(g, src, tgt)[0]
-    assert prefix_min_index(prefix_sums(g, comp)) == 0
+    run = decompose(g, src, tgt)[0].run
+    assert prefix_min_index(prefix_sums(g, run)) == 0
     g, src, tgt = _pair_path([5.0, 1.0, 1.0, 7.0])
-    comp = decompose(g, src, tgt)[0]
-    assert prefix_sums(g, comp) == [0.0, -4.0, 2.0]
-    assert prefix_min_index(prefix_sums(g, comp)) == 1
+    run = decompose(g, src, tgt)[0].run
+    assert prefix_sums(g, run) == [0.0, -4.0, 2.0]
+    assert prefix_min_index(prefix_sums(g, run)) == 1
+    # absent slots count 0: a path that opens with a red edge
+    g, src, tgt = _pair_path([1.0, 4.0, 2.0])
+    run = decompose(g, tgt, src)[0].run
+    assert run[0] is None and prefix_sums(g, run) == [0.0, 1.0, -1.0]
+    assert prefix_min_index(prefix_sums(g, run)) == 2
 
 
 @settings(max_examples=80, deadline=None)
@@ -122,30 +132,31 @@ def test_prefix_min_index_examples():
 def test_prefix_min_is_exhaustive_argmin(pairs):
     weights = [w for pair in pairs for w in pair]
     g, src, tgt = _pair_path(weights)
-    comp = decompose(g, src, tgt)[0]
-    sums = prefix_sums(g, comp)
+    sums = prefix_sums(g, decompose(g, src, tgt)[0].run)
     idx = prefix_min_index(sums)
     best = min(range(len(sums)), key=lambda i: (sums[i], i))
     assert idx == best
 
 
 def test_replace_blue_red_spec_examples():
-    """ReplaceBlueRed on a whole component, its suffix and its prefix, as
-    the planner runs it: the units for a range of pairs."""
-    def ops(g, comp, lo, hi):
-        return [(kind, g.weight(eid)) for unit in _units_for_range(g, comp, lo, hi)
-                for kind, eid in unit]
+    """ReplaceBlueRed as the planner runs it: a whole path removes each blue
+    and adds each red in walk order; a path whose credited prefix minimum
+    dips below zero plays its suffix, then its prefix. No red of these
+    paths outweighs the blues that block it, so the pre-pass plans none."""
+    def ops(weights, eps):
+        g, src, tgt = _pair_path(weights)
+        return [[(kind, g.weight(eid)) for kind, eid in group]
+                for group in plan_mwm_groups(g, src, tgt, eps)]
 
-    g, src, tgt = _pair_path([5.0, 7.0])  # k=1, r > b
-    comp = decompose(g, src, tgt)[0]
-    assert ops(g, comp, 1, 1) == [("remove", 5.0), ("add", 7.0)]
-
-    g, src, tgt = _pair_path([5.0, 1.0, 1.0, 7.0])
-    comp = decompose(g, src, tgt)[0]
-    assert ops(g, comp, 2, 2) == [("remove", 1.0), ("add", 7.0)]   # suffix
-    assert ops(g, comp, 1, 1) == [("remove", 5.0), ("add", 1.0)]   # prefix
-    with pytest.raises(DataError, match="malformed range 3..2"):
-        _units_for_range(g, comp, 3, 2)   # a suffix split at k
+    # prefix sums 0, 1, 2, 2: whole, in one phase with no light blue
+    assert ops([1.0, 2.0, 1.0, 2.0, 2.0, 2.0], 0.1) == [
+        [("remove", 1.0), ("add", 2.0), ("remove", 1.0), ("add", 2.0),
+         ("remove", 2.0), ("add", 2.0)]]
+    # prefix sums 0, -4, 2, 2: the suffix from pair 2, then pair 1; a
+    # phase ends after each light blue (below 0.5 * 12) and each slice
+    assert ops([5.0, 1.0, 1.0, 7.0, 6.0, 6.0], 0.5) == [
+        [("remove", 1.0)], [("add", 7.0), ("remove", 6.0), ("add", 6.0)],
+        [("remove", 5.0)], [("add", 1.0)]]
 
 
 def _master_check(g, src, tgt, eps):
@@ -226,23 +237,28 @@ def test_heavy_fixture_one_phase():
 
 def test_the_feed_holds_ops_to_the_floor_and_phases_to_the_budget(monkeypatch):
     # a 4-cycle whose heavier target edges are each blocked twice, so the
-    # pre-pass takes none: one feed of three units, a 4-op phase
-    g = Graph()
-    b1, r1, b2, r2 = (g.add_edge(v, (v + 1) % 4, 15.0 if v % 2 else 10.0)
-                      for v in range(4))
-    src, tgt = Matching(g, [b1, b2]), Matching(g, [r1, r2])
+    # pre-pass takes none: one feed of its whole run, a 4-op phase
+    def cycle(*weights):
+        g = Graph()
+        b1, r1, b2, r2 = (g.add_edge(v, (v + 1) % 4, w)
+                          for v, w in enumerate(weights))
+        return g, Matching(g, [b1, b2]), Matching(g, [r1, r2])
+
+    g, src, tgt = cycle(10.0, 15.0, 10.0, 15.0)
+    b1, r1, b2, r2 = range(4)
     assert plan_mwm_groups(g, src, tgt, 0.5) == [
         [("remove", b1), ("add", r1), ("remove", b2), ("add", r2)]]
-    units = gradmorph.mwm._units_for_range
-
-    def removals_first(*args):
-        ops = [op for unit in units(*args) for op in unit]
-        return [[op] for op in sorted(ops, key=lambda op: op[0] == "add")]
-
+    # unrotated, the cycle 10, 1, 10, 19.5 falls to 1.0 after its second
+    # removal, below w(source) - W = 10; rotated to its prefix minimum, as
+    # planned, it never does
+    light = cycle(10.0, 1.0, 10.0, 19.5)
+    assert plan_mwm_groups(*light, 0.5) == [
+        [("remove", b2), ("add", r2), ("remove", b1), ("add", r1)]]
     with monkeypatch.context() as m:
-        m.setattr(gradmorph.mwm, "_units_for_range", removals_first)
-        with pytest.raises(ContractError, match="op-end weight 0.0 below floor"):
-            plan_mwm_groups(g, src, tgt, 0.5)
+        m.setattr(gradmorph.mwm, "prefix_min_index", lambda sums: 0)
+        with pytest.raises(ContractError,
+                           match="op-end weight 1.0 below floor 9.99999998"):
+            plan_mwm_groups(*light, 0.5)
     monkeypatch.setattr(gradmorph.mwm, "phase_budget", lambda problem, eps: 3)
     with pytest.raises(ContractError, match="phase of 4 ops exceeds budget 3"):
         plan_mwm_groups(g, src, tgt, 0.5)

@@ -252,11 +252,44 @@ def test_json_round_trip():
         TransformationScript.from_json("{nope", g)
     with pytest.raises(DataError):
         TransformationScript.from_json("{\"problem\": \"mcm\"}", g)
-    # JSON reads 1e400 as an infinite float, which no int holds
+    # JSON reads 1e400 as an infinite float, which is no vertex id
     infinite = script.to_json().replace('"u": 1,', '"u": 1e400,', 1)
-    with pytest.raises(DataError, match="malformed script JSON: cannot convert "
-                                        "float infinity to integer"):
+    with pytest.raises(DataError, match="malformed script JSON: phase 0 op 0: "
+                                        "vertex ids inf, 2 are not both integers"):
         TransformationScript.from_json(infinite, g)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("u", 0.5, "phase 0 op 0: vertex ids 0.5, 1 are not both integers"),
+    ("v", 1.7, "phase 0 op 0: vertex ids 0, 1.7 are not both integers"),
+    ("u", True, "phase 0 op 0: vertex ids True, 1 are not both integers"),
+    ("u", "0", "phase 0 op 0: vertex ids '0', 1 are not both integers"),
+    ("budget", 3.9, "budget 3.9 is not an integer"),
+    ("budget", True, "budget True is not an integer")])
+def test_from_json_reads_vertex_ids_and_budget_only_as_integers(field, value,
+                                                                  error):
+    # the graph reader refuses "e 0.5 1.7" too: nothing is truncated to an id
+    g = Graph()
+    g.add_edge(0, 1, 1.0)
+    obj = {"problem": "mcm", "epsilon": None, "budget": 3,
+           "phases": [{"ops": [{"op": "add", "u": 0, "v": 1, "w": 1.0}]}]}
+    assert TransformationScript.from_json(json.dumps(obj), g).phases == [[("add", 0)]]
+    (obj if field == "budget" else obj["phases"][0]["ops"][0])[field] = value
+    with pytest.raises(DataError, match=re.escape(f"malformed script JSON: {error}")):
+        TransformationScript.from_json(json.dumps(obj), g)
+
+
+def test_writers_name_the_op_whose_edge_the_graph_lost():
+    g = path_graph(4)
+    script = plan_mcm(g, Matching(g, [g.edge_id(1, 2)]),
+                      Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3)]))
+    lost = next(eid for kind, eid in script.phases[-1] if kind == "add")
+    i, j = len(script.phases) - 1, script.phases[-1].index(("add", lost))
+    g.remove_edge_id(lost)
+    for write in (script.to_json, script.to_json_obj):
+        with pytest.raises(DataError,
+                           match=f"^phase {i} op {j}: no edge with id {lost}$"):
+            write()
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
