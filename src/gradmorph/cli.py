@@ -2,10 +2,10 @@
 bench. Exit codes: 0 ok / guarantee holds, 1 usage, 2 data, 3 contract.
 
 Start-up is most of a CLI run at small sizes, so this module loads at import
-only what the parser, `replay` and an mcm `transform` need (gen for the
-default seed, graph, io, script and the mcm planner). Each command imports
-the modules that only it uses when it runs: `transform` the index kind and
-the mwm or msf planner, `simulate` and `adversary` the wrapper, sim and
+only what the parser, `replay` and an mcm `transform` need (graph, io,
+script and the mcm planner). Each command imports the modules that only it
+uses when it runs: `transform` the mwm planner, or the msf planner and the
+index kind it builds, `simulate` and `adversary` the wrapper, sim and
 adversary modules, `oracle` the exact solvers, `bench` the scaling harness,
 and the commands that write a CSV file the csv module.
 """
@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .gen import DEFAULT_SEED
 from .graph import (DEFAULT_TOLERANCE, BudgetError, ContractError, DataError,
                     Graph, solution_stats)
 from .io import (RunManifest, emit_edge_set, parse_forest, parse_graph,
@@ -31,6 +30,7 @@ from .script import (PROBLEMS, TransformationScript, check_guarantee,
                      transform_granularity)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_CONTRACT = 0, 1, 2, 3
+DEFAULT_SEED = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,11 +71,13 @@ def _finish_manifest(manifest: RunManifest, args) -> None:
 
 
 def _cmd_transform(args) -> int:
-    from .dynforest import INDEX_KIND
     manifest = RunManifest("transform", {
-        "problem": args.problem, "epsilon": args.epsilon, "index": INDEX_KIND,
+        "problem": args.problem, "epsilon": args.epsilon,
         "seed": args.seed, "tolerance": DEFAULT_TOLERANCE,
     })
+    if args.problem == "msf":   # the one planner that builds an index
+        from .dynforest import INDEX_KIND
+        manifest.parameters["index"] = INDEX_KIND
     g = parse_graph(_read(args.graph, "graph", manifest))
     phase_budget(args.problem, args.epsilon)   # checks epsilon for mwm
     t0 = time.perf_counter()
@@ -111,26 +113,19 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    manifest = RunManifest("replay", {
-        "problem": args.problem, "epsilon": args.epsilon,
-        "granularity": args.granularity, "tolerance": DEFAULT_TOLERANCE,
-    })
+    """The check that `transform` ran, on the script's problem and epsilon."""
+    manifest = RunManifest("replay", {"tolerance": DEFAULT_TOLERANCE})
     g = parse_graph(_read(args.graph, "graph", manifest))
     script = TransformationScript.from_json(
         _read(args.script, "script", manifest), g)
-    if args.problem and args.problem != script.problem:
-        raise DataError(f"--problem {args.problem} != script problem {script.problem}")
-    if args.epsilon is not None and script.problem != "mwm":
-        raise DataError(f"--epsilon applies to mwm only, not to the "
-                        f"script's {script.problem}")
+    granularity = transform_granularity(script.problem)
+    manifest.parameters.update(problem=script.problem, epsilon=script.epsilon,
+                               granularity=granularity)
     src, tgt = _read_pair(args, script.problem, g, manifest)
-    granularity = args.granularity
-    if granularity is None:
-        granularity = transform_granularity(script.problem)
     report = replay(g, src.edge_ids(), script, granularity)
-    eps = args.epsilon if args.epsilon is not None else script.epsilon
     result = check_guarantee(report, solution_stats(g, src),
-                             solution_stats(g, tgt), script.problem, eps)
+                             solution_stats(g, tgt), script.problem,
+                             script.epsilon)
     if args.csv:
         _write_csv(args.csv, report_to_csv_rows(report), manifest)
     _finish_manifest(manifest, args)
@@ -157,10 +152,11 @@ def _cmd_simulate(args) -> int:
     from .sim import make_inner, run_simulation, trace_csv_rows
     from .wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
                           WINDOW_RATIO_FACTOR, WrappedMatching)
-    psi = 1.0 if args.psi is None else args.psi
+    weighted = args.psi is not None   # --psi bounds a weighted run's weights
+    psi = args.psi if weighted else 1.0
     manifest = RunManifest("simulate", {
         "inner": args.inner, "epsilon": args.epsilon, "wrap": not args.no_wrap,
-        "weighted": args.weighted, "psi": psi, "seed": args.seed,
+        "weighted": weighted, "psi": psi, "seed": args.seed,
         "oracle_check": args.oracle_check, "n": args.n,
         "random_updates": args.random_updates, "tolerance": DEFAULT_TOLERANCE,
         "constants": {"recourse_factor": RECOURSE_FACTOR,
@@ -171,9 +167,8 @@ def _cmd_simulate(args) -> int:
         events = parse_updates(_read(args.updates, "updates", manifest))
     elif args.random_updates:
         rng = random.Random(args.seed)
-        w_hi = psi if args.weighted else 1.0
         events = random_update_stream(rng, args.n, args.random_updates,
-                                      w_lo=1.0, w_hi=w_hi, vertex_ops=True)
+                                      w_lo=1.0, w_hi=psi, vertex_ops=True)
         manifest.add_input("updates", emit_updates(events))
     else:
         raise DataError("need --updates FILE or --random-updates N")
@@ -185,7 +180,7 @@ def _cmd_simulate(args) -> int:
         algo = inner
     else:
         algo = WrappedMatching(g, inner, args.epsilon,
-                               weighted=args.weighted, psi=psi)
+                               weighted=weighted, psi=psi)
     result = run_simulation(g, algo, events, oracle_check=args.oracle_check)
     if args.trace:
         _write_csv(args.trace, trace_csv_rows(result), manifest)
@@ -345,21 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=_cmd_transform)
 
     r = sub.add_parser("replay", help="replay a script and check guarantees")
-    r.add_argument("--problem", default=None, choices=PROBLEMS)
     r.add_argument("--graph", required=True)
     r.add_argument("--from", dest="source", required=True)
     r.add_argument("--to", dest="target", required=True)
     r.add_argument("--script", required=True)
-    r.add_argument("--granularity", default=None, choices=("per-phase", "per-op"))
-    r.add_argument("--epsilon", type=float, default=None)
     r.add_argument("--csv", default=None)
     r.set_defaults(fn=_cmd_replay)
 
     s = sub.add_parser("simulate", help="run a dynamic matching simulation")
     s.add_argument("--inner", required=True)
     s.add_argument("--epsilon", type=float, required=True)
-    s.add_argument("--weighted", action="store_true")
-    s.add_argument("--psi", type=float, default=None)
+    s.add_argument("--psi", type=float, default=None,
+                   help="run weighted, with weights held to this ratio")
     s.add_argument("--no-wrap", action="store_true",
                    help="run the inner algorithm bare (control)")
     s.add_argument("--updates", default=None)
@@ -406,9 +398,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("oracle --task search needs --from and --to")
         if args.command == "simulate" and args.random_updates and args.n < 2:
             parser.error("simulate --random-updates needs --n >= 2")
-        if args.command == "simulate" and args.psi is not None \
-                and not args.weighted:
-            parser.error("simulate --psi applies to --weighted only")
         if args.command == "transform" and args.problem != "mwm" \
                 and args.epsilon is not None:
             parser.error(f"transform --epsilon applies to mwm only, "

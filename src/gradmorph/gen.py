@@ -9,8 +9,6 @@ from bisect import bisect_left
 
 from .graph import Graph, Matching, SpanningForest, UnionFind, UpdateEvent
 
-DEFAULT_SEED = 7
-
 
 def random_graph(rng: random.Random, n: int, m: int,
                  w_lo: float = 1.0, w_hi: float = 1.0,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import (BudgetError, DataError, Graph, UnionFind, slack,
-                    validate_forest)
+                    validate_forest, validate_matching)
 from .script import Boundary, ReplayReport, TransformationScript
 
 
@@ -130,21 +130,6 @@ def msf_exact(g: Graph) -> list[int]:
     return out
 
 
-def _matching_valid(g: Graph, state: set[int], exempt: set[int]) -> bool:
-    """Matching check with the phase-atomicity convention: edges scheduled
-    for removal later in the current phase are ignored."""
-    seen: set[int] = set()
-    for eid in state:
-        if eid in exempt:
-            continue
-        u, v, _ = g.edge(eid)
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True
-
-
 def replay_reference(
     g: Graph,
     source: Iterable[int],
@@ -152,8 +137,9 @@ def replay_reference(
     granularity: str = "per-phase",
 ) -> ReplayReport:
     """Reference for `script.replay`: the same report and the same errors,
-    with validity checked from scratch at every boundary (a full matching
-    scan, or `validate_forest`)."""
+    with validity checked from scratch at every boundary by
+    `validate_matching` or `validate_forest`. A matching's edges that are
+    removed later in the current phase are exempt at its op boundaries."""
     if granularity not in ("per-phase", "per-op"):
         raise DataError(f"unknown granularity {granularity!r}")
     if script.g is not g:
@@ -166,7 +152,7 @@ def replay_reference(
 
     def snapshot(phase: int, op: Optional[int], exempt: set[int]) -> None:
         if script.problem in ("mcm", "mwm"):
-            valid = _matching_valid(g, state, exempt)
+            valid = validate_matching(g, state - exempt).ok
         else:
             valid = validate_forest(g, state).ok
         boundaries.append(Boundary(len(boundaries), phase, op, valid, len(state), weight))

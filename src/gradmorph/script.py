@@ -18,7 +18,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .graph import ContractError, DataError, Graph, SolutionStats, slack
+from .graph import DataError, Graph, SolutionStats, slack
 
 PROBLEMS = ("mcm", "mwm", "msf")
 MWM_EPS_MAX = 0.5       # mwm plans and checks take epsilon in (0, 1/2]
@@ -83,9 +83,9 @@ class TransformationScript:
             raise DataError(f"unknown problem tag {self.problem!r}")
         for i, ops in enumerate(self.phases):
             if not ops:
-                raise ContractError(f"phase {i} is empty")
+                raise DataError(f"phase {i} is empty")
             if len(ops) > self.budget:
-                raise ContractError(
+                raise DataError(
                     f"phase {i} has {len(ops)} ops > declared budget {self.budget}")
             for j, (kind, _) in enumerate(ops):
                 # a tuple, not a hash lookup: a kind read from JSON may be a list
@@ -155,7 +155,8 @@ class TransformationScript:
         """The script that text holds, on g: each op's endpoint pair is
         resolved to its edge id in g, and its recorded weight must equal
         g's within slack; an error names the phase and op. Vertex ids and
-        the budget must be JSON integers."""
+        the budget must be JSON integers, weights and a non-null epsilon
+        JSON numbers (never bools or strings), and the epsilon finite."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -166,10 +167,12 @@ class TransformationScript:
             for i, phase in enumerate(obj["phases"]):
                 ops = []
                 for j, op in enumerate(phase["ops"]):
-                    u, v, w = op["u"], op["v"], float(op["w"])
+                    u, v, w = op["u"], op["v"], op["w"]
                     if type(u) is not int or type(v) is not int:   # nor bool
                         raise TypeError(f"phase {i} op {j}: vertex ids "
                                         f"{u!r}, {v!r} are not both integers")
+                    if type(w) not in (int, float):
+                        raise TypeError(f"phase {i} op {j}: weight {w!r} is not a number")
                     eid = by_pair.get((u, v) if u <= v else (v, u))
                     if eid is None:
                         raise DataError(f"phase {i} op {j}: edge ({u},{v}) not in graph")
@@ -183,6 +186,9 @@ class TransformationScript:
             eps, budget = obj.get("epsilon"), obj["budget"]
             if type(budget) is not int:
                 raise TypeError(f"budget {budget!r} is not an integer")
+            if eps is not None and (type(eps) not in (int, float)
+                                    or not math.isfinite(eps)):
+                raise TypeError(f"epsilon {eps!r} is not a finite number")
             return TransformationScript(
                 g, obj["problem"], budget, None if eps is None else float(eps),
                 phases)

@@ -268,26 +268,52 @@ def test_cli_corrupted_script_fails_replay(workdir, capsys):
 def test_cli_replay_holds_each_phase_to_the_problem_budget(tmp_path, capsys):
     # one 7-op phase on the 8-path, from (1,2),(3,4),(5,6) to (0,1),...,(6,7),
     # in a script that declares a budget of 50: mcm's phase budget is 3,
-    # mwm's is 9 at eps = 0.5
+    # mwm's is 9 at eps = 0.5. Each removal is followed by an add, so the
+    # mwm script holds w - W = 2 at every op boundary it is replayed at.
     (tmp_path / "g.txt").write_text("".join(f"e {v} {v + 1} 1\n" for v in range(7)))
     (tmp_path / "from.txt").write_text("1 2\n3 4\n5 6\n")
     (tmp_path / "to.txt").write_text("0 1\n2 3\n4 5\n6 7\n")
     ops = [{"op": op, "u": u, "v": u + 1, "w": 1.0}
-           for op, us in (("remove", (1, 3, 5)), ("add", (0, 2, 4, 6)))
-           for u in us]
+           for op, u in (("remove", 1), ("add", 0), ("remove", 3), ("add", 2),
+                         ("remove", 5), ("add", 4), ("add", 6))]
     run = ["replay", "--graph", str(tmp_path / "g.txt"),
            "--from", str(tmp_path / "from.txt"),
            "--to", str(tmp_path / "to.txt"), "--script", str(tmp_path / "s.json")]
     for problem, eps, rc, out in (
             ("mcm", None, 2, "guarantee violated: phase 0 has 7 ops > 3\n"),
-            ("mwm", 0.5, 0, "guarantee holds: boundaries=2 worst_size=3 "
-                            "worst_weight=3.0\n")):
+            ("mwm", 0.5, 0, "guarantee holds: boundaries=8 worst_size=2 "
+                            "worst_weight=2.0\n")):
         (tmp_path / "s.json").write_text(json.dumps(
             {"problem": problem, "epsilon": eps, "budget": 50,
              "phases": [{"ops": ops}]}))
-        # mwm per phase: per op, the removals first dip below w - W
-        assert main(run + ["--granularity", "per-phase"]) == rc
+        assert main(run) == rc
         assert capsys.readouterr().out == out
+
+
+def test_cli_replay_holds_an_mwm_script_to_its_op_floor(tmp_path, capsys):
+    # w(source) = 10 and W = 5, so the floor after every op is 5: the two
+    # removals before the add leave 0. replay checks an mwm script per op,
+    # as transform does, and records what it checked in its manifest.
+    (tmp_path / "g.txt").write_text("e 0 1 5.0\ne 2 3 5.0\ne 1 2 10.5\n")
+    (tmp_path / "from.txt").write_text("0 1\n2 3\n")
+    (tmp_path / "to.txt").write_text("1 2\n")
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"problem": "mwm", "epsilon": 0.25, "budget": 15, "phases": [{"ops": [
+            {"op": "remove", "u": 0, "v": 1, "w": 5.0},
+            {"op": "remove", "u": 2, "v": 3, "w": 5.0},
+            {"op": "add", "u": 1, "v": 2, "w": 10.5}]}]}))
+    mpath = tmp_path / "m.json"
+    assert main(["--manifest-out", str(mpath), "replay",
+                 "--graph", str(tmp_path / "g.txt"),
+                 "--from", str(tmp_path / "from.txt"),
+                 "--to", str(tmp_path / "to.txt"),
+                 "--script", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().out == (
+        "guarantee violated: op-end weight 0.0 < 10.0 - 5.0 at boundary 2 "
+        "(phase 0, op 1)\n")
+    assert json.loads(mpath.read_text())["parameters"] == {
+        "problem": "mwm", "epsilon": 0.25, "granularity": "per-op",
+        "tolerance": DEFAULT_TOLERANCE}
 
 
 def test_cli_transform_reports_the_heaviest_msf_boundary(tmp_path, capsys):
@@ -345,19 +371,6 @@ def test_cli_transform_refuses_epsilon_for_mcm_and_msf(problem, workdir,
     assert not out.exists()
 
 
-def test_cli_replay_refuses_epsilon_for_an_mcm_script(workdir, capsys):
-    files = ["--graph", str(workdir / "g.txt"),
-             "--from", str(workdir / "from.txt"),
-             "--to", str(workdir / "to.txt")]
-    script = str(workdir / "s.json")
-    assert main(["transform", "--problem", "mcm", *files, "--out", script]) == 0
-    capsys.readouterr()
-    assert main(["replay", *files, "--script", script, "--epsilon", "7"]) == 2
-    assert capsys.readouterr().err == (
-        "gradmorph: data: --epsilon applies to mwm only, not to the "
-        "script's mcm\n")
-
-
 def test_cli_mwm_and_msf(workdir, rng, capsys, tmp_path):
     g = random_graph(rng, 20, 40, 1.0, 50.0, connected=True)
     (tmp_path / "g.txt").write_text(emit_graph(g))
@@ -389,8 +402,7 @@ def test_cli_mwm_and_msf(workdir, rng, capsys, tmp_path):
     rc = main(["replay", "--graph", str(tmp_path / "g.txt"),
                "--from", str(tmp_path / "m1.txt"),
                "--to", str(tmp_path / "m2.txt"),
-               "--script", str(tmp_path / "w.json"),
-               "--granularity", "per-op"])
+               "--script", str(tmp_path / "w.json")])
     assert rc == 0
     capsys.readouterr()
 
@@ -442,6 +454,45 @@ def test_cli_replay_names_an_absent_pair_and_a_wrong_weight(tmp_path, capsys):
              "phases": [{"ops": [{"op": "add", "u": u, "v": v, "w": w}]}]}))
         assert main(run) == 2
         assert capsys.readouterr().err == f"gradmorph: data: {error}\n"
+
+
+_ADD_01 = {"op": "add", "u": 0, "v": 1, "w": 1.0}
+
+
+@pytest.mark.parametrize("script, error", [
+    # a weight and an epsilon are JSON numbers, never bools or strings
+    ({"problem": "mcm", "epsilon": None, "budget": 3,
+      "phases": [{"ops": [{**_ADD_01, "w": True}]}]},
+     "malformed script JSON: phase 0 op 0: weight True is not a number"),
+    ({"problem": "mcm", "epsilon": None, "budget": 3,
+      "phases": [{"ops": [{**_ADD_01, "w": "1.0"}]}]},
+     "malformed script JSON: phase 0 op 0: weight '1.0' is not a number"),
+    ({"problem": "mwm", "epsilon": "0.25", "budget": 15,
+      "phases": [{"ops": [_ADD_01]}]},
+     "malformed script JSON: epsilon '0.25' is not a finite number"),
+    ({"problem": "mwm", "epsilon": True, "budget": 15,
+      "phases": [{"ops": [_ADD_01]}]},
+     "malformed script JSON: epsilon True is not a finite number"),
+    # a script file's structure is data, as its op kinds are
+    ({"problem": "mcm", "epsilon": None, "budget": 3,
+      "phases": [{"ops": [_ADD_01]}, {"ops": []}]},
+     "phase 1 is empty"),
+    ({"problem": "mcm", "epsilon": None, "budget": 0,
+      "phases": [{"ops": [_ADD_01]}]},
+     "phase 0 has 1 ops > declared budget 0"),
+])
+def test_cli_replay_refuses_a_malformed_script_as_data(script, error, tmp_path,
+                                                       capsys):
+    (tmp_path / "g.txt").write_text("e 0 1 1.0\ne 1 2 1.0\n")
+    (tmp_path / "from.txt").write_text("")
+    (tmp_path / "to.txt").write_text("0 1\n")
+    (tmp_path / "s.json").write_text(json.dumps(script))
+    assert main(["replay", "--graph", str(tmp_path / "g.txt"),
+                 "--from", str(tmp_path / "from.txt"),
+                 "--to", str(tmp_path / "to.txt"),
+                 "--script", str(tmp_path / "s.json")]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"gradmorph: data: {error}\n")
 
 
 def test_cli_simulate_and_adversary(tmp_path, capsys):
@@ -567,10 +618,8 @@ def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code", [
     ("simulate --inner batch:abc --epsilon 0.1 --random-updates 5", 2),
     ("adversary --mode full --epsilon 0.1 --n 50 --subject wrapped:batch:x", 2),
-    ("simulate --inner greedy --epsilon 0.1 --random-updates 5 --weighted "
-     "--psi inf", 2),
-    ("simulate --inner greedy --epsilon 0.1 --random-updates 5 --weighted "
-     "--psi nan", 2),
+    ("simulate --inner greedy --epsilon 0.1 --random-updates 5 --psi inf", 2),
+    ("simulate --inner greedy --epsilon 0.1 --random-updates 5 --psi nan", 2),
     ("adversary --mode incr --epsilon nan --n 50", 2),
     ("adversary --mode incr --epsilon inf --n 50", 2),
     ("adversary --mode full --epsilon inf --n 50", 2),
@@ -584,9 +633,6 @@ def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
     ("simulate --inner greedy --epsilon 0.2 --n 1 --random-updates 10", 1),
     ("simulate --inner greedy --epsilon 0.2 --random-updates -3", 1),
     ("simulate --inner greedy --epsilon 0.2 --random-updates 0", 2),
-    # --psi bounds the weights a weighted run reads: unweighted, a usage error
-    ("simulate --inner greedy --epsilon 0.2 --n 50 --random-updates 200 "
-     "--psi 7", 1),
     ("adversary --mode full --epsilon 0.1 --n 50 --rounds -1", 1),
     ("adversary --mode full --epsilon 0.1 --n 50 --rounds 0", 1),
     ("adversary --mode incr --epsilon 0.1 --n -3", 1),
@@ -633,7 +679,7 @@ def test_cli_simulate_refuses_weights_beyond_psi(tmp_path, capsys):
     run = ["simulate", "--inner", "greedy", "--epsilon", "0.1", "--n", "4",
            "--updates", str(tmp_path / "u.txt")]
     assert main(run) == 0   # unweighted, weights are not read
-    assert main(run + ["--weighted", "--psi", "2"]) == 2
+    assert main(run + ["--psi", "2"]) == 2
     assert capsys.readouterr().err == (
         "gradmorph: data: weight 1000.0 on edge (2,3) breaks psi 2.0: "
         "weights seen span [1.0, 1000.0]\n")

@@ -106,8 +106,8 @@ def test_cli_transform_loads_only_what_it_runs(tmp_path):
     out = _cli_run(tmp_path, "transform", "--problem", "mcm",
                    f"--out={tmp_path / 's.json'}")
     assert out["rc"] == 0
-    assert not {"adversary", "bench", "msf", "mwm", "oracles", "sim",
-                "wrapper"} & set(out["loaded"])
+    assert not {"adversary", "bench", "dynforest", "gen", "msf", "mwm",
+                "oracles", "sim", "wrapper"} & set(out["loaded"])
 
 
 def test_cli_replay_loads_only_what_it_runs(tmp_path):
@@ -118,8 +118,8 @@ def test_cli_replay_loads_only_what_it_runs(tmp_path):
          "phases": [{"ops": ops}]}))
     out = _cli_run(tmp_path, "replay", f"--script={tmp_path / 's.json'}")
     assert out["rc"] == 0
-    assert not {"adversary", "bench", "dynforest", "msf", "mwm", "oracles",
-                "sim", "wrapper"} & set(out["loaded"])
+    assert not {"adversary", "bench", "dynforest", "gen", "msf", "mwm",
+                "oracles", "sim", "wrapper"} & set(out["loaded"])
 
 
 def test_unweighted_wrapped_run_loads_neither_oracles_nor_mwm():

@@ -96,8 +96,8 @@ def test_conflicting_add_is_recorded_not_raised():
 def test_phase_budget_enforced():
     g = path_graph(5)
     script = _script(g, "mcm", 1, [[("add", 0, 1, 1.0), ("add", 2, 3, 1.0)]])
-    from gradmorph.graph import ContractError
-    with pytest.raises(ContractError, match="budget"):
+    # a script file's structure is data: a DataError, as in from_json
+    with pytest.raises(DataError, match="^phase 0 has 2 ops > declared budget 1$"):
         replay(g, [], script)
 
 
@@ -174,6 +174,35 @@ def test_check_guarantee_msf():
     res = check_guarantee(report, solution_stats(g, src),
                           solution_stats(g, tgt), "msf")
     assert not res.ok  # 3-op phase and non-spanning end
+
+
+@pytest.mark.parametrize("problem, src, tgt, ops, reason", [
+    # an mwm phase that ends on two edges at vertex 1
+    ("mwm", [], [(0, 1)], [("add", 0, 1, 1.0), ("add", 1, 2, 5.0)],
+     "invalid matching at phase end"),
+    # an msf phase that ends on the triangle, a cycle
+    ("msf", [(0, 1), (1, 2)], [(0, 1), (0, 2)], [("add", 0, 2, 2.0)],
+     "invalid forest at phase end"),
+    # an msf phase that ends on a spanning tree heavier than both ends
+    ("msf", [(0, 1), (0, 2)], [(0, 1), (0, 2)],
+     [("remove", 0, 2, 2.0), ("add", 1, 2, 5.0)],
+     "phase-end weight 6.0 > ceiling 3.0"),
+])
+def test_check_guarantee_names_each_phase_end_fault(problem, src, tgt, ops,
+                                                     reason):
+    g = Graph()
+    for u, v, w in ((0, 1, 1.0), (1, 2, 5.0), (0, 2, 2.0)):
+        g.add_edge(u, v, w)
+    kind = Matching if problem == "mwm" else SpanningForest
+    src, tgt = (kind(g, [g.edge_id(u, v) for u, v in pairs])
+                for pairs in (src, tgt))
+    eps = 0.5 if problem == "mwm" else None
+    report = replay(g, src.edge_ids(), _script(g, problem, 9, [ops], eps),
+                    gradmorph.script.transform_granularity(problem))
+    res = check_guarantee(report, solution_stats(g, src),
+                          solution_stats(g, tgt), problem, eps)
+    assert not res.ok and res.reason == reason
+    assert res.boundary == report.boundaries[-1]
 
 
 def test_phase_budget_is_the_rule_for_every_problem():
@@ -265,7 +294,15 @@ def test_json_round_trip():
     ("u", True, "phase 0 op 0: vertex ids True, 1 are not both integers"),
     ("u", "0", "phase 0 op 0: vertex ids '0', 1 are not both integers"),
     ("budget", 3.9, "budget 3.9 is not an integer"),
-    ("budget", True, "budget True is not an integer")])
+    ("budget", True, "budget True is not an integer"),
+    # a weight and an epsilon are JSON numbers, never bools or strings
+    ("w", True, "phase 0 op 0: weight True is not a number"),
+    ("w", "1.0", "phase 0 op 0: weight '1.0' is not a number"),
+    ("epsilon", True, "epsilon True is not a finite number"),
+    ("epsilon", "0.25", "epsilon '0.25' is not a finite number"),
+    # a manifest records the epsilon it read, so it is one JSON can write
+    ("epsilon", math.nan, "epsilon nan is not a finite number"),
+    ("epsilon", math.inf, "epsilon inf is not a finite number")])
 def test_from_json_reads_vertex_ids_and_budget_only_as_integers(field, value,
                                                                   error):
     # the graph reader refuses "e 0.5 1.7" too: nothing is truncated to an id
@@ -274,7 +311,7 @@ def test_from_json_reads_vertex_ids_and_budget_only_as_integers(field, value,
     obj = {"problem": "mcm", "epsilon": None, "budget": 3,
            "phases": [{"ops": [{"op": "add", "u": 0, "v": 1, "w": 1.0}]}]}
     assert TransformationScript.from_json(json.dumps(obj), g).phases == [[("add", 0)]]
-    (obj if field == "budget" else obj["phases"][0]["ops"][0])[field] = value
+    (obj if field in ("budget", "epsilon") else obj["phases"][0]["ops"][0])[field] = value
     with pytest.raises(DataError, match=re.escape(f"malformed script JSON: {error}")):
         TransformationScript.from_json(json.dumps(obj), g)
 

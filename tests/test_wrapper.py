@@ -462,24 +462,58 @@ def test_inner_deltas_are_checked():
         c = g.edge_id(5, 6)
 
 
-def _unabsorbing_window(monkeypatch):
-    """A wrapper whose next window opens on a snapshot of six edges in the
-    order ids[5], ids[1], ids[4], ids[3] and plans nothing, with ids[5]
-    dead by then: ids[1] is shared, and of the two target-only edges left
-    the close names the first in the snapshot's order, not the smaller."""
+def _window_playing(monkeypatch, groups):
+    """A wrapper that holds ids[0] and ids[1] of six disjoint edges, beside
+    ids[6] = (1,2), whose next window opens on a snapshot of ids[5],
+    ids[1], ids[4] and ids[3] in that order and plays groups(ids) as its
+    plan, with its stepper and ids."""
     g = Graph()
     ids = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(6)]
+    ids.append(g.add_edge(1, 2, 1.0))
     inner = GreedyMaximalMatching(g)
     inner.matching = Matching(g, [ids[5], ids[1], ids[4], ids[3]])
     wrapped = WrappedMatching(g, inner, 0.1)
     wrapped.adopt_output(ids[:2])
     wrapped.small_threshold = 0   # a window, not an instant switch
-    monkeypatch.setattr(gradmorph.wrapper, "plan_mcm",
-                        lambda g, *args: TransformationScript(g, "mcm", 3))
-    step = _stepper(g, wrapped)
+    monkeypatch.setattr(
+        gradmorph.wrapper, "plan_mcm",
+        lambda g, *args: TransformationScript(g, "mcm", 3, phases=groups(ids)))
+    return _stepper(g, wrapped), ids, wrapped
+
+
+def _unabsorbing_window(monkeypatch):
+    """A wrapper whose next window plans nothing, with ids[5] dead by
+    then: ids[1] is shared, and of the two target-only edges left the close
+    names the first in the snapshot's order, not the smaller."""
+    step, ids, wrapped = _window_playing(monkeypatch, lambda ids: [])
     step()
-    g.remove_edge_id(ids[5])
+    wrapped.g.remove_edge_id(ids[5])
     return step, ids, wrapped
+
+
+@pytest.mark.parametrize("groups, budgets, fault", [
+    # ids[1] is in the snapshot: only output-only ids[0] may leave
+    (lambda ids: [[("remove", ids[1])]], {},
+     "window op remove (2,3) drops a snapshot edge"),
+    # (1,2) meets both output edges
+    (lambda ids: [[("add", ids[6])]], {}, "window op add (1,2) conflicts with output"),
+    # one step of playback, one group a step: the second group is left over
+    (lambda ids: [[("remove", ids[0])], [("add", ids[3])]], {"sim_budget": 1},
+     "window closed before its ops completed"),
+    # the whole plan in one step, which a budget of 0 cannot take
+    (lambda ids: [[("remove", ids[0]), *(("add", ids[i]) for i in (3, 4, 5))]],
+     {"recourse_budget": 0}, "recourse 4 exceeds budget 0 at step {}"),
+], ids=["remove-snapshot-edge", "add-conflicting-edge", "unfinished-plan",
+        "recourse-over-budget"])
+def test_window_playback_guards_name_their_fault(monkeypatch, groups, budgets,
+                                                 fault):
+    step, ids, wrapped = _window_playing(monkeypatch, groups)
+    vars(wrapped).update(budgets)
+    with pytest.raises(ContractError) as info:
+        while True:
+            step()
+    assert str(info.value) == fault.format(wrapped.step_count)
+    assert wrapped.last_window_phase == "second"
 
 
 def test_window_close_names_first_unabsorbed_target_edge(monkeypatch):
@@ -739,7 +773,7 @@ PINNED_TRACES = [
     (["--seed", "3", "simulate", "--inner", "greedy", "--epsilon", "0.1",
       "--n", "300", "--random-updates", "3000"],
      "4990a2c76f0086907aaebfa742bac8555defda18fbd8f98e6c2a7e6c2296e8d2"),
-    (["--seed", "3", "simulate", "--inner", "batch:2.0", "--weighted",
+    (["--seed", "3", "simulate", "--inner", "batch:2.0",
       "--psi", "2", "--epsilon", "0.1", "--n", "400", "--random-updates", "2500"],
      "f470bd60c55ceef8577a499b3f77cda59c91bbeb0df1e45280eebf4764c6f118"),
 ]
