@@ -109,6 +109,7 @@ class SolutionStats:
     size: int
     total_weight: float
     max_edge_weight: float
+    edges: frozenset[int]   # the solution's edge ids
 
 
 class Graph:
@@ -583,12 +584,12 @@ def require_valid(g: Graph, name: str, s: Matching | SpanningForest) -> None:
 
 
 def solution_stats(g: Graph, s: Matching | SpanningForest) -> SolutionStats:
-    """Size/total/max stats, the total summed left to right in s's order;
-    rejects invalid solutions."""
+    """Size/total/max stats and edge ids, the total summed left to right in
+    s's order; rejects invalid solutions."""
     require_valid(g, "solution", s)
     total = mx = 0.0
     for eid in s.edges:
         w = g.weight(eid)
         total += w
         mx = max(mx, w)
-    return SolutionStats(len(s), total, mx)
+    return SolutionStats(len(s), total, mx, frozenset(s.edges))

@@ -11,7 +11,7 @@ the rows of those k edges and of the source edges blocking them, keeps
 its working matching as an overlay of changes on the source's vertex
 index, and returns each phase as (kind, edge id) pairs, the one op format
 of every planner, so its Python work is O(k) whatever the size of the
-source. `plan_mcm` hands those groups to `TransformationScript.from_groups`;
+source. `plan_mcm` makes those groups a `TransformationScript`;
 the recourse wrapper, which knows its target-only edges and plays the
 groups directly, calls the core alone. The core runs `Exchange`; the mwm
 planner drains the same exchange, with weights, as its good-edge pre-pass.
@@ -139,7 +139,7 @@ def plan_mcm(g: Graph, source: Matching, target: Matching) -> TransformationScri
     require_valid(g, "target", target)
     groups = plan_target_only(g, source, target_only_ids(source, target),
                               len(target))
-    return TransformationScript.from_groups(g, "mcm", None, groups)
+    return TransformationScript(g, "mcm", None, groups)
 
 
 def plan_target_only(g: Graph, source: Matching, target_only: Iterable[int],

@@ -9,8 +9,8 @@ forward stream moves the source-side tree, the backward stream moves the
 target-side tree; the emitted fragment is the forward stream followed by
 the backward stream reversed with inverted ops. Every phase is one 2-op
 exchange and phase-end weight never exceeds max(w(F), w(F')). Like every
-planner it holds ops as (kind, edge id) pairs, and `plan_msf` ends in
-`TransformationScript.from_groups`.
+planner it holds ops as (kind, edge id) pairs, and `plan_msf` makes
+them a `TransformationScript`.
 
 An edge in both work trees is never cut: the exchange cuts only dummy-2
 (exclusive) edges. So the edges the two trees share at the start are
@@ -203,4 +203,4 @@ def plan_msf(g: Graph, source: SpanningForest,
         if set(src_ids) == set(tgt_ids):
             continue
         groups.extend(plan_tree(g, src_ids, tgt_ids))
-    return TransformationScript.from_groups(g, "msf", None, groups)
+    return TransformationScript(g, "msf", None, groups)

@@ -21,8 +21,7 @@ ends above (1-eps) * w(source). `plan_mwm_groups` is the one entry point,
 for either direction: it reaches a lighter target by planning the other
 way, with the isolated edges that plan would keep leaving through the
 same loop, and reversing the groups. The recourse wrapper plays the
-groups directly; `plan_mwm_auto` makes them a script through
-`TransformationScript.from_groups`.
+groups directly; `plan_mwm_auto` makes them a `TransformationScript`.
 """
 
 from __future__ import annotations
@@ -281,7 +280,7 @@ def plan_mwm_auto(
     """The script of plan_mwm_groups: phases from source to target in
     either direction, passing check_guarantee("mwm")."""
     groups = plan_mwm_groups(g, source, target, eps)
-    return TransformationScript.from_groups(g, "mwm", eps, groups)
+    return TransformationScript(g, "mwm", eps, groups)
 
 
 def plan_mwm_groups(

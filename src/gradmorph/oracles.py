@@ -181,17 +181,8 @@ def replay_reference(
                 snapshot(pi, oi, pending_removals & state)
         snapshot(pi, None, set())
 
-    counts = [len(ops) for ops in script.phases]
-    return ReplayReport(
-        problem=script.problem,
-        granularity=granularity,
-        boundaries=boundaries,
-        final_edges=frozenset(state),
-        worst_size=min(b.size for b in boundaries),
-        worst_weight=min(b.weight for b in boundaries),
-        max_phase_ops=max(counts, default=0),
-        phase_op_counts=counts,
-    )
+    return ReplayReport(script.problem, granularity, boundaries,
+                        frozenset(state), [len(ops) for ops in script.phases])
 
 
 @dataclass

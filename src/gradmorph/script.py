@@ -39,14 +39,17 @@ def _json_numbers(values: list) -> list[str]:
 
 
 def phase_budget(problem: str, epsilon: Optional[float] = None) -> int:
-    """Δ, the most ops one phase may make: the one rule that the planners
-    plan to and check_guarantee checks. mwm takes epsilon in (0, 1/2]."""
+    """Δ, the most ops one phase may make: the one (problem, epsilon) rule
+    that scripts are made to and check_guarantee checks. mwm takes epsilon
+    in (0, 1/2], mcm and msf take none."""
     if problem == "mwm":
         if epsilon is None or not (0 < epsilon <= MWM_EPS_MAX):
             raise DataError(f"mwm needs epsilon in (0, 1/2], got {epsilon}")
         return 3 * math.ceil(1.0 / epsilon) + 3
     if problem not in PROBLEMS:
         raise DataError(f"unknown problem {problem!r}")
+    if epsilon is not None:
+        raise DataError(f"{problem} takes no epsilon, got {epsilon}")
     return MCM_PHASE_BUDGET if problem == "mcm" else MSF_PHASE_BUDGET
 
 
@@ -62,31 +65,24 @@ def reversed_groups(groups: list[Group]) -> list[Group]:
 class TransformationScript:
     g: Graph             # the graph whose edge ids the phases name
     problem: str
-    budget: int
     epsilon: Optional[float] = None
     phases: list[Group] = field(default_factory=list)   # each phase's ops
 
-    @staticmethod
-    def from_groups(g: Graph, problem: str, epsilon: Optional[float],
-                    groups: list[Group]) -> "TransformationScript":
-        """The validated script of groups on g, with the problem's
-        phase_budget."""
-        script = TransformationScript(
-            g, problem, phase_budget(problem, epsilon), epsilon, groups)
-        script.validate()
-        return script
+    def __post_init__(self) -> None:
+        self.validate()
+
+    @property
+    def budget(self) -> int:
+        return phase_budget(self.problem, self.epsilon)
 
     def validate(self) -> None:
-        """The structural check: a known problem, non-empty phases within
-        the budget, and only add and remove ops."""
-        if self.problem not in PROBLEMS:
-            raise DataError(f"unknown problem tag {self.problem!r}")
+        """The structural check, run when the script is made: a problem and
+        epsilon that phase_budget accepts, non-empty phases, and only add
+        and remove ops. check_guarantee holds each phase to the budget."""
+        phase_budget(self.problem, self.epsilon)
         for i, ops in enumerate(self.phases):
             if not ops:
                 raise DataError(f"phase {i} is empty")
-            if len(ops) > self.budget:
-                raise DataError(
-                    f"phase {i} has {len(ops)} ops > declared budget {self.budget}")
             for j, (kind, _) in enumerate(ops):
                 # a tuple, not a hash lookup: a kind read from JSON may be a list
                 if kind not in ("add", "remove"):
@@ -98,8 +94,8 @@ class TransformationScript:
     def reversed_script(self) -> "TransformationScript":
         """The undo script: reversed_groups of the phases."""
         self.validate()
-        return TransformationScript(self.g, self.problem, self.budget,
-                                    self.epsilon, reversed_groups(self.phases))
+        return TransformationScript(self.g, self.problem, self.epsilon,
+                                    reversed_groups(self.phases))
 
     # -- serialization --------------------------------------------------
 
@@ -154,9 +150,10 @@ class TransformationScript:
     def from_json(text: str, g: Graph) -> "TransformationScript":
         """The script that text holds, on g: each op's endpoint pair is
         resolved to its edge id in g, and its recorded weight must equal
-        g's within slack; an error names the phase and op. Vertex ids and
-        the budget must be JSON integers, weights and a non-null epsilon
-        JSON numbers (never bools or strings), and the epsilon finite."""
+        g's within slack; an error names the phase and op. Phases and ops
+        must be JSON arrays, vertex ids and the budget JSON integers, weights
+        and a non-null epsilon JSON numbers (never bools or strings), the
+        epsilon finite, and the budget the problem's phase_budget."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -164,8 +161,12 @@ class TransformationScript:
         by_pair, table = g._by_pair, g._edges
         try:
             phases = []
+            if type(obj["phases"]) is not list:
+                raise TypeError("phases is not a list")
             for i, phase in enumerate(obj["phases"]):
                 ops = []
+                if type(phase["ops"]) is not list:
+                    raise TypeError(f"phase {i}: ops is not a list")
                 for j, op in enumerate(phase["ops"]):
                     u, v, w = op["u"], op["v"], op["w"]
                     if type(u) is not int or type(v) is not int:   # nor bool
@@ -189,9 +190,12 @@ class TransformationScript:
             if eps is not None and (type(eps) not in (int, float)
                                     or not math.isfinite(eps)):
                 raise TypeError(f"epsilon {eps!r} is not a finite number")
-            return TransformationScript(
-                g, obj["problem"], budget, None if eps is None else float(eps),
-                phases)
+            script = TransformationScript(
+                g, obj["problem"], None if eps is None else float(eps), phases)
+            if budget != script.budget:
+                raise ValueError(f"budget {budget} is not the {script.problem} "
+                                 f"phase budget {script.budget}")
+            return script
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed script JSON: {exc}") from exc
 
@@ -214,10 +218,19 @@ class ReplayReport:
     granularity: str
     boundaries: list[Boundary]
     final_edges: frozenset[int]
-    worst_size: int
-    worst_weight: float
-    max_phase_ops: int
     phase_op_counts: list[int]
+
+    @property
+    def worst_size(self) -> int:
+        return min(b.size for b in self.boundaries)
+
+    @property
+    def worst_weight(self) -> float:
+        return min(b.weight for b in self.boundaries)
+
+    @property
+    def max_phase_ops(self) -> int:
+        return max(self.phase_op_counts, default=0)
 
     def phase_ends(self) -> list[Boundary]:
         return [b for b in self.boundaries if b.op is None and b.phase >= 0]
@@ -467,19 +480,8 @@ def replay(
     boundaries = [Boundary(i, phase, op, valid, size, w)
                   for i, ((phase, op, size, w), valid)
                   in enumerate(zip(rows, check.verdicts()))]
-    worst_size = min(map(itemgetter(2), rows))
-    worst_weight = min(map(itemgetter(3), rows))
-    counts = [len(ops) for ops in script.phases]
-    return ReplayReport(
-        problem=script.problem,
-        granularity=granularity,
-        boundaries=boundaries,
-        final_edges=frozenset(state),
-        worst_size=worst_size,
-        worst_weight=worst_weight,
-        max_phase_ops=max(counts, default=0),
-        phase_op_counts=counts,
-    )
+    return ReplayReport(script.problem, granularity, boundaries,
+                        frozenset(state), list(map(len, script.phases)))
 
 
 @dataclass
@@ -500,7 +502,8 @@ def check_guarantee(
     epsilon: Optional[float] = None,
 ) -> GuaranteeResult:
     """Check every phase against the problem's phase_budget, then the
-    per-problem quality floor at every boundary of the report.
+    per-problem quality floor at every boundary of the report, then that
+    the final state holds every target edge.
 
     mcm: phase-end sizes >= min(|source|, |target|-1), validity at phase
     ends. mwm: phase-end weight >= max(w-W, (1-eps)w) and op-end weight
@@ -524,9 +527,7 @@ def check_guarantee(
                 return GuaranteeResult(False, "invalid matching at phase end", b)
             if b.size < floor:
                 return GuaranteeResult(False, f"size {b.size} < floor {floor}", b)
-        return GuaranteeResult(True)
-
-    if problem == "mwm":
+    elif problem == "mwm":
         anchor = source_stats if source_stats.total_weight <= target_stats.total_weight \
             else target_stats
         base = anchor.total_weight
@@ -545,17 +546,21 @@ def check_guarantee(
             if b.weight < phase_floor:
                 return GuaranteeResult(
                     False, f"phase-end weight {b.weight} < floor {phase_floor}", b)
-        return GuaranteeResult(True)
-
-    # msf: phase_budget raised for any problem not in PROBLEMS
-    ceiling = max(source_stats.total_weight, target_stats.total_weight)
-    tol = slack(ceiling)
-    for b in phase_ends:
-        if not b.valid:
-            return GuaranteeResult(False, "invalid forest at phase end", b)
-        if b.weight > ceiling + tol:
-            return GuaranteeResult(
-                False, f"phase-end weight {b.weight} > ceiling {ceiling}", b)
+    else:   # msf: phase_budget raised for any problem not in PROBLEMS
+        ceiling = max(source_stats.total_weight, target_stats.total_weight)
+        tol = slack(ceiling)
+        for b in phase_ends:
+            if not b.valid:
+                return GuaranteeResult(False, "invalid forest at phase end", b)
+            if b.weight > ceiling + tol:
+                return GuaranteeResult(
+                    False, f"phase-end weight {b.weight} > ceiling {ceiling}", b)
+    # mcm and a heavier mwm target end at a superset of the target, a
+    # lighter mwm target and msf at the target itself
+    lacking = len(target_stats.edges - report.final_edges)
+    if lacking:
+        return GuaranteeResult(False, f"final state lacks {lacking} of "
+                               f"{len(target_stats.edges)} target edges")
     return GuaranteeResult(True)
 
 

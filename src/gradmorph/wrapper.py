@@ -40,7 +40,7 @@ from typing import Generator, Iterable, Optional
 from . import mcm
 from .graph import (ContractError, DataError, DeltaReport, Graph, Matching,
                     UpdateEvent, require_valid)
-from .script import MCM_PHASE_BUDGET, TransformationScript, phase_budget
+from .script import TransformationScript
 
 EPS_MAX = 0.4                 # keeps the internal window ratio <= 1/2
 WINDOW_RATIO_FACTOR = 1.25    # window length ~ 1.25 * eps * matching size
@@ -269,8 +269,7 @@ def plan_mcm(g: Graph, output: Matching, target_only: list[int],
     mcm core, O(k) Python work for k target-only edges. The output must
     already be checked, as the window's plan step does."""
     return TransformationScript(
-        g, "mcm", MCM_PHASE_BUDGET, None,
-        mcm.plan_target_only(g, output, target_only, target_size))
+        g, "mcm", None, mcm.plan_target_only(g, output, target_only, target_size))
 
 
 def plan_mwm_auto(g: Graph, output: Matching, target: Matching,
@@ -278,7 +277,7 @@ def plan_mwm_auto(g: Graph, output: Matching, target: Matching,
     """A window's weighted plan from the output to the snapshot's live
     edges, target: mwm.plan_mwm_groups's groups, checking both matchings."""
     from . import mwm
-    return TransformationScript(g, "mwm", phase_budget("mwm", eps), eps,
+    return TransformationScript(g, "mwm", eps,
                                 mwm.plan_mwm_groups(g, output, target, eps))
 
 

@@ -267,9 +267,9 @@ def test_cli_corrupted_script_fails_replay(workdir, capsys):
 
 def test_cli_replay_holds_each_phase_to_the_problem_budget(tmp_path, capsys):
     # one 7-op phase on the 8-path, from (1,2),(3,4),(5,6) to (0,1),...,(6,7),
-    # in a script that declares a budget of 50: mcm's phase budget is 3,
-    # mwm's is 9 at eps = 0.5. Each removal is followed by an add, so the
-    # mwm script holds w - W = 2 at every op boundary it is replayed at.
+    # in a script that declares its problem's Δ: mcm's is 3, so the phase
+    # is a violation, and mwm's is 9 at eps = 0.5. Each removal is followed
+    # by an add, so the mwm script holds w - W = 2 at every op boundary.
     (tmp_path / "g.txt").write_text("".join(f"e {v} {v + 1} 1\n" for v in range(7)))
     (tmp_path / "from.txt").write_text("1 2\n3 4\n5 6\n")
     (tmp_path / "to.txt").write_text("0 1\n2 3\n4 5\n6 7\n")
@@ -279,12 +279,12 @@ def test_cli_replay_holds_each_phase_to_the_problem_budget(tmp_path, capsys):
     run = ["replay", "--graph", str(tmp_path / "g.txt"),
            "--from", str(tmp_path / "from.txt"),
            "--to", str(tmp_path / "to.txt"), "--script", str(tmp_path / "s.json")]
-    for problem, eps, rc, out in (
-            ("mcm", None, 2, "guarantee violated: phase 0 has 7 ops > 3\n"),
-            ("mwm", 0.5, 0, "guarantee holds: boundaries=8 worst_size=2 "
-                            "worst_weight=2.0\n")):
+    for problem, eps, budget, rc, out in (
+            ("mcm", None, 3, 2, "guarantee violated: phase 0 has 7 ops > 3\n"),
+            ("mwm", 0.5, 9, 0, "guarantee holds: boundaries=8 worst_size=2 "
+                               "worst_weight=2.0\n")):
         (tmp_path / "s.json").write_text(json.dumps(
-            {"problem": problem, "epsilon": eps, "budget": 50,
+            {"problem": problem, "epsilon": eps, "budget": budget,
              "phases": [{"ops": ops}]}))
         assert main(run) == rc
         assert capsys.readouterr().out == out
@@ -477,9 +477,17 @@ _ADD_01 = {"op": "add", "u": 0, "v": 1, "w": 1.0}
     ({"problem": "mcm", "epsilon": None, "budget": 3,
       "phases": [{"ops": [_ADD_01]}, {"ops": []}]},
      "phase 1 is empty"),
+    # a script declares its problem's Δ, and mcm takes no epsilon
     ({"problem": "mcm", "epsilon": None, "budget": 0,
       "phases": [{"ops": [_ADD_01]}]},
-     "phase 0 has 1 ops > declared budget 0"),
+     "malformed script JSON: budget 0 is not the mcm phase budget 3"),
+    ({"problem": "mcm", "epsilon": 7, "budget": 3, "phases": []},
+     "mcm takes no epsilon, got 7.0"),
+    # phases and ops are JSON arrays, never objects
+    ({"problem": "mcm", "epsilon": None, "budget": 3, "phases": {}},
+     "malformed script JSON: phases is not a list"),
+    ({"problem": "mcm", "epsilon": None, "budget": 3, "phases": [{"ops": {}}]},
+     "malformed script JSON: phase 0: ops is not a list"),
 ])
 def test_cli_replay_refuses_a_malformed_script_as_data(script, error, tmp_path,
                                                        capsys):
@@ -493,6 +501,24 @@ def test_cli_replay_refuses_a_malformed_script_as_data(script, error, tmp_path,
                  "--script", str(tmp_path / "s.json")]) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"gradmorph: data: {error}\n")
+
+
+@pytest.mark.parametrize("phases", [[], [{"ops": [{**_ADD_01, "u": 2}]}]],
+                         ids=["no-phase", "adds-(1,2)"])
+def test_cli_replay_holds_a_script_to_its_target(phases, tmp_path, capsys):
+    # from no edge to (0,1): a script that keeps every floor but never
+    # adds (0,1) does not end at its target
+    (tmp_path / "g.txt").write_text("e 0 1 1.0\ne 1 2 1.0\n")
+    (tmp_path / "from.txt").write_text("")
+    (tmp_path / "to.txt").write_text("0 1\n")
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"problem": "mcm", "epsilon": None, "budget": 3, "phases": phases}))
+    assert main(["replay", "--graph", str(tmp_path / "g.txt"),
+                 "--from", str(tmp_path / "from.txt"),
+                 "--to", str(tmp_path / "to.txt"),
+                 "--script", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().out == (
+        "guarantee violated: final state lacks 1 of 1 target edges\n")
 
 
 def test_cli_simulate_and_adversary(tmp_path, capsys):
@@ -696,7 +722,7 @@ def test_cli_transform_checks_what_it_replays(tmp_path, capsys, monkeypatch):
 
     def below_floor(g, src, tgt):
         e = g.edge_id
-        return TransformationScript.from_groups(g, "mcm", None, [
+        return TransformationScript(g, "mcm", None, [
             [("remove", e(1, 2))],
             [("add", e(0, 1)), ("remove", e(3, 4)), ("add", e(2, 3))],
             [("add", e(4, 5))]])

@@ -67,7 +67,7 @@ def test_drained_mcm_exchange_never_lowers_the_size(rng):
             assert all(k == "remove" for k, _ in removed)
             size += 1 - len(removed)
         if groups:
-            script = TransformationScript.from_groups(g, "mcm", None, groups)
+            script = TransformationScript(g, "mcm", None, groups)
             report = replay(g, current.edge_ids(), script)
             sizes = [b.size for b in report.boundaries]
             assert sizes == sorted(sizes) and sizes[-1] == size

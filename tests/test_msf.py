@@ -101,7 +101,7 @@ def test_plan_tree_case2_reverse_stitch():
     groups = plan_tree(g, src, tgt)
     # the backward exchange [remove ac, add bc], reversed and inverted
     assert groups == [[("remove", e_bc), ("add", e_ac)]]
-    script = TransformationScript.from_groups(g, "msf", None, groups)
+    script = TransformationScript(g, "msf", None, groups)
     report = replay(g, src, script, "per-phase")
     assert report.final_edges == frozenset(tgt)
     ceiling = max(sum(g.weight(e) for e in src), sum(g.weight(e) for e in tgt))

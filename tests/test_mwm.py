@@ -288,7 +288,7 @@ def test_drained_weighted_exchange_strictly_raises_the_weight(rng):
             assert g.weight(added) > sum(g.weight(eid) for _, eid in removed)
         if groups:
             # replayed, with its running float sum, the weight never falls
-            script = TransformationScript.from_groups(g, "mwm", 0.5, groups)
+            script = TransformationScript(g, "mwm", 0.5, groups)
             report = replay(g, src.edge_ids(), script, "per-phase")
             weights = [b.weight for b in report.boundaries]
             assert all(a <= b + 1e-9 for a, b in zip(weights, weights[1:]))

@@ -14,16 +14,18 @@ from gradmorph.mcm import plan_mcm
 from gradmorph.msf import plan_msf
 from gradmorph.mwm import plan_mwm_auto
 from gradmorph.oracles import msf_exact, replay_reference
-from gradmorph.script import TransformationScript, replay
+from gradmorph.script import TransformationScript, phase_budget, replay
 
 from conftest import path_graph
 
 GRANULARITIES = ("per-phase", "per-op")
 
 
-def _script(g, problem, budget, phase_ops, eps=None):
+def _script(g, problem, phase_ops, eps=None, budget=None):
     """The script of literal (kind, u, v, w) ops, read on g as a script
-    file is."""
+    file is; it declares the problem's phase_budget unless given one."""
+    if budget is None:
+        budget = phase_budget(problem, eps)
     return TransformationScript.from_json(json.dumps({
         "problem": problem, "epsilon": eps, "budget": budget,
         "phases": [{"ops": [{"op": kind, "u": u, "v": v, "w": w}
@@ -45,7 +47,7 @@ def _valid_flags(report):
 def test_empty_source_weighs_a_float_zero(granularity):
     g = Graph()
     g.add_edge(0, 1, 2.0)
-    script = _script(g, "mwm", 9, [[("add", 0, 1, 2.0)]], eps=0.5)
+    script = _script(g, "mwm", [[("add", 0, 1, 2.0)]], eps=0.5)
     first = _same(g, [], script, granularity).boundaries[0].weight
     assert repr(first) == "0.0"
     assert repr(replay_reference(g, [], script, granularity)
@@ -102,7 +104,7 @@ def test_edge_removed_readded_and_removed_in_one_phase(start_present):
     if not start_present:
         ops.insert(0, ("add", 0, 1, 1.0))
     source = [g.edge_id(0, 1)] if start_present else []
-    script = _script(g, "mcm", 5, [ops, [("remove", 1, 2, 1.0)]])
+    script = _script(g, "mcm", [ops, [("remove", 1, 2, 1.0)]])
     report = _same(g, source, script, "per-op")
     flags = _valid_flags(report)
     assert flags[-3:] == [False, True, True]   # op 2, phase 0 end, phase 1 end
@@ -111,7 +113,7 @@ def test_edge_removed_readded_and_removed_in_one_phase(start_present):
 
 def test_pending_removal_is_exempt_at_op_boundaries():
     g = path_graph(3)
-    script = _script(g, "mcm", 3, [[("add", 1, 2, 1.0), ("remove", 0, 1, 1.0)]])
+    script = _script(g, "mcm", [[("add", 1, 2, 1.0), ("remove", 0, 1, 1.0)]])
     report = _same(g, [g.edge_id(0, 1)], script, "per-op")
     assert _valid_flags(report) == [True, True, True]
 
@@ -122,7 +124,7 @@ def test_forest_cycle_closed_then_broken(granularity):
     g = Graph()
     e01, e12, e02, e23 = (g.add_edge(0, 1, 1.0), g.add_edge(1, 2, 2.0),
                           g.add_edge(0, 2, 3.0), g.add_edge(2, 3, 4.0))
-    script = _script(g, "msf", 2, [
+    script = _script(g, "msf", [
         [("remove", 2, 3, 4.0), ("add", 0, 2, 3.0)],   # closes the triangle
         [("add", 2, 3, 4.0), ("remove", 0, 1, 1.0)],   # breaks it, spans again
         [("remove", 1, 2, 2.0), ("add", 0, 1, 1.0)],
@@ -137,7 +139,7 @@ def test_forest_cycle_stays_until_broken():
     g = Graph()
     e01, e12, e02 = g.add_edge(0, 1, 1.0), g.add_edge(1, 2, 1.0), g.add_edge(0, 2, 1.0)
     e34, e45, e35 = g.add_edge(3, 4, 1.0), g.add_edge(4, 5, 1.0), g.add_edge(3, 5, 1.0)
-    script = _script(g, "msf", 2, [
+    script = _script(g, "msf", [
         [("remove", 3, 4, 1.0), ("add", 0, 2, 1.0)],
         [("remove", 4, 5, 1.0), ("add", 3, 4, 1.0)],
         [("remove", 3, 4, 1.0), ("add", 4, 5, 1.0)],
@@ -151,19 +153,19 @@ def test_forest_cycle_stays_until_broken():
 def test_invalid_sources(granularity):
     g = path_graph(4)
     two_at_1 = [g.edge_id(0, 1), g.edge_id(1, 2)]
-    script = _script(g, "mcm", 3, [[("remove", 0, 1, 1.0)]])
+    script = _script(g, "mcm", [[("remove", 0, 1, 1.0)]])
     report = _same(g, two_at_1, script, granularity)
     assert _valid_flags(report) == [False, True]
 
     tri = Graph()
     e01, e12, e02 = tri.add_edge(0, 1, 1.0), tri.add_edge(1, 2, 1.0), tri.add_edge(0, 2, 1.0)
     tri.ensure_vertex(3)
-    script = _script(tri, "msf", 2, [[("remove", 0, 2, 1.0)]])
+    script = _script(tri, "msf", [[("remove", 0, 2, 1.0)]])
     report = _same(tri, [e01, e12, e02], script, granularity)
     assert _valid_flags(report) == [False, True]
     # too few edges to span, then right-sized but cyclic
-    report = _same(tri, [e01], _script(tri, "msf", 2, [[("add", 1, 2, 1.0)],
-                                                       [("add", 0, 2, 1.0)]]),
+    report = _same(tri, [e01], _script(tri, "msf", [[("add", 1, 2, 1.0)],
+                                                    [("add", 0, 2, 1.0)]]),
                    granularity)
     assert _valid_flags(report) == [False, True, False]
 
@@ -174,16 +176,20 @@ def _error(fn, *args):
     return type(info.value), str(info.value)
 
 
+# fault -> (problem, phase ops, the error both replays raise). The last
+# three are refused where a script is made, so they are set on a made
+# script: its fields are mutable, and both replays check them again.
 STRUCTURAL = {
     "adding present": ("mcm", [[("add", 0, 1, 1.0)],
-                               [("add", 2, 3, 1.0), ("add", 0, 1, 1.0)]]),
-    "removing absent": ("msf", [[("add", 0, 1, 1.0)],
-                                [("remove", 1, 2, 1.0)]]),
-    "unknown op kind": ("mwm", [[("add", 0, 1, 1.0), ("flip", 1, 2, 1.0)]]),
-    "unknown problem tag": ("mst", [[("add", 0, 1, 1.0)]]),
-    "is empty": ("mcm", [[("add", 0, 1, 1.0)], []]),
-    "declared budget": ("msf", [[("add", 0, 1, 1.0), ("add", 1, 2, 1.0),
-                                 ("add", 2, 3, 1.0)]]),
+                               [("add", 2, 3, 1.0), ("add", 0, 1, 1.0)]],
+                       "phase 1 op 1: adding present edge (0,1)"),
+    "removing absent": ("msf", [[("add", 0, 1, 1.0)], [("remove", 1, 2, 1.0)]],
+                        "phase 1 op 0: removing absent edge (1,2)"),
+    "unknown op kind": ("mcm", [[("add", 0, 1, 1.0), ("flip", 1, 2, 1.0)]],
+                        "phase 0 op 1: unknown op kind 'flip'"),
+    "unknown problem tag": ("mst", [[("add", 0, 1, 1.0)]],
+                            "unknown problem 'mst'"),
+    "is empty": ("mcm", [[("add", 0, 1, 1.0)], []], "phase 1 is empty"),
 }
 
 
@@ -191,29 +197,40 @@ STRUCTURAL = {
 @pytest.mark.parametrize("expected", sorted(STRUCTURAL))
 def test_structural_errors_match(expected, granularity):
     g = path_graph(5)
-    problem, phase_ops = STRUCTURAL[expected]
-    budget = 2 if problem == "msf" else 3
-    script = _script(g, problem, budget, phase_ops, eps=0.25)
+    problem, phase_ops, error = STRUCTURAL[expected]
+    script = _script(g, "mcm", [])
+    script.problem = problem
+    script.phases = [[(kind, g.edge_id(u, v)) for kind, u, v, _ in ops]
+                     for ops in phase_ops]
     fast = _error(replay, g, [], script, granularity)
     assert fast == _error(replay_reference, g, [], script, granularity)
-    assert expected in fast[1]
+    assert fast == (DataError, error)
 
 
-# an endpoint pair and its recorded weight are checked where the script is
-# read, before either replay sees it
+# an endpoint pair, its recorded weight, the problem, the budget and the
+# phases' structure are checked where the script is read, before either
+# replay sees it: error -> (problem, declared budget or None for Δ, phases)
 READ_ERRORS = {
     "phase 1 op 0: edge (2,9) not in graph":
-        [[("add", 0, 1, 1.0)], [("add", 2, 9, 1.0)]],
+        ("mcm", None, [[("add", 0, 1, 1.0)], [("add", 2, 9, 1.0)]]),
     "phase 1 op 0: recorded weight 5.0 != graph weight 1.0":
-        [[("add", 0, 1, 1.0)], [("add", 2, 3, 5.0)]],
+        ("mcm", None, [[("add", 0, 1, 1.0)], [("add", 2, 3, 5.0)]]),
+    "unknown problem 'mst'": ("mst", 3, [[("add", 0, 1, 1.0)]]),
+    "malformed script JSON: budget 3 is not the msf phase budget 2":
+        ("msf", 3, [[("add", 0, 1, 1.0), ("add", 1, 2, 1.0), ("add", 2, 3, 1.0)]]),
+    "phase 1 is empty": ("mcm", None, [[("add", 0, 1, 1.0)], []]),
+    "phase 0 op 1: unknown op kind 'flip'":
+        ("mwm", None, [[("add", 0, 1, 1.0), ("flip", 1, 2, 1.0)]]),
 }
 
 
 @pytest.mark.parametrize("expected", sorted(READ_ERRORS))
 def test_read_errors_name_location(expected):
     g = path_graph(5)
+    problem, budget, phase_ops = READ_ERRORS[expected]
+    eps = 0.25 if problem == "mwm" else None
     with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
-        _script(g, "mcm", 3, READ_ERRORS[expected])
+        _script(g, problem, phase_ops, eps, budget)
 
 
 @pytest.mark.parametrize("granularity", GRANULARITIES)
@@ -252,7 +269,7 @@ def test_both_name_an_id_that_left_the_graph(granularity):
 
 def test_unknown_granularity_matches():
     g = path_graph(3)
-    script = _script(g, "mcm", 3, [])
+    script = _script(g, "mcm", [])
     fast = _error(replay, g, [], script, "per-edge")
     assert fast == _error(replay_reference, g, [], script, "per-edge")
 
@@ -271,7 +288,7 @@ def _random_script(rng, g, problem, source):
             (state.discard if kind == "remove" else state.add)(eid)
             ops.append((kind, eid))
         phases.append(ops)
-    return TransformationScript(g, problem, 4, 0.25, phases)
+    return TransformationScript(g, problem, None, phases)
 
 
 @pytest.mark.parametrize("problem", ["mcm", "msf"])
@@ -330,7 +347,7 @@ def _forest_walk(rng, g, source, need, phases):
         for kind, e in ops:
             (state.add if kind == "add" else state.discard)(e)
         out.append(ops)
-    return TransformationScript(g, "msf", 2, None, out)
+    return TransformationScript(g, "msf", None, out)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -352,6 +369,6 @@ def test_forest_replay_agrees_at_hundreds_of_vertices(seed):
             report = _same(g, source, script, granularity)
             right_size = [b.valid for b in report.boundaries if b.size == need]
             assert 0 < sum(right_size) < len(right_size)
-            empty = _same(g, source, TransformationScript(g, "msf", 2, None, []),
+            empty = _same(g, source, TransformationScript(g, "msf", None, []),
                           granularity)
             assert _valid_flags(empty) == [len(source) == need]

@@ -24,9 +24,11 @@ from gradmorph.script import (PROBLEMS, TransformationScript,
 from conftest import path_graph
 
 
-def _script(g, problem, budget, phase_ops, eps=None):
+def _script(g, problem, phase_ops, eps=None, budget=None):
     """The script of literal (kind, u, v, w) ops, read on g as a script
-    file is."""
+    file is; it declares the problem's phase_budget unless given one."""
+    if budget is None:
+        budget = phase_budget(problem, eps)
     return TransformationScript.from_json(json.dumps({
         "problem": problem, "epsilon": eps, "budget": budget,
         "phases": [{"ops": [{"op": kind, "u": u, "v": v, "w": w}
@@ -43,18 +45,18 @@ def test_recorded_weight_checked_with_relative_slack(offset, accepted):
     g.add_edge(0, 1, w)
     recorded = w + offset * DEFAULT_TOLERANCE * w   # slack is relative here
     if accepted:
-        script = _script(g, "mcm", 3, [[("add", 0, 1, recorded)]])
+        script = _script(g, "mcm", [[("add", 0, 1, recorded)]])
         assert replay(g, [], script).final_edges == {g.edge_id(0, 1)}
     else:
         with pytest.raises(DataError, match=re.escape(
                 f"phase 0 op 0: recorded weight {recorded} != graph weight {w}")):
-            _script(g, "mcm", 3, [[("add", 0, 1, recorded)]])
+            _script(g, "mcm", [[("add", 0, 1, recorded)]])
 
 
 def test_empty_script_single_snapshot():
     g = path_graph(3)
     src = Matching(g, [g.edge_id(0, 1)])
-    report = replay(g, src.edge_ids(), _script(g, "mcm", 3, []))
+    report = replay(g, src.edge_ids(), _script(g, "mcm", []))
     assert len(report.boundaries) == 1
     assert report.final_edges == frozenset(src.edge_ids())
 
@@ -62,7 +64,7 @@ def test_empty_script_single_snapshot():
 def test_single_add_on_isolated_edge():
     g = Graph()
     g.add_edge(0, 1, 2.0)
-    report = replay(g, [], _script(g, "mcm", 3, [[("add", 0, 1, 2.0)]]))
+    report = replay(g, [], _script(g, "mcm", [[("add", 0, 1, 2.0)]]))
     assert report.boundaries[-1].size == 1
     assert report.boundaries[-1].valid
 
@@ -70,22 +72,22 @@ def test_single_add_on_isolated_edge():
 def test_replay_structural_errors_name_location():
     g = path_graph(3)
     with pytest.raises(DataError, match="phase 0 op 0"):
-        replay(g, [], _script(g, "mcm", 3, [[("remove", 0, 1, 1.0)]]))
+        replay(g, [], _script(g, "mcm", [[("remove", 0, 1, 1.0)]]))
     with pytest.raises(DataError, match="phase 0 op 1"):
-        replay(g, [], _script(g, "mcm", 3, [[("add", 0, 1, 1.0), ("add", 0, 1, 1.0)]]))
+        replay(g, [], _script(g, "mcm", [[("add", 0, 1, 1.0), ("add", 0, 1, 1.0)]]))
     # an endpoint pair and its weight are checked where the script is read
     with pytest.raises(DataError, match=re.escape(
             "phase 1 op 0: edge (0,9) not in graph")):
-        _script(g, "mcm", 3, [[("add", 0, 1, 1.0)], [("add", 0, 9, 1.0)]])
+        _script(g, "mcm", [[("add", 0, 1, 1.0)], [("add", 0, 9, 1.0)]])
     with pytest.raises(DataError, match=re.escape(
             "phase 0 op 1: recorded weight 5.0 != graph weight 1.0")):
-        _script(g, "mcm", 3, [[("add", 0, 1, 1.0), ("add", 2, 1, 5.0)]])
+        _script(g, "mcm", [[("add", 0, 1, 1.0), ("add", 2, 1, 5.0)]])
 
 
 def test_conflicting_add_is_recorded_not_raised():
     g = path_graph(3)
     src = Matching(g, [g.edge_id(0, 1)])
-    script = _script(g, "mcm", 3, [[("add", 1, 2, 1.0)]])
+    script = _script(g, "mcm", [[("add", 1, 2, 1.0)]])
     report = replay(g, src.edge_ids(), script)
     assert not report.boundaries[-1].valid
     stats = solution_stats(g, src)
@@ -94,23 +96,30 @@ def test_conflicting_add_is_recorded_not_raised():
 
 
 def test_phase_budget_enforced():
-    g = path_graph(5)
-    script = _script(g, "mcm", 1, [[("add", 0, 1, 1.0), ("add", 2, 3, 1.0)]])
-    # a script file's structure is data: a DataError, as in from_json
-    with pytest.raises(DataError, match="^phase 0 has 2 ops > declared budget 1$"):
-        replay(g, [], script)
+    g = path_graph(8)
+    # a script declares its problem's Δ: any other budget is a read error
+    with pytest.raises(DataError, match=re.escape(
+            "malformed script JSON: budget 1 is not the mcm phase budget 3")):
+        _script(g, "mcm", [[("add", 0, 1, 1.0)]], budget=1)
+    # a phase over Δ replays, and check_guarantee names it
+    ops = [("add", 2 * i, 2 * i + 1, 1.0) for i in range(4)]
+    report = replay(g, [], _script(g, "mcm", [ops]))
+    res = check_guarantee(report, solution_stats(g, Matching(g)),
+                          solution_stats(g, Matching(g, report.final_edges)), "mcm")
+    assert res.reason == "phase 0 has 4 ops > 3"
 
 
 def test_check_guarantee_mcm_arithmetic():
     g = path_graph(6)
     src = Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3)])
-    report = replay(g, src.edge_ids(), _script(g, "mcm", 3, [
+    report = replay(g, src.edge_ids(), _script(g, "mcm", [
         [("remove", 2, 3, 1.0)],
         [("add", 4, 5, 1.0)],
     ]))
     # sizes 2,1,2 with |M|=2, |M'|=2: floor = min(2, 1) = 1 -> pass
     stats2 = solution_stats(g, src)
-    assert check_guarantee(report, stats2, stats2, "mcm").ok
+    tgt2 = solution_stats(g, Matching(g, [g.edge_id(0, 1), g.edge_id(4, 5)]))
+    assert check_guarantee(report, stats2, tgt2, "mcm").ok
     # target size 3 -> floor 2, the dip to 1 fails
     tgt3 = solution_stats(g, Matching(g, [g.edge_id(0, 1), g.edge_id(2, 3),
                                           g.edge_id(4, 5)]))
@@ -126,7 +135,7 @@ def test_check_guarantee_mwm_floor_arithmetic():
     u0, v0 = g.endpoints(edges[0])
     u1, v1 = g.endpoints(edges[1])
     extra = g.add_edge(100, 101, 4.0)
-    script = _script(g, "mwm", 10, [
+    script = _script(g, "mwm", [
         [("remove", u0, v0, 5.0), ("remove", u1, v1, 5.0),
          ("add", 100, 101, 4.0)],
     ], eps=0.1)
@@ -139,17 +148,18 @@ def test_check_guarantee_mwm_floor_arithmetic():
     report_op = replay(g, src.edge_ids(), script, "per-op")
     res = check_guarantee(report_op, stats_src, stats_src, "mwm", 0.1)
     assert not res.ok and res.boundary.weight == pytest.approx(90.0)
-    # a 96 phase end passes the 95 floor
-    ok_script = _script(g, "mwm", 10, [
+    # a 99 phase end passes the floor of its lighter target, max(94, 89.1)
+    ok_script = _script(g, "mwm", [
         [("remove", u0, v0, 5.0), ("add", 100, 101, 4.0)],
     ], eps=0.1)
     report = replay(g, src.edge_ids(), ok_script, "per-phase")
-    assert check_guarantee(report, stats_src, stats_src, "mwm", 0.1).ok
+    tgt = solution_stats(g, Matching(g, report.final_edges))
+    assert check_guarantee(report, stats_src, tgt, "mwm", 0.1).ok
 
 
 def test_check_guarantee_problem_mismatch():
     g = path_graph(3)
-    report = replay(g, [], _script(g, "mcm", 3, []))
+    report = replay(g, [], _script(g, "mcm", []))
     stats = solution_stats(g, Matching(g))
     with pytest.raises(DataError):
         check_guarantee(report, stats, stats, "msf")
@@ -163,12 +173,12 @@ def test_check_guarantee_msf():
     from gradmorph.graph import SpanningForest
     src = SpanningForest(g, [e1, e2])
     tgt = SpanningForest(g, [e1, e3])
-    script = _script(g, "msf", 2, [[("remove", 1, 2, 5.0), ("add", 0, 2, 2.0)]])
+    script = _script(g, "msf", [[("remove", 1, 2, 5.0), ("add", 0, 2, 2.0)]])
     report = replay(g, src.edge_ids(), script)
     res = check_guarantee(report, solution_stats(g, src),
                           solution_stats(g, tgt), "msf")
     assert res.ok
-    bad = _script(g, "msf", 3, [[("remove", 1, 2, 5.0), ("add", 0, 2, 2.0),
+    bad = _script(g, "msf", [[("remove", 1, 2, 5.0), ("add", 0, 2, 2.0),
                               ("remove", 0, 2, 2.0)]])
     report = replay(g, src.edge_ids(), bad)
     res = check_guarantee(report, solution_stats(g, src),
@@ -197,12 +207,25 @@ def test_check_guarantee_names_each_phase_end_fault(problem, src, tgt, ops,
     src, tgt = (kind(g, [g.edge_id(u, v) for u, v in pairs])
                 for pairs in (src, tgt))
     eps = 0.5 if problem == "mwm" else None
-    report = replay(g, src.edge_ids(), _script(g, problem, 9, [ops], eps),
+    report = replay(g, src.edge_ids(), _script(g, problem, [ops], eps),
                     gradmorph.script.transform_granularity(problem))
     res = check_guarantee(report, solution_stats(g, src),
                           solution_stats(g, tgt), problem, eps)
     assert not res.ok and res.reason == reason
     assert res.boundary == report.boundaries[-1]
+
+
+def test_check_guarantee_holds_a_script_to_its_target():
+    # from no edge to (0,1): no phase, or one that adds (1,2), keeps every
+    # floor, but neither ends holding (0,1)
+    g = path_graph(3)
+    src, tgt = Matching(g), Matching(g, [g.edge_id(0, 1)])
+    for phases in ([], [[("add", 1, 2, 1.0)]]):
+        report = replay(g, [], _script(g, "mcm", phases))
+        res = check_guarantee(report, solution_stats(g, src),
+                              solution_stats(g, tgt), "mcm")
+        assert not res.ok and res.boundary is None
+        assert res.reason == "final state lacks 1 of 1 target edges"
 
 
 def test_phase_budget_is_the_rule_for_every_problem():
@@ -215,11 +238,14 @@ def test_phase_budget_is_the_rule_for_every_problem():
             phase_budget("mwm", eps)
     with pytest.raises(DataError, match="unknown problem 'mst'"):
         phase_budget("mst")
+    for problem in ("mcm", "msf"):
+        with pytest.raises(DataError, match=f"^{problem} takes no epsilon, got 0.25$"):
+            phase_budget(problem, 0.25)
 
 
 def _one_phase(problem, n_ops, eps):
     """A graph, source and target, and a one-phase script of n_ops ops
-    that declares a budget of 50 and meets every floor of the problem. A
+    that declares the problem's Δ and meets every floor of the problem. A
     matching phase adds n_ops disjoint edges to the empty matching; the
     msf phase exchanges (1,2) for (0,2) on a triangle, then keeps going."""
     g = Graph()
@@ -231,13 +257,13 @@ def _one_phase(problem, n_ops, eps):
         ids = [g.add_edge(2 * i, 2 * i + 1, 1.0) for i in range(n_ops)]
         src, tgt = Matching(g), Matching(g, ids)
         ops = [("add", 2 * i, 2 * i + 1, 1.0) for i in range(n_ops)]
-    return g, src, tgt, _script(g, problem, 50, [ops[:n_ops]], eps)
+    return g, src, tgt, _script(g, problem, [ops[:n_ops]], eps)
 
 
 @pytest.mark.parametrize("problem, eps", [("mcm", None), ("mwm", 0.5),
                                           ("msf", None)])
 def test_check_guarantee_holds_each_phase_to_phase_budget(problem, eps):
-    # replay accepts the budget a script declares; the guarantee is Δ
+    # replay plays a phase over Δ; the guarantee holds each phase to Δ
     delta = phase_budget(problem, eps)
     for n_ops in (delta, delta + 1):
         g, src, tgt, script = _one_phase(problem, n_ops, eps)
@@ -268,7 +294,7 @@ def test_json_round_trip():
     g = Graph()
     for u, v, w in ((1, 2, 1.5), (2, 3, 2.0), (4, 5, 1.0)):
         g.add_edge(u, v, w)
-    script = _script(g, "mwm", 9, [
+    script = _script(g, "mwm", [
         [("add", 1, 2, 1.5), ("remove", 3, 2, 2.0)],
         [("add", 4, 5, 1.0)],
     ], eps=0.25)
@@ -295,6 +321,8 @@ def test_json_round_trip():
     ("u", "0", "phase 0 op 0: vertex ids '0', 1 are not both integers"),
     ("budget", 3.9, "budget 3.9 is not an integer"),
     ("budget", True, "budget True is not an integer"),
+    # the budget is the problem's Δ, and mcm takes no epsilon
+    ("budget", 50, "budget 50 is not the mcm phase budget 3"),
     # a weight and an epsilon are JSON numbers, never bools or strings
     ("w", True, "phase 0 op 0: weight True is not a number"),
     ("w", "1.0", "phase 0 op 0: weight '1.0' is not a number"),
@@ -314,6 +342,14 @@ def test_from_json_reads_vertex_ids_and_budget_only_as_integers(field, value,
     (obj if field in ("budget", "epsilon") else obj["phases"][0]["ops"][0])[field] = value
     with pytest.raises(DataError, match=re.escape(f"malformed script JSON: {error}")):
         TransformationScript.from_json(json.dumps(obj), g)
+
+
+@pytest.mark.parametrize("problem", ["mcm", "msf"])
+def test_from_json_refuses_an_epsilon_for_mcm_and_msf(problem):
+    obj = {"problem": problem, "epsilon": 7, "budget": phase_budget(problem),
+           "phases": []}
+    with pytest.raises(DataError, match=f"^{problem} takes no epsilon, got 7.0$"):
+        TransformationScript.from_json(json.dumps(obj), path_graph(2))
 
 
 def test_writers_name_the_op_whose_edge_the_graph_lost():
@@ -345,6 +381,9 @@ def test_planned_scripts_read_back_to_their_groups(problem):
         again = TransformationScript.from_json(script.to_json(), g)
         assert again.phases == script.phases
         assert again == script
+        # a planned script declares its problem's phase budget
+        assert script.to_json_obj()["budget"] == phase_budget(
+            problem, 0.25 if problem == "mwm" else None)
 
 
 @st.composite
@@ -363,10 +402,9 @@ def _scripts(draw):
     phases = draw(st.one_of(
         st.just([]), st.lists(ops, min_size=1, max_size=4).map(lambda o: [o]),
         st.lists(st.lists(ops, min_size=1, max_size=4), max_size=5)))
-    return TransformationScript(
-        g, draw(st.sampled_from(PROBLEMS)), draw(st.integers(1, 10**6)),
-        draw(st.one_of(st.none(), st.floats(min_value=1e-9, max_value=0.5))),
-        phases)
+    problem = draw(st.sampled_from(PROBLEMS))
+    eps = draw(st.floats(min_value=1e-9, max_value=0.5)) if problem == "mwm" else None
+    return TransformationScript(g, problem, eps, phases)
 # manifests: nested dicts and lists, booleans, None, numbers and strings
 # that need escaping
 _MANIFESTS = st.one_of(st.none(), st.dictionaries(st.text(max_size=6), st.recursive(
@@ -390,7 +428,7 @@ def test_script_writer_is_json_dumps_byte_for_byte(script, manifest):
 def test_reversed_script_round_trip():
     g = path_graph(4)
     src = Matching(g, [g.edge_id(1, 2)])
-    script = _script(g, "mcm", 3, [
+    script = _script(g, "mcm", [
         [("add", 0, 1, 1.0)] if False else [("remove", 1, 2, 1.0)],
         [("add", 0, 1, 1.0)],
         [("add", 2, 3, 1.0)],
@@ -403,15 +441,19 @@ def test_reversed_script_round_trip():
 @pytest.mark.parametrize("kind", ["flip", ["add"]])
 def test_reversed_script_rejects_an_unknown_op_kind(kind):
     g = path_graph(2)
-    script = _script(g, "mcm", 3, [[(kind, 0, 1, 1.0)]])
-    with pytest.raises(DataError, match=re.escape(
-            f"phase 0 op 0: unknown op kind {kind!r}")):
+    error = re.escape(f"phase 0 op 0: unknown op kind {kind!r}")
+    with pytest.raises(DataError, match=error):
+        _script(g, "mcm", [[(kind, 0, 1, 1.0)]])
+    # a made script's phases may still change: the undo checks them again
+    script = _script(g, "mcm", [])
+    script.phases.append([(kind, 0)])
+    with pytest.raises(DataError, match=error):
         script.reversed_script()
 
 
 def test_replay_deterministic_and_csv_shape():
     g = path_graph(4)
-    script = _script(g, "mcm", 3, [[("add", 0, 1, 1.0)], [("add", 2, 3, 1.0)]])
+    script = _script(g, "mcm", [[("add", 0, 1, 1.0)], [("add", 2, 3, 1.0)]])
     r1 = replay(g, [], script, "per-op")
     r2 = replay(g, [], script, "per-op")
     assert r1 == r2

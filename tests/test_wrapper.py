@@ -477,7 +477,7 @@ def _window_playing(monkeypatch, groups):
     wrapped.small_threshold = 0   # a window, not an instant switch
     monkeypatch.setattr(
         gradmorph.wrapper, "plan_mcm",
-        lambda g, *args: TransformationScript(g, "mcm", 3, phases=groups(ids)))
+        lambda g, *args: TransformationScript(g, "mcm", phases=groups(ids)))
     return _stepper(g, wrapped), ids, wrapped
 
 
