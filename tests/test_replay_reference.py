@@ -176,20 +176,25 @@ def _error(fn, *args):
     return type(info.value), str(info.value)
 
 
-# fault -> (problem, phase ops, the error both replays raise). The last
-# three are refused where a script is made, so they are set on a made
-# script: its fields are mutable, and both replays check them again.
+# fault -> (problem, epsilon, phase ops, the error both replays raise). The
+# last four are refused where a script is made, so they are set on a made
+# script: its fields are mutable, and both replays check them again. A
+# script declares its budget by its problem and epsilon, so an epsilon that
+# phase_budget refuses is a declared budget that no phase can be held to.
 STRUCTURAL = {
-    "adding present": ("mcm", [[("add", 0, 1, 1.0)],
-                               [("add", 2, 3, 1.0), ("add", 0, 1, 1.0)]],
+    "adding present": ("mcm", None, [[("add", 0, 1, 1.0)],
+                                     [("add", 2, 3, 1.0), ("add", 0, 1, 1.0)]],
                        "phase 1 op 1: adding present edge (0,1)"),
-    "removing absent": ("msf", [[("add", 0, 1, 1.0)], [("remove", 1, 2, 1.0)]],
+    "removing absent": ("msf", None, [[("add", 0, 1, 1.0)],
+                                      [("remove", 1, 2, 1.0)]],
                         "phase 1 op 0: removing absent edge (1,2)"),
-    "unknown op kind": ("mcm", [[("add", 0, 1, 1.0), ("flip", 1, 2, 1.0)]],
+    "unknown op kind": ("mcm", None, [[("add", 0, 1, 1.0), ("flip", 1, 2, 1.0)]],
                         "phase 0 op 1: unknown op kind 'flip'"),
-    "unknown problem tag": ("mst", [[("add", 0, 1, 1.0)]],
+    "unknown problem tag": ("mst", None, [[("add", 0, 1, 1.0)]],
                             "unknown problem 'mst'"),
-    "is empty": ("mcm", [[("add", 0, 1, 1.0)], []], "phase 1 is empty"),
+    "is empty": ("mcm", None, [[("add", 0, 1, 1.0)], []], "phase 1 is empty"),
+    "declared budget": ("mwm", 0.9, [[("add", 0, 1, 1.0)]],
+                        "mwm needs epsilon in (0, 1/2], got 0.9"),
 }
 
 
@@ -197,9 +202,9 @@ STRUCTURAL = {
 @pytest.mark.parametrize("expected", sorted(STRUCTURAL))
 def test_structural_errors_match(expected, granularity):
     g = path_graph(5)
-    problem, phase_ops, error = STRUCTURAL[expected]
+    problem, eps, phase_ops, error = STRUCTURAL[expected]
     script = _script(g, "mcm", [])
-    script.problem = problem
+    script.problem, script.epsilon = problem, eps
     script.phases = [[(kind, g.edge_id(u, v)) for kind, u, v, _ in ops]
                      for ops in phase_ops]
     fast = _error(replay, g, [], script, granularity)
