@@ -148,6 +148,7 @@ def _violation(result) -> str:
 
 def _cmd_simulate(args) -> int:
     import random
+    from array import array
     from .gen import random_update_stream
     from .sim import make_inner, run_simulation, trace_csv_rows
     from .wrapper import (RECOURSE_FACTOR, SIM_FACTOR, SMALL_FACTOR,
@@ -181,7 +182,9 @@ def _cmd_simulate(args) -> int:
     else:
         algo = WrappedMatching(g, inner, args.epsilon,
                                weighted=weighted, psi=psi)
-    result = run_simulation(g, algo, events, oracle_check=args.oracle_check)
+    stamps = array("d")   # 8 bytes a step
+    result = run_simulation(g, algo, _stamped(events, stamps),
+                            oracle_check=args.oracle_check)
     if args.trace:
         _write_csv(args.trace, trace_csv_rows(result), manifest)
     # the margins to the recourse and step-work budgets and the window
@@ -196,11 +199,36 @@ def _cmd_simulate(args) -> int:
     manifest.results = results
     _finish_manifest(manifest, args)
     ratio = result.worst_ratio
-    print(f"steps={len(result.rows)} "
+    print(f"steps={result.steps} "
           + " ".join(f"{k}={v}" for k, v in results.items())
           + f" mean_recourse={result.mean_recourse:.4f}"
-          + (f" worst_approx_ratio={ratio:.4f}" if ratio is not None else ""))
+          + (f" worst_approx_ratio={ratio:.4f}" if ratio is not None else "")
+          + " " + _latency(stamps))
     return EXIT_OK
+
+
+def _stamped(events, stamps):
+    """events, with a perf_counter stamp appended to stamps at each pull
+    and after the last one: the gap between two stamps is one whole step,
+    its trace columns included."""
+    clock, stamp = time.perf_counter, stamps.append
+    for ev in events:
+        stamp(clock())
+        yield ev
+    stamp(clock())
+
+
+def _latency(stamps) -> str:
+    """Updates per second and the nearest-rank p50, p99 and max of the
+    step times between stamps, in microseconds; zeros for no step."""
+    gaps = sorted(b - a for a, b in zip(stamps, stamps[1:]))
+    if not gaps:
+        return "updates_per_s=0 step_us_p50=0.00 step_us_p99=0.00 step_us_max=0.00"
+    n = len(gaps)
+    p50, p99 = (gaps[max(0, math.ceil(q * n) - 1)] for q in (0.5, 0.99))
+    return (f"updates_per_s={n / (stamps[-1] - stamps[0]):.0f} "
+            f"step_us_p50={1e6 * p50:.2f} step_us_p99={1e6 * p99:.2f} "
+            f"step_us_max={1e6 * gaps[-1]:.2f}")
 
 
 def _subject_factory(name: str, eps: float):
@@ -244,7 +272,7 @@ def _cmd_adversary(args) -> int:
     if args.trace:
         _write_csv(args.trace, trace_csv_rows(result), manifest)
     _finish_manifest(manifest, args)
-    print(f"mode={args.mode} updates={len(result.rows)} "
+    print(f"mode={args.mode} updates={result.steps} "
           f"amortized_recourse={result.mean_recourse:.4f} {tail}")
     return EXIT_OK
 

@@ -8,7 +8,7 @@ positive, finite 64-bit floats; unweighted problems use weight 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Optional
@@ -85,12 +85,15 @@ class UpdateEvent:
         return UpdateEvent("-v", u=vid)
 
 
-@dataclass
 class DeltaReport:
-    """Edges created/destroyed by one applied update."""
+    """Edges created/destroyed by one applied update, as (eid, u, v, w)."""
 
-    added: list[tuple[int, int, int, float]] = field(default_factory=list)    # (eid, u, v, w)
-    removed: list[tuple[int, int, int, float]] = field(default_factory=list)
+    __slots__ = ("added", "removed")
+
+    def __init__(self, added: Optional[list] = None,
+                 removed: Optional[list] = None) -> None:
+        self.added = [] if added is None else added
+        self.removed = [] if removed is None else removed
 
 
 @dataclass
@@ -232,10 +235,15 @@ class Graph:
         key = _pair(u, v)
         if key in self._by_pair:
             raise DataError(f"duplicate edge ({u},{v})")
-        self.ensure_vertex(u)
-        self.ensure_vertex(v)
+        return self._link(key, u, v, w)
+
+    def _link(self, key: tuple[int, int], u: int, v: int, w: float) -> int:
+        """Enter a checked new edge under its pair key; its id."""
+        if u not in self._vertices or v not in self._vertices:
+            self.ensure_vertex(u)
+            self.ensure_vertex(v)
         eid = self._next_id
-        self._next_id += 1
+        self._next_id = eid + 1
         self._edges[eid] = (u, v, w)
         self._by_pair[key] = eid
         self._adj[u].add(eid)
@@ -267,27 +275,35 @@ class Graph:
         return removed
 
     def apply_update(self, ev: UpdateEvent) -> DeltaReport:
-        """Apply one dynamic update; errors name the offending element."""
+        """Apply one dynamic update; errors name the offending element. An
+        edge update normalises its pair once; an insert checks as add_edge."""
+        kind, u, v = ev.kind, ev.u, ev.v
+        if kind == "+e":
+            key = (u, v) if u <= v else (v, u)
+            if key in self._by_pair:
+                raise DataError(f"edge-insert targets present edge ({u},{v})")
+            if u == v:
+                raise DataError(f"self-loop at vertex {u} rejected")
+            w = checked_weight(ev.w, u, v)
+            return DeltaReport([(self._link(key, u, v, w), u, v, w)])
+        if kind == "-e":
+            eid = self._by_pair.pop((u, v) if u <= v else (v, u), None)
+            if eid is None:
+                raise DataError(f"edge-delete targets absent edge ({u},{v})")
+            a, b, w = self._edges.pop(eid)
+            self._adj[a].discard(eid)
+            self._adj[b].discard(eid)
+            self._labels = None
+            return DeltaReport([], [(eid, a, b, w)])
         delta = DeltaReport()
-        if ev.kind == "+e":
-            if self.has_edge(ev.u, ev.v):
-                raise DataError(f"edge-insert targets present edge ({ev.u},{ev.v})")
-            eid = self.add_edge(ev.u, ev.v, ev.w)
-            delta.added.append((eid, *self._edges[eid]))
-        elif ev.kind == "-e":
-            if not self.has_edge(ev.u, ev.v):
-                raise DataError(f"edge-delete targets absent edge ({ev.u},{ev.v})")
-            eid = self.edge_id(ev.u, ev.v)
-            u, v, w = self.remove_edge_id(eid)
-            delta.removed.append((eid, u, v, w))
-        elif ev.kind == "+v":
+        if kind == "+v":
             if self.has_vertex(ev.u):
                 raise DataError(f"vertex-insert targets present vertex {ev.u}")
             self.add_vertex(ev.u)
             for nbr, w in ev.incident:
                 eid = self.add_edge(ev.u, nbr, w)
                 delta.added.append((eid, *self._edges[eid]))
-        elif ev.kind == "-v":
+        elif kind == "-v":
             if not self.has_vertex(ev.u):
                 raise DataError(f"vertex-delete targets absent vertex {ev.u}")
             for eid, a, b, w in self.remove_vertex(ev.u):
@@ -339,8 +355,8 @@ class Matching:
 
     weight() is the correctly rounded sum of the edge weights. It reads an
     exact integer total that add, remove and discard_dead keep from the
-    first weight() call on, so no call costs time in the matching's size
-    after the first.
+    first weight() call on, and keeps the float until they change it, so
+    no call costs time in the matching's size after the first.
     """
 
     def __init__(self, g: Graph, edge_ids: Iterable[int] = ()) -> None:
@@ -348,6 +364,7 @@ class Matching:
         self.edges: dict[int, float] = {}   # eid -> weight, insertion-ordered
         self.vertex_index: dict[int, int] = {}
         self._total: Optional[int] = None    # in _UNITs, once weight() is asked
+        self._weight: Optional[float] = None  # _total / _UNIT, once asked
         # one pass over the edge table, then one whole-set test: every id
         # present, none repeated, 2|M| distinct endpoints. Only when the
         # test fails is the matching rebuilt by add(), which raises add's
@@ -381,9 +398,11 @@ class Matching:
 
     def weight(self) -> float:
         """Equal to math.fsum of the current edge weights; 0.0 when empty."""
-        if self._total is None:
-            self._total = sum(map(_units, self.edges.values()))
-        return self._total / _UNIT
+        if self._weight is None:
+            if self._total is None:
+                self._total = sum(map(_units, self.edges.values()))
+            self._weight = self._total / _UNIT
+        return self._weight
 
     def add(self, eid: int) -> None:
         u, v, w = self.g.edge(eid)
@@ -397,6 +416,7 @@ class Matching:
         self.vertex_index[v] = eid
         if self._total is not None:
             self._total += _units(w)
+            self._weight = None
 
     def remove(self, eid: int) -> None:
         if eid not in self.edges:
@@ -407,6 +427,7 @@ class Matching:
         del self.vertex_index[v]
         if self._total is not None:
             self._total -= _units(w)
+            self._weight = None
 
     def discard_dead(self, eid: int, endpoints: tuple[int, int]) -> bool:
         """Drop an edge whose graph edge was already deleted. O(1)."""
@@ -418,6 +439,7 @@ class Matching:
                 del self.vertex_index[x]
         if self._total is not None:
             self._total -= _units(w)
+            self._weight = None
         return True
 
 

@@ -8,22 +8,26 @@ should not pay to load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+import math
+import operator
+from collections import namedtuple
+from functools import cached_property
+from typing import Iterable, Iterator, Optional
 
 from .graph import BudgetError, DataError, Graph, UpdateEvent
 from .wrapper import (BatchRecompute, GreedyMaximalMatching, InnerAlgorithm,
-                      TraceRow, WrappedMatching)
+                      WrappedMatching)
+
+# one step of a trace, in the trace's column order
+TraceRow = namedtuple("TraceRow", "step event recourse_added recourse_removed "
+                      "output_size output_weight inner_size window_phase "
+                      "opt_size", defaults=(None,))
 
 
 def event_label(ev: UpdateEvent) -> str:
-    if ev.kind == "+e":
-        return f"+e {ev.u} {ev.v}"
-    if ev.kind == "-e":
-        return f"-e {ev.u} {ev.v}"
-    if ev.kind == "+v":
-        return f"+v {ev.u}"
-    return f"-v {ev.u}"
+    if ev.kind in ("+e", "-e"):
+        return f"{ev.kind} {ev.u} {ev.v}"
+    return f"{ev.kind} {ev.u}"
 
 
 def make_inner(name: str, g: Graph) -> InnerAlgorithm:
@@ -41,12 +45,27 @@ def make_inner(name: str, g: Graph) -> InnerAlgorithm:
     raise DataError(f"unknown inner algorithm {name!r}")
 
 
-@dataclass
 class SimulationResult:
-    rows: list[TraceRow]
-    max_recourse: int
-    mean_recourse: float
-    worst_ratio: Optional[float]     # OPT / output, when oracle checking
+    """A run's per-step columns, one list per TraceRow field from event on,
+    with the output's weight unrounded, and their summary. rows builds
+    TraceRows from the columns on first access."""
+
+    def __init__(self, columns: tuple[list, ...]) -> None:
+        self.columns = columns
+        _, added, removed, sizes, *_, opts = columns
+        self.steps = len(added)
+        self.max_recourse = max(map(operator.add, added, removed), default=0)
+        self.mean_recourse = (sum(added) + sum(removed)) / (self.steps or 1)
+        # OPT / output, when oracle checking
+        self.worst_ratio: Optional[float] = max(
+            (o / s if s else math.inf for o, s in zip(opts, sizes) if o),
+            default=None)
+
+    @cached_property
+    def rows(self) -> list[TraceRow]:
+        return [TraceRow(step, event_label(ev), a, r, s, round(w, 9), *rest)
+                for step, (ev, a, r, s, w, *rest)
+                in enumerate(zip(*self.columns), start=1)]
 
 
 def run_simulation(
@@ -62,52 +81,39 @@ def run_simulation(
     every step compares the output size against the exact optimum (graphs
     beyond the oracle budget are refused).
     """
-    rows: list[TraceRow] = []
-    total = 0
-    max_rec = 0
-    worst_ratio: Optional[float] = None
+    columns = tuple([] for _ in TraceRow._fields[1:])
+    (put_event, put_added, put_removed, put_size, put_weight, put_inner,
+     put_phase, put_opt) = (c.append for c in columns)
     wrapped = isinstance(algo, WrappedMatching)
+    apply, handle = g.apply_update, algo.handle_update
+    size_of, weight_of = algo.current_size, algo.current_weight
     if oracle_check:
         from .oracles import MAX_VERTICES_MATCHING, max_matching_exact
-    for step, ev in enumerate(events, start=1):
-        delta = g.apply_update(ev)
-        out = algo.handle_update(ev, delta)
-        added, removed = len(out.added), len(out.removed)
-        rec = added + removed
-        total += rec
-        if rec > max_rec:
-            max_rec = rec
-        size = algo.current_size()
-        opt_size: Optional[int] = None
+    for ev in events:
+        out = handle(ev, apply(ev))
+        size = size_of()
+        opt_size = None
         if oracle_check:
             if g.num_vertices() > MAX_VERTICES_MATCHING:
                 raise BudgetError(
                     f"oracle check refused: {g.num_vertices()} vertices "
                     f"> budget {MAX_VERTICES_MATCHING}")
             opt_size = len(max_matching_exact(g))
-            if opt_size > 0 and size > 0:
-                ratio = opt_size / size
-                worst_ratio = ratio if worst_ratio is None else max(worst_ratio, ratio)
-            elif opt_size > 0 and size == 0:
-                worst_ratio = float("inf")
-        # fields in TraceRow's order, passed by position
-        rows.append(TraceRow(
-            step, event_label(ev), added, removed, size,
-            round(algo.current_weight(), 9),
-            algo.inner_size if wrapped else size,
-            algo.last_window_phase if wrapped else "",
-            opt_size,
-        ))
-    mean = total / len(rows) if rows else 0.0
-    return SimulationResult(rows, max_rec, mean, worst_ratio)
+        put_event(ev)
+        put_added(len(out.added))
+        put_removed(len(out.removed))
+        put_size(size)
+        put_weight(weight_of())
+        put_inner(algo.inner_size if wrapped else size)
+        put_phase(algo.last_window_phase if wrapped else "")
+        put_opt(opt_size)
+    return SimulationResult(columns)
 
 
-def trace_csv_rows(result: SimulationResult) -> list[list]:
-    rows = [["step", "event", "recourse_added", "recourse_removed",
-             "output_size", "output_weight", "inner_size", "window_phase",
-             "opt_size"]]
-    for r in result.rows:
-        rows.append([r.step, r.event, r.recourse_added, r.recourse_removed,
-                     r.output_size, repr(r.output_weight), r.inner_size,
-                     r.window_phase, "" if r.opt_size is None else r.opt_size])
-    return rows
+def trace_csv_rows(result: SimulationResult) -> Iterator[list]:
+    """The header, then each step's row, formatted as it is written."""
+    yield list(TraceRow._fields)
+    for step, (ev, a, r, size, w, inner, phase, opt) in enumerate(
+            zip(*result.columns), start=1):
+        yield [step, event_label(ev), a, r, size, repr(round(w, 9)), inner,
+               phase, "" if opt is None else opt]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
 from itertools import count, filterfalse, islice
 from typing import Generator, Iterable, Optional
 
@@ -51,26 +50,18 @@ BOOTSTRAP_CAP = 8             # snapshot floor so an empty output can grow
 STEP_WORK_FACTOR = 16         # reported per-step work budget, see step_work_budget
 
 
-@dataclass
 class OutputDelta:
-    added: list[int] = field(default_factory=list)
-    removed: list[int] = field(default_factory=list)
+    """The change to a matching: edge ids removed, then edge ids added."""
+
+    __slots__ = ("added", "removed")
+
+    def __init__(self, added: Optional[list[int]] = None,
+                 removed: Optional[list[int]] = None) -> None:
+        self.added = [] if added is None else added
+        self.removed = [] if removed is None else removed
 
     def recourse(self) -> int:
         return len(self.added) + len(self.removed)
-
-
-@dataclass
-class TraceRow:
-    step: int
-    event: str
-    recourse_added: int
-    recourse_removed: int
-    output_size: int
-    output_weight: float
-    inner_size: int
-    window_phase: str
-    opt_size: Optional[int] = None
 
 
 class InnerAlgorithm:
@@ -101,7 +92,7 @@ class InnerAlgorithm:
         return self.matching.edge_ids()
 
     def current_size(self) -> int:
-        return len(self.matching)
+        return len(self.matching.edges)
 
     def current_weight(self) -> float:
         return self.matching.weight()
@@ -579,7 +570,7 @@ class WrappedMatching:
         return self.output.edge_ids()
 
     def current_size(self) -> int:
-        return len(self.output)
+        return len(self.output.edges)
 
     def current_weight(self) -> float:
         return self.output.weight()

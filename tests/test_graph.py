@@ -68,6 +68,39 @@ def test_apply_update_edge_cases():
         g.apply_update(UpdateEvent.edge_delete(1, 2))
 
 
+def _tables(g: Graph) -> tuple:
+    return (dict(g._edges), dict(g._by_pair),
+            {v: set(ids) for v, ids in g._adj.items()}, set(g._vertices),
+            g._next_id)
+
+
+# each refused update names its fault in the text it had before edge updates
+# wrote the tables directly, and changes no table
+@pytest.mark.parametrize("ev, message", [
+    (UpdateEvent.edge_insert(2, 1), "edge-insert targets present edge (2,1)"),
+    (UpdateEvent.edge_insert(5, 5), "self-loop at vertex 5 rejected"),
+    (UpdateEvent.edge_insert(1, 5, 0.0), "weight 0.0 on edge (1,5) rejected: "
+     "weights must be positive and finite"),
+    (UpdateEvent.edge_insert(5, 1, math.inf), "weight inf on edge (5,1) "
+     "rejected: weights must be positive and finite"),
+    (UpdateEvent.edge_delete(3, 1), "edge-delete targets absent edge (3,1)"),
+    (UpdateEvent.vertex_insert(2, [(5, 1.0)]),
+     "vertex-insert targets present vertex 2"),
+    (UpdateEvent.vertex_delete(5), "vertex-delete targets absent vertex 5"),
+    (UpdateEvent("+x", 1, 3), "unknown update kind '+x'"),
+])
+def test_apply_update_errors_leave_the_tables(ev, message):
+    g = Graph()
+    g.add_edge(1, 2, 1.5)
+    g.add_edge(2, 3, 2.5)
+    g.remove_edge_id(g.add_edge(3, 4))   # _next_id is past the live ids
+    before = _tables(g)
+    with pytest.raises(DataError) as err:
+        g.apply_update(ev)
+    assert str(err.value) == message
+    assert _tables(g) == before
+
+
 def test_vertex_delete_lists_incident_edges():
     g = Graph()
     for u in (2, 3, 4):
@@ -218,9 +251,9 @@ _WEIGHTS = st.one_of(st.floats(min_value=5e-324, max_value=1e300),
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_matching_weight_equals_fsum_of_current_edges(data):
-    """After any mix of add, remove and discard_dead, weight() is the
-    correctly rounded sum of the edges held, however and whenever the
-    running total started."""
+    """After any mix of add, remove, discard_dead and refused calls,
+    weight() is the correctly rounded sum of the edges held, however and
+    whenever the running total started, and however often it is asked."""
     pairs = data.draw(st.integers(1, 6))
     g = Graph()
     weights: dict[int, float] = {}            # every eid ever inserted
@@ -235,8 +268,14 @@ def test_matching_weight_equals_fsum_of_current_edges(data):
     start = data.draw(st.integers(0, steps))  # step of the first weight()
     for step in range(steps):
         held_pairs = {pair_of[e] for e in model}
-        op = data.draw(st.sampled_from(["add", "remove", "dead"]))
-        if op == "add" and len(held_pairs) < pairs:
+        op = data.draw(st.sampled_from(["add", "remove", "dead", "refused"]))
+        if op == "refused":
+            # an add of a held edge, or a removal of one not held, raises
+            # and changes neither the edges nor the weight
+            i = data.draw(st.integers(0, pairs - 1))
+            with pytest.raises(DataError):
+                (m.add if live[i] in model else m.remove)(live[i])
+        elif op == "add" and len(held_pairs) < pairs:
             i = data.draw(st.sampled_from(sorted(set(range(pairs)) - held_pairs)))
             m.add(live[i])
             model[live[i]] = weights[live[i]]
@@ -261,6 +300,7 @@ def test_matching_weight_equals_fsum_of_current_edges(data):
             got = m.weight()
             assert isinstance(got, float)
             assert got == math.fsum(model.values())
+            assert m.weight() == got   # asked twice running
             if not model:
                 assert got == 0.0
 

@@ -639,6 +639,11 @@ def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
     assert results["switches"] >= 0
     assert results["step_work_budget"] == STEP_WORK_FACTOR * math.ceil(1 / 0.1)
     assert 0 < results["max_step_work"] <= results["step_work_budget"]
+    # the steps' latency, on stdout only: the manifest describes the run
+    assert int(printed["updates_per_s"]) > 0
+    p50, p99, top = (float(printed[f"step_us_{q}"]) for q in ("p50", "p99", "max"))
+    assert 0 < p50 <= p99 <= top
+    assert not {k for k in results if k.startswith(("step_us", "updates_per"))}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -754,3 +759,9 @@ def test_cli_simulate_reads_an_update_file(tmp_path, capsys):
     capsys.readouterr()
     rows = [(tmp_path / t).read_text().splitlines()[1:] for t in ("t1.csv", "t2.csv")]
     assert len(rows[0]) == len(events) + 1 and rows[0] == rows[1]
+    # an empty file is a run of no steps, and of no step latency
+    (tmp_path / "none.txt").write_text("")
+    assert main(run + ["--updates", str(tmp_path / "none.txt")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("steps=0 ") and out.endswith(
+        " updates_per_s=0 step_us_p50=0.00 step_us_p99=0.00 step_us_max=0.00\n")

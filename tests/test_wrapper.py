@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import random
 import re
 import tracemalloc
 import weakref
@@ -788,3 +789,39 @@ def test_simulate_traces_are_pinned(tmp_path, capsys, argv, digest):
     phases = {row.split(b",")[7] for row in text.splitlines()[2:]}
     assert b"second" in phases  # windows were really planned and played
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+# sha256 of SimulationResult.rows, all nine fields of every row, on seeded
+# streams with vertex ops: wrapped and bare greedy, a weighted batch inner
+# under psi 2, and a small oracle-checked run for the opt_size column. The
+# rows are built from the run's columns; these digests were taken when each
+# step built its row as it ran.
+PINNED_ROWS = [
+    ("greedy", True, 1.0, False, 300, 3000,
+     "b632ed5fd596200239f8210d0e7c4a5841c36445cd2ce73683eee5b1479bd684"),
+    ("greedy", False, 1.0, False, 300, 3000,
+     "83b1fe783503b9ff1c99e3debe6b49fd9c1a68b93473c25dd45787eb6fbd4c3b"),
+    ("batch:2.0", True, 2.0, False, 400, 2500,
+     "0743bddaf232665c072ed8bbda9d81b4ebdce7364c9b354f4dd2e00c51383152"),
+    ("greedy", True, 1.0, True, 12, 200,
+     "433413a1c155e5a2580fc367f1c0d2e788cefcbce50206169ee8c026a83bc9ef"),
+]
+
+
+@pytest.mark.parametrize("inner, wrap, psi, oracle, n, count, digest", PINNED_ROWS)
+def test_simulation_rows_are_pinned(inner, wrap, psi, oracle, n, count, digest):
+    events = random_update_stream(random.Random(11), n, count, w_lo=1.0,
+                                  w_hi=psi, vertex_ops=True)
+    g = Graph()
+    for v in range(n):
+        g.ensure_vertex(v)
+    algo = make_inner(inner, g)
+    if wrap:
+        algo = WrappedMatching(g, algo, 0.1, weighted=psi > 1.0, psi=psi)
+    result = run_simulation(g, algo, events, oracle_check=oracle)
+    rows = [(r.step, r.event, r.recourse_added, r.recourse_removed,
+             r.output_size, r.output_weight, r.inner_size, r.window_phase,
+             r.opt_size) for r in result.rows]
+    assert len(rows) == result.steps == len(events)
+    assert {r[1][:2] for r in rows} >= {"+v", "-v"}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
