@@ -21,10 +21,10 @@ _EXPORTS = {
               "TransformationScript check_guarantee replay phase_budget "
               "MCM_PHASE_BUDGET MSF_PHASE_BUDGET",
     "mcm": "plan_mcm",
-    "mwm": "AlternatingComponent decompose order_components plan_mwm_auto",
+    "mwm": "AlternatingComponent order_components plan_mwm_auto",
     "msf": "plan_msf plan_tree",
-    "oracles": "exhaustive_transform_search has_augmenting_path "
-               "max_matching_exact max_weight_matching_exact msf_exact",
+    "oracles": "exhaustive_transform_search max_matching_exact "
+               "max_weight_matching_exact msf_exact",
     "wrapper": "BatchRecompute GreedyMaximalMatching InnerAlgorithm "
                "OutputDelta WrappedMatching",
     "adversary": "gen_fully_dynamic run_decremental_mirror "

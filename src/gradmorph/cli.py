@@ -232,6 +232,8 @@ def _latency(stamps) -> str:
 
 
 def _subject_factory(name: str, eps: float):
+    """The adversary's subject: "exact", "static", an inner algorithm's
+    name, or "wrapped:" and one of those three."""
     from . import adversary as adv
     from .sim import make_inner
     from .wrapper import WrappedMatching
@@ -241,7 +243,10 @@ def _subject_factory(name: str, eps: float):
         return adv.StaticSubject
     if name.startswith("wrapped:"):
         inner_name = name.split(":", 1)[1]
-        return lambda g: WrappedMatching(g, make_inner(inner_name, g), eps)
+        if inner_name.startswith("wrapped:"):   # a wrapper is no inner algorithm
+            raise DataError(f"unknown inner algorithm {inner_name!r}")
+        inner = _subject_factory(inner_name, eps)
+        return lambda g: WrappedMatching(g, inner(g), eps)
     return lambda g: make_inner(name, g)
 
 

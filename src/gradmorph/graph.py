@@ -127,7 +127,7 @@ class Graph:
         self._by_pair: dict[tuple[int, int], int] = {}
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
-        self._labels: Optional[dict[int, int]] = None   # components() cache
+        self._labels: Optional[dict[int, int]] = None   # cached component labels
 
     @classmethod
     def from_columns(cls, vertices: list[int], us: list[int], vs: list[int],
@@ -215,13 +215,6 @@ class Graph:
 
     # -- mutation -----------------------------------------------------
 
-    def add_vertex(self, v: int) -> None:
-        if v in self._vertices:
-            raise DataError(f"vertex {v} already present")
-        self._vertices.add(v)
-        self._adj.setdefault(v, set())
-        self._labels = None
-
     def ensure_vertex(self, v: int) -> None:
         if v not in self._vertices:
             self._vertices.add(v)
@@ -275,8 +268,11 @@ class Graph:
         return removed
 
     def apply_update(self, ev: UpdateEvent) -> DeltaReport:
-        """Apply one dynamic update; errors name the offending element. An
-        edge update normalises its pair once; an insert checks as add_edge."""
+        """Apply one dynamic update whole, or raise a DataError that names
+        the offending element and leave the graph as it was. An edge update
+        normalises its pair once; an insert checks as add_edge, and +v
+        checks all its incident pairs that way before it writes anything.
+        -v cannot fail once its presence check passes."""
         kind, u, v = ev.kind, ev.u, ev.v
         if kind == "+e":
             key = (u, v) if u <= v else (v, u)
@@ -297,12 +293,20 @@ class Graph:
             return DeltaReport([], [(eid, a, b, w)])
         delta = DeltaReport()
         if kind == "+v":
-            if self.has_vertex(ev.u):
-                raise DataError(f"vertex-insert targets present vertex {ev.u}")
-            self.add_vertex(ev.u)
+            if u in self._vertices:
+                raise DataError(f"vertex-insert targets present vertex {u}")
+            checked: dict[int, float] = {}     # neighbour -> checked weight
             for nbr, w in ev.incident:
-                eid = self.add_edge(ev.u, nbr, w)
-                delta.added.append((eid, *self._edges[eid]))
+                if nbr == u:
+                    raise DataError(f"self-loop at vertex {u} rejected")
+                w = checked_weight(w, u, nbr)
+                if nbr in checked:
+                    raise DataError(f"duplicate edge ({u},{nbr})")
+                checked[nbr] = w
+            self.ensure_vertex(u)
+            for nbr, w in checked.items():
+                eid = self._link(_pair(u, nbr), u, nbr, w)
+                delta.added.append((eid, u, nbr, w))
         elif kind == "-v":
             if not self.has_vertex(ev.u):
                 raise DataError(f"vertex-delete targets absent vertex {ev.u}")
@@ -312,14 +316,9 @@ class Graph:
             raise DataError(f"unknown update kind {ev.kind!r}")
         return delta
 
-    def components(self) -> dict[int, int]:
-        """Connected-component label per vertex (smallest member id); a
-        fresh dict, so the caller may change it."""
-        return dict(self._component_labels())
-
     def _component_labels(self) -> dict[int, int]:
-        """components() without the copy: the cached labels, which callers
-        must not change."""
+        """Connected-component label per vertex (smallest member id): the
+        cached labels, which callers must not change."""
         if self._labels is not None:
             return self._labels
         label = {}

@@ -54,24 +54,16 @@ class AlternatingComponent:
         return len(self.run) // 2
 
 
-def decompose(g: Graph, source: Matching, target: Matching) -> list[AlternatingComponent]:
-    """Split source XOR target into alternating components.
+def _decompose(g: Graph, blue: AbstractSet[int],
+               red: AbstractSet[int]) -> list[AlternatingComponent]:
+    """Split the source-only ids blue and the target-only ids red of two
+    matchings already checked into alternating components.
 
     Isolated shared edges are excluded; every symmetric-difference edge
     lands in exactly one component. Deterministic: paths come first, in
     ascending order of (end edge id, end vertex), then cycles, in
     ascending order of their smallest blue edge id.
     """
-    require_valid(g, "source", source)
-    require_valid(g, "target", target)
-    return _decompose(g, source.edges.keys() - target.edges.keys(),
-                      target.edges.keys() - source.edges.keys())
-
-
-def _decompose(g: Graph, blue: AbstractSet[int],
-               red: AbstractSet[int]) -> list[AlternatingComponent]:
-    """decompose for the source-only ids blue and the target-only ids red
-    of two matchings already checked."""
     table = g._edges
     blue_at: dict[int, int] = {}
     red_at: dict[int, int] = {}

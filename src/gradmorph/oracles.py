@@ -1,19 +1,19 @@
-"""Brute-force reference solvers for the property suites.
+"""Brute-force exact solvers for the `oracle` command, `simulate
+--oracle-check`, `bench` and the property suites.
 
 Deliberately independent of the planners: bitmask DP for exact matchings,
-Kruskal for forests, breadth-first state search for transformation
-reachability, and a replay that rescans the whole state at every boundary.
-Budgets refuse oversized inputs instead of degrading.
+Kruskal for forests, and breadth-first state search for transformation
+reachability. Budgets refuse oversized inputs instead of degrading. The
+full-rescan replay that tests check the verifier against lives beside
+them, in tests/replay_reference.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .graph import (BudgetError, DataError, Graph, UnionFind, slack,
-                    validate_forest, validate_matching)
-from .script import Boundary, ReplayReport, TransformationScript
+from .graph import BudgetError, DataError, Graph, UnionFind, slack
 
 
 MAX_VERTICES_MATCHING = 16       # exact matching oracles
@@ -78,47 +78,6 @@ def max_weight_matching_exact(g: Graph) -> list[int]:
     return _matching_dp(g, weighted=True)
 
 
-def has_augmenting_path(g: Graph, matching_ids: set[int]) -> bool:
-    """Certificate check: does any augmenting path exist for the matching?
-
-    Exhaustive DFS over simple alternating paths from each free vertex.
-    Branching happens only at non-matching edges (the matched continuation
-    is forced), which is sound on general graphs; intended for
-    oracle-budget-sized inputs.
-    """
-    mate_edge: dict[int, int] = {}
-    for eid in matching_ids:
-        u, v, _ = g.edge(eid)
-        mate_edge[u] = eid
-        mate_edge[v] = eid
-    free = sorted(v for v in g.vertices if v not in mate_edge)
-
-    def dfs(x: int, on_path: set[int]) -> bool:
-        for eid in g.incident(x):
-            if eid in matching_ids:
-                continue
-            a, b, _ = g.edge(eid)
-            y = b if a == x else a
-            if y in on_path:
-                continue
-            mate = mate_edge.get(y)
-            if mate is None:
-                return True
-            ma, mb, _ = g.edge(mate)
-            z = mb if ma == y else ma
-            if z in on_path:
-                continue
-            on_path.add(y)
-            on_path.add(z)
-            if dfs(z, on_path):
-                return True
-            on_path.discard(y)
-            on_path.discard(z)
-        return False
-
-    return any(dfs(start, {start}) for start in free)
-
-
 def msf_exact(g: Graph) -> list[int]:
     """Kruskal minimum spanning forest; ties broken by edge id."""
     edges = sorted(((w, eid, u, v) for eid, u, v, w in g.edges()))
@@ -128,61 +87,6 @@ def msf_exact(g: Graph) -> list[int]:
         if uf.union(u, v):
             out.append(eid)
     return out
-
-
-def replay_reference(
-    g: Graph,
-    source: Iterable[int],
-    script: TransformationScript,
-    granularity: str = "per-phase",
-) -> ReplayReport:
-    """Reference for `script.replay`: the same report and the same errors,
-    with validity checked from scratch at every boundary by
-    `validate_matching` or `validate_forest`. A matching's edges that are
-    removed later in the current phase are exempt at its op boundaries."""
-    if granularity not in ("per-phase", "per-op"):
-        raise DataError(f"unknown granularity {granularity!r}")
-    if script.g is not g:
-        raise DataError("the script names the edge ids of another graph")
-    script.validate()
-    state: set[int] = set(source)
-    weight = sum((g.weight(eid) for eid in state), 0.0)
-    boundaries: list[Boundary] = []
-    per_op = granularity == "per-op"
-
-    def snapshot(phase: int, op: Optional[int], exempt: set[int]) -> None:
-        if script.problem in ("mcm", "mwm"):
-            valid = validate_matching(g, state - exempt).ok
-        else:
-            valid = validate_forest(g, state).ok
-        boundaries.append(Boundary(len(boundaries), phase, op, valid, len(state), weight))
-
-    snapshot(-1, None, set())
-    for pi, ops in enumerate(script.phases):
-        pending_removals = {eid for kind, eid in ops if kind == "remove"}
-        for oi, (kind, eid) in enumerate(ops):
-            if not g.has_edge_id(eid):
-                raise DataError(f"phase {pi} op {oi}: no edge with id {eid}")
-            u, v, w = g.edge(eid)
-            if kind == "add":
-                if eid in state:
-                    raise DataError(f"phase {pi} op {oi}: adding present edge "
-                                    f"({u},{v})")
-                state.add(eid)
-                weight += w
-            else:   # a remove, as validate() has checked
-                if eid not in state:
-                    raise DataError(f"phase {pi} op {oi}: removing absent edge "
-                                    f"({u},{v})")
-                state.remove(eid)
-                weight -= w
-                pending_removals.discard(eid)
-            if per_op and oi < len(ops) - 1:
-                snapshot(pi, oi, pending_removals & state)
-        snapshot(pi, None, set())
-
-    return ReplayReport(script.problem, granularity, boundaries,
-                        frozenset(state), [len(ops) for ops in script.phases])
 
 
 @dataclass

@@ -419,7 +419,7 @@ def replay(
     once the forward pass is done (see _ForestCheck), in
     O((|S| + q log B) log n) for |S| source edges, q ops, B boundaries and
     n vertices, without the planner's forest index.
-    `oracles.replay_reference` rescans the whole state at every boundary
+    tests/replay_reference.py rescans the whole state at every boundary
     and is the reference this function is tested against.
     """
     if granularity not in ("per-phase", "per-op"):

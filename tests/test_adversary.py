@@ -189,3 +189,15 @@ def test_decr_trace_has_one_delete_row_per_update(tmp_path, capsys):
     assert updates > 0
     assert len(rows) == updates
     assert all(row.split(",")[1].startswith("-e ") for row in rows)
+
+
+def test_wrapped_exact_subject_runs_within_the_recourse_budget(tmp_path, capsys):
+    # every subject can be wrapped: the exact maintainer is the tight
+    # beta = 1 inner, and its wrapped run keeps the wrapper's budget
+    eps, trace = 0.2, tmp_path / "t.csv"
+    assert main(["--seed", "3", "adversary", "--mode", "incr", "--epsilon", str(eps),
+                 "--n", "400", "--subject", "wrapped:exact", "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    rows = [row.split(",") for row in trace.read_text().splitlines()[2:]]
+    assert len(rows) == int(out.split("updates=")[1].split()[0]) > 0
+    assert max(int(row[2]) + int(row[3]) for row in rows) <= 16 * math.ceil(1 / eps)

@@ -649,6 +649,7 @@ def test_cli_simulate_reports_recourse_budget_and_windows(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code", [
     ("simulate --inner batch:abc --epsilon 0.1 --random-updates 5", 2),
     ("adversary --mode full --epsilon 0.1 --n 50 --subject wrapped:batch:x", 2),
+    ("adversary --mode full --epsilon 0.1 --n 50 --subject wrapped:wrapped:greedy", 2),
     ("simulate --inner greedy --epsilon 0.1 --random-updates 5 --psi inf", 2),
     ("simulate --inner greedy --epsilon 0.1 --random-updates 5 --psi nan", 2),
     ("adversary --mode incr --epsilon nan --n 50", 2),

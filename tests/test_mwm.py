@@ -13,7 +13,7 @@ from gradmorph.graph import (ContractError, DataError, Graph, Matching,
                              SpanningForest, solution_stats)
 from gradmorph.mcm import Exchange, plan_mcm, target_only_ids
 from gradmorph.msf import plan_msf
-from gradmorph.mwm import (AlternatingComponent, decompose, order_components,
+from gradmorph.mwm import (AlternatingComponent, _decompose, order_components,
                            plan_mwm_auto, plan_mwm_groups, prefix_min_index,
                            prefix_sums)
 from gradmorph.oracles import msf_exact
@@ -32,6 +32,13 @@ def _pair_path(weights):
     blues = [g.edge_id(i, i + 1) for i in range(0, len(weights), 2)]
     reds = [g.edge_id(i, i + 1) for i in range(1, len(weights), 2)]
     return g, Matching(g, blues), Matching(g, reds)
+
+
+def decompose(g, source, target):
+    """The alternating components of two valid matchings: source-only ids
+    blue, target-only ids red."""
+    s, t = source.edges.keys(), target.edges.keys()
+    return _decompose(g, s - t, t - s)
 
 
 def test_decompose_identity_and_shared_exclusion():
