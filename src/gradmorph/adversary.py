@@ -84,12 +84,9 @@ class ExactPathMaintainer(InnerAlgorithm):
 
     def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:
         out = OutputDelta()
+        self.drop_deleted(delta, out)
         touched: set[int] = set()
-        for eid, u, v, _ in delta.removed:
-            if self.matching.discard_dead(eid, (u, v)):
-                out.removed.append(eid)
-            touched.update((u, v))
-        for eid, u, v, _ in delta.added:
+        for _, u, v, _ in delta.removed + delta.added:
             touched.update((u, v))
         done: set[int] = set()
         for x in sorted(touched):

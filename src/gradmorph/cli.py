@@ -59,10 +59,17 @@ def _read(path: str, label: str, manifest: RunManifest) -> str:
 
 def _read_pair(args, problem: str, g: Graph, manifest: RunManifest):
     """The --from and --to solutions, read and parsed in that order:
-    matchings for mcm and mwm, spanning forests otherwise."""
+    matchings for mcm and mwm, spanning forests otherwise. A fault in
+    either names its option and path."""
     parse = parse_matching if problem in ("mcm", "mwm") else parse_forest
-    return (parse(_read(args.source, "from", manifest), g),
-            parse(_read(args.target, "to", manifest), g))
+    pair = []
+    for label, path in (("from", args.source), ("to", args.target)):
+        text = _read(path, label, manifest)
+        try:
+            pair.append(parse(text, g))
+        except DataError as exc:
+            raise DataError(f"--{label} {path}: {exc}") from None
+    return pair
 
 
 def _finish_manifest(manifest: RunManifest, args) -> None:
@@ -294,8 +301,7 @@ def _cmd_oracle(args) -> int:
         ids = (max_weight_matching_exact if args.task == "mwm" else msf_exact)(g)
         print(f"size={len(ids)} weight={sum(map(g.weight, ids), 0.0)!r}")
     else:
-        src = set(parse_matching(_read(args.source, "from", manifest), g).edge_ids())
-        tgt = set(parse_matching(_read(args.target, "to", manifest), g).edge_ids())
+        src, tgt = (set(m.edges) for m in _read_pair(args, "mcm", g, manifest))
         res = exhaustive_transform_search(
             g, src, tgt, args.delta, args.floor,
             floor_kind=args.floor_kind, granularity=args.search_granularity)

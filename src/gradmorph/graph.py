@@ -254,14 +254,14 @@ class Graph:
         return u, v, w
 
     def remove_vertex(self, v: int) -> list[tuple[int, int, int, float]]:
+        """Remove v and its incident edges, in ascending id; those edges as
+        (eid, u, v, w)."""
         if v not in self._vertices:
             raise DataError(f"vertex {v} not present")
         removed = []
         for eid in sorted(self._adj.get(v, ())):
-            a, b, w = self.edge(eid)
+            a, b, w = self.remove_edge_id(eid)
             removed.append((eid, a, b, w))
-        for eid, a, b, w in removed:
-            self.remove_edge_id(eid)
         self._vertices.discard(v)
         self._adj.pop(v, None)
         self._labels = None
@@ -308,10 +308,9 @@ class Graph:
                 eid = self._link(_pair(u, nbr), u, nbr, w)
                 delta.added.append((eid, u, nbr, w))
         elif kind == "-v":
-            if not self.has_vertex(ev.u):
-                raise DataError(f"vertex-delete targets absent vertex {ev.u}")
-            for eid, a, b, w in self.remove_vertex(ev.u):
-                delta.removed.append((eid, a, b, w))
+            if u not in self._vertices:
+                raise DataError(f"vertex-delete targets absent vertex {u}")
+            delta.removed = self.remove_vertex(u)
         else:
             raise DataError(f"unknown update kind {ev.kind!r}")
         return delta
@@ -352,15 +351,20 @@ def _units(w: float) -> int:
 class Matching:
     """Edge-id set with the matching invariant plus a vertex index.
 
+    edges maps each id to the graph's own (u, v, w) row, the same tuple,
+    so remove reads nothing from the graph and takes out an edge that the
+    graph has already deleted as well as a live one.
+
     weight() is the correctly rounded sum of the edge weights. It reads an
-    exact integer total that add, remove and discard_dead keep from the
-    first weight() call on, and keeps the float until they change it, so
-    no call costs time in the matching's size after the first.
+    exact integer total that add and remove keep from the first weight()
+    call on, and keeps the float until they change it, so no call costs
+    time in the matching's size after the first.
     """
 
     def __init__(self, g: Graph, edge_ids: Iterable[int] = ()) -> None:
         self.g = g
-        self.edges: dict[int, float] = {}   # eid -> weight, insertion-ordered
+        # eid -> g's row (u, v, w), insertion-ordered
+        self.edges: dict[int, tuple[int, int, float]] = {}
         self.vertex_index: dict[int, int] = {}
         self._total: Optional[int] = None    # in _UNITs, once weight() is asked
         self._weight: Optional[float] = None  # _total / _UNIT, once asked
@@ -372,9 +376,8 @@ class Matching:
         table, edges, index = g._edges, self.edges, self.vertex_index
         try:
             for eid in ids:
-                u, v, w = table[eid]
-                edges[eid] = w
-                index[u] = index[v] = eid
+                edges[eid] = row = table[eid]
+                index[row[0]] = index[row[1]] = eid
         except KeyError:
             pass
         if len(edges) != len(ids) or len(index) != 2 * len(ids):
@@ -399,47 +402,33 @@ class Matching:
         """Equal to math.fsum of the current edge weights; 0.0 when empty."""
         if self._weight is None:
             if self._total is None:
-                self._total = sum(map(_units, self.edges.values()))
+                self._total = sum(map(_units, map(itemgetter(2), self.edges.values())))
             self._weight = self._total / _UNIT
         return self._weight
 
     def add(self, eid: int) -> None:
-        u, v, w = self.g.edge(eid)
+        row = self.g.edge(eid)
+        u, v, w = row
         if eid in self.edges:
             raise DataError(f"edge {eid} already in matching")
         for x in (u, v):
             if x in self.vertex_index:
                 raise DataError(f"vertex {x} already matched by edge {self.vertex_index[x]}")
-        self.edges[eid] = w
-        self.vertex_index[u] = eid
-        self.vertex_index[v] = eid
+        self.edges[eid] = row
+        self.vertex_index[u] = self.vertex_index[v] = eid
         if self._total is not None:
             self._total += _units(w)
             self._weight = None
 
     def remove(self, eid: int) -> None:
-        if eid not in self.edges:
+        row = self.edges.pop(eid, None)
+        if row is None:
             raise DataError(f"edge {eid} not in matching")
-        u, v, _ = self.g.edge(eid)
-        w = self.edges.pop(eid)
-        del self.vertex_index[u]
-        del self.vertex_index[v]
+        u, v, w = row
+        del self.vertex_index[u], self.vertex_index[v]
         if self._total is not None:
             self._total -= _units(w)
             self._weight = None
-
-    def discard_dead(self, eid: int, endpoints: tuple[int, int]) -> bool:
-        """Drop an edge whose graph edge was already deleted. O(1)."""
-        w = self.edges.pop(eid, None)
-        if w is None:
-            return False
-        for x in endpoints:
-            if self.vertex_index.get(x) == eid:
-                del self.vertex_index[x]
-        if self._total is not None:
-            self._total -= _units(w)
-            self._weight = None
-        return True
 
 
 class SpanningForest:

@@ -120,10 +120,7 @@ def _parse_edge_set_lines(text: str, g: Graph) -> list[int]:
 
 
 def parse_matching(text: str, g: Graph) -> Matching:
-    try:
-        return Matching(g, parse_edge_set(text, g))
-    except DataError as exc:
-        raise DataError(f"matching file: {exc}") from None
+    return Matching(g, parse_edge_set(text, g))
 
 
 def parse_forest(text: str, g: Graph) -> SpanningForest:

@@ -186,7 +186,8 @@ def _plan_phases(
     target. Checks neither matching, but each phase's budget."""
     budget = phase_budget("mwm", eps)
     w_source = source.weight()
-    max_src_weight = max(source.edges.values(), default=0.0)
+    src_weights = [w for _, _, w in source.edges.values()]
+    max_src_weight = max(src_weights, default=0.0)
     light_threshold = eps * w_source
     tol = slack(w_source)
     op_floor = w_source - max_src_weight - tol
@@ -201,7 +202,7 @@ def _plan_phases(
     blue.difference_update(removed)
     comps = order_components(_decompose(g, blue, core.rest.keys()))
     # pre-pass gain: the correctly rounded weight after the pre-pass
-    surplus = math.fsum(chain(source.edges.values(), map(weight, added),
+    surplus = math.fsum(chain(src_weights, map(weight, added),
                               (-weight(eid) for eid in removed))) - w_source
     current = w_source + surplus
 

@@ -72,10 +72,10 @@ class InnerAlgorithm:
     self.matching. The change must be complete and in application order:
     its removals applied in order, then its adds in order, take the
     matching before the update to the matching after it, and every held
-    edge that the update deleted is among the removals. The wrapper
-    mirrors the matching from these deltas, seeded once from
-    matching_ids(), and checks the mirror's size against current_size()
-    at every step.
+    edge that the update deleted is among the removals, as drop_deleted
+    called first makes it. The wrapper mirrors the matching from these
+    deltas, seeded once from matching_ids(), and checks the mirror's size
+    against current_size() at every step.
 
     A window's snapshot is the mirror in the order its edges entered it,
     and a snapshot capped at cap edges is the first cap of that order. For
@@ -96,6 +96,18 @@ class InnerAlgorithm:
 
     def current_weight(self) -> float:
         return self.matching.weight()
+
+    def drop_deleted(self, delta: DeltaReport, out: OutputDelta) -> list[int]:
+        """Take each held edge that the update deleted out of the matching
+        and append it to out.removed, in delta order; the endpoints those
+        edges freed."""
+        m, freed = self.matching, []
+        for eid, u, v, _ in delta.removed:
+            if eid in m.edges:
+                m.remove(eid)
+                out.removed.append(eid)
+                freed += u, v
+        return freed
 
 
 class GreedyMaximalMatching(InnerAlgorithm):
@@ -121,12 +133,7 @@ class GreedyMaximalMatching(InnerAlgorithm):
 
     def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:
         out = OutputDelta()
-        freed: list[int] = []
-        for eid, u, v, _ in delta.removed:
-            if self.matching.discard_dead(eid, (u, v)):
-                out.removed.append(eid)
-                freed.extend((u, v))
-        for x in freed:
+        for x in self.drop_deleted(delta, out):
             self._try_match(x, out)
         matched = self.matching.vertex_index
         for eid, u, v, _ in delta.added:
@@ -234,9 +241,7 @@ class BatchRecompute(InnerAlgorithm):
 
     def handle_update(self, ev: UpdateEvent, delta: DeltaReport) -> OutputDelta:
         out = OutputDelta()
-        for eid, u, v, _ in delta.removed:
-            if self.matching.discard_dead(eid, (u, v)):
-                out.removed.append(eid)
+        self.drop_deleted(delta, out)
         self._steps_until_recompute -= 1
         if self._steps_until_recompute <= 0:
             before = set(self.matching.edges)
@@ -313,15 +318,13 @@ class WrappedMatching:
             # psi times that, and a weighted window loses 1/(1 - eps) more
             self.declared_beta *= psi / (1.0 - eps)
         try:
-            seed = Matching(g, inner.matching_ids())
+            self.mirror = Matching(g, inner.matching_ids())
         except DataError as exc:
             raise _invalid(exc) from None
-        # the inner matching as its deltas give it: edge id -> (entry
-        # number, u, v) in entry order, and vertex -> edge id
+        # the inner matching as its deltas give it, and the number of each
+        # held edge's entry into it, which orders a snapshot
         self._entries = count()
-        self.mirror = {eid: (next(self._entries), *g.endpoints(eid))
-                       for eid in seed.edges}
-        self.mirror_index = seed.vertex_index
+        self._entry = dict(zip(self.mirror.edges, self._entries))
         self.inner_size = len(self.mirror)   # as checked at the last step
         self.window: Optional[Generator[None, OutputDelta, None]] = None
         self.windows = 0      # windows opened
@@ -343,7 +346,7 @@ class WrappedMatching:
         if self.window is not None:
             raise ContractError("cannot replace the output inside a window")
         self.output = Matching(self.g, ids)
-        held, mirrored = self.output.edges, self.mirror
+        held, mirrored = self.output.edges, self.mirror.edges
         self._inner_only = set(filterfalse(held.__contains__, mirrored))
         self._output_only = set(filterfalse(mirrored.__contains__, held))
 
@@ -359,47 +362,40 @@ class WrappedMatching:
 
     def _follow_inner(self, change: OutputDelta) -> None:
         """Feed the inner's change to the mirror, removals then adds, and
-        keep both differences. Each reported edge is checked in O(1): a
-        removal must be held, an add live and disjoint within the mirror."""
-        mirror, index, table = self.mirror, self.mirror_index, self.g._edges
+        keep both differences and the entry numbers. The mirror's own
+        checks, O(1) each, refuse a removal it does not hold and an add
+        that is dead or not disjoint."""
+        mirror, entry = self.mirror, self._entry
         in_output = self.output.edges
         inner_only, output_only = self._inner_only, self._output_only
-        for eid in change.removed:
-            entry = mirror.pop(eid, None)
-            if entry is None:
-                raise _invalid(f"edge {eid} not in matching")
-            del index[entry[1]], index[entry[2]]
-            if eid in in_output:
-                output_only.add(eid)
-            else:
-                inner_only.discard(eid)
-        for eid in change.added:
-            row = table.get(eid)
-            if row is None:
-                raise _invalid(f"no edge with id {eid}")
-            u, v, _ = row
-            if eid in mirror:
-                raise _invalid(f"edge {eid} already in matching")
-            if u in index or v in index:
-                x = u if u in index else v
-                raise _invalid(f"vertex {x} already matched by edge {index[x]}")
-            mirror[eid] = (next(self._entries), u, v)
-            index[u] = index[v] = eid
-            if eid in in_output:
-                output_only.discard(eid)
-            else:
-                inner_only.add(eid)
+        try:
+            for eid in change.removed:
+                mirror.remove(eid)
+                del entry[eid]
+                if eid in in_output:
+                    output_only.add(eid)
+                else:
+                    inner_only.discard(eid)
+            for eid in change.added:
+                mirror.add(eid)
+                entry[eid] = next(self._entries)
+                if eid in in_output:
+                    output_only.discard(eid)
+                else:
+                    inner_only.add(eid)
+        except DataError as exc:
+            raise _invalid(exc) from None
 
     def _output_add(self, eid: int) -> None:
         self.output.add(eid)
-        if eid in self.mirror:
+        if eid in self.mirror.edges:
             self._inner_only.discard(eid)
         else:
             self._output_only.add(eid)
 
     def _output_remove(self, eid: int) -> None:
         self.output.remove(eid)
-        if eid in self.mirror:
+        if eid in self.mirror.edges:
             self._inner_only.add(eid)
         else:
             self._output_only.discard(eid)
@@ -419,11 +415,11 @@ class WrappedMatching:
         # through a proxy, the window holds no reference to the wrapper that
         # holds it, so a wrapper dropped mid-window is freed at once
         self = weakref.proxy(self)
-        g, output, mirror = self.g, self.output, self.mirror
+        g, output, mirror = self.g, self.output, self.mirror.edges
         src_size = len(output)
         cap = max(2 * src_size, BOOTSTRAP_CAP)
         if len(mirror) <= cap:
-            target_only = sorted(self._inner_only, key=mirror.__getitem__)
+            target_only = sorted(self._inner_only, key=self._entry.__getitem__)
             output_only = set(self._output_only)
             size = len(mirror)
             self._work += len(target_only) + len(output_only)
@@ -528,18 +524,18 @@ class WrappedMatching:
         change = self.inner.handle_update(ev, delta)
         if change.removed or change.added:
             self._follow_inner(change)
-        mirror = self.mirror
+        mirror = self.mirror.edges
         self.inner_size = size = self.inner.current_size()
         if size != len(mirror):
             raise ContractError(f"inner reports {size} matched edges but its "
                                 f"deltas give {len(mirror)}")
         # tombstones: a deletion leaves the output in O(1)
         output = self.output
-        for eid, u, v, _ in delta.removed:
+        for eid, _, _, _ in delta.removed:
             if eid in mirror:
                 raise _invalid(f"no edge with id {eid}")
             if eid in output.edges:
-                output.discard_dead(eid, (u, v))
+                output.remove(eid)
                 out.removed.append(eid)
                 self._output_only.discard(eid)
         window = self.window

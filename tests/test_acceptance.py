@@ -263,8 +263,9 @@ def test_criterion_07_stale_matching_approximation():
         k = math.floor(eps_prime * len(frozen))
         for ev in events[warm:warm + k]:
             delta = g.apply_update(ev)
-            for eid, u, v, _ in delta.removed:
-                frozen.discard_dead(eid, (u, v))
+            for eid, _, _, _ in delta.removed:
+                if eid in frozen:
+                    frozen.remove(eid)
         opt = len(max_matching_exact(g))
         # beta = 2 (maximal); beta (1 + 2 eps') = 4 or 3, integer exact
         factor = 4 if eps_prime == 0.5 else 3

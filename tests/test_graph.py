@@ -244,10 +244,28 @@ def test_matching_weight_is_exact_after_cancelling_updates():
     assert m.weight() == math.fsum((0.2, 0.3, 1e16))
     m.remove(eids[3])
     g.remove_edge_id(eids[1])
-    assert m.discard_dead(eids[1], (2, 3))
+    m.remove(eids[1])
     m.remove(eids[2])
     # a float running total would keep rounding residue here
     assert m.weight() == 0.0 and len(m) == 0
+
+
+def test_remove_takes_out_edges_the_graph_already_deleted():
+    """A matching holds each edge's own row, so remove reads nothing from
+    the graph: edges that -e and -v deleted leave with their index entries
+    and their share of the exact total."""
+    g = Graph()
+    ws = (0.1, 0.2, 0.3, 1e16)
+    eids = [g.add_edge(2 * i, 2 * i + 1, w) for i, w in enumerate(ws)]
+    m = Matching(g, eids)
+    assert m.weight() == math.fsum(ws)   # the running total starts here
+    g.apply_update(UpdateEvent.edge_delete(0, 1))
+    g.apply_update(UpdateEvent.vertex_delete(5))
+    m.remove(eids[0])
+    m.remove(eids[2])
+    assert len(m) == 2
+    assert m.vertex_index == {2: eids[1], 3: eids[1], 6: eids[3], 7: eids[3]}
+    assert m.weight() == math.fsum((0.2, 1e16))
 
 
 _WEIGHTS = st.one_of(st.floats(min_value=5e-324, max_value=1e300),
@@ -257,9 +275,10 @@ _WEIGHTS = st.one_of(st.floats(min_value=5e-324, max_value=1e300),
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_matching_weight_equals_fsum_of_current_edges(data):
-    """After any mix of add, remove, discard_dead and refused calls,
-    weight() is the correctly rounded sum of the edges held, however and
-    whenever the running total started, and however often it is asked."""
+    """After any mix of add, remove (of live and of deleted edges) and
+    refused calls, weight() is the correctly rounded sum of the edges held,
+    however and whenever the running total started, and however often it
+    is asked."""
     pairs = data.draw(st.integers(1, 6))
     g = Graph()
     weights: dict[int, float] = {}            # every eid ever inserted
@@ -299,9 +318,9 @@ def test_matching_weight_equals_fsum_of_current_edges(data):
                 live[i] = g.add_edge(2 * i, 2 * i + 1, w)
                 weights[live[i]] = w
                 pair_of[live[i]] = i
-            assert m.discard_dead(eid, (2 * i, 2 * i + 1))
+            m.remove(eid)
             del model[eid]
-        assert m.edges == model
+        assert {eid: w for eid, (_, _, w) in m.edges.items()} == model
         if step >= start:
             got = m.weight()
             assert isinstance(got, float)

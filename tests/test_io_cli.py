@@ -371,6 +371,30 @@ def test_cli_transform_refuses_epsilon_for_mcm_and_msf(problem, workdir,
     assert not out.exists()
 
 
+def test_cli_solution_file_errors_name_their_option_and_path(tmp_path, capsys):
+    """A bad --to forest and a bad --from matching each exit 2 with an
+    error that names the option and the file, and so does oracle's search,
+    which reads its pair the same way."""
+    files = {"g.txt": "e 0 1 1.0\ne 1 2 1.0\n", "good.txt": "0 1\n",
+             "bf.txt": "0 1\n0 1\n", "bm.txt": "0 9\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    graph, good, bad_forest, bad_matching = (str(tmp_path / f) for f in files)
+    out = ["--out", str(tmp_path / "s.json")]
+    for argv, error in (
+            (["transform", "--problem", "msf", "--from", good,
+              "--to", bad_forest, *out],
+             f"--to {bad_forest}: edge 0 listed twice in forest"),
+            (["transform", "--problem", "mcm", "--from", bad_matching,
+              "--to", good, *out],
+             f"--from {bad_matching}: solution line 1: no edge (0,9) in graph"),
+            (["oracle", "--task", "search", "--from", bad_matching,
+              "--to", good, "--delta", "3", "--floor", "0"],
+             f"--from {bad_matching}: solution line 1: no edge (0,9) in graph")):
+        assert main([*argv, "--graph", graph]) == 2
+        assert capsys.readouterr().err == f"gradmorph: data: {error}\n"
+
+
 def test_cli_mwm_and_msf(workdir, rng, capsys, tmp_path):
     g = random_graph(rng, 20, 40, 1.0, 50.0, connected=True)
     (tmp_path / "g.txt").write_text(emit_graph(g))

@@ -286,21 +286,26 @@ def _stream_for(name, rng):
 
 @pytest.mark.parametrize("name", ["greedy", "batch", "exact", "static"])
 def test_mirror_follows_the_inner(name, rng):
-    """At every step the mirror fed by the inner's deltas is its matching,
-    and the two differences are those of the mirror and the output."""
+    """At every step the mirror fed by the inner's deltas is a Matching
+    equal to the inner's, with an entry number for each edge it holds and
+    no other, and the two differences are those of the mirror and the
+    output."""
     g, events = _stream_for(name, rng)
     inner = {"exact": ExactPathMaintainer, "static": StaticSubject}.get(
         name, lambda g: make_inner(name, g))(g)
     wrapped = WrappedMatching(g, inner, 0.1)
     for ev in events:
         wrapped.handle_update(ev, g.apply_update(ev))
-        mirrored, output = set(wrapped.mirror), set(wrapped.output.edges)
+        mirror = wrapped.mirror
+        assert isinstance(mirror, Matching)
+        mirrored, output = set(mirror.edges), set(wrapped.output.edges)
         assert mirrored == set(inner.matching_ids())
-        assert wrapped.mirror_index == inner.matching.vertex_index
+        assert mirror.vertex_index == inner.matching.vertex_index
+        assert set(wrapped._entry) == mirrored
         assert wrapped._inner_only == mirrored - output
         assert wrapped._output_only == output - mirrored
         if name == "greedy":  # same order too
-            assert list(wrapped.mirror) == inner.matching_ids()
+            assert mirror.edge_ids() == inner.matching_ids()
     assert (wrapped.windows > 0) == (name != "static")
 
 
@@ -365,7 +370,7 @@ def test_plan_step_sizes_the_snapshot_by_its_live_edges(monkeypatch, rng):
             snapshot = None
         if wrapped.windows > opened:
             cap = max(2 * len(wrapped.output), BOOTSTRAP_CAP)
-            snapshot = list(islice(wrapped.mirror, cap))
+            snapshot = list(islice(wrapped.mirror.edges, cap))
             target_only = [e for e in snapshot if e not in wrapped.output]
     assert hit > 0
 
@@ -725,8 +730,9 @@ def test_stale_matching_approximation_property(rng):
         k = math.floor(eps_prime * len(frozen))
         for ev in events[warmup:warmup + k]:
             delta = g.apply_update(ev)
-            for eid, u, v, _ in delta.removed:
-                frozen.discard_dead(eid, (u, v))
+            for eid, _, _, _ in delta.removed:
+                if eid in frozen:
+                    frozen.remove(eid)
         opt = len(max_matching_exact(g))
         assert len(frozen) * beta * (1 + 2 * eps_prime) >= opt
 
