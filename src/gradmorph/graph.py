@@ -54,12 +54,13 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateEvent:
     """One dynamic update: edge-insert/-delete or vertex-insert/-delete.
 
     For vertex-insert, ``incident`` lists (neighbor, weight) pairs; weights
-    may differ per incident edge.
+    may differ per incident edge. Events are slotted, with no per-event
+    dict, since a stream holds one per update step.
     """
 
     kind: str  # "+e" | "-e" | "+v" | "-v"

@@ -132,28 +132,48 @@ def emit_edge_set(g: Graph, eids: Iterable[int]) -> str:
     return "\n".join(f"{u} {v}" for u, v in pairs) + ("\n" if pairs else "")
 
 
+class _Parsed(dict):
+    """Token -> its parsed value, parsing each distinct token once, so that
+    every use of a token shares one object."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, tok: str):
+        value = self[tok] = self.parse(tok)
+        return value
+
+
 def parse_updates(text: str) -> list[UpdateEvent]:
+    """The events of an update stream. One call shares one int per distinct
+    vertex token and one float per distinct weight token among all its
+    events, +v neighbours included, rather than holding a fresh number per
+    use; the sharing ends with the call."""
+    ids, weights = _Parsed(int), _Parsed(float)
     events = []
     for lineno, toks in _tokens(text):
         try:
             kind = toks[0]
             if kind == "+e":
-                u, v = int(toks[1]), int(toks[2])
-                w = checked_weight(float(toks[3]), u, v) if len(toks) > 3 else 1.0
+                u, v = ids[toks[1]], ids[toks[2]]
+                w = checked_weight(weights[toks[3]], u, v) if len(toks) > 3 else 1.0
                 events.append(UpdateEvent.edge_insert(u, v, w))
             elif kind == "-e":
-                events.append(UpdateEvent.edge_delete(int(toks[1]), int(toks[2])))
+                events.append(UpdateEvent.edge_delete(ids[toks[1]], ids[toks[2]]))
             elif kind == "+v":
                 rest = toks[2:]
                 if len(rest) % 2:
                     raise DataError("odd neighbor/weight list")
-                vid = int(toks[1])
-                nbrs = [int(x) for x in rest[0::2]]
-                incident = [(nbr, checked_weight(float(w), vid, nbr))
+                vid = ids[toks[1]]
+                nbrs = [ids[x] for x in rest[0::2]]
+                incident = [(nbr, checked_weight(weights[w], vid, nbr))
                             for nbr, w in zip(nbrs, rest[1::2])]
                 events.append(UpdateEvent.vertex_insert(vid, incident))
             elif kind == "-v":
-                events.append(UpdateEvent.vertex_delete(int(toks[1])))
+                events.append(UpdateEvent.vertex_delete(ids[toks[1]]))
             else:
                 raise DataError(f"unknown update kind {kind!r}")
         except (DataError, ValueError, IndexError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
+from array import array
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -18,10 +18,35 @@ from .graph import BudgetError, DataError, Graph, UpdateEvent
 from .wrapper import (BatchRecompute, GreedyMaximalMatching, InnerAlgorithm,
                       WrappedMatching)
 
-# one step of a trace, in the trace's column order
-TraceRow = namedtuple("TraceRow", "step event recourse_added recourse_removed "
-                      "output_size output_weight inner_size window_phase "
-                      "opt_size", defaults=(None,))
+
+class TraceRow:
+    """One step of a trace, a view of its run's columns: the same nine
+    fields a trace CSV row has, read from the columns when asked for. The
+    event's label is formatted and the output's weight rounded on each
+    read, so a row holds only its columns and its step's index."""
+
+    FIELDS = ("step", "event", "recourse_added", "recourse_removed",
+              "output_size", "output_weight", "inner_size", "window_phase",
+              "opt_size")
+    __slots__ = ("columns", "index")
+
+    def __init__(self, columns: tuple, index: int) -> None:
+        self.columns = columns
+        self.index = index
+
+    step = property(lambda row: row.index + 1)
+    event = property(lambda row: event_label(row.columns[0][row.index]))
+    recourse_added = property(lambda row: row.columns[1][row.index])
+    recourse_removed = property(lambda row: row.columns[2][row.index])
+    output_size = property(lambda row: row.columns[3][row.index])
+    output_weight = property(lambda row: round(row.columns[4][row.index], 9))
+    inner_size = property(lambda row: row.columns[5][row.index])
+    window_phase = property(lambda row: row.columns[6][row.index])
+    opt_size = property(lambda row: row.columns[7][row.index])
+
+    def __repr__(self) -> str:
+        return "TraceRow(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.FIELDS) + ")"
 
 
 def event_label(ev: UpdateEvent) -> str:
@@ -46,11 +71,14 @@ def make_inner(name: str, g: Graph) -> InnerAlgorithm:
 
 
 class SimulationResult:
-    """A run's per-step columns, one list per TraceRow field from event on,
-    with the output's weight unrounded, and their summary. rows builds
-    TraceRows from the columns on first access."""
+    """A run's per-step columns, one per TraceRow field from event on, with
+    the output's weight unrounded, and their summary. The output and inner
+    sizes are array("q") columns, since they would otherwise hold a fresh
+    int per step; the others are lists of small cached ints, the output's
+    cached weight float, interned phase strings or event references. rows
+    is a list of TraceRow views, made on first access."""
 
-    def __init__(self, columns: tuple[list, ...]) -> None:
+    def __init__(self, columns: tuple) -> None:
         self.columns = columns
         _, added, removed, sizes, *_, opts = columns
         self.steps = len(added)
@@ -63,9 +91,8 @@ class SimulationResult:
 
     @cached_property
     def rows(self) -> list[TraceRow]:
-        return [TraceRow(step, event_label(ev), a, r, s, round(w, 9), *rest)
-                for step, (ev, a, r, s, w, *rest)
-                in enumerate(zip(*self.columns), start=1)]
+        columns = self.columns
+        return [TraceRow(columns, i) for i in range(self.steps)]
 
 
 def run_simulation(
@@ -81,7 +108,7 @@ def run_simulation(
     every step compares the output size against the exact optimum (graphs
     beyond the oracle budget are refused).
     """
-    columns = tuple([] for _ in TraceRow._fields[1:])
+    columns = ([], [], [], array("q"), [], array("q"), [], [])
     (put_event, put_added, put_removed, put_size, put_weight, put_inner,
      put_phase, put_opt) = (c.append for c in columns)
     wrapped = isinstance(algo, WrappedMatching)
@@ -112,7 +139,7 @@ def run_simulation(
 
 def trace_csv_rows(result: SimulationResult) -> Iterator[list]:
     """The header, then each step's row, formatted as it is written."""
-    yield list(TraceRow._fields)
+    yield list(TraceRow.FIELDS)
     for step, (ev, a, r, size, w, inner, phase, opt) in enumerate(
             zip(*result.columns), start=1):
         yield [step, event_label(ev), a, r, size, repr(round(w, 9)), inner,

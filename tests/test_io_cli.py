@@ -58,6 +58,19 @@ def test_update_stream_round_trip(rng):
         parse_updates("+v 7 1\n")
 
 
+def test_parsed_events_are_slotted_and_share_their_numbers():
+    # ids above 256, which CPython does not cache, and one weight token
+    # used three times, +v neighbours included
+    events = parse_updates("+e 300 301 2.5\n-e 301 300\n"
+                           "+v 302 300 2.5 301 2.5\n-v 302\n")
+    assert not any(hasattr(ev, "__dict__") for ev in events)
+    ins, dele, vins, vdel = events
+    (a, wa), (b, wb) = vins.incident
+    assert ins.u is dele.v is a and ins.v is dele.u is b
+    assert vins.u is vdel.u
+    assert ins.w is wa is wb
+
+
 @pytest.mark.parametrize("w", ["inf", "-inf", "nan", "0"])
 def test_parse_rejects_non_finite_or_non_positive_weights(w):
     with pytest.raises(DataError, match="line 1: weight"):
