@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import defaultdict
 
 from .graph import Graph, Matching, SpanningForest, UnionFind, UpdateEvent
 
@@ -72,16 +73,21 @@ def random_update_stream(rng: random.Random, n: int, steps: int,
 
     Present edges and vertices are kept as sorted lists, updated with
     bisect, so each draw picks from the sorted sequence without sorting it.
+    Each vertex's present pairs are indexed too, so a vertex delete takes
+    out exactly its pairs, one bisect each.
     """
     present: list[tuple[int, int]] = []   # sorted
     vertices = list(range(n))             # sorted
+    pairs_at: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
     events: list[UpdateEvent] = []
     for _ in range(steps):
         roll = rng.random()
         if vertex_ops and roll < 0.02 and len(vertices) > 4:
             v = rng.choice(vertices)
             del vertices[bisect_left(vertices, v)]
-            present = [k for k in present if v not in k]
+            for pair in pairs_at.pop(v, ()):
+                del present[bisect_left(present, pair)]
+                pairs_at[pair[0] if pair[1] == v else pair[1]].discard(pair)
             events.append(UpdateEvent.vertex_delete(v))
             continue
         if vertex_ops and roll < 0.04:
@@ -90,18 +96,22 @@ def random_update_stream(rng: random.Random, n: int, steps: int,
             events.append(UpdateEvent.vertex_insert(fresh, ()))
             continue
         if present and roll < delete_prob:
-            u, v = rng.choice(present)
-            del present[bisect_left(present, (u, v))]
+            u, v = pair = rng.choice(present)
+            del present[bisect_left(present, pair)]
+            pairs_at[u].discard(pair)
+            pairs_at[v].discard(pair)
             events.append(UpdateEvent.edge_delete(u, v))
         else:
             if len(vertices) < 2:
                 continue
             u, v = rng.sample(vertices, 2)
-            u, v = min(u, v), max(u, v)
-            i = bisect_left(present, (u, v))
-            if i < len(present) and present[i] == (u, v):
+            u, v = pair = min(u, v), max(u, v)
+            i = bisect_left(present, pair)
+            if i < len(present) and present[i] == pair:
                 continue
             w = w_lo if w_lo == w_hi else rng.uniform(w_lo, w_hi)
-            present.insert(i, (u, v))
+            present.insert(i, pair)
+            pairs_at[u].add(pair)
+            pairs_at[v].add(pair)
             events.append(UpdateEvent.edge_insert(u, v, w))
     return events
