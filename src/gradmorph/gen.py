@@ -8,7 +8,8 @@ import random
 from bisect import bisect_left
 from collections import defaultdict
 
-from .graph import Graph, Matching, SpanningForest, UnionFind, UpdateEvent
+from .graph import (DataError, Graph, Matching, SpanningForest, UnionFind,
+                    UpdateEvent)
 
 
 def random_graph(rng: random.Random, n: int, m: int,
@@ -68,19 +69,23 @@ def random_update_stream(rng: random.Random, n: int, steps: int,
                          delete_prob: float = 0.4,
                          w_lo: float = 1.0, w_hi: float = 1.0,
                          vertex_ops: bool = False) -> list[UpdateEvent]:
-    """Mixed insert/delete stream over vertex ids 0..n-1, valid against an
-    initially empty graph.
+    """Exactly `steps` mixed insert/delete updates over vertex ids 0..n-1,
+    valid against an initially empty graph.
 
-    Present edges and vertices are kept as sorted lists, updated with
-    bisect, so each draw picks from the sorted sequence without sorting it.
-    Each vertex's present pairs are indexed too, so a vertex delete takes
-    out exactly its pairs, one bisect each.
+    A step whose insert draw hits a present pair makes no update and is
+    drawn again, roll included, so inserts keep their odds against
+    deletes and a stream of fewer steps is a prefix of this one; where no
+    step can make an update, DataError is raised. Present edges and
+    vertices are kept as sorted lists, updated with bisect, so each draw
+    picks from the sorted sequence without sorting it. Each vertex's
+    present pairs are indexed too, so a vertex delete takes out exactly
+    its pairs, one bisect each.
     """
     present: list[tuple[int, int]] = []   # sorted
     vertices = list(range(n))             # sorted
     pairs_at: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
     events: list[UpdateEvent] = []
-    for _ in range(steps):
+    while len(events) < steps:
         roll = rng.random()
         if vertex_ops and roll < 0.02 and len(vertices) > 4:
             v = rng.choice(vertices)
@@ -101,17 +106,23 @@ def random_update_stream(rng: random.Random, n: int, steps: int,
             pairs_at[u].discard(pair)
             pairs_at[v].discard(pair)
             events.append(UpdateEvent.edge_delete(u, v))
-        else:
-            if len(vertices) < 2:
-                continue
+            continue
+        if len(vertices) >= 2:
             u, v = rng.sample(vertices, 2)
             u, v = pair = min(u, v), max(u, v)
             i = bisect_left(present, pair)
-            if i < len(present) and present[i] == pair:
+            if i == len(present) or present[i] != pair:
+                w = w_lo if w_lo == w_hi else rng.uniform(w_lo, w_hi)
+                present.insert(i, pair)
+                pairs_at[u].add(pair)
+                pairs_at[v].add(pair)
+                events.append(UpdateEvent.edge_insert(u, v, w))
                 continue
-            w = w_lo if w_lo == w_hi else rng.uniform(w_lo, w_hi)
-            present.insert(i, pair)
-            pairs_at[u].add(pair)
-            pairs_at[v].add(pair)
-            events.append(UpdateEvent.edge_insert(u, v, w))
+        # no update this step; another one can come only from a vertex op,
+        # a delete or a free pair
+        k = len(vertices)
+        if not (vertex_ops or (present and delete_prob > 0)
+                or len(present) < k * (k - 1) // 2):
+            raise DataError(f"update {len(events)}: no insert or delete "
+                            f"can be drawn")
     return events

@@ -780,10 +780,10 @@ def test_weighted_small_instance_weight_floor(rng):
 PINNED_TRACES = [
     (["--seed", "3", "simulate", "--inner", "greedy", "--epsilon", "0.1",
       "--n", "300", "--random-updates", "3000"],
-     "4990a2c76f0086907aaebfa742bac8555defda18fbd8f98e6c2a7e6c2296e8d2"),
+     "4175848199d0b7b2f113e180bbd95781ab10cb31ca44ee9a44b414b031dd1c5e"),
     (["--seed", "3", "simulate", "--inner", "batch:2.0",
       "--psi", "2", "--epsilon", "0.1", "--n", "400", "--random-updates", "2500"],
-     "f470bd60c55ceef8577a499b3f77cda59c91bbeb0df1e45280eebf4764c6f118"),
+     "201b888966f4b526cdb515e2377657b56e364df6263f80da81be991f2dccb3da"),
 ]
 
 
@@ -800,18 +800,16 @@ def test_simulate_traces_are_pinned(tmp_path, capsys, argv, digest):
 
 # sha256 of SimulationResult.rows, all nine fields of every row, on seeded
 # streams with vertex ops: wrapped and bare greedy, a weighted batch inner
-# under psi 2, and a small oracle-checked run for the opt_size column. The
-# rows are built from the run's columns; these digests were taken when each
-# step built its row as it ran.
+# under psi 2, and a small oracle-checked run for the opt_size column.
 PINNED_ROWS = [
     ("greedy", True, 1.0, False, 300, 3000,
-     "b632ed5fd596200239f8210d0e7c4a5841c36445cd2ce73683eee5b1479bd684"),
+     "105c72927406eddfe388c62614dcdca6bf9ef746abfdbb15b2226e2f3625e03c"),
     ("greedy", False, 1.0, False, 300, 3000,
-     "83b1fe783503b9ff1c99e3debe6b49fd9c1a68b93473c25dd45787eb6fbd4c3b"),
+     "99e55fdb62925b89df8abafdfe6bf1584d3b8c3b902fcbb857bd3a4482a1f714"),
     ("batch:2.0", True, 2.0, False, 400, 2500,
-     "0743bddaf232665c072ed8bbda9d81b4ebdce7364c9b354f4dd2e00c51383152"),
+     "8c737a5d11c59947f7864411b73a447364a373c941414fc0eb14a876de1ddf27"),
     ("greedy", True, 1.0, True, 12, 200,
-     "433413a1c155e5a2580fc367f1c0d2e788cefcbce50206169ee8c026a83bc9ef"),
+     "09b39cf211e4f481ef439c116b83790ec9e04e3327a39b428a04b7ed1a9159e7"),
 ]
 
 
@@ -829,7 +827,7 @@ def test_simulation_rows_are_pinned(inner, wrap, psi, oracle, n, count, digest):
     rows = [(r.step, r.event, r.recourse_added, r.recourse_removed,
              r.output_size, r.output_weight, r.inner_size, r.window_phase,
              r.opt_size) for r in result.rows]
-    assert len(rows) == result.steps == len(events)
+    assert len(rows) == result.steps == len(events) == count
     assert {r[1][:2] for r in rows} >= {"+v", "-v"}
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
