@@ -44,10 +44,6 @@ class TraceRow:
     window_phase = property(lambda row: row.columns[6][row.index])
     opt_size = property(lambda row: row.columns[7][row.index])
 
-    def __repr__(self) -> str:
-        return "TraceRow(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.FIELDS) + ")"
-
 
 def event_label(ev: UpdateEvent) -> str:
     if ev.kind in ("+e", "-e"):
